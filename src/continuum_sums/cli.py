@@ -4,14 +4,15 @@ Three subcommands: ``gallery`` prints a JSON set-description document for a
 generator, ``verify`` runs one of the evidence pipelines on such a document
 (or its own flags) and emits a JSON report, ``bitmap`` renders a sum raster
 as an ASCII PBM image.  Exit codes: 0 all checks passed, 1 a check failed
-(the report is still written), 2 usage or input error.
+(the report is still written), 2 usage, input or resource error (a grid too
+large to allocate included).
 
 Reports are plain JSON with a fixed key order and a schema version; the only
 field that varies between identical runs is ``elapsed_seconds``.  Non-finite
 numbers (an infinite density margin) serialize as null.  The environment
-variable CONTINUUM_SUMS_THREADS is accepted for compatibility with parallel
-runners; scenarios currently execute sequentially, so any valid value is a
-no-op.
+variable CONTINUUM_SUMS_THREADS sets the worker count of the FFT dilation
+route (unset = 1, 0 = one per core); a value that is not a non-negative
+integer exits 2.
 """
 
 from __future__ import annotations
@@ -24,25 +25,24 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .gallery import (
-    _ALLOWED_PARAMS,
+    ALLOWED_PARAMS,
     KINDS,
     Generated,
     GeneratorSpec,
     cantor_graph,
     generate,
 )
-from .grid import GridSet, SampledSet, auto_geometry, rasterize
-from .sums import _sum_raster, claim_measure_chain, shift_construction, verify_claim
+from .grid import GridSet, SampledSet, auto_geometry, minkowski_sum, rasterize, thread_count
+from .sums import claim_measure_chain, shift_construction, shifted_sum_raster, verify_claim
 from .verify import (
     DEFAULT_RESOLUTIONS,
     SumEvidence,
     VerificationReport,
-    _dilated_sum,
     normalized_sum_raster,
     verify_corollary_c1,
     verify_example_cantor,
@@ -106,7 +106,7 @@ def _parse_generator_set(entry: dict, path: str) -> SampledSet:
     kind = kind_raw.replace("-", "_")
     if kind not in KINDS:
         raise InputError(f"{path}.kind: unknown generator kind {kind_raw!r}")
-    _reject_unknown(entry, _GEN_BASE_KEYS | _ALLOWED_PARAMS[kind], path)
+    _reject_unknown(entry, _GEN_BASE_KEYS | ALLOWED_PARAMS[kind], path)
     budget = _expect_int(entry.get("budget", 64), f"{path}.budget", minimum=2)
     seed = _expect_int(entry.get("seed", 0), f"{path}.seed", minimum=0)
     params = {k: v for k, v in entry.items() if k not in _GEN_BASE_KEYS}
@@ -262,11 +262,12 @@ def render_pbm(occupancy: np.ndarray) -> str:
     if occupancy.ndim != 2:
         raise InputError(f"bitmap needs a 2-D grid, got {occupancy.ndim} axes")
     width, height = occupancy.shape
-    lines = [f"P1\n{width} {height}\n"]
-    for r in range(height - 1, -1, -1):
-        lines.append(" ".join("1" if occupancy[c, r] else "0" for c in range(width)))
-        lines.append("\n")
-    return "".join(lines)
+    # Row r of the image is column height-1-r of the occupancy: digits at even
+    # byte positions, spaces between them, the newline in the last position.
+    body = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = np.asarray(occupancy, dtype=bool).T[::-1] + np.uint8(ord("0"))
+    body[:, -1] = ord("\n")
+    return f"P1\n{width} {height}\n" + body.tobytes().decode("ascii")
 
 
 def _bitmap_plane(grid: GridSet, slice_spec: tuple[int, int] | None) -> np.ndarray:
@@ -290,18 +291,12 @@ def _bitmap_plane(grid: GridSet, slice_spec: tuple[int, int] | None) -> np.ndarr
     raise InputError(f"bitmap supports 2-D and sliced 3-D grids, not {grid.dim}-D")
 
 
-def _write_scenario_bitmaps(
-    prefix: str, sets: Sequence[SampledSet], resolutions: Sequence[float]
-) -> None:
-    """One PBM of the normalized sum per resolution; 3-D sums use the middle
-    slice of the last axis."""
-    for h in resolutions:
-        raster = normalized_sum_raster(sets, h)
-        spec = None
-        if raster.dim == 3:
-            spec = (2, raster.geometry.extents[2] // 2)
-        plane = _bitmap_plane(raster, spec)
-        _atomic_write_text(f"{prefix}-h{h:g}.pbm", render_pbm(plane))
+def _write_bitmaps(prefix: str, rasters: Iterable[tuple[float, GridSet]]) -> None:
+    """One PBM ``PREFIX-hH.pbm`` per (h, raster) pair; 3-D rasters use the
+    middle slice of the last axis."""
+    for h, raster in rasters:
+        spec = (2, raster.geometry.extents[2] // 2) if raster.dim == 3 else None
+        _atomic_write_text(f"{prefix}-h{h:g}.pbm", render_pbm(_bitmap_plane(raster, spec)))
 
 
 def _effective_resolutions(args: argparse.Namespace, doc: Document | None) -> list[float]:
@@ -394,7 +389,7 @@ def _cmd_verify_main(args: argparse.Namespace) -> int:
     report["passed"] = ev.verdict == "supported"
     report["elapsed_seconds"] = time.perf_counter() - start
     if args.bitmap:
-        _write_scenario_bitmaps(args.bitmap, sets, resolutions)
+        _write_bitmaps(args.bitmap, ((h, normalized_sum_raster(sets, h)) for h in resolutions))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -408,7 +403,8 @@ def _cmd_verify_c1(args: argparse.Namespace) -> int:
     report = _from_verification_report(rep)
     report["inputs"]["document"] = doc.raw
     if args.bitmap:
-        _write_scenario_bitmaps(args.bitmap, [doc.sets[0]] * doc.dim, resolutions)
+        sets = [doc.sets[0]] * doc.dim
+        _write_bitmaps(args.bitmap, ((h, normalized_sum_raster(sets, h)) for h in resolutions))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -418,8 +414,8 @@ def _cmd_verify_cantor(args: argparse.Namespace) -> int:
     rep = verify_example_cantor(args.depth, resolutions)
     report = _from_verification_report(rep)
     if args.bitmap:
-        graph = cantor_graph(args.depth)
-        _write_scenario_bitmaps(args.bitmap, [graph, graph], resolutions)
+        sets = [cantor_graph(args.depth)] * 2
+        _write_bitmaps(args.bitmap, ((h, normalized_sum_raster(sets, h)) for h in resolutions))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -492,14 +488,10 @@ def _cmd_verify_claim(args: argparse.Namespace) -> int:
     report["passed"] = all(c["passed"] for c in checks)
     report["elapsed_seconds"] = time.perf_counter() - start
     if args.bitmap:
-        for h in resolutions:
-            raster = _sum_raster(construction, doc.sets, h)
-            spec = None
-            if raster.dim == 3:
-                spec = (2, raster.geometry.extents[2] // 2)
-            _atomic_write_text(
-                f"{args.bitmap}-h{h:g}.pbm", render_pbm(_bitmap_plane(raster, spec))
-            )
+        _write_bitmaps(
+            args.bitmap,
+            ((h, shifted_sum_raster(construction, doc.sets, h)) for h in resolutions),
+        )
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -541,7 +533,7 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
         params["vertices"] = [
             _parse_point(part, "--vertices") for part in args.vertices.split(";") if part.strip()
         ]
-    extra = set(params) - _ALLOWED_PARAMS[kind]
+    extra = set(params) - ALLOWED_PARAMS[kind]
     if extra:
         raise InputError(
             f"{args.kind} does not take --{sorted(extra)[0].replace('_', '-')}"
@@ -569,8 +561,7 @@ def _cmd_bitmap(args: argparse.Namespace) -> int:
     )
     if h <= 0:
         raise InputError(f"--h must be positive, got {h}")
-    rasters = [rasterize(k, auto_geometry(k.points, h)) for k in doc.sets]
-    total = _dilated_sum(rasters)
+    total = minkowski_sum([rasterize(k, auto_geometry(k.points, h)) for k in doc.sets])
     slice_spec = tuple(args.slice) if args.slice is not None else None
     text = render_pbm(_bitmap_plane(total, slice_spec))
     if args.out:
@@ -654,18 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    threads = os.environ.get("CONTINUUM_SUMS_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 0:
-                raise ValueError
-        except ValueError:
-            print(
-                f"error: CONTINUUM_SUMS_THREADS must be a non-negative integer, "
-                f"got {threads!r}",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        thread_count()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -681,6 +665,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

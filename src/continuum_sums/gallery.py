@@ -322,7 +322,8 @@ class Generated:
     detail: dict
 
 
-_ALLOWED_PARAMS = {
+#: Parameters each generator kind accepts besides budget and seed.
+ALLOWED_PARAMS = {
     "segment": {"start", "end"},
     "l_shape": {"dim"},
     "circle": {"center", "radius", "phase"},
@@ -354,7 +355,7 @@ def generate(spec: GeneratorSpec) -> Generated:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if spec.sample_budget < 2:
         raise ValueError(f"sample_budget must be at least 2, got {spec.sample_budget}")
-    allowed = _ALLOWED_PARAMS[spec.kind]
+    allowed = ALLOWED_PARAMS[spec.kind]
     unknown = set(spec.parameters) - allowed
     if unknown:
         raise ValueError(

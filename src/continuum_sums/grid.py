@@ -36,6 +36,12 @@ _FFT_ADVANTAGE = 4.0
 # so past this cell count the in-place int32 engine wins on memory.
 _SCIPY_DT_LIMIT = 2**27
 
+#: Above this many output cells :func:`minkowski_sum` may accumulate sparsely.
+_DENSE_SUM_LIMIT = 2**24
+
+#: Pair-sum chunk size (index keys) for the sparse accumulation route.
+_SPARSE_CHUNK = 5_000_000
+
 
 class DilationPrecisionError(ValueError):
     """FFT dilation would exceed the exact-integer range of float64."""
@@ -271,26 +277,27 @@ def _shifted(arr: NDArray, axis: int, shift: int) -> NDArray:
     return out
 
 
-def _combined_semantics(a: GridSet, b: GridSet) -> tuple[Semantics, float]:
-    if a.semantics is not b.semantics:
+def _combined_semantics(semantics: Semantics, slack: float, b: GridSet) -> tuple[Semantics, float]:
+    """Semantics and slack of a sum whose left operand carries ``semantics``, ``slack``."""
+    if semantics is not b.semantics:
         raise ValueError(
-            f"cannot sum grids with mixed semantics {a.semantics.value} + {b.semantics.value}"
+            f"cannot sum grids with mixed semantics {semantics.value} + {b.semantics.value}"
         )
-    if a.semantics is Semantics.INNER:
+    if semantics is Semantics.INNER:
         return Semantics.INNER, 0.0
     # One cell of slack accounts for the lattice-point snap inside each box.
-    return a.semantics, a.slack + b.slack + a.spacing
+    return semantics, slack + b.slack + b.spacing
 
 
-def _sum_geometry(a: GridSet, b: GridSet) -> GridGeometry:
+def _sum_geometry(a: GridGeometry, b: GridGeometry) -> GridGeometry:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
     if a.spacing != b.spacing:
         raise ValueError(f"grids must share spacing exactly, got {a.spacing} and {b.spacing}")
     return GridGeometry(
-        origin=tuple(x + y for x, y in zip(a.geometry.origin, b.geometry.origin)),
+        origin=tuple(x + y for x, y in zip(a.origin, b.origin)),
         spacing=a.spacing,
-        extents=tuple(p + q - 1 for p, q in zip(a.geometry.extents, b.geometry.extents)),
+        extents=tuple(p + q - 1 for p, q in zip(a.extents, b.extents)),
     )
 
 
@@ -301,8 +308,8 @@ def dilate_naive(a: GridSet, b: GridSet) -> GridSet:
     which is the direct reading of {i + j} and serves as the exact reference
     for the FFT route.
     """
-    geom = _sum_geometry(a, b)
-    semantics, slack = _combined_semantics(a, b)
+    geom = _sum_geometry(a.geometry, b.geometry)
+    semantics, slack = _combined_semantics(a.semantics, a.slack, b)
     shifts, body = (a, b) if a.occupied_count <= b.occupied_count else (b, a)
     out = np.zeros(geom.extents, dtype=bool)
     src = body.occupancy
@@ -320,8 +327,8 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     :class:`DilationPrecisionError` and the caller must fall back to the naive
     route.
     """
-    geom = _sum_geometry(a, b)
-    semantics, slack = _combined_semantics(a, b)
+    geom = _sum_geometry(a.geometry, b.geometry)
+    semantics, slack = _combined_semantics(a.semantics, a.slack, b)
     if a.occupied_count * b.occupied_count >= _FFT_EXACT_LIMIT:
         raise DilationPrecisionError(
             "occupied-cell product exceeds the exact float64 range; use dilate_naive"
@@ -355,19 +362,60 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     return dilate_naive(a, b)
 
 
+def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
+    """Grid Minkowski sum K_1 + ... + K_n, exactly ``dilate`` folded left to right.
+
+    Geometry, semantics and slack are folded (and validated) over all inputs
+    before a route is chosen, so every route returns the same grid set.  The
+    cost model: when the output box exceeds ``_DENSE_SUM_LIMIT`` cells and the
+    product of occupied counts (the most index-key pairs the sparse route can
+    form) is below the output cell count, occupied index tuples are summed as
+    flat keys in chunks of ``_SPARSE_CHUNK`` pairs and only the result is made
+    dense; no dense intermediate is ever held.  Otherwise ``dilate`` is folded
+    over the inputs, choosing FFT or shift-OR at each step.  A single input is
+    returned as is.
+    """
+    rasters = list(rasters)
+    if not rasters:
+        raise ValueError("need at least one raster")
+    geom = rasters[0].geometry
+    semantics, slack = rasters[0].semantics, rasters[0].slack
+    for r in rasters[1:]:
+        geom = _sum_geometry(geom, r.geometry)
+        semantics, slack = _combined_semantics(semantics, slack, r)
+    out_cells = math.prod(geom.extents)
+    pairs = math.prod(r.occupied_count for r in rasters)
+    if len(rasters) == 1 or out_cells <= _DENSE_SUM_LIMIT or pairs >= out_cells:
+        acc = rasters[0]
+        for r in rasters[1:]:
+            acc = dilate(acc, r)
+        return acc
+    weights = np.ones(geom.dim, dtype=np.int64)
+    for i in range(geom.dim - 2, -1, -1):
+        weights[i] = weights[i + 1] * geom.extents[i + 1]
+    # Index sums never exceed the output extents, so key sums cannot carry
+    # across axes and the flat keys add exactly like the index vectors.
+    keys = np.unique(rasters[0].occupied_indices() @ weights)
+    for r in rasters[1:]:
+        if keys.size == 0:
+            break
+        other = np.unique(r.occupied_indices() @ weights)
+        step = max(1, _SPARSE_CHUNK // max(len(other), 1))
+        chunks = [
+            np.unique((keys[i : i + step, None] + other[None, :]).ravel())
+            for i in range(0, len(keys), step)
+        ]
+        keys = np.unique(np.concatenate(chunks))
+    occupancy = np.zeros(geom.extents, dtype=bool)
+    occupancy.reshape(-1)[keys] = True
+    return GridSet(geom, occupancy, semantics, slack)
+
+
 def nfold_sum(a: GridSet, n: int) -> GridSet:
-    """n-fold grid sum via square-and-multiply; equals n-1 chained dilations."""
+    """n-fold grid sum a + ... + a; equals n-1 chained dilations."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    acc: GridSet | None = None
-    base = a
-    while True:
-        if n & 1:
-            acc = base if acc is None else dilate(acc, base)
-        n >>= 1
-        if n == 0:
-            return acc  # type: ignore[return-value]
-        base = dilate(base, base)
+    return minkowski_sum([a] * n)
 
 
 def negate(a: GridSet) -> GridSet:
@@ -396,27 +444,13 @@ def erode(a: GridSet, r: int) -> GridSet:
     for axis in range(a.dim):
         acc = out.copy()
         for shift in range(1, r + 1):
-            acc &= _shifted_true_fill(out, axis, shift, fill=False)
-            acc &= _shifted_true_fill(out, axis, -shift, fill=False)
+            acc &= _shifted(out, axis, shift)
+            acc &= _shifted(out, axis, -shift)
         out = acc
     guaranteed = r * a.spacing >= (a.slack + a.spacing) * (1.0 - 1e-9)
     if guaranteed:
         return GridSet(a.geometry, out, Semantics.INNER, slack=0.0)
     return GridSet(a.geometry, out, Semantics.OUTER, slack=a.slack)
-
-
-def _shifted_true_fill(arr: NDArray, axis: int, shift: int, fill: bool) -> NDArray:
-    out = np.full_like(arr, fill)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if shift > 0:
-        src[axis] = slice(0, arr.shape[axis] - shift)
-        dst[axis] = slice(shift, None)
-    else:
-        src[axis] = slice(-shift, None)
-        dst[axis] = slice(0, arr.shape[axis] + shift)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
 
 
 _ADJACENCY_STRUCTURES = {

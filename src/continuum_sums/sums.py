@@ -27,6 +27,7 @@ from .grid import (
     eps_density_margin,
     is_grid_continuum,
     measure_estimate,
+    minkowski_sum,
     rasterize,
 )
 
@@ -105,20 +106,15 @@ def _shifted_factor_samples(k: SampledSet, shifts: NDArray[np.float64]) -> Sampl
     return SampledSet(points=pts, density=k.density, exact=k.exact)
 
 
-def _sum_raster(
-    construction: ShiftConstruction,
-    sets: Sequence[SampledSet],
-    h: float,
-    semantics: Semantics = Semantics.SAMPLE_COVER,
+def shifted_sum_raster(
+    construction: ShiftConstruction, sets: Sequence[SampledSet], h: float
 ) -> GridSet:
-    """Raster of (K_1 + Z_1) + ... + (K_n + Z_n) via grid dilation."""
-    acc: GridSet | None = None
-    for k, shifts in zip(sets, construction.lattice_axis):
-        factor = _shifted_factor_samples(k, shifts)
-        raster = rasterize(factor, auto_geometry(factor.points, h), semantics)
-        acc = raster if acc is None else dilate(acc, raster)
-    assert acc is not None
-    return acc
+    """Sample-cover raster of (K_1 + Z_1) + ... + (K_n + Z_n) at spacing h."""
+    factors = [
+        _shifted_factor_samples(k, shifts)
+        for k, shifts in zip(sets, construction.lattice_axis)
+    ]
+    return minkowski_sum([rasterize(f, auto_geometry(f.points, h)) for f in factors])
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def verify_claim(
         )
     if len(sets) != construction.n:
         raise ValueError("set count does not match the construction")
-    total = _sum_raster(construction, sets, h)
+    total = shifted_sum_raster(construction, sets, h)
     center = np.zeros(construction.n)
     side = 2.0 * construction.s
     threshold = construction.n * (construction.eps + h)
@@ -220,14 +216,12 @@ def claim_measure_chain(
     """
     if not construction.valid():
         raise ValueError("invalid construction")
-    acc: GridSet | None = None
-    for k in sets:
-        raster = rasterize(k, auto_geometry(k.points, h, pad_cells=1), Semantics.OUTER)
-        acc = raster if acc is None else dilate(acc, raster)
-    assert acc is not None
+    acc = minkowski_sum(
+        [rasterize(k, auto_geometry(k.points, h, pad_cells=1), Semantics.OUTER) for k in sets]
+    )
     lattice = SampledSet(points=construction.lattice_full, density=0.0)
     z_raster = rasterize(lattice, auto_geometry(lattice.points, h), Semantics.OUTER)
-    total = dilate(acc, z_raster)
+    total = minkowski_sum([acc, z_raster])
     cube_volume = (2.0 * construction.s) ** construction.n
     sum_measure = measure_estimate(total)
     factor_measure = measure_estimate(acc)
@@ -534,7 +528,7 @@ def build_sum_separators(
     y = np.asarray(target, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError(f"target must be a {n}-vector")
-    total = _sum_raster(construction, sets, h)
+    total = shifted_sum_raster(construction, sets, h)
     geo = total.geometry
     inside = geo.contains_point(y)
     if inside:

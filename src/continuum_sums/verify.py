@@ -38,8 +38,8 @@ from .grid import (
     Semantics,
     auto_geometry,
     chessboard_distance_transform,
-    dilate,
     is_grid_continuum,
+    minkowski_sum,
     rasterize,
 )
 from .sums import (
@@ -53,12 +53,6 @@ from .sums import (
 )
 
 DEFAULT_RESOLUTIONS = (0.02, 0.01, 0.005)
-
-#: Above this many output cells the sum raster is accumulated sparsely.
-_DENSE_SUM_LIMIT = 2**24
-
-#: Pair-sum chunk size (index keys) for the sparse accumulation route.
-_SPARSE_CHUNK = 5_000_000
 
 #: Patch radius for the staircase flatness probe: small enough to fit inside
 #: the central removed third, large enough for patches to hold real geometry
@@ -156,51 +150,6 @@ def _certificate_rotation(cert: FlatnessReport) -> NDArray[np.float64]:
     return q
 
 
-def _dilated_sum(rasters: Sequence[GridSet]) -> GridSet:
-    """Chained grid Minkowski sum, densely or via sparse index-sum keys.
-
-    The sparse route reproduces chained ``dilate`` exactly (origins add,
-    extents add minus one, one cell of slack per fold) while never holding
-    an intermediate dense array, which matters for three-dimensional sweeps.
-    """
-    if len(rasters) == 1:
-        return rasters[0]
-    dim = rasters[0].dim
-    extents = tuple(
-        sum(r.geometry.extents[a] for r in rasters) - (len(rasters) - 1)
-        for a in range(dim)
-    )
-    if math.prod(extents) <= _DENSE_SUM_LIMIT:
-        acc = rasters[0]
-        for r in rasters[1:]:
-            acc = dilate(acc, r)
-        return acc
-    weights = np.ones(dim, dtype=np.int64)
-    for i in range(dim - 2, -1, -1):
-        weights[i] = weights[i + 1] * extents[i + 1]
-    # Index sums never exceed the output extents, so key sums cannot carry
-    # across axes and the flat keys add exactly like the index vectors.
-    keys = np.unique(np.argwhere(rasters[0].occupancy).astype(np.int64) @ weights)
-    for r in rasters[1:]:
-        other = np.unique(np.argwhere(r.occupancy).astype(np.int64) @ weights)
-        step = max(1, _SPARSE_CHUNK // max(len(other), 1))
-        chunks = []
-        for i in range(0, len(keys), step):
-            chunks.append(np.unique((keys[i : i + step, None] + other[None, :]).ravel()))
-        keys = np.unique(np.concatenate(chunks))
-    occupancy = np.zeros(extents, dtype=bool)
-    occupancy.reshape(-1)[keys] = True
-    spacing = rasters[0].geometry.spacing
-    origin = tuple(sum(r.geometry.origin[a] for r in rasters) for a in range(dim))
-    slack = float(sum(r.slack for r in rasters)) + (len(rasters) - 1) * spacing
-    return GridSet(
-        geometry=GridGeometry(origin=origin, spacing=spacing, extents=extents),
-        occupancy=occupancy,
-        semantics=rasters[0].semantics,
-        slack=slack,
-    )
-
-
 def _largest_cube(
     dist_cells: NDArray[np.int32], geometry: GridGeometry, threshold: float
 ) -> tuple[tuple[float, ...], float, tuple[slice, ...]] | None:
@@ -263,7 +212,7 @@ def _normalized_inputs(
 def normalized_sum_raster(sets: Sequence[SampledSet], h: float) -> GridSet:
     """The rotated sum raster the evidence sweep inspects at one resolution."""
     _, _, _, normalized = _normalized_inputs(sets)
-    return _dilated_sum(
+    return minkowski_sum(
         [rasterize(k, auto_geometry(k.points, float(h))) for k in normalized]
     )
 
@@ -292,7 +241,7 @@ def verify_theorem_main(
     vol_p = float(cert.det_abs) if cert.det_abs is not None else 0.0
     entries = []
     for h in steps:
-        total = _dilated_sum(
+        total = minkowski_sum(
             [rasterize(k, auto_geometry(k.points, h)) for k in normalized]
         )
         threshold = n * (eps + h)

@@ -111,6 +111,11 @@ class TestPbm:
     def test_golden_empty_single_cell(self):
         assert render_pbm(np.zeros((1, 1), dtype=bool)) == "P1\n1 1\n0\n"
 
+    def test_golden_non_square_plane(self):
+        # Axis 0 is x (width 3), axis 1 is y (height 2); the top row is y=1.
+        plane = np.array([[True, False], [False, False], [True, True]])
+        assert render_pbm(plane) == "P1\n3 2\n0 0 1\n1 0 1\n"
+
     def test_row_zero_is_highest_y(self, tmp_path, capsys):
         doc = _write_doc(
             tmp_path,
@@ -376,6 +381,18 @@ class TestTopLevel:
         monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "lots")
         code, _, err = _run(capsys, "verify", "hl", "--trials", "2")
         assert code == 2 and "CONTINUUM_SUMS_THREADS" in err
+
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        import continuum_sums.cli as cli_mod
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.82 TiB")
+
+        monkeypatch.setattr(cli_mod, "verify_theorem_main", exhausted)
+        doc = _write_doc(tmp_path, "square.json", FULL_SQUARE)
+        code, _, err = _run(capsys, "verify", "main", doc, "--h", "0.5")
+        assert code == 2
+        assert err.startswith("error: out of memory") and "1.82 TiB" in err
 
     def test_thread_env_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "0")

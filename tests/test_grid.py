@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import continuum_sums.grid as grid_mod
+from continuum_sums.gallery import l_shape, segment
 from continuum_sums.grid import (
     DIST_INF,
     DilationPrecisionError,
@@ -29,6 +31,7 @@ from continuum_sums.grid import (
     erode,
     is_grid_continuum,
     measure_estimate,
+    minkowski_sum,
     negate,
     nfold_sum,
     rasterize,
@@ -228,6 +231,90 @@ def test_nfold_slack_formula():
     for n in (1, 2, 3, 4, 7):
         got = nfold_sum(a, n)
         assert got.slack == pytest.approx(n * 0.1 + (n - 1) * 0.25, abs=1e-12)
+
+
+class TestSparseSumRoute:
+    """``minkowski_sum`` forced onto the sparse index-key route."""
+
+    @staticmethod
+    def _force_sparse(monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(grid_mod, "_DENSE_SUM_LIMIT", 1)
+        monkeypatch.setattr(grid_mod, "_SPARSE_CHUNK", 64)
+        monkeypatch.setattr(grid_mod, "dilate", refuse)
+
+    def test_sparse_matches_dense(self, monkeypatch):
+        sets = [
+            l_shape(dim=3, budget=24),
+            l_shape(dim=3, budget=24),
+            segment((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 15),
+        ]
+        rasters = [rasterize(k, auto_geometry(k.points, 0.125)) for k in sets]
+        dense = minkowski_sum(rasters)
+        self._force_sparse(monkeypatch)
+        sparse = minkowski_sum(rasters)
+        assert sparse.geometry == dense.geometry
+        assert np.array_equal(sparse.occupancy, dense.occupancy)
+        assert sparse.semantics is dense.semantics
+        assert sparse.slack == dense.slack
+
+    def test_single_raster_passthrough(self):
+        k = l_shape(budget=42)
+        raster = rasterize(k, auto_geometry(k.points, 0.1))
+        assert minkowski_sum([raster]) is raster
+
+    def test_inner_inputs_keep_zero_slack(self, monkeypatch):
+        geom = GridGeometry(origin=(0.0, 0.0), spacing=0.5, extents=(3, 4))
+        occ = np.zeros((3, 4), dtype=bool)
+        occ[0, 0] = occ[2, 3] = True
+        inner = GridSet(geom, occ, Semantics.INNER, 0.0)
+        dense = minkowski_sum([inner, inner, inner])
+        self._force_sparse(monkeypatch)
+        sparse = minkowski_sum([inner, inner, inner])
+        assert sparse.semantics is Semantics.INNER and sparse.slack == 0.0
+        assert sparse.geometry == dense.geometry
+        assert np.array_equal(sparse.occupancy, dense.occupancy)
+
+    def test_empty_summand_gives_empty_sum(self, monkeypatch):
+        geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(3, 3))
+        full = GridSet(geom, np.ones((3, 3), bool), Semantics.SAMPLE_COVER, 0.0)
+        empty = GridSet(geom, np.zeros((3, 3), bool), Semantics.SAMPLE_COVER, 0.0)
+        dense = minkowski_sum([full, empty, full])
+        self._force_sparse(monkeypatch)
+        sparse = minkowski_sum([full, empty, full])
+        assert sparse.geometry == dense.geometry and not sparse.occupancy.any()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_mixed_inputs_raise_on_both_routes(self, monkeypatch, sparse):
+        occ = np.array([[True, False], [False, True]])
+        a = GridSet(GridGeometry((0.0, 0.0), 0.5, (2, 2)), occ, Semantics.SAMPLE_COVER, 0.1)
+        coarse = GridSet(GridGeometry((0.0, 0.0), 1.0, (2, 2)), occ, Semantics.SAMPLE_COVER, 0.1)
+        outer = GridSet(GridGeometry((0.0, 0.0), 0.5, (2, 2)), occ, Semantics.OUTER, 0.1)
+        if sparse:
+            self._force_sparse(monkeypatch)
+        with pytest.raises(ValueError, match="share spacing"):
+            minkowski_sum([a, a, coarse])
+        with pytest.raises(ValueError, match="mixed semantics"):
+            minkowski_sum([a, outer])
+
+    def test_filled_rasters_stay_dense(self, monkeypatch):
+        # Key pairs outnumber output cells, so the dense fold runs even above
+        # the cell limit.
+        geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(4, 4))
+        full = GridSet(geom, np.ones((4, 4), bool), Semantics.SAMPLE_COVER, 0.0)
+        calls = []
+        real = grid_mod.dilate
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(grid_mod, "_DENSE_SUM_LIMIT", 1)
+        monkeypatch.setattr(grid_mod, "dilate", counting)
+        out = minkowski_sum([full, full, full])
+        assert len(calls) == 2 and out.occupancy.all()
 
 
 # --- negate and reflection identities -------------------------------------------

@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import circle, l_shape, moment_curve, segment
-from continuum_sums.grid import SampledSet, auto_geometry, rasterize
+from continuum_sums.grid import SampledSet
 from continuum_sums.verify import (
-    _dilated_sum,
     verify_corollary_c1,
     verify_example_cantor,
     verify_hl_suite,
@@ -160,29 +158,6 @@ class TestTheoremMain:
         far = SampledSet(points=np.array([[0.0, 0.0], [5.0, 5.0]]), density=0.01)
         with pytest.raises(ValueError, match="set 0 is not grid-connected"):
             verify_theorem_main([far, l_shape(budget=42)], resolutions=(0.1,))
-
-
-class TestSparseSumRoute:
-    def test_sparse_matches_dense(self, monkeypatch):
-        sets = [
-            l_shape(dim=3, budget=24),
-            l_shape(dim=3, budget=24),
-            segment((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 15),
-        ]
-        rasters = [rasterize(k, auto_geometry(k.points, 0.125)) for k in sets]
-        dense = _dilated_sum(list(rasters))
-        monkeypatch.setattr(verify_mod, "_DENSE_SUM_LIMIT", 1)
-        monkeypatch.setattr(verify_mod, "_SPARSE_CHUNK", 64)
-        sparse = _dilated_sum(list(rasters))
-        assert sparse.geometry == dense.geometry
-        assert np.array_equal(sparse.occupancy, dense.occupancy)
-        assert sparse.semantics is dense.semantics
-        assert sparse.slack == pytest.approx(dense.slack)
-
-    def test_single_raster_passthrough(self):
-        k = l_shape(budget=42)
-        raster = rasterize(k, auto_geometry(k.points, 0.1))
-        assert _dilated_sum([raster]) is raster
 
 
 class TestCorollary:
