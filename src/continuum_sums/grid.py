@@ -32,9 +32,10 @@ _FFT_EXACT_LIMIT = 2**52
 # would move more bytes than a transform of the output array, with this margin.
 _FFT_ADVANTAGE = 4.0
 
-# scipy's chamfer transform materializes an int64 staging copy of the mask,
-# so past this cell count the in-place int32 engine wins on memory.
-_SCIPY_DT_LIMIT = 2**27
+# Set bits per byte value, for popcounts of packed occupancy.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
 
 #: Above this many output cells :func:`minkowski_sum` may accumulate sparsely.
 _DENSE_SUM_LIMIT = 2**24
@@ -45,6 +46,10 @@ _SPARSE_CHUNK = 5_000_000
 
 class DilationPrecisionError(ValueError):
     """FFT dilation would exceed the exact-integer range of float64."""
+
+
+class CubeOutsideGridError(ValueError):
+    """A cube reaches beyond the box a grid covers."""
 
 
 class Semantics(Enum):
@@ -237,7 +242,7 @@ def rasterize(
         return GridSet(geometry, occ, Semantics.SAMPLE_COVER, slack=samples.density)
 
     grow = int(math.ceil(samples.density / h))
-    fat = _box_dilate(occ, grow)
+    fat = PackedMask.pack(np.pad(occ, grow)).dilate(grow).unpack()
     out_geom = GridGeometry(
         origin=tuple(o - grow * h for o in geometry.origin),
         spacing=h,
@@ -246,35 +251,155 @@ def rasterize(
     return GridSet(out_geom, fat, Semantics.OUTER, slack=samples.density)
 
 
-def _box_dilate(occ: NDArray[np.bool_], r: int) -> NDArray[np.bool_]:
-    """Dilate by the (2r+1)^n sup-norm box, growing the array by r per side."""
-    if r < 0:
-        raise ValueError("dilation radius must be >= 0")
-    if r == 0:
-        return occ.copy()
-    out = np.pad(occ, r)
-    for axis in range(occ.ndim):
-        acc = out.copy()
-        for shift in range(1, r + 1):
-            acc |= _shifted(out, axis, shift)
-            acc |= _shifted(out, axis, -shift)
-        out = acc
-    return out
+class PackedMask:
+    """Occupancy bit-packed along the last axis, with box morphology on it.
+
+    Bit ``t`` of byte ``b`` holds cell ``8 * b + t`` of the last axis (the
+    layout of ``np.packbits(..., bitorder="little")``), and the byte axis is
+    stored first, so a shift along any axis moves whole contiguous slabs.
+    Bits past the last cell stay zero.  :meth:`dilate` and :meth:`erode` use
+    the (2r+1)^n sup-norm box, keep the shape and count cells outside the
+    array as empty: a dilated cell is within ``r`` of a set cell, an eroded
+    cell has every cell within ``r`` inside the array and set.
+    """
+
+    def __init__(self, bits: NDArray[np.uint8], shape: tuple[int, ...]) -> None:
+        self.bits = bits
+        self.shape = shape
+
+    @classmethod
+    def pack(cls, occupancy: NDArray[np.bool_]) -> "PackedMask":
+        occ = np.asarray(occupancy, dtype=bool)
+        if occ.ndim == 0:
+            raise ValueError("occupancy must have at least one axis")
+        packed = np.packbits(occ, axis=-1, bitorder="little")
+        return cls(np.ascontiguousarray(np.moveaxis(packed, -1, 0)), occ.shape)
+
+    def unpack(self, window: Sequence[slice] | None = None) -> NDArray[np.bool_]:
+        """Dense occupancy of the whole array, or of a box of unit-step slices."""
+        if window is None:
+            window = tuple(slice(None) for _ in self.shape)
+        ranges = [s.indices(m) for s, m in zip(window, self.shape)]
+        if any(step != 1 for _, _, step in ranges):
+            raise ValueError("unpack windows must have unit step")
+        start, stop, _ = ranges[-1]
+        first = start // 8
+        rows = (slice(first, max(first, -(-stop // 8))),)
+        rows += tuple(slice(lo, hi) for lo, hi, _ in ranges[:-1])
+        dense = np.unpackbits(
+            np.moveaxis(self.bits[rows], 0, -1),
+            axis=-1,
+            count=max(stop - 8 * first, 0),
+            bitorder="little",
+        )
+        return dense[..., start - 8 * first :].view(bool)
+
+    def dilate(self, r: int) -> "PackedMask":
+        """Box dilation by radius ``r`` cells (log-step shifted ORs)."""
+        return self._box(r, np.bitwise_or)
+
+    def erode(self, r: int) -> "PackedMask":
+        """Box erosion by radius ``r`` cells (log-step shifted ANDs)."""
+        return self._box(r, np.bitwise_and)
+
+    def count(self) -> int:
+        """Number of set cells."""
+        return int(_POPCOUNT[self.bits].sum(dtype=np.int64))
+
+    def any(self) -> bool:
+        return bool(self.bits.any())
+
+    def first(self) -> tuple[int, ...] | None:
+        """Index of the first set cell in C order, or None when empty."""
+        columns = self.bits.reshape(self.bits.shape[0], -1)
+        live = columns.any(axis=0)
+        if not live.any():
+            return None
+        col = int(np.argmax(live))
+        byte_index = int(np.argmax(columns[:, col] != 0))
+        byte = int(columns[byte_index, col])
+        bit = (byte & -byte).bit_length() - 1
+        lead = np.unravel_index(col, self.shape[:-1]) if len(self.shape) > 1 else ()
+        return tuple(int(i) for i in lead) + (8 * byte_index + bit,)
+
+    def _box(self, r: int, op: np.ufunc) -> "PackedMask":
+        if r < 0:
+            raise ValueError(f"box radius must be >= 0, got {r}")
+        bits = self.bits.copy()
+        if r == 0:
+            return PackedMask(bits, self.shape)
+        for axis in range(len(self.shape)):
+            # Each output cell along the axis combines the window [i, i + r]
+            # (built by doubling, reading only cells farther up, so the zero
+            # fill is exactly "outside is empty") with the window [i - r, i].
+            # For an erosion the lower window is the upper one moved up by r:
+            # a window that leaves the array is empty either way.  For a
+            # dilation a window reaching below the array still holds cells,
+            # so the lower window is doubled on its own.
+            if op is np.bitwise_and:
+                self._window(bits, axis, r, -1, op)
+                self._fold(bits, axis, r, op)
+            else:
+                lower = bits.copy()
+                self._window(bits, axis, r, -1, op)
+                self._window(lower, axis, r, 1, op)
+                op(bits, lower, out=bits)
+        return PackedMask(bits, self.shape)
+
+    def _window(
+        self, bits: NDArray[np.uint8], axis: int, r: int, direction: int, op: np.ufunc
+    ) -> None:
+        """In place: each cell combines the r + 1 cells from it going ``-direction``."""
+        span = 1
+        while span <= r:
+            step = min(span, r + 1 - span)
+            self._fold(bits, axis, direction * step, op)
+            span += step
+
+    def _fold(self, bits: NDArray[np.uint8], axis: int, shift: int, op: np.ufunc) -> None:
+        """In place: cell i becomes ``op(cell i, cell i - shift)`` along ``axis``.
+
+        Cells i - shift outside the array read as empty.
+        """
+        if axis == len(self.shape) - 1:
+            op(bits, _moved_bits(bits, shift), out=bits)
+            tail = self.shape[-1] % 8
+            if tail:
+                bits[-1] &= np.uint8((1 << tail) - 1)
+            return
+        k = axis + 1
+        extent = bits.shape[k]
+        keep = slice(shift, None) if shift > 0 else slice(0, extent + shift)
+        take = slice(0, extent - shift) if shift > 0 else slice(-shift, None)
+        hole = slice(0, shift) if shift > 0 else slice(extent + shift, None)
+        if abs(shift) >= extent:
+            keep = take = slice(0, 0)
+            hole = slice(None)
+        lead = (slice(None),) * k
+        # ufuncs treat overlapping operands as if the inputs were copied first.
+        op(bits[lead + (keep,)], bits[lead + (take,)], out=bits[lead + (keep,)])
+        if op is np.bitwise_and:
+            bits[lead + (hole,)] = 0
 
 
-def _shifted(arr: NDArray, axis: int, shift: int) -> NDArray:
-    """Array shifted along ``axis`` with False/identity fill, same shape."""
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
+def _moved_bits(bits: NDArray[np.uint8], shift: int) -> NDArray[np.uint8]:
+    """Packed rows whose cell i holds cell i - shift of the packed axis; zero fill."""
+    rows = bits.shape[0]
+    whole, part = divmod(abs(shift), 8)
+    moved = np.zeros_like(bits)
+    if whole >= rows:
+        return moved
+    # Multiplying by 2**part is the in-byte left shift; numpy's vectorised
+    # multiply runs several times faster than its left shift on uint8.
     if shift > 0:
-        src[axis] = slice(0, arr.shape[axis] - shift)
-        dst[axis] = slice(shift, None)
+        np.multiply(bits[: rows - whole], np.uint8(1 << part), out=moved[whole:])
+        if part:
+            moved[whole + 1 :] |= bits[: rows - whole - 1] >> (8 - part)
     else:
-        src[axis] = slice(-shift, None)
-        dst[axis] = slice(0, arr.shape[axis] + shift)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
+        np.right_shift(bits[whole:], part, out=moved[: rows - whole])
+        if part:
+            moved[: rows - whole - 1] |= bits[whole + 1 :] * np.uint8(1 << (8 - part))
+    return moved
 
 
 def _combined_semantics(semantics: Semantics, slack: float, b: GridSet) -> tuple[Semantics, float]:
@@ -440,13 +565,7 @@ def erode(a: GridSet, r: int) -> GridSet:
         raise ValueError("erode requires OUTER semantics")
     if r < 1:
         raise ValueError(f"erosion radius must be >= 1, got {r}")
-    out = a.occupancy.copy()
-    for axis in range(a.dim):
-        acc = out.copy()
-        for shift in range(1, r + 1):
-            acc &= _shifted(out, axis, shift)
-            acc &= _shifted(out, axis, -shift)
-        out = acc
+    out = PackedMask.pack(a.occupancy).erode(r).unpack()
     guaranteed = r * a.spacing >= (a.slack + a.spacing) * (1.0 - 1e-9)
     if guaranteed:
         return GridSet(a.geometry, out, Semantics.INNER, slack=0.0)
@@ -487,63 +606,28 @@ def is_grid_continuum(a: GridSet, adjacency: str = "face") -> bool:
     return component_count(a, adjacency) == 1
 
 
+def cells_measure(count: int, spacing: float, dim: int) -> float:
+    """Volume of ``count`` cells of side ``spacing`` in dimension ``dim``."""
+    return float(count) * spacing**dim
+
+
 def measure_estimate(a: GridSet) -> float:
     """Occupied volume: cell count times h^n, interpreted per the semantics tag."""
-    return float(a.occupancy.sum()) * a.spacing**a.dim
+    return cells_measure(int(a.occupancy.sum()), a.spacing, a.dim)
 
 
-def chessboard_distance_transform(mask: NDArray[np.bool_], engine: str | None = None) -> NDArray[np.int32]:
+def chessboard_distance_transform(mask: NDArray[np.bool_]) -> NDArray[np.int32]:
     """Exact sup-norm (chessboard) cell distance to the nearest True cell.
 
-    Two-pass chamfer with the full half-neighborhood, which is exact for the
-    chessboard metric.  Cells of an all-False mask get :data:`DIST_INF`.  The
-    scipy engine (used automatically for large arrays) computes the same exact
-    metric, so both engines return identical arrays.
+    scipy's chamfer transform with the full 3^n neighborhood, which is exact
+    for the chessboard metric.  Cells of an all-False mask get
+    :data:`DIST_INF`.
     """
     mask = np.asarray(mask, dtype=bool)
-    if engine not in (None, "numpy", "scipy"):
-        raise ValueError(f"unknown engine {engine!r}")
     if not mask.any():
         return np.full(mask.shape, DIST_INF, dtype=np.int32)
-    if engine is None:
-        engine = "scipy" if 4096 < mask.size <= _SCIPY_DT_LIMIT else "numpy"
-    if engine == "scipy":
-        out = _ndimage.distance_transform_cdt(~mask, metric="chessboard")
-        return out.astype(np.int32, copy=False)
-    dist = np.where(mask, np.int32(0), DIST_INF)
-    _chamfer_forward(dist)
-    _chamfer_forward(dist[tuple(slice(None, None, -1) for _ in range(mask.ndim))])
-    return dist
-
-
-def _chamfer_forward(dist: NDArray[np.int32]) -> None:
-    """One raster-order chamfer pass, in place (half-neighborhood, weight 1)."""
-    if dist.ndim == 1:
-        idx = np.arange(dist.shape[0], dtype=np.int32)
-        np.copyto(dist, np.minimum.accumulate(dist - idx) + idx)
-        return
-    for i in range(dist.shape[0]):
-        if i > 0:
-            best = _box3_min(dist[i - 1])
-            np.minimum(dist[i], best + 1, out=dist[i])
-        _chamfer_forward(dist[i])
-
-
-def _box3_min(arr: NDArray[np.int32]) -> NDArray[np.int32]:
-    """Min over the full 3^k shift box (includes the cell itself)."""
-    out = arr.copy()
-    for axis in range(arr.ndim):
-        shifted_fwd = np.full_like(out, DIST_INF)
-        shifted_bwd = np.full_like(out, DIST_INF)
-        sl_all = [slice(None)] * out.ndim
-        sl_fwd_dst, sl_fwd_src = sl_all.copy(), sl_all.copy()
-        sl_fwd_dst[axis], sl_fwd_src[axis] = slice(1, None), slice(0, -1)
-        shifted_fwd[tuple(sl_fwd_dst)] = out[tuple(sl_fwd_src)]
-        sl_bwd_dst, sl_bwd_src = sl_all.copy(), sl_all.copy()
-        sl_bwd_dst[axis], sl_bwd_src[axis] = slice(0, -1), slice(1, None)
-        shifted_bwd[tuple(sl_bwd_dst)] = out[tuple(sl_bwd_src)]
-        out = np.minimum(out, np.minimum(shifted_fwd, shifted_bwd))
-    return out
+    out = _ndimage.distance_transform_cdt(~mask, metric="chessboard")
+    return out.astype(np.int32, copy=False)
 
 
 def _cube_cell_range(geometry: GridGeometry, center: Sequence[float], side: float) -> tuple[tuple[int, int], ...]:
@@ -556,7 +640,7 @@ def _cube_cell_range(geometry: GridGeometry, center: Sequence[float], side: floa
         lo = center[k] - side / 2.0
         hi = center[k] + side / 2.0
         if lo < o - 1e-9 * h or hi > o + m * h + 1e-9 * h:
-            raise ValueError(
+            raise CubeOutsideGridError(
                 f"cube [{lo}, {hi}] exceeds grid box [{o}, {o + m * h}] on axis {k}"
             )
         i_min = int(math.floor((lo - o) / h + 1e-9))

@@ -16,12 +16,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import (
+    CubeOutsideGridError,
     GridGeometry,
     GridSet,
+    PackedMask,
     SampledSet,
     Semantics,
     auto_geometry,
-    chessboard_distance_transform,
     cube_coverage,
     dilate,
     eps_density_margin,
@@ -136,7 +137,7 @@ def verify_claim(
     The pass bound n*(eps + h) adds one sampling and one rasterization slack
     per summand.  A flat (rank-deficient) family leaves the cube partly or
     wholly outside the sum's grid; that reports an infinite margin rather
-    than an error.
+    than an error.  Any other error propagates.
     """
     if not construction.valid():
         raise ValueError(
@@ -152,7 +153,7 @@ def verify_claim(
     try:
         covered = cube_coverage(total, center, side)
         margin = eps_density_margin(total, center, side)
-    except ValueError:
+    except CubeOutsideGridError:
         covered = False
         margin = math.inf
     return ClaimReport(
@@ -181,9 +182,13 @@ def measure_lower_bound_check(sumset: GridSet, vol_p: float) -> MeasureBoundRepo
     """
     if sumset.semantics is not Semantics.OUTER:
         raise ValueError(f"sumset must be an Outer raster, got {sumset.semantics.value}")
+    return measure_floor_check(measure_estimate(sumset), vol_p)
+
+
+def measure_floor_check(measure: float, vol_p: float) -> MeasureBoundReport:
+    """An outer measure, already taken, against the parallelotope volume."""
     if vol_p < 0:
         raise ValueError(f"volume must be non-negative, got {vol_p}")
-    measure = measure_estimate(sumset)
     ratio = measure / vol_p if vol_p > 0 else None
     return MeasureBoundReport(
         measure=measure,
@@ -247,13 +252,10 @@ class MidpointChain:
 def _has_inner_ball(grid: GridSet, radius_cells: int) -> bool:
     """Is some cell surrounded by occupied cells out to the given radius?
 
-    Equivalent to erosion by the radius being non-empty: a cell survives
-    exactly when its chessboard distance to the nearest unoccupied cell
-    (grid border included) exceeds the radius.
+    That is, is the box erosion by the radius non-empty?  Cells beyond the
+    grid border count as unoccupied.
     """
-    padded = np.pad(grid.occupancy, 1, constant_values=False)
-    dist = chessboard_distance_transform(~padded)
-    return bool(dist.max() >= radius_cells + 1)
+    return PackedMask.pack(grid.occupancy).erode(radius_cells).any()
 
 
 def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:

@@ -34,9 +34,11 @@ from .gallery import (
 from .grid import (
     GridGeometry,
     GridSet,
+    PackedMask,
     SampledSet,
     Semantics,
     auto_geometry,
+    cells_measure,
     chessboard_distance_transform,
     is_grid_continuum,
     minkowski_sum,
@@ -46,7 +48,7 @@ from .sums import (
     SeparatorInstance,
     build_sum_separators,
     hl_discrete_check,
-    measure_lower_bound_check,
+    measure_floor_check,
     random_separator_instance,
     separation_by_search,
     shift_construction,
@@ -71,9 +73,11 @@ class ResolutionEvidence:
 
     ``interior_cube_side`` reports the certified side: the largest cube of
     threshold-dense cells, shrunk by the threshold on both faces of every
-    axis.  The raw found side grows with the fattening allowance and so
-    shrinks again as h refines; subtracting the allowance leaves the part
-    whose size is comparable across resolutions.
+    axis.  That cube is read off the largest non-empty box erosion of the
+    threshold-dense cells (grid border counted as not dense), centred on the
+    erosion's first cell in C order.  The raw found side grows with the
+    fattening allowance and so shrinks again as h refines; subtracting the
+    allowance leaves the part whose size is comparable across resolutions.
     """
 
     h: float
@@ -151,41 +155,79 @@ def _certificate_rotation(cert: FlatnessReport) -> NDArray[np.float64]:
 
 
 def _largest_cube(
-    dist_cells: NDArray[np.int32], geometry: GridGeometry, threshold: float
+    good: PackedMask,
+    geometry: GridGeometry,
+    threshold: float,
+    hint_side: float | None = None,
 ) -> tuple[tuple[float, ...], float, tuple[slice, ...]] | None:
-    """Largest admissible cube inside the threshold-dense region.
+    """Largest admissible cube of threshold-dense (good) cells.
 
-    A cell is good when its sup-norm distance to the occupancy stays within
-    the threshold; the largest cube of good cells is found at the argmax of
-    the distance transform of the bad set (ties resolved lexicographically),
-    clamped so the cube stays on the grid.  Cubes no wider than twice the
-    threshold witness nothing beyond the allowed slack and are rejected.
+    A cube of side (2r - 1) cells centred on a cell fits among the good cells
+    exactly when that cell survives the box erosion of ``good`` by r - 1, the
+    array border counting as bad.  Erosions shrink as r grows, so the radius
+    R is the largest r whose erosion is non-empty, and the centre is that
+    erosion's first cell in C order.  ``hint_side`` (the certified side
+    found at a coarser resolution, which stays nearly constant as h refines)
+    only picks where the search for R starts; the search gallops from there
+    and bisects once R is bracketed, so the answer never depends on it.
+    Starting low is cheap, as each larger radius erodes the last non-empty
+    erosion further rather than starting over.  Cubes no wider than twice
+    the threshold witness nothing beyond the allowed slack and are rejected.
     """
     h = geometry.spacing
-    limit = math.floor(threshold / h + 1e-9)
-    bad = dist_cells > limit
-    if bad.all():
+    if not good.any():
         return None
-    inner = chessboard_distance_transform(bad)
-    del bad
-    for axis, extent in enumerate(inner.shape):
-        line = np.minimum(
-            np.arange(extent, dtype=np.int32),
-            np.arange(extent - 1, -1, -1, dtype=np.int32),
-        ) + 1
-        shape = [1] * inner.ndim
-        shape[axis] = extent
-        np.minimum(inner, line.reshape(shape), out=inner)
-    radius = int(inner.max())
+    # Invariant: erosion by lo - 1 (held in ``kept``) is non-empty and
+    # erosion by hi - 1 is empty; a cube of side 2r - 1 cannot outgrow the
+    # shortest axis.
+    lo, kept = 1, good
+    hi = (min(good.shape) + 1) // 2 + 1
+    if hint_side is None:
+        r = 2
+    else:
+        r = math.floor(((hint_side + 2 * threshold) / h + 1) / 2)
+    step, last, bracketed = 1, None, False
+    while hi - lo > 1:
+        r = min(max(r, lo + 1), hi - 1)
+        trial = kept.erode(r - lo)
+        grew = trial.any()
+        if grew:
+            lo, kept = r, trial
+        else:
+            hi = r
+        bracketed = bracketed or (last is not None and last != grew)
+        last = grew
+        if bracketed:
+            r = (lo + hi) // 2
+        else:
+            r = lo + step if grew else hi - step
+            step *= 2
+    radius = lo
     side = (2 * radius - 1) * h
     if side <= 2 * threshold + 1e-12:
         return None
-    center_idx = np.unravel_index(int(np.argmax(inner)), inner.shape)
+    center_idx = kept.first()
     center = geometry.cell_center(center_idx)
     window = tuple(
         slice(int(i) - (radius - 1), int(i) + radius) for i in center_idx
     )
     return tuple(float(c) for c in center), float(side), window
+
+
+def _window_margin(occupied: PackedMask, window: tuple[slice, ...], limit: int) -> int:
+    """Largest chessboard distance (cells) from a cell of ``window`` to a set cell.
+
+    Every window cell lies within ``limit`` of a set cell, so the nearest one
+    lies in the window grown by ``limit`` per side (clamped to the array),
+    and a transform of that crop alone gives the exact maximum.
+    """
+    crop = tuple(
+        slice(max(s.start - limit, 0), min(s.stop + limit, m))
+        for s, m in zip(window, occupied.shape)
+    )
+    inside = tuple(slice(s.start - c.start, s.stop - c.start) for s, c in zip(window, crop))
+    dist = chessboard_distance_transform(occupied.unpack(crop))
+    return int(dist[inside].max())
 
 
 def _normalized_inputs(
@@ -240,6 +282,7 @@ def verify_theorem_main(
     eps_sum = float(sum(k.density for k in normalized))
     vol_p = float(cert.det_abs) if cert.det_abs is not None else 0.0
     entries = []
+    hint_side = None
     for h in steps:
         total = minkowski_sum(
             [rasterize(k, auto_geometry(k.points, h)) for k in normalized]
@@ -247,38 +290,38 @@ def verify_theorem_main(
         threshold = n * (eps + h)
         limit = math.floor(threshold / h + 1e-9)
         grow = int(math.ceil(eps_sum / h - 1e-12)) if eps_sum > 0 else 0
-        # One padded transform serves both the outer measure (<= grow) and
-        # the cube search (<= limit); the extra ring keeps threshold-dense
-        # cells beyond the sample bounding box in play.
+        # The padded grid holds every cell within grow (outer measure) or
+        # limit (cube search) of the sum, plus one ring so threshold-dense
+        # cells beyond the sample bounding box stay in play.
         pad = max(grow, limit) + 1
         geometry = GridGeometry(
             origin=tuple(o - pad * h for o in total.geometry.origin),
             spacing=h,
             extents=tuple(m + 2 * pad for m in total.geometry.extents),
         )
-        slack = total.slack
-        padded = np.pad(total.occupancy, pad)
+        padded = PackedMask.pack(np.pad(total.occupancy, pad))
         del total
-        dist = chessboard_distance_transform(padded)
-        del padded
-        outer = GridSet(
-            geometry=geometry,
-            occupancy=dist <= grow,
-            semantics=Semantics.OUTER,
-            slack=slack + eps_sum,
-        )
-        bound = measure_lower_bound_check(outer, vol_p)
-        del outer
+        # The box dilations by grow and by limit are the cells within those
+        # chessboard distances of the sum.
+        outer = padded.dilate(grow)
+        bound = measure_floor_check(cells_measure(outer.count(), h, n), vol_p)
         cube_center = None
         cube_side = None
         margin = math.inf
         if not cert.flat:
-            found = _largest_cube(dist, geometry, threshold)
+            if limit >= grow:
+                good = outer.dilate(limit - grow)
+            else:
+                good = padded.dilate(limit)
+            found = _largest_cube(good, geometry, threshold, hint_side)
+            del good
+            hint_side = None
             if found is not None:
                 cube_center, found_side, window = found
                 cube_side = found_side - 2.0 * threshold
-                margin = float(dist[window].max()) * h
-        del dist
+                hint_side = cube_side
+                margin = float(_window_margin(padded, window, limit)) * h
+        del outer, padded
         entries.append(
             ResolutionEvidence(
                 h=h,

@@ -15,9 +15,11 @@ import continuum_sums.grid as grid_mod
 from continuum_sums.gallery import l_shape, segment
 from continuum_sums.grid import (
     DIST_INF,
+    CubeOutsideGridError,
     DilationPrecisionError,
     GridGeometry,
     GridSet,
+    PackedMask,
     SampledSet,
     Semantics,
     auto_geometry,
@@ -491,23 +493,121 @@ def test_disk_outer_measure_near_pi():
     )
 )
 def test_distance_transform_matches_brute_force(mask):
-    ref = oracle_chessboard_dt(mask)
-    for engine in ("numpy", "scipy"):
-        got = chessboard_distance_transform(mask, engine=engine)
-        assert np.array_equal(got.astype(np.int64), ref), engine
+    got = chessboard_distance_transform(mask)
+    assert np.array_equal(got.astype(np.int64), oracle_chessboard_dt(mask))
 
 
-def test_distance_transform_engines_agree_on_larger_mask():
+def test_distance_transform_matches_oracle_on_larger_mask():
     rng = np.random.default_rng(7)
     mask = rng.random((40, 37)) < 0.03
-    a = chessboard_distance_transform(mask, engine="numpy")
-    b = chessboard_distance_transform(mask, engine="scipy")
-    assert np.array_equal(a, b)
+    got = chessboard_distance_transform(mask)
+    assert np.array_equal(got.astype(np.int64), oracle_chessboard_dt(mask))
 
 
 def test_distance_transform_empty_mask_is_inf():
     out = chessboard_distance_transform(np.zeros((3, 3), bool))
     assert (out == DIST_INF).all()
+
+
+# --- box morphology on packed occupancy -------------------------------------------
+# Oracles are thresholds of the brute-force distance transform above.  Extents
+# run past one byte on the packed (last) axis and are rarely multiples of 8.
+
+
+def oracle_box_dilate(mask: np.ndarray, r: int) -> np.ndarray:
+    """Cells within sup-norm r of a set cell."""
+    return oracle_chessboard_dt(mask) <= r
+
+
+def oracle_box_erode(mask: np.ndarray, r: int) -> np.ndarray:
+    """Cells farther than r from every unset cell, cells past the border unset."""
+    unset = np.pad(~mask, 1, constant_values=True)
+    return oracle_chessboard_dt(unset)[(slice(1, -1),) * mask.ndim] > r
+
+
+_PACKED_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(1, 9), st.integers(1, 19)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 19)),
+)
+
+
+def mask_and_radius() -> st.SearchStrategy[tuple[np.ndarray, int]]:
+    return _PACKED_SHAPES.flatmap(
+        lambda shape: st.tuples(arrays(np.bool_, shape), st.integers(0, max(shape) + 2))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_and_radius())
+def test_packed_dilate_matches_distance_threshold(case):
+    mask, r = case
+    got = PackedMask.pack(mask).dilate(r)
+    assert got.shape == mask.shape
+    assert np.array_equal(got.unpack(), oracle_box_dilate(mask, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_and_radius())
+def test_packed_erode_matches_distance_threshold(case):
+    mask, r = case
+    got = PackedMask.pack(mask).erode(r)
+    assert got.shape == mask.shape
+    assert np.array_equal(got.unpack(), oracle_box_erode(mask, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PACKED_SHAPES.flatmap(lambda shape: arrays(np.bool_, shape)))
+def test_packed_count_any_first_match_numpy(mask):
+    packed = PackedMask.pack(mask)
+    assert np.array_equal(packed.unpack(), mask)
+    assert packed.count() == int(np.sum(mask))
+    assert packed.any() == bool(mask.any())
+    if mask.any():
+        expected = tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+        assert packed.first() == expected
+    else:
+        assert packed.first() is None
+
+
+@pytest.mark.parametrize("shape", [(1,), (8,), (13,), (3, 17), (4, 2, 9), (2, 3, 16)])
+def test_packed_morphology_on_empty_and_full_masks(shape):
+    empty = PackedMask.pack(np.zeros(shape, bool))
+    full = PackedMask.pack(np.ones(shape, bool))
+    for r in range(0, max(shape) + 3):
+        assert not empty.dilate(r).any()
+        assert not empty.erode(r).any()
+        assert full.dilate(r).count() == math.prod(shape)
+        expected = oracle_box_erode(np.ones(shape, bool), r)
+        assert np.array_equal(full.erode(r).unpack(), expected)
+    # A radius reaching past every axis empties any erosion and spreads one
+    # cell over the whole array.
+    big = max(shape)
+    assert not full.erode(big).any()
+    one = np.zeros(shape, bool)
+    one[tuple(m // 2 for m in shape)] = True
+    assert PackedMask.pack(one).dilate(big).count() == math.prod(shape)
+
+
+def test_packed_unpack_window_matches_slicing():
+    rng = np.random.default_rng(3)
+    mask = rng.random((6, 7, 29)) < 0.4
+    packed = PackedMask.pack(mask)
+    for window in [
+        (slice(1, 4), slice(0, 7), slice(3, 21)),
+        (slice(0, 6), slice(2, 3), slice(8, 16)),
+        (slice(5, 6), slice(6, 7), slice(28, 29)),
+        (slice(2, 2), slice(0, 7), slice(0, 29)),
+    ]:
+        assert np.array_equal(packed.unpack(window), mask[window])
+
+
+def test_packed_rejects_negative_radius():
+    packed = PackedMask.pack(np.ones((3, 3), bool))
+    with pytest.raises(ValueError, match="radius"):
+        packed.dilate(-1)
+    with pytest.raises(ValueError, match="radius"):
+        packed.erode(-1)
 
 
 # --- cube coverage and margin --------------------------------------------------------
@@ -548,6 +648,16 @@ def test_cube_outside_grid_rejected():
     a = GridSet(geom, np.ones((2, 2), bool), Semantics.SAMPLE_COVER, 0.0)
     with pytest.raises(ValueError, match="exceeds"):
         cube_coverage(a, (0.5, 0.5), 10.0)
+
+
+def test_cube_outside_grid_has_its_own_error_type():
+    geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(2, 2))
+    a = GridSet(geom, np.ones((2, 2), bool), Semantics.SAMPLE_COVER, 0.0)
+    with pytest.raises(CubeOutsideGridError):
+        eps_density_margin(a, (0.5, 0.5), 10.0)
+    with pytest.raises(ValueError, match="positive") as info:
+        cube_coverage(a, (0.5, 0.5), 0.0)
+    assert not isinstance(info.value, CubeOutsideGridError)
 
 
 # --- misc -----------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
+import continuum_sums.grid as grid_mod
+import continuum_sums.sums as sums_mod
 from continuum_sums.affine import affine_dimension
 from continuum_sums.gallery import l_shape, segment
 from continuum_sums.grid import (
@@ -16,6 +19,7 @@ from continuum_sums.grid import (
     SampledSet,
     Semantics,
     auto_geometry,
+    chessboard_distance_transform,
     measure_estimate,
     rasterize,
 )
@@ -121,6 +125,30 @@ def test_claim_fails_for_flat_family_once_h_resolves_the_gaps():
         assert report.margin >= 0.4
 
 
+def test_claim_flat_lattice_reports_infinite_margin():
+    # Shifting both factors along the first axis makes the sum flat: its grid
+    # is one cell high, so the cube [-1, 1]^2 leaves the grid box.
+    horiz = segment((0.0, 0.0), (1.0, 0.0), 41)
+    sets = [horiz, horiz]
+    c = shift_construction(sets, s=1)
+    flat = dataclasses.replace(c, lattice_axis=(c.lattice_axis[0], c.lattice_axis[0]))
+    report = verify_claim(flat, sets, h=0.1)
+    assert not report.covered
+    assert report.margin == math.inf
+    assert not report.passed
+
+
+def test_claim_propagates_errors_other_than_cube_outside_grid(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("margin failed")
+
+    monkeypatch.setattr(sums_mod, "eps_density_margin", broken)
+    sets = axis_segments(2, 41)
+    c = shift_construction(sets, s=1)
+    with pytest.raises(ValueError, match="margin failed"):
+        verify_claim(c, sets, h=0.1)
+
+
 def test_claim_margin_under_sparse_sampling():
     # Samples every 0.25 rasterized at h=0.1: holes of one or two cells are
     # within the documented slack n*(eps+h).
@@ -210,6 +238,34 @@ def test_midpoint_l_shape_interior_at_step_one():
     shape = l_shape(2, budget=42)
     raster = rasterize(shape, auto_geometry(shape.points, 0.05), Semantics.OUTER)
     chain = midpoint_iterate(raster, 2)
+    assert chain.interior_found_at == 1
+
+
+def test_midpoint_probe_matches_distance_formulation(monkeypatch):
+    # The probe was "distance to the nearest unoccupied cell (border ring
+    # included) exceeds the radius"; it must find the same step without
+    # running a distance transform.
+    def refuse(*args, **kwargs):
+        raise AssertionError("midpoint probes must not run a distance transform")
+
+    seg = SampledSet(points=segment((0.0, 0.0), (1.0, 0.0), 21).points, density=0.0)
+    shape = l_shape(2, budget=42)
+    cases = [
+        (rasterize(seg, auto_geometry(seg.points, 0.05), Semantics.OUTER), 4),
+        (rasterize(shape, auto_geometry(shape.points, 0.05), Semantics.OUTER), 2),
+    ]
+    for raster, steps in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_mod, "chessboard_distance_transform", refuse)
+            chain = midpoint_iterate(raster, steps)
+        expected = None
+        for index, grid in enumerate(chain.steps):
+            radius = math.ceil(grid.slack / grid.geometry.spacing) + 1
+            dist = chessboard_distance_transform(~np.pad(grid.occupancy, 1))
+            if dist.max() >= radius + 1:
+                expected = index
+                break
+        assert chain.interior_found_at == expected
     assert chain.interior_found_at == 1
 
 

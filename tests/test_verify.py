@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import continuum_sums.grid as grid_mod
+import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import circle, l_shape, moment_curve, segment
-from continuum_sums.grid import SampledSet
+from continuum_sums.grid import (
+    GridGeometry,
+    PackedMask,
+    SampledSet,
+    chessboard_distance_transform,
+)
 from continuum_sums.verify import (
     verify_corollary_c1,
     verify_example_cantor,
@@ -219,6 +226,103 @@ class TestCantorScenario:
             verify_example_cantor(13)
         with pytest.raises(ValueError, match="depth"):
             verify_example_cantor(-1)
+
+
+def dt_largest_cube(good, geometry, threshold):
+    """Former cube search: argmax of the border-clamped transform of the bad set."""
+    h = geometry.spacing
+    if not good.any():
+        return None
+    inner = chessboard_distance_transform(~good).astype(np.int64)
+    for axis, extent in enumerate(inner.shape):
+        line = np.minimum(np.arange(extent), np.arange(extent - 1, -1, -1)) + 1
+        shape = [1] * inner.ndim
+        shape[axis] = extent
+        inner = np.minimum(inner, line.reshape(shape))
+    radius = int(inner.max())
+    side = (2 * radius - 1) * h
+    if side <= 2 * threshold + 1e-12:
+        return None
+    center_idx = np.unravel_index(int(np.argmax(inner)), inner.shape)
+    center = geometry.cell_center(center_idx)
+    window = tuple(slice(int(i) - (radius - 1), int(i) + radius) for i in center_idx)
+    return tuple(float(c) for c in center), float(side), window
+
+
+def _cube_cases():
+    """(occupancy, limit, threshold, geometry) over random sparse 2-D and 3-D grids."""
+    rng = np.random.default_rng(2024)
+    h = 0.1
+    cases = []
+    for trial in range(60):
+        dim = 2 if trial % 3 else 3
+        extents = tuple(int(e) for e in rng.integers(4, 30 if dim == 2 else 14, size=dim))
+        occ = rng.random(extents) < rng.uniform(0.01, 0.2)
+        if trial == 0:
+            occ[...] = True
+        limit = int(rng.integers(0, 4))
+        threshold = (limit + float(rng.choice([0.0, 0.5]))) * h
+        geometry = GridGeometry(origin=(-1.0,) * dim, spacing=h, extents=extents)
+        cases.append((occ, limit, threshold, geometry))
+    return cases
+
+
+class TestBoxMorphologySweep:
+    def test_cube_search_matches_distance_argmax_for_any_hint(self):
+        found = 0
+        for occ, limit, threshold, geometry in _cube_cases():
+            good = chessboard_distance_transform(occ) <= limit
+            expected = dt_largest_cube(good, geometry, threshold)
+            packed = PackedMask.pack(good)
+            h = geometry.spacing
+            hints = [None, 0.0, 0.5 * h, 1e3]
+            if expected is not None:
+                found += 1
+                certified = expected[1] - 2 * threshold
+                hints += [certified, certified - 3 * h, certified + 3 * h]
+            for hint in hints:
+                got = verify_mod._largest_cube(packed, geometry, threshold, hint)
+                assert got == expected, (geometry.extents, limit, hint)
+        assert found >= 20
+
+    def test_cube_search_on_empty_good_set(self):
+        geometry = GridGeometry(origin=(0.0, 0.0), spacing=0.1, extents=(5, 7))
+        packed = PackedMask.pack(np.zeros((5, 7), bool))
+        assert verify_mod._largest_cube(packed, geometry, 0.1) is None
+
+    def test_cropped_margin_equals_full_transform_margin(self):
+        checked = 0
+        for occ, limit, threshold, geometry in _cube_cases():
+            dist = chessboard_distance_transform(occ)
+            found = dt_largest_cube(dist <= limit, geometry, threshold)
+            if found is None:
+                continue
+            window = found[2]
+            got = verify_mod._window_margin(PackedMask.pack(occ), window, limit)
+            assert got == int(dist[window].max())
+            checked += 1
+        assert checked >= 20
+
+    def test_sweep_transforms_only_cube_crops(self, monkeypatch):
+        shapes = []
+        real = verify_mod.chessboard_distance_transform
+
+        def record(mask):
+            shapes.append(np.shape(mask))
+            return real(mask)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep must not transform a full grid")
+
+        monkeypatch.setattr(verify_mod, "chessboard_distance_transform", record)
+        monkeypatch.setattr(grid_mod, "chessboard_distance_transform", refuse)
+        ev = verify_theorem_main([l_shape(budget=42), l_shape(budget=42)], COARSE)
+        assert ev.verdict == "supported"
+        assert len(shapes) == len(ev.resolutions)
+        for shape, entry in zip(shapes, ev.resolutions):
+            cube_cells = round((entry.interior_cube_side + 2 * entry.threshold) / entry.h)
+            limit = math.floor(entry.threshold / entry.h + 1e-9)
+            assert all(m <= cube_cells + 2 * limit for m in shape), shape
 
 
 class TestSeparatorSuite:
