@@ -242,7 +242,7 @@ def rasterize(
         return GridSet(geometry, occ, Semantics.SAMPLE_COVER, slack=samples.density)
 
     grow = int(math.ceil(samples.density / h))
-    fat = PackedMask.pack(np.pad(occ, grow)).dilate(grow).unpack()
+    fat = PackedMask.pack(occ).padded(grow).dilate(grow).unpack()
     out_geom = GridGeometry(
         origin=tuple(o - grow * h for o in geometry.origin),
         spacing=h,
@@ -293,6 +293,21 @@ class PackedMask:
             bitorder="little",
         )
         return dense[..., start - 8 * first :].view(bool)
+
+    def padded(self, pad: int) -> "PackedMask":
+        """The mask inside ``pad`` empty cells on every side.
+
+        Equals packing ``np.pad(occupancy, pad)`` without a dense copy: the
+        packed rows are placed at the leading offsets, then moved ``pad``
+        cells along the packed axis (whole bytes plus a bit shift).
+        """
+        if pad < 0:
+            raise ValueError(f"pad must be >= 0, got {pad}")
+        shape = tuple(m + 2 * pad for m in self.shape)
+        bits = np.zeros((-(-shape[-1] // 8),) + shape[:-1], dtype=np.uint8)
+        lead = tuple(slice(pad, pad + m) for m in self.shape[:-1])
+        bits[(slice(0, self.bits.shape[0]),) + lead] = self.bits
+        return PackedMask(_moved_bits(bits, pad), shape)
 
     def dilate(self, r: int) -> "PackedMask":
         """Box dilation by radius ``r`` cells (log-step shifted ORs)."""
@@ -450,7 +465,14 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     Convolution counts are integers bounded by the occupied-count product, so
     they are exact in float64 below 2**52; beyond that the call refuses with
     :class:`DilationPrecisionError` and the caller must fall back to the naive
-    route.
+    route.  A count is occupied when it exceeds 0.5, which is exactly the
+    rounding test ``rint(count) >= 1`` (``rint(0.5) == 0``).
+
+    A self-sum (the same raster twice, or two rasters with equal occupancy,
+    whatever their origins: the index sums are the same) transforms once and
+    squares the spectrum.  Output axes of extent 1 are dropped from the
+    transform: both operands have extent 1 there, and a real transform along
+    a length-1 last axis would make the whole spectrum complex-sized.
     """
     geom = _sum_geometry(a.geometry, b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
@@ -459,13 +481,23 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
             "occupied-cell product exceeds the exact float64 range; use dilate_naive"
         )
     out_shape = geom.extents
-    fast = [_fft.next_fast_len(m) for m in out_shape]
+    axes = [k for k, m in enumerate(out_shape) if m > 1] or [0]
+    fast = [_fft.next_fast_len(out_shape[k]) for k in axes]
     workers = thread_count()
-    fa = _fft.rfftn(a.occupancy.astype(np.float64), fast, workers=workers)
-    fb = _fft.rfftn(b.occupancy.astype(np.float64), fast, workers=workers)
-    conv = _fft.irfftn(fa * fb, fast, workers=workers)
-    counts = np.rint(conv[tuple(slice(0, m) for m in out_shape)])
-    return GridSet(geom, counts >= 1.0, semantics, slack)
+
+    def spectrum(occupancy: NDArray[np.bool_]) -> NDArray[np.complex128]:
+        kept = occupancy.reshape([occupancy.shape[k] for k in axes])
+        return _fft.rfftn(kept.astype(np.float64), fast, workers=workers)
+
+    prod = spectrum(a.occupancy)
+    if a is b or np.array_equal(a.occupancy, b.occupancy):
+        np.multiply(prod, prod, out=prod)
+    else:
+        np.multiply(prod, spectrum(b.occupancy), out=prod)
+    conv = _fft.irfftn(prod, fast, workers=workers)
+    del prod
+    occupied = conv[tuple(slice(0, out_shape[k]) for k in axes)] > 0.5
+    return GridSet(geom, occupied.reshape(out_shape), semantics, slack)
 
 
 def dilate(a: GridSet, b: GridSet) -> GridSet:

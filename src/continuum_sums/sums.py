@@ -24,7 +24,6 @@ from .grid import (
     Semantics,
     auto_geometry,
     cube_coverage,
-    dilate,
     eps_density_margin,
     is_grid_continuum,
     measure_estimate,
@@ -261,11 +260,14 @@ def _has_inner_ball(grid: GridSet, radius_cells: int) -> bool:
 def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     """Iterate T -> (T + T) / 2 on successively halved grids.
 
-    Index sums of the dilation land exactly on the half-spacing lattice, so
-    each step is exact: same origin, spacing h/2, extents 2m-1.  The raster
-    slack sigma becomes sigma + h_next.  ``interior_found_at`` is the first
-    step whose raster contains a certified inner ball (erosion radius
-    ceil(sigma/h) + 1, which meets the Inner-promotion rule).
+    Each step sums T with itself through :func:`minkowski_sum`, which picks
+    the route (an FFT self-sum with one forward transform, shift-OR, or sparse
+    index keys for a thin set in a large box).  Index sums land exactly on
+    the half-spacing lattice, so each step is exact: same origin, spacing
+    h/2, extents 2m-1.  The raster slack sigma becomes sigma + h_next.
+    ``interior_found_at`` is the first step whose raster contains a certified
+    inner ball (erosion radius ceil(sigma/h) + 1, which meets the
+    Inner-promotion rule).
     """
     if not 1 <= k <= 20:
         raise ValueError(f"iteration count must be in [1, 20], got {k}")
@@ -287,7 +289,7 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
             raise ValueError(
                 f"memory guard: step {step} would need {math.prod(next_extents)} cells"
             )
-        doubled = dilate(current, current)
+        doubled = minkowski_sum([current, current])
         half_spacing = doubled.geometry.spacing / 2
         geometry = type(doubled.geometry)(
             origin=tuple(o / 2 for o in doubled.geometry.origin),

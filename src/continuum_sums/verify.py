@@ -299,7 +299,7 @@ def verify_theorem_main(
             spacing=h,
             extents=tuple(m + 2 * pad for m in total.geometry.extents),
         )
-        padded = PackedMask.pack(np.pad(total.occupancy, pad))
+        padded = PackedMask.pack(total.occupancy).padded(pad)
         del total
         # The box dilations by grow and by limit are the cells within those
         # chessboard distances of the sum.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,6 +214,131 @@ def test_fft_guard_on_occupancy_product():
     dilate_fft(a, big)
     with pytest.raises(DilationPrecisionError):
         raise DilationPrecisionError("direct")
+
+
+# --- FFT route: self-sums and length-1 axes ---------------------------------------
+
+
+def cover_grid(occ, origin=None) -> GridSet:
+    occ = np.asarray(occ, dtype=bool)
+    origin = (0.0,) * occ.ndim if origin is None else origin
+    return GridSet(GridGeometry(origin, H, occ.shape), occ, Semantics.SAMPLE_COVER, slack=0.1)
+
+
+@pytest.fixture
+def forward_shapes(monkeypatch):
+    """Shapes of the arrays handed to the forward real transform, in call order."""
+    shapes = []
+    real = grid_mod._fft
+
+    def rfftn(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return real.rfftn(x, *args, **kwargs)
+
+    spy = SimpleNamespace(rfftn=rfftn, irfftn=real.irfftn, next_fast_len=real.next_fast_len)
+    monkeypatch.setattr(grid_mod, "_fft", spy)
+    return shapes
+
+
+def assert_fft_matches_naive(a: GridSet, b: GridSet) -> GridSet:
+    ref = dilate_naive(a, b)
+    out = dilate_fft(a, b)
+    assert out.geometry == ref.geometry
+    assert out.semantics is ref.semantics
+    assert out.slack == ref.slack
+    assert np.array_equal(out.occupancy, ref.occupancy)
+    return out
+
+
+_SELF_SUM_SHAPES = [(17,), (6, 9), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("shape", _SELF_SUM_SHAPES)
+def test_fft_self_sum_of_one_object_transforms_once(shape, forward_shapes):
+    rng = np.random.default_rng(len(shape))
+    a = cover_grid(rng.random(shape) < 0.4, origin=(0.5,) * len(shape))
+    assert_fft_matches_naive(a, a)
+    assert len(forward_shapes) == 1
+
+
+@pytest.mark.parametrize("shape", _SELF_SUM_SHAPES)
+def test_fft_equal_occupancy_in_distinct_rasters_transforms_once(shape, forward_shapes):
+    rng = np.random.default_rng(10 + len(shape))
+    occ = rng.random(shape) < 0.4
+    a, b = cover_grid(occ), cover_grid(occ.copy())
+    assert a.occupancy is not b.occupancy
+    assert_fft_matches_naive(a, b)
+    assert len(forward_shapes) == 1
+
+
+def test_fft_equal_occupancy_under_different_origins_adds_origins(forward_shapes):
+    occ = np.random.default_rng(5).random((7, 11)) < 0.5
+    a = cover_grid(occ, origin=(-1.5, 2.0))
+    b = cover_grid(occ.copy(), origin=(3.0, -0.5))
+    out = assert_fft_matches_naive(a, b)
+    assert len(forward_shapes) == 1
+    assert out.geometry.origin == (1.5, 1.5)
+
+
+@pytest.mark.parametrize("shape", _SELF_SUM_SHAPES)
+def test_fft_equal_extents_different_occupancy_transforms_twice(shape, forward_shapes):
+    rng = np.random.default_rng(20 + len(shape))
+    occ = rng.random(shape) < 0.4
+    other = occ.copy()
+    other.flat[0] = not other.flat[0]
+    assert_fft_matches_naive(cover_grid(occ), cover_grid(other))
+    assert len(forward_shapes) == 2
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (1, 9), (6, 7, 1), (6, 1, 7), (1, 6, 7)])
+def test_fft_drops_length_one_axes(shape, forward_shapes):
+    rng = np.random.default_rng(sum(shape))
+    a = cover_grid(rng.random(shape) < 0.5)
+    b = cover_grid(rng.random(shape) < 0.5)
+    assert_fft_matches_naive(a, a)
+    assert_fft_matches_naive(a, b)
+    kept = tuple(m for m in shape if m > 1)
+    assert forward_shapes == [kept] * 3
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((1, 5), (4, 5)), ((4, 1), (4, 6)), ((5, 1, 3), (2, 4, 3)), ((1, 1, 6), (3, 2, 1))],
+)
+def test_fft_operand_of_length_one_where_the_other_is_not(shape_a, shape_b, forward_shapes):
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        a = cover_grid(rng.random(shape_a) < 0.6)
+        b = cover_grid(rng.random(shape_b) < 0.6)
+        assert_fft_matches_naive(a, b)
+        assert_fft_matches_naive(b, a)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fft_all_length_one_pair(dim):
+    for bit_a, bit_b in product((False, True), repeat=2):
+        a = cover_grid(np.full((1,) * dim, bit_a), origin=(1.0,) * dim)
+        b = cover_grid(np.full((1,) * dim, bit_b), origin=(-0.5,) * dim)
+        out = assert_fft_matches_naive(a, b)
+        assert out.occupancy.item() == (bit_a and bit_b)
+        assert_fft_matches_naive(a, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, 1, 2, 5]), min_size=1, max_size=3).flatmap(
+        lambda extents: st.tuples(
+            arrays(np.bool_, tuple(extents)),
+            arrays(np.bool_, tuple(extents)),
+            st.booleans(),
+        )
+    )
+)
+def test_fft_matches_naive_on_thin_and_equal_operands(case):
+    occ_a, occ_b, same = case
+    a = cover_grid(occ_a, origin=(0.5,) * occ_a.ndim)
+    b = cover_grid(occ_a.copy() if same else occ_b, origin=(-1.0,) * occ_a.ndim)
+    assert_fft_matches_naive(a, b)
 
 
 @given(single_grid(), st.integers(1, 5))
@@ -600,6 +726,23 @@ def test_packed_unpack_window_matches_slicing():
         (slice(2, 2), slice(0, 7), slice(0, 29)),
     ]:
         assert np.array_equal(packed.unpack(window), mask[window])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _PACKED_SHAPES.flatmap(lambda shape: arrays(np.bool_, shape)),
+    st.integers(0, 19),
+)
+def test_packed_padded_matches_packing_padded_mask(mask, pad):
+    got = PackedMask.pack(mask).padded(pad)
+    expected = PackedMask.pack(np.pad(mask, pad))
+    assert got.shape == expected.shape
+    assert np.array_equal(got.bits, expected.bits)
+
+
+def test_packed_padded_rejects_negative_pad():
+    with pytest.raises(ValueError, match="pad"):
+        PackedMask.pack(np.ones((3, 3), bool)).padded(-1)
 
 
 def test_packed_rejects_negative_radius():

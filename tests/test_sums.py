@@ -16,6 +16,7 @@ from continuum_sums.gallery import l_shape, segment
 from continuum_sums.grid import (
     GridGeometry,
     GridSet,
+    PackedMask,
     SampledSet,
     Semantics,
     auto_geometry,
@@ -267,6 +268,87 @@ def test_midpoint_probe_matches_distance_formulation(monkeypatch):
                 break
         assert chain.interior_found_at == expected
     assert chain.interior_found_at == 1
+
+
+def criterion_07_inputs() -> dict[str, GridSet]:
+    """The Outer rasters of acceptance criterion 07, by label."""
+    rng = np.random.default_rng(11)
+    planar = np.column_stack(
+        [rng.uniform(0.0, 1.0, 12), rng.uniform(0.0, 1.0, 12), np.zeros(12)]
+    )
+    flats = {
+        "axis segment": (segment((0.0, 0.0), (1.0, 0.0), 21).points, 0.1),
+        "diagonal segment": (segment((0.0, 0.0), (1.0, 1.0), 21).points, 0.25),
+        "planar cloud": (planar, 0.25),
+        "point pair": (segment((0.0,), (1.0,), 2).points, 1.0),
+    }
+    inputs = {}
+    for label, (points, h) in flats.items():
+        exact = SampledSet(points=points, density=0.0)
+        inputs[label] = rasterize(exact, auto_geometry(points, h), Semantics.OUTER)
+    shape = l_shape(2, budget=42)
+    inputs["l-shape"] = rasterize(shape, auto_geometry(shape.points, 0.05), Semantics.OUTER)
+    return inputs
+
+
+def former_midpoint_chain(raster: GridSet, k: int) -> tuple[list[GridSet], int | None]:
+    """T -> (T + T) / 2 folded one pairwise ``dilate`` per step, with its probe step."""
+    steps = [raster]
+    for _ in range(k):
+        doubled = grid_mod.dilate(steps[-1], steps[-1])
+        geometry = GridGeometry(
+            origin=tuple(o / 2 for o in doubled.geometry.origin),
+            spacing=doubled.geometry.spacing / 2,
+            extents=doubled.geometry.extents,
+        )
+        steps.append(GridSet(geometry, doubled.occupancy, Semantics.OUTER, doubled.slack / 2))
+    found = None
+    for index, grid in enumerate(steps):
+        radius = math.ceil(grid.slack / grid.geometry.spacing) + 1
+        if PackedMask.pack(grid.occupancy).erode(radius).any():
+            found = index
+            break
+    return steps, found
+
+
+@pytest.mark.parametrize(
+    "label, steps, interior_at",
+    [
+        ("axis segment", 10, None),
+        ("diagonal segment", 10, None),
+        ("planar cloud", 8, None),
+        ("point pair", 10, None),
+        ("l-shape", 2, 1),
+    ],
+)
+def test_midpoint_chain_equals_pairwise_dilate_fold(label, steps, interior_at):
+    raster = criterion_07_inputs()[label]
+    chain = midpoint_iterate(raster, steps)
+    expected, found = former_midpoint_chain(raster, steps)
+    assert chain.interior_found_at == found == interior_at
+    assert len(chain.steps) == len(expected)
+    for got, ref in zip(chain.steps, expected):
+        assert got.geometry == ref.geometry
+        assert got.slack == ref.slack
+        assert got.semantics is ref.semantics
+        assert np.array_equal(np.packbits(got.occupancy), np.packbits(ref.occupancy))
+
+
+def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
+    # Step 10 of the diagonal chain sums a 2049^2 grid with itself into 4097^2
+    # cells from 2049^2 pairs: minkowski_sum's sparse route, no dilate call.
+    summed = []
+    real = grid_mod.dilate
+
+    def counting(a, b):
+        summed.append(a.geometry.extents)
+        return real(a, b)
+
+    monkeypatch.setattr(grid_mod, "dilate", counting)
+    chain = midpoint_iterate(criterion_07_inputs()["diagonal segment"], 10)
+    assert chain.steps[-1].geometry.extents == (4097, 4097)
+    assert len(summed) == 9
+    assert (2049, 2049) not in summed
 
 
 def test_midpoint_memory_guard():
