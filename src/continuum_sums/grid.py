@@ -9,6 +9,7 @@ dilation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -604,10 +605,20 @@ def erode(a: GridSet, r: int) -> GridSet:
     return GridSet(a.geometry, out, Semantics.OUTER, slack=a.slack)
 
 
-_ADJACENCY_STRUCTURES = {
-    "face": lambda n: _ndimage.generate_binary_structure(n, 1),
-    "chessboard": lambda n: np.ones((3,) * n, dtype=bool),
-}
+@functools.cache
+def _adjacency_structure(adjacency: str, dim: int) -> NDArray[np.bool_]:
+    """The labeling structure for an adjacency, built once per dimension.
+
+    The array is shared between calls, so it is read-only.
+    """
+    if adjacency == "face":
+        structure = _ndimage.generate_binary_structure(dim, 1)
+    elif adjacency == "chessboard":
+        structure = np.ones((3,) * dim, dtype=bool)
+    else:
+        raise ValueError(f"unknown adjacency {adjacency!r}")
+    structure.flags.writeable = False
+    return structure
 
 
 def connected_components(a: GridSet, adjacency: str = "face") -> list[set[tuple[int, ...]]]:
@@ -617,9 +628,7 @@ def connected_components(a: GridSet, adjacency: str = "face") -> list[set[tuple[
     diagonal cells, which is the right notion for rasters of eps-dense samples
     of connected sets whenever 2*eps <= h.
     """
-    if adjacency not in _ADJACENCY_STRUCTURES:
-        raise ValueError(f"unknown adjacency {adjacency!r}")
-    labels, count = _ndimage.label(a.occupancy, structure=_ADJACENCY_STRUCTURES[adjacency](a.dim))
+    labels, count = _ndimage.label(a.occupancy, structure=_adjacency_structure(adjacency, a.dim))
     comps: list[set[tuple[int, ...]]] = [set() for _ in range(count)]
     for cell in np.argwhere(labels):
         comps[labels[tuple(cell)] - 1].add(tuple(int(c) for c in cell))
@@ -627,9 +636,7 @@ def connected_components(a: GridSet, adjacency: str = "face") -> list[set[tuple[
 
 
 def component_count(a: GridSet, adjacency: str = "face") -> int:
-    if adjacency not in _ADJACENCY_STRUCTURES:
-        raise ValueError(f"unknown adjacency {adjacency!r}")
-    _, count = _ndimage.label(a.occupancy, structure=_ADJACENCY_STRUCTURES[adjacency](a.dim))
+    _, count = _ndimage.label(a.occupancy, structure=_adjacency_structure(adjacency, a.dim))
     return int(count)
 
 

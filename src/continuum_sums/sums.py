@@ -267,12 +267,20 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     h/2, extents 2m-1.  The raster slack sigma becomes sigma + h_next.
     ``interior_found_at`` is the first step whose raster contains a certified
     inner ball (erosion radius ceil(sigma/h) + 1, which meets the
-    Inner-promotion rule).
+    Inner-promotion rule).  Step j has extents 2^j (m - 1) + 1, so the memory
+    guard refuses an oversized chain before the first sum.
     """
     if not 1 <= k <= 20:
         raise ValueError(f"iteration count must be in [1, 20], got {k}")
     if t.semantics is not Semantics.OUTER:
         raise ValueError("midpoint iteration needs an Outer raster")
+    extents = t.geometry.extents
+    for step in range(1, k + 1):
+        extents = tuple(2 * e - 1 for e in extents)
+        if math.prod(extents) > _MIDPOINT_CELL_GUARD:
+            raise ValueError(
+                f"memory guard: step {step} would need {math.prod(extents)} cells"
+            )
     steps = [t]
 
     def probe(step: int, grid: GridSet) -> int | None:
@@ -284,11 +292,6 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     found = probe(0, t)
     current = t
     for step in range(1, k + 1):
-        next_extents = tuple(2 * e - 1 for e in current.geometry.extents)
-        if math.prod(next_extents) > _MIDPOINT_CELL_GUARD:
-            raise ValueError(
-                f"memory guard: step {step} would need {math.prod(next_extents)} cells"
-            )
         doubled = minkowski_sum([current, current])
         half_spacing = doubled.geometry.spacing / 2
         geometry = type(doubled.geometry)(
@@ -351,14 +354,34 @@ class SeparatorValidation:
     face_above: NDArray[np.float64]
 
 
-def _adjacent_potential_step(cells: NDArray[np.int64], values: NDArray[np.float64]) -> float:
-    """Largest |value difference| over chessboard-adjacent occupied cells."""
+def _adjacent_pairs(cells: NDArray[np.int64]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Index pairs (both orders) of chessboard-adjacent cells in a cell list."""
     diff = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2)
-    adjacent = diff == 1
-    if not adjacent.any():
+    return np.nonzero(diff == 1)
+
+
+def _adjacent_potential_step(
+    pairs: tuple[NDArray[np.intp], NDArray[np.intp]], values: NDArray[np.float64]
+) -> float:
+    """Largest |value difference| over chessboard-adjacent occupied cells."""
+    first, second = pairs
+    if len(first) == 0:
         return 0.0
-    gaps = np.abs(values[:, None] - values[None, :])
-    return float(gaps[adjacent].max())
+    return float(np.abs(values[first] - values[second]).max())
+
+
+def _is_integral(values: NDArray[np.float64]) -> bool:
+    """``np.allclose(values, np.round(values), atol=1e-9)``, written out.
+
+    Infinities equal their own rounding; NaN is never integral.
+    """
+    rounded = np.round(values)
+    exact = values == rounded
+    if exact.all():
+        return True
+    with np.errstate(invalid="ignore"):
+        close = np.abs(values - rounded) <= 1e-9 + 1e-5 * np.abs(rounded)
+    return bool((close | exact).all())
 
 
 def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
@@ -371,22 +394,23 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
             raise ValueError(f"factor {j} is not a connected grid continuum")
         if len(instance.factor_cells[j]) != int(factor.occupancy.sum()):
             raise ValueError(f"factor {j} cell list does not match its occupancy")
+        for k in range(n):
+            if len(instance.potentials[k][j]) != len(instance.factor_cells[j]):
+                raise ValueError(f"axis {k}: factor {j} potentials do not match its cell list")
+    pairs = [_adjacent_pairs(cells) for cells in instance.factor_cells]
     max_step = np.zeros(n)
     integral = np.zeros(n, dtype=bool)
     face_below = np.zeros(n)
     face_above = np.zeros(n)
     for k in range(n):
         pots = instance.potentials[k]
-        steps = [
-            _adjacent_potential_step(instance.factor_cells[j], pots[j])
-            for j in range(n)
-        ]
+        steps = [_adjacent_potential_step(pairs[j], pots[j]) for j in range(n)]
         level = float(max(steps))
         max_step[k] = level
         center = float(instance.band_center[k])
         radius = float(instance.band_radius[k])
         is_integral = all(
-            np.allclose(p, np.round(p), atol=1e-9) for p in pots
+            _is_integral(p) for p in pots
         ) and abs(center - round(center)) < 1e-9 and abs(radius - round(radius)) < 1e-9
         integral[k] = is_integral
         # One product step moves every factor at most one cell.
@@ -439,9 +463,10 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     n = instance.n
     counts = [len(c) for c in instance.factor_cells]
     adjacency = []
-    for cells in instance.factor_cells:
-        diff = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2)
-        adjacency.append((diff <= 1).astype(np.float32))
+    for count, cells in zip(counts, instance.factor_cells):
+        matrix = np.eye(count, dtype=np.float32)
+        matrix[_adjacent_pairs(cells)] = 1.0
+        adjacency.append(matrix)
     blocked = _band_masks(instance, axis)
     reached = np.zeros(counts, dtype=bool)
     neg = np.zeros(counts, dtype=bool)
@@ -467,18 +492,27 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     return not bool((reached & pos).any())
 
 
-def hl_discrete_check(instance: SeparatorInstance) -> bool:
-    """Do the n separator bands share a product cell?
+def bands_share_cell(instance: SeparatorInstance) -> bool:
+    """Scan the product for a cell in every band; no validation.
 
-    Validates the instance first (an invalid instance raises instead of
-    reporting a proposition failure), then scans the product for a cell in
-    every band.
+    Only meaningful for an instance :func:`validate_separators` accepted
+    (:func:`random_separator_instance` returns only such instances).
     """
-    validate_separators(instance)
     mask = _band_masks(instance, 0)
     for k in range(1, instance.n):
         mask &= _band_masks(instance, k)
     return bool(mask.any())
+
+
+def hl_discrete_check(instance: SeparatorInstance) -> bool:
+    """Do the n separator bands share a product cell?
+
+    Validates the instance first with :func:`validate_separators` (an invalid
+    instance raises instead of reporting a proposition failure), then runs
+    :func:`bands_share_cell`.
+    """
+    validate_separators(instance)
+    return bands_share_cell(instance)
 
 
 def _occupied_cells(grid: GridSet) -> NDArray[np.int64]:
@@ -586,7 +620,9 @@ def random_separator_instance(
     axis-k potentials are plain cell coordinates (integral and 1-Lipschitz
     under chessboard steps), the band sits at an integer level inside the
     verified face gap with half-width 1, and faces are the coordinate
-    extremes of the stretched factor.
+    extremes of the stretched factor.  Every returned instance has passed
+    :func:`validate_separators` here (a candidate it rejects is redrawn), so
+    callers can go straight to :func:`bands_share_cell`.
     """
     if not 1 <= n <= _MAX_SEPARATOR_DIM:
         raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
@@ -597,20 +633,20 @@ def random_separator_instance(
         ok = True
         for j in range(n):
             steps = int(rng.integers(*size_range))
-            pos = np.zeros(n, dtype=np.int64)
+            pos = [0] * n
             visited = {tuple(pos)}
             # March mostly along axis j so its own extent dominates.
             for _ in range(steps * 3):
-                move = np.zeros(n, dtype=np.int64)
                 if rng.random() < 0.7:
-                    move[j] = 1
+                    pos[j] += 1
                 else:
                     axis = int(rng.integers(n))
-                    move[axis] = int(rng.choice((-1, 1)))
-                pos = pos + move
+                    # The same draw as rng.choice((-1, 1)), at under a third of its cost.
+                    pos[axis] += (-1, 1)[int(rng.integers(2))]
                 visited.add(tuple(pos))
                 if len(visited) >= steps:
                     break
+            # Sorted tuples are the lexicographic (C scan) order of the cells.
             cells = np.array(sorted(visited), dtype=np.int64)
             cells -= cells.min(axis=0)
             extents = tuple(int(e) for e in cells.max(axis=0) + 1)
@@ -624,7 +660,6 @@ def random_separator_instance(
                 semantics=Semantics.SAMPLE_COVER,
                 slack=0.5,
             )
-            cells = _occupied_cells(grid)
             factors.append(grid)
             factor_cells.append(cells)
         potentials = tuple(

@@ -573,6 +573,24 @@ def test_diagonal_pair_adjacency():
     assert is_grid_continuum(a, "chessboard")
 
 
+def test_adjacency_structures_are_cached_read_only():
+    from scipy import ndimage
+
+    for dim in (1, 2, 3):
+        face = grid_mod._adjacency_structure("face", dim)
+        assert face is grid_mod._adjacency_structure("face", dim)
+        assert not face.flags.writeable
+        assert np.array_equal(face, ndimage.generate_binary_structure(dim, 1))
+        with pytest.raises(ValueError, match="read-only"):
+            face[(1,) * dim] = False
+        chessboard = grid_mod._adjacency_structure("chessboard", dim)
+        assert not chessboard.flags.writeable
+        assert np.array_equal(chessboard, np.ones((3,) * dim, dtype=bool))
+    dot = GridSet(GridGeometry((0.0,), 1.0, (1,)), np.ones(1, bool), Semantics.SAMPLE_COVER, 0.0)
+    with pytest.raises(ValueError, match="unknown adjacency"):
+        is_grid_continuum(dot, "king")
+
+
 def test_empty_grid_is_not_a_continuum():
     geom = GridGeometry(origin=(0.0,), spacing=1.0, extents=(3,))
     a = GridSet(geom, np.zeros(3, bool), Semantics.SAMPLE_COVER, 0.0)

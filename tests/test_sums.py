@@ -8,6 +8,8 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import continuum_sums.grid as grid_mod
 import continuum_sums.sums as sums_mod
@@ -21,6 +23,7 @@ from continuum_sums.grid import (
     Semantics,
     auto_geometry,
     chessboard_distance_transform,
+    is_grid_continuum,
     measure_estimate,
     rasterize,
 )
@@ -28,6 +31,7 @@ from continuum_sums.sums import (
     ClaimReport,
     MidpointChain,
     SeparatorInstance,
+    SeparatorValidation,
     build_sum_separators,
     claim_measure_chain,
     hl_discrete_check,
@@ -351,15 +355,21 @@ def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
     assert (2049, 2049) not in summed
 
 
-def test_midpoint_memory_guard():
+def test_midpoint_memory_guard(monkeypatch):
+    # Step j has extents 2^j * 1024 + 1, so step 3 (8193^2) is the first over
+    # the guard; the chain is refused before any sum runs.
+    summed = []
+    monkeypatch.setattr(sums_mod, "minkowski_sum", lambda rasters: summed.append(rasters))
     big = GridSet(
         geometry=GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(1025, 1025)),
         occupancy=np.ones((1025, 1025), dtype=bool),
         semantics=Semantics.OUTER,
         slack=0.0,
     )
-    with pytest.raises(ValueError, match="memory guard"):
+    with pytest.raises(ValueError, match="memory guard") as refused:
         midpoint_iterate(big, 4)
+    assert str(refused.value) == f"memory guard: step 3 would need {8193**2} cells"
+    assert summed == []
 
 
 def test_midpoint_requires_outer():
@@ -512,3 +522,354 @@ def test_disconnected_factor_is_rejected():
     )
     with pytest.raises(ValueError, match="continuum|cell list"):
         hl_discrete_check(broken)
+
+
+# --- separator fast paths against their former formulations ---------------------------
+
+
+def former_adjacent_potential_step(cells, values) -> float:
+    """The former full-matrix step bound, rebuilt for every (axis, factor) pair."""
+    diff = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2)
+    adjacent = diff == 1
+    if not adjacent.any():
+        return 0.0
+    gaps = np.abs(values[:, None] - values[None, :])
+    return float(gaps[adjacent].max())
+
+
+def former_validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
+    """The former validation: per-pair adjacency rebuilds and ``np.allclose``."""
+    n = instance.n
+    if not 1 <= n <= 3:
+        raise ValueError("separator instances support 1..3 factors")
+    for j, factor in enumerate(instance.factors):
+        if not is_grid_continuum(factor):
+            raise ValueError(f"factor {j} is not a connected grid continuum")
+        if len(instance.factor_cells[j]) != int(factor.occupancy.sum()):
+            raise ValueError(f"factor {j} cell list does not match its occupancy")
+    max_step = np.zeros(n)
+    integral = np.zeros(n, dtype=bool)
+    face_below = np.zeros(n)
+    face_above = np.zeros(n)
+    for k in range(n):
+        pots = instance.potentials[k]
+        steps = [
+            former_adjacent_potential_step(instance.factor_cells[j], pots[j])
+            for j in range(n)
+        ]
+        level = float(max(steps))
+        max_step[k] = level
+        center = float(instance.band_center[k])
+        radius = float(instance.band_radius[k])
+        is_integral = all(
+            np.allclose(p, np.round(p), atol=1e-9) for p in pots
+        ) and abs(center - round(center)) < 1e-9 and abs(radius - round(radius)) < 1e-9
+        integral[k] = is_integral
+        jump = n * level
+        allowed = 2 * radius + (1.0 if is_integral else 0.0)
+        if jump > allowed + 1e-12:
+            raise ValueError(
+                f"axis {k}: a product step can move the potential sum by {jump}, "
+                f"wide enough to leap the band of half-width {radius}"
+            )
+        if len(instance.faces_neg[k]) == 0 or len(instance.faces_pos[k]) == 0:
+            raise ValueError(f"axis {k}: empty face set")
+        others_max = sum(float(pots[j].max()) for j in range(n) if j != k)
+        others_min = sum(float(pots[j].min()) for j in range(n) if j != k)
+        below = float(pots[k][instance.faces_neg[k]].max()) + others_max
+        above = float(pots[k][instance.faces_pos[k]].min()) + others_min
+        face_below[k] = below
+        face_above[k] = above
+        if not (below < center - radius and above > center + radius):
+            raise ValueError(
+                f"axis {k}: faces do not straddle the band "
+                f"({below} .. {above} around {center} +- {radius})"
+            )
+    return SeparatorValidation(
+        max_step=max_step, integral=integral, face_below=face_below, face_above=face_above
+    )
+
+
+def former_random_separator_instance(
+    n: int, seed: int, size_range: tuple[int, int] = (10, 26)
+) -> SeparatorInstance:
+    """The former generator: a fresh numpy move and position array per walk step."""
+    rng = np.random.default_rng(seed)
+    for _attempt in range(64):
+        factors = []
+        factor_cells = []
+        ok = True
+        for j in range(n):
+            steps = int(rng.integers(*size_range))
+            pos = np.zeros(n, dtype=np.int64)
+            visited = {tuple(pos)}
+            for _ in range(steps * 3):
+                move = np.zeros(n, dtype=np.int64)
+                if rng.random() < 0.7:
+                    move[j] = 1
+                else:
+                    axis = int(rng.integers(n))
+                    move[axis] = int(rng.choice((-1, 1)))
+                pos = pos + move
+                visited.add(tuple(pos))
+                if len(visited) >= steps:
+                    break
+            cells = np.array(sorted(visited), dtype=np.int64)
+            cells -= cells.min(axis=0)
+            extents = tuple(int(e) for e in cells.max(axis=0) + 1)
+            occupancy = np.zeros(extents, dtype=bool)
+            occupancy[tuple(cells.T)] = True
+            grid = GridSet(
+                geometry=GridGeometry(origin=(0.0,) * n, spacing=1.0, extents=extents),
+                occupancy=occupancy,
+                semantics=Semantics.SAMPLE_COVER,
+                slack=0.5,
+            )
+            factors.append(grid)
+            factor_cells.append(np.argwhere(grid.occupancy).astype(np.int64))
+        potentials = tuple(
+            tuple(factor_cells[j][:, k].astype(np.float64) for j in range(n))
+            for k in range(n)
+        )
+        centers = np.zeros(n)
+        faces_neg = []
+        faces_pos = []
+        for k in range(n):
+            own = potentials[k][k]
+            others_max = sum(float(potentials[k][j].max()) for j in range(n) if j != k)
+            others_min = sum(float(potentials[k][j].min()) for j in range(n) if j != k)
+            below = float(own.min()) + others_max
+            above = float(own.max()) + others_min
+            if above - below <= 4:
+                ok = False
+                break
+            centers[k] = round((below + above) / 2)
+            faces_neg.append(np.flatnonzero(own == own.min()).astype(np.int64))
+            faces_pos.append(np.flatnonzero(own == own.max()).astype(np.int64))
+        if not ok:
+            continue
+        instance = SeparatorInstance(
+            factors=tuple(factors),
+            factor_cells=tuple(factor_cells),
+            potentials=potentials,
+            band_center=centers,
+            band_radius=np.ones(n),
+            faces_neg=tuple(faces_neg),
+            faces_pos=tuple(faces_pos),
+        )
+        try:
+            former_validate_separators(instance)
+        except ValueError:
+            continue
+        return instance
+    raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def assert_same_instance(got: SeparatorInstance, want: SeparatorInstance):
+    assert [f.geometry for f in got.factors] == [f.geometry for f in want.factors]
+    assert [(f.semantics, f.slack) for f in got.factors] == [
+        (f.semantics, f.slack) for f in want.factors
+    ]
+    assert_same_arrays([f.occupancy for f in got.factors], [f.occupancy for f in want.factors])
+    assert_same_arrays(got.factor_cells, want.factor_cells)
+    for got_row, want_row in zip(got.potentials, want.potentials, strict=True):
+        assert_same_arrays(got_row, want_row)
+    assert_same_arrays(
+        [got.band_center, got.band_radius], [want.band_center, want.band_radius]
+    )
+    assert_same_arrays(got.faces_neg, want.faces_neg)
+    assert_same_arrays(got.faces_pos, want.faces_pos)
+    assert got.target is None and want.target is None
+
+
+@pytest.mark.parametrize(
+    "n, seeds, size_range",
+    [
+        (1, range(12), (10, 26)),
+        (2, range(40), (10, 26)),
+        (3, range(15), (10, 26)),
+        (2, range(15), (4, 9)),
+        (3, range(8), (6, 12)),
+    ],
+)
+def test_random_instance_matches_former_numpy_walk(n, seeds, size_range):
+    for seed in seeds:
+        got = random_separator_instance(n, seed, size_range=size_range)
+        want = former_random_separator_instance(n, seed, size_range=size_range)
+        assert_same_instance(got, want)
+
+
+def validation_outcome(validate, instance):
+    """Fields of a validation, or the type and message of its error."""
+    try:
+        report = validate(instance)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc), str(exc))
+    return (
+        "ok",
+        report.max_step.tobytes(),
+        report.integral.tobytes(),
+        report.face_below.tobytes(),
+        report.face_above.tobytes(),
+    )
+
+
+def assert_same_validation(instance):
+    with np.errstate(all="ignore"):
+        got = validation_outcome(validate_separators, instance)
+        want = validation_outcome(former_validate_separators, instance)
+    assert got == want
+    return got
+
+
+def test_validation_matches_former_on_generated_and_constructed_instances():
+    instances = [random_separator_instance(2, seed) for seed in range(25)]
+    instances += [random_separator_instance(3, seed) for seed in range(8)]
+    instances += [random_separator_instance(1, seed) for seed in range(5)]
+    sets = sparse_axis_segments()
+    c = shift_construction(sets, s=1)
+    instances.append(build_sum_separators(c, sets, target=(0.375, 0.375), h=0.25))
+    for instance in instances:
+        assert assert_same_validation(instance)[0] == "ok"
+
+
+def test_validation_matches_former_on_invalid_instances():
+    instance = random_separator_instance(2, seed=5)
+    invalid = [
+        dataclasses.replace(instance, band_radius=np.zeros(2)),
+        dataclasses.replace(instance, band_center=instance.band_center + 1000.0),
+        dataclasses.replace(
+            instance, faces_neg=(np.zeros(0, dtype=np.int64),) + instance.faces_neg[1:]
+        ),
+        dataclasses.replace(
+            instance, factor_cells=(instance.factor_cells[0][:-1],) + instance.factor_cells[1:]
+        ),
+    ]
+    factor = instance.factors[0]
+    occ = np.zeros_like(factor.occupancy)
+    occ[0, 0] = True
+    occ[-1, -1] = True
+    cells = np.argwhere(occ).astype(np.int64)
+    invalid.append(
+        dataclasses.replace(
+            instance,
+            factors=(dataclasses.replace(factor, occupancy=occ),) + instance.factors[1:],
+            factor_cells=(cells,) + instance.factor_cells[1:],
+            potentials=tuple(
+                (pots[0][: len(cells)],) + pots[1:] for pots in instance.potentials
+            ),
+        )
+    )
+    outcomes = [assert_same_validation(bad) for bad in invalid]
+    assert [o[0] for o in outcomes] == ["error"] * len(invalid)
+
+
+def test_potentials_of_the_wrong_length_are_rejected():
+    # The former validation failed here with an IndexError from its
+    # full-matrix indexing; now a mismatch is named like any invalid instance.
+    instance = random_separator_instance(2, seed=5)
+    pots = instance.potentials[1][0]
+    for wrong in (pots[:-1], np.append(pots, pots[-1])):
+        bad = dataclasses.replace(
+            instance, potentials=(instance.potentials[0], (wrong, instance.potentials[1][1]))
+        )
+        with pytest.raises(ValueError, match="axis 1: factor 0 potentials do not match"):
+            hl_discrete_check(bad)
+
+
+def single_cell_instance() -> SeparatorInstance:
+    """A 10-cell bar times one cell: the single cell has no adjacent pair."""
+    bar = grid_from_cells([[i, 0] for i in range(10)])
+    dot = grid_from_cells([[0, 0]])
+    bar_cells = np.argwhere(bar.occupancy).astype(np.int64)
+    dot_cells = np.argwhere(dot.occupancy).astype(np.int64)
+    return SeparatorInstance(
+        factors=(bar, dot),
+        factor_cells=(bar_cells, dot_cells),
+        potentials=(
+            (bar_cells[:, 0].astype(np.float64), np.zeros(1)),
+            (np.zeros(10), np.zeros(1)),
+        ),
+        band_center=np.array([4.0, 0.0]),
+        band_radius=np.ones(2),
+        faces_neg=(np.array([0]), np.array([0])),
+        faces_pos=(np.array([9]), np.array([0])),
+    )
+
+
+def test_validation_matches_former_with_a_one_cell_factor():
+    instance = single_cell_instance()
+    outcome = assert_same_validation(instance)
+    # A one-cell factor cannot straddle its own band.
+    assert outcome[0] == "error" and "axis 1" in outcome[2]
+    one_axis = dataclasses.replace(
+        instance,
+        factors=instance.factors[:1],
+        factor_cells=instance.factor_cells[:1],
+        potentials=((instance.potentials[0][0],),),
+        band_center=instance.band_center[:1],
+        band_radius=instance.band_radius[:1],
+        faces_neg=instance.faces_neg[:1],
+        faces_pos=instance.faces_pos[:1],
+    )
+    assert assert_same_validation(one_axis)[0] == "ok"
+    assert np.array_equal(validate_separators(one_axis).max_step, [1.0])
+
+
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-50, 50),
+    st.integers(-50, 50).map(float),
+    st.integers(-50, 50).map(lambda v: v + 1e-10),
+    st.integers(-50, 50).map(lambda v: v + 0.5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_float, min_size=1, max_size=6))
+@example([math.inf, 2.0 + 1e-10])
+@example([-math.inf, 3.0, 1e-6])
+@example([math.nan, 1.0])
+@example([0.5, math.inf])
+@example([1e300, -1e300, 2.0**60 + 0.5])
+def test_integrality_flag_matches_allclose(values):
+    values = np.array(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        want = bool(np.allclose(values, np.round(values), atol=1e-9))
+    assert sums_mod._is_integral(values) == want
+    for v in values:
+        one = np.array([v])
+        with np.errstate(all="ignore"):
+            want_one = bool(np.allclose(one, np.round(one), atol=1e-9))
+        assert sums_mod._is_integral(one) == want_one
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_validation_matches_former_on_drawn_potentials(data):
+    # Scaled and perturbed coordinate potentials keep the band near the face
+    # gap, so instances are accepted as well as refused for each reason.
+    instance = random_separator_instance(2, seed=data.draw(st.integers(0, 5)), size_range=(4, 9))
+    scale = data.draw(st.sampled_from([1.0, 0.5, 0.25]))
+    nudges = st.sampled_from([0.0] * 30 + [1e-10, 1e-6, 0.1, math.nan, math.inf, -math.inf])
+    potentials = tuple(
+        tuple(
+            scale * p + np.array(data.draw(st.lists(nudges, min_size=len(p), max_size=len(p))))
+            for p in row
+        )
+        for row in instance.potentials
+    )
+    drawn = dataclasses.replace(
+        instance,
+        potentials=potentials,
+        band_center=scale * instance.band_center,
+        band_radius=scale * instance.band_radius,
+    )
+    assert_same_validation(drawn)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import continuum_sums.grid as grid_mod
+import continuum_sums.sums as sums_mod
 import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import circle, l_shape, moment_curve, segment
 from continuum_sums.grid import (
@@ -349,3 +350,38 @@ class TestSeparatorSuite:
     def test_validates_trials(self):
         with pytest.raises(ValueError, match="trials"):
             verify_hl_suite(trials=0)
+
+    def test_each_instance_is_validated_once(self, monkeypatch):
+        accepted = []
+        real_validate = sums_mod.validate_separators
+
+        def validate(instance):
+            report = real_validate(instance)
+            accepted.append(instance)
+            return report
+
+        generated, checked = [], []
+        real_generate = verify_mod.random_separator_instance
+        real_check = verify_mod.hl_discrete_check
+
+        def generate(*args, **kwargs):
+            instance = real_generate(*args, **kwargs)
+            generated.append(instance)
+            return instance
+
+        def check(instance):
+            checked.append(instance)
+            return real_check(instance)
+
+        monkeypatch.setattr(sums_mod, "validate_separators", validate)
+        monkeypatch.setattr(verify_mod, "random_separator_instance", generate)
+        monkeypatch.setattr(verify_mod, "hl_discrete_check", check)
+        rep = verify_hl_suite(trials=20, seed=4)
+        assert rep.passed
+        assert len(generated) == 20
+        # The random instances are validated by their generator only; the
+        # two constructed ones by hl_discrete_check.
+        assert len(checked) == 2
+        for instance in generated + checked:
+            assert sum(v is instance for v in accepted) == 1
+        assert len(accepted) == 22
