@@ -22,9 +22,6 @@ from scipy import ndimage as _ndimage
 
 Point = tuple[float, ...]
 
-# Distances at or above this sentinel mean "no occupied cell exists".
-DIST_INF = np.int32(2**30)
-
 # Product of occupied-cell counts must stay below 2**52 so every convolution
 # coefficient is an exact float64 integer with slack for FFT roundoff.
 _FFT_EXACT_LIMIT = 2**52
@@ -261,7 +258,8 @@ class PackedMask:
     Bits past the last cell stay zero.  :meth:`dilate` and :meth:`erode` use
     the (2r+1)^n sup-norm box, keep the shape and count cells outside the
     array as empty: a dilated cell is within ``r`` of a set cell, an eroded
-    cell has every cell within ``r`` inside the array and set.
+    cell has every cell within ``r`` inside the array and set.  A cell's
+    chessboard distance to the set is the smallest ``r`` whose dilation holds it.
     """
 
     def __init__(self, bits: NDArray[np.uint8], shape: tuple[int, ...]) -> None:
@@ -655,20 +653,6 @@ def measure_estimate(a: GridSet) -> float:
     return cells_measure(int(a.occupancy.sum()), a.spacing, a.dim)
 
 
-def chessboard_distance_transform(mask: NDArray[np.bool_]) -> NDArray[np.int32]:
-    """Exact sup-norm (chessboard) cell distance to the nearest True cell.
-
-    scipy's chamfer transform with the full 3^n neighborhood, which is exact
-    for the chessboard metric.  Cells of an all-False mask get
-    :data:`DIST_INF`.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return np.full(mask.shape, DIST_INF, dtype=np.int32)
-    out = _ndimage.distance_transform_cdt(~mask, metric="chessboard")
-    return out.astype(np.int32, copy=False)
-
-
 def _cube_cell_range(geometry: GridGeometry, center: Sequence[float], side: float) -> tuple[tuple[int, int], ...]:
     """Index range (inclusive) of cells whose interior meets the cube's interior."""
     if side <= 0:
@@ -698,17 +682,48 @@ def cube_coverage(a: GridSet, center: Sequence[float], side: float) -> bool:
     return bool(a.occupancy[window].all())
 
 
+def covering_radius(
+    occupied: PackedMask, window: Sequence[slice], limit: int | None = None
+) -> float:
+    """Smallest box-dilation radius (cells) of ``occupied`` that covers ``window``.
+
+    That is the largest chessboard distance from a window cell to a set cell:
+    0 for a fully set window, ``inf`` for an empty mask.  Dilations compose,
+    so each trial grows the last one that fell short.  Without ``limit`` the
+    radius gallops up from 1, then bisects.  A ``limit`` whose dilation is
+    known to cover bisects [0, limit] on the window grown by ``limit`` per
+    side (clamped to the array), which holds every nearest set cell.
+    """
+    if limit is not None:
+        crop = tuple(
+            slice(max(s.start - limit, 0), min(s.stop + limit, m))
+            for s, m in zip(window, occupied.shape)
+        )
+        window = tuple(slice(s.start - c.start, s.stop - c.start) for s, c in zip(window, crop))
+        occupied = PackedMask.pack(occupied.unpack(crop))
+    if occupied.unpack(window).all():
+        return 0
+    if not occupied.any():
+        return math.inf
+    lo, kept, hi, step = 0, occupied, limit, 1
+    while hi is None or hi - lo > 1:
+        r = lo + step if hi is None else (lo + hi) // 2
+        trial = kept.dilate(r - lo)
+        if trial.unpack(window).all():
+            hi = r
+        else:
+            lo, kept, step = r, trial, 2 * step
+    return hi
+
+
 def eps_density_margin(a: GridSet, center: Sequence[float], side: float) -> float:
     """Max over cube cells of the sup-norm distance (length units) to an occupied cell.
 
-    0 means the cube is fully covered; ``inf`` means the grid is empty.
+    The :func:`covering_radius` of the cube's cells in the whole grid, times
+    the spacing: 0 means the cube is fully covered, ``inf`` an empty grid.
     """
     window = tuple(slice(lo, hi + 1) for lo, hi in _cube_cell_range(a.geometry, center, side))
-    dist = chessboard_distance_transform(a.occupancy)
-    worst = int(dist[window].max())
-    if worst >= int(DIST_INF):
-        return math.inf
-    return worst * a.spacing
+    return covering_radius(PackedMask.pack(a.occupancy), window) * a.spacing
 
 
 def thread_count() -> int:

@@ -39,7 +39,7 @@ from .grid import (
     Semantics,
     auto_geometry,
     cells_measure,
-    chessboard_distance_transform,
+    covering_radius,
     is_grid_continuum,
     minkowski_sum,
     rasterize,
@@ -70,7 +70,8 @@ class ResolutionEvidence:
     The cube, margin and measure all live in the rotated coordinates, which
     differ from the input ones by a rigid motion only.  ``density_margin`` is
     the worst sup-norm distance from a cell of the found cube to an occupied
-    cell of the sum raster (infinite when no cube was admitted).
+    cell of the sum raster: the smallest radius whose box dilation of the sum
+    covers the cube, times h (infinite when no cube was admitted).
 
     ``interior_cube_side`` reports the certified side: the largest cube of
     threshold-dense cells, shrunk by the threshold on both faces of every
@@ -215,22 +216,6 @@ def _largest_cube(
     return tuple(float(c) for c in center), float(side), window
 
 
-def _window_margin(occupied: PackedMask, window: tuple[slice, ...], limit: int) -> int:
-    """Largest chessboard distance (cells) from a cell of ``window`` to a set cell.
-
-    Every window cell lies within ``limit`` of a set cell, so the nearest one
-    lies in the window grown by ``limit`` per side (clamped to the array),
-    and a transform of that crop alone gives the exact maximum.
-    """
-    crop = tuple(
-        slice(max(s.start - limit, 0), min(s.stop + limit, m))
-        for s, m in zip(window, occupied.shape)
-    )
-    inside = tuple(slice(s.start - c.start, s.stop - c.start) for s, c in zip(window, crop))
-    dist = chessboard_distance_transform(occupied.unpack(crop))
-    return int(dist[inside].max())
-
-
 def _normalized_inputs(
     sets: Sequence[SampledSet],
 ) -> tuple[int, FlatnessReport, NDArray[np.float64], list[SampledSet]]:
@@ -321,7 +306,7 @@ def verify_theorem_main(
                 cube_center, found_side, window = found
                 cube_side = found_side - 2.0 * threshold
                 hint_side = cube_side
-                margin = float(_window_margin(padded, window, limit)) * h
+                margin = float(covering_radius(padded, window, limit)) * h
         del outer, padded
         entries.append(
             ResolutionEvidence(

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 import continuum_sums.grid as grid_mod
 from continuum_sums.gallery import l_shape, segment
 from continuum_sums.grid import (
-    DIST_INF,
     CubeOutsideGridError,
     DilationPrecisionError,
     GridGeometry,
@@ -24,8 +23,8 @@ from continuum_sums.grid import (
     SampledSet,
     Semantics,
     auto_geometry,
-    chessboard_distance_transform,
     connected_components,
+    covering_radius,
     cube_coverage,
     dilate,
     dilate_fft,
@@ -52,10 +51,14 @@ def oracle_dilation_cells(a_occ: np.ndarray, b_occ: np.ndarray) -> set[tuple[int
     return {tuple(i + j for i, j in zip(ca, cb)) for ca in cells_a for cb in cells_b}
 
 
+#: Oracle distance where the mask has no set cell.
+NO_CELL = 2**30
+
+
 def oracle_chessboard_dt(mask: np.ndarray) -> np.ndarray:
     """O(cells * occupied) scan: min over occupied cells of max |delta|."""
     occ = np.argwhere(mask)
-    out = np.full(mask.shape, int(DIST_INF), dtype=np.int64)
+    out = np.full(mask.shape, NO_CELL, dtype=np.int64)
     if occ.shape[0] == 0:
         return out
     for idx in np.ndindex(mask.shape):
@@ -626,36 +629,10 @@ def test_disk_outer_measure_near_pi():
     assert abs(measure - math.pi) <= 0.02 * math.pi
 
 
-# --- distance transform -------------------------------------------------------------
-
-
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.lists(st.integers(1, 5), min_size=d, max_size=d).flatmap(
-            lambda ext: arrays(np.bool_, tuple(ext))
-        )
-    )
-)
-def test_distance_transform_matches_brute_force(mask):
-    got = chessboard_distance_transform(mask)
-    assert np.array_equal(got.astype(np.int64), oracle_chessboard_dt(mask))
-
-
-def test_distance_transform_matches_oracle_on_larger_mask():
-    rng = np.random.default_rng(7)
-    mask = rng.random((40, 37)) < 0.03
-    got = chessboard_distance_transform(mask)
-    assert np.array_equal(got.astype(np.int64), oracle_chessboard_dt(mask))
-
-
-def test_distance_transform_empty_mask_is_inf():
-    out = chessboard_distance_transform(np.zeros((3, 3), bool))
-    assert (out == DIST_INF).all()
-
-
 # --- box morphology on packed occupancy -------------------------------------------
-# Oracles are thresholds of the brute-force distance transform above.  Extents
-# run past one byte on the packed (last) axis and are rarely multiples of 8.
+# Oracles are thresholds of the brute-force distance transform at the top.
+# Extents run past one byte on the packed (last) axis and are rarely
+# multiples of 8.
 
 
 def oracle_box_dilate(mask: np.ndarray, r: int) -> np.ndarray:
@@ -769,6 +746,74 @@ def test_packed_rejects_negative_radius():
         packed.dilate(-1)
     with pytest.raises(ValueError, match="radius"):
         packed.erode(-1)
+
+
+# --- margins as covering dilation radii ----------------------------------------------
+# The oracle is the largest brute-force distance over the window.  A bounded
+# search gets a limit at or above it, as the sweep guarantees.
+
+
+def oracle_window_margin(mask: np.ndarray, window: tuple[slice, ...]) -> float:
+    worst = int(oracle_chessboard_dt(mask)[window].max())
+    return math.inf if worst >= NO_CELL else worst
+
+
+def _window(extent: int) -> st.SearchStrategy[slice]:
+    return st.integers(0, extent - 1).flatmap(
+        lambda lo: st.integers(lo + 1, extent).map(lambda hi: slice(lo, hi))
+    )
+
+
+def mask_window_slack() -> st.SearchStrategy[tuple[np.ndarray, tuple[slice, ...], int]]:
+    return _PACKED_SHAPES.flatmap(
+        lambda shape: st.tuples(
+            arrays(np.bool_, shape),
+            st.tuples(*(_window(m) for m in shape)),
+            st.integers(0, 3),
+        )
+    )
+
+
+def assert_margin_matches_oracle(mask: np.ndarray, window: tuple[slice, ...], slack: int) -> float:
+    expected = oracle_window_margin(mask, window)
+    packed = PackedMask.pack(mask)
+    assert covering_radius(packed, window) == expected
+    if expected < math.inf:
+        assert covering_radius(packed, window, int(expected) + slack) == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_window_slack())
+def test_covering_radius_matches_window_max_of_distance(case):
+    assert_margin_matches_oracle(*case)
+
+
+def test_covering_radius_pinned_cases():
+    # Empty mask: no radius covers.
+    empty = np.zeros((4, 11), bool)
+    assert covering_radius(PackedMask.pack(empty), (slice(1, 3), slice(2, 9))) == math.inf
+    # A fully set window needs no dilation, bounded or not.
+    full = np.zeros((5, 5, 19), bool)
+    full[1:4, 1:4, 6:17] = True
+    window = (slice(1, 4), slice(1, 4), slice(6, 17))
+    assert assert_margin_matches_oracle(full, window, 2) == 0
+    assert covering_radius(PackedMask.pack(full), window, 0) == 0
+    # Windows touching the array border, where the crop is clamped.
+    corner = np.zeros((9, 21), bool)
+    corner[8, 20] = True
+    assert assert_margin_matches_oracle(corner, (slice(0, 3), slice(0, 4)), 3) == 20
+    assert assert_margin_matches_oracle(corner, (slice(6, 9), slice(15, 21)), 0) == 5
+    # Extents crossing a byte on the packed axis, for window and crop alike.
+    rng = np.random.default_rng(4)
+    sparse = rng.random((3, 6, 37)) < 0.04
+    for window in [
+        (slice(0, 3), slice(1, 5), slice(5, 13)),
+        (slice(1, 2), slice(0, 6), slice(7, 9)),
+        (slice(0, 3), slice(0, 6), slice(15, 33)),
+    ]:
+        for slack in (0, 1, 9):
+            assert assert_margin_matches_oracle(sparse, window, slack) < math.inf
 
 
 # --- cube coverage and margin --------------------------------------------------------

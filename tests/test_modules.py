@@ -19,3 +19,14 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_")
                 ]
     assert not offenders, offenders
+
+
+def test_no_module_mentions_a_distance_transform():
+    # Margins are read off box dilations; the package keeps one morphology
+    # primitive and no distance engine.
+    offenders = [
+        str(path.relative_to(PACKAGE_DIR))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if "distance_transform" in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import continuum_sums.grid as grid_mod
 import continuum_sums.sums as sums_mod
@@ -22,7 +23,7 @@ from continuum_sums.grid import (
     SampledSet,
     Semantics,
     auto_geometry,
-    chessboard_distance_transform,
+    cube_coverage,
     is_grid_continuum,
     measure_estimate,
     rasterize,
@@ -40,6 +41,7 @@ from continuum_sums.sums import (
     random_separator_instance,
     separation_by_search,
     shift_construction,
+    shifted_sum_raster,
     validate_separators,
     verify_claim,
 )
@@ -141,6 +143,27 @@ def test_claim_flat_lattice_reports_infinite_margin():
     assert not report.covered
     assert report.margin == math.inf
     assert not report.passed
+
+
+def test_claim_covered_is_a_zero_margin():
+    # A zero margin is exactly a fully occupied cube window, which
+    # cube_coverage reads directly.  The ladder of the unit-arm L pair at
+    # s=2 is covered at h=0.05 only; the doubled segment is never covered.
+    pair = [l_shape(2, 82)] * 2
+    horiz = segment((0.0, 0.0), (1.0, 0.0), 41)
+    families = [
+        (shift_construction(pair, s=2), pair, (0.05, 0.025, 0.0125)),
+        (shift_construction([horiz, horiz], s=1), [horiz, horiz], (0.1, 0.05, 0.025)),
+    ]
+    covered = []
+    for construction, sets, ladder in families:
+        for h in ladder:
+            report = verify_claim(construction, sets, h)
+            total = shifted_sum_raster(construction, sets, h)
+            direct = cube_coverage(total, np.zeros(construction.n), 2.0 * construction.s)
+            assert report.covered == (report.margin == 0.0) == direct, h
+            covered.append(report.covered)
+    assert covered == [True, False, False, False, False, False]
 
 
 def test_claim_propagates_errors_other_than_cube_outside_grid(monkeypatch):
@@ -261,12 +284,12 @@ def test_midpoint_probe_matches_distance_formulation(monkeypatch):
     ]
     for raster, steps in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(grid_mod, "chessboard_distance_transform", refuse)
+            patch.setattr(ndimage, "distance_transform_cdt", refuse)
             chain = midpoint_iterate(raster, steps)
         expected = None
         for index, grid in enumerate(chain.steps):
             radius = math.ceil(grid.slack / grid.geometry.spacing) + 1
-            dist = chessboard_distance_transform(~np.pad(grid.occupancy, 1))
+            dist = ndimage.distance_transform_cdt(np.pad(grid.occupancy, 1), metric="chessboard")
             if dist.max() >= radius + 1:
                 expected = index
                 break

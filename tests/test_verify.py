@@ -4,17 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_cdt
 
 import continuum_sums.grid as grid_mod
 import continuum_sums.sums as sums_mod
 import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import circle, l_shape, moment_curve, segment
-from continuum_sums.grid import (
-    GridGeometry,
-    PackedMask,
-    SampledSet,
-    chessboard_distance_transform,
-)
+from continuum_sums.grid import GridGeometry, PackedMask, SampledSet
 from continuum_sums.verify import (
     verify_corollary_c1,
     verify_example_cantor,
@@ -229,12 +225,19 @@ class TestCantorScenario:
             verify_example_cantor(-1)
 
 
+def chessboard_distance(mask):
+    """scipy's chessboard distance to the nearest set cell; 2**30 when none is set."""
+    if not mask.any():
+        return np.full(mask.shape, 2**30, dtype=np.int64)
+    return distance_transform_cdt(~mask, metric="chessboard").astype(np.int64)
+
+
 def dt_largest_cube(good, geometry, threshold):
     """Former cube search: argmax of the border-clamped transform of the bad set."""
     h = geometry.spacing
     if not good.any():
         return None
-    inner = chessboard_distance_transform(~good).astype(np.int64)
+    inner = chessboard_distance(~good)
     for axis, extent in enumerate(inner.shape):
         line = np.minimum(np.arange(extent), np.arange(extent - 1, -1, -1)) + 1
         shape = [1] * inner.ndim
@@ -272,7 +275,7 @@ class TestBoxMorphologySweep:
     def test_cube_search_matches_distance_argmax_for_any_hint(self):
         found = 0
         for occ, limit, threshold, geometry in _cube_cases():
-            good = chessboard_distance_transform(occ) <= limit
+            good = chessboard_distance(occ) <= limit
             expected = dt_largest_cube(good, geometry, threshold)
             packed = PackedMask.pack(good)
             h = geometry.spacing
@@ -294,36 +297,53 @@ class TestBoxMorphologySweep:
     def test_cropped_margin_equals_full_transform_margin(self):
         checked = 0
         for occ, limit, threshold, geometry in _cube_cases():
-            dist = chessboard_distance_transform(occ)
+            dist = chessboard_distance(occ)
             found = dt_largest_cube(dist <= limit, geometry, threshold)
             if found is None:
                 continue
             window = found[2]
-            got = verify_mod._window_margin(PackedMask.pack(occ), window, limit)
+            got = verify_mod.covering_radius(PackedMask.pack(occ), window, limit)
             assert got == int(dist[window].max())
             checked += 1
         assert checked >= 20
 
     def test_sweep_transforms_only_cube_crops(self, monkeypatch):
-        shapes = []
-        real = verify_mod.chessboard_distance_transform
+        # The margin search dilates only the cube window grown by limit per
+        # side, never the full grid.
+        searches = []
+        active = []
+        real_search = verify_mod.covering_radius
+        real_dilate = PackedMask.dilate
 
-        def record(mask):
-            shapes.append(np.shape(mask))
-            return real(mask)
+        def search(occupied, window, limit=None):
+            assert limit is not None, "the sweep's margin search must be bounded"
+            active.append([])
+            try:
+                return real_search(occupied, window, limit)
+            finally:
+                searches.append((occupied.shape, active.pop()))
+
+        def dilate(mask, r):
+            if active:
+                active[-1].append(mask.shape)
+            return real_dilate(mask, r)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep must not transform a full grid")
+            raise AssertionError("the sweep must not search a full grid's margin")
 
-        monkeypatch.setattr(verify_mod, "chessboard_distance_transform", record)
-        monkeypatch.setattr(grid_mod, "chessboard_distance_transform", refuse)
+        monkeypatch.setattr(verify_mod, "covering_radius", search)
+        monkeypatch.setattr(PackedMask, "dilate", dilate)
+        monkeypatch.setattr(grid_mod, "eps_density_margin", refuse)
         ev = verify_theorem_main([l_shape(budget=42), l_shape(budget=42)], COARSE)
         assert ev.verdict == "supported"
-        assert len(shapes) == len(ev.resolutions)
-        for shape, entry in zip(shapes, ev.resolutions):
+        assert len(searches) == len(ev.resolutions)
+        assert any(shapes for _, shapes in searches)
+        for (full, shapes), entry in zip(searches, ev.resolutions):
             cube_cells = round((entry.interior_cube_side + 2 * entry.threshold) / entry.h)
             limit = math.floor(entry.threshold / entry.h + 1e-9)
-            assert all(m <= cube_cells + 2 * limit for m in shape), shape
+            for shape in shapes:
+                assert all(m <= cube_cells + 2 * limit for m in shape), shape
+                assert shape != full, shape
 
 
 class TestSeparatorSuite:
