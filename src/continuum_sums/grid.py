@@ -30,11 +30,6 @@ _FFT_EXACT_LIMIT = 2**52
 # would move more bytes than a transform of the output array, with this margin.
 _FFT_ADVANTAGE = 4.0
 
-# Set bits per byte value, for popcounts of packed occupancy.
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
-
 #: Above this many output cells :func:`minkowski_sum` may accumulate sparsely.
 _DENSE_SUM_LIMIT = 2**24
 
@@ -271,8 +266,10 @@ class PackedMask:
         occ = np.asarray(occupancy, dtype=bool)
         if occ.ndim == 0:
             raise ValueError("occupancy must have at least one axis")
-        packed = np.packbits(occ, axis=-1, bitorder="little")
-        return cls(np.ascontiguousarray(np.moveaxis(packed, -1, 0)), occ.shape)
+        # Packing along the moved axis writes the byte axis first directly;
+        # the copy is a no-op unless the input's layout was carried over.
+        bits = np.packbits(np.moveaxis(occ, -1, 0), axis=0, bitorder="little")
+        return cls(np.ascontiguousarray(bits), occ.shape)
 
     def unpack(self, window: Sequence[slice] | None = None) -> NDArray[np.bool_]:
         """Dense occupancy of the whole array, or of a box of unit-step slices."""
@@ -306,19 +303,40 @@ class PackedMask:
         bits = np.zeros((-(-shape[-1] // 8),) + shape[:-1], dtype=np.uint8)
         lead = tuple(slice(pad, pad + m) for m in self.shape[:-1])
         bits[(slice(0, self.bits.shape[0]),) + lead] = self.bits
-        return PackedMask(_moved_bits(bits, pad), shape)
+        moved = np.empty_like(bits)
+        _moved_bits(bits, moved, np.empty_like(bits), pad)
+        return PackedMask(moved, shape)
 
     def dilate(self, r: int) -> "PackedMask":
         """Box dilation by radius ``r`` cells (log-step shifted ORs)."""
-        return self._box(r, np.bitwise_or)
+        return PackedMask(_box(self.bits, self.shape, r, np.bitwise_or), self.shape)
 
     def erode(self, r: int) -> "PackedMask":
-        """Box erosion by radius ``r`` cells (log-step shifted ANDs)."""
-        return self._box(r, np.bitwise_and)
+        """Box erosion by radius ``r`` cells (log-step shifted ANDs).
+
+        The erosion runs on the bounding box of the set bytes only and is
+        written back into an empty array.  Cells outside that box are empty,
+        so a window leaving it is empty either way and the result is exact.
+        A box thinner than 2r + 1 cells on some axis erodes to nothing at once.
+        """
+        if r < 0:
+            raise ValueError(f"box radius must be >= 0, got {r}")
+        box = self._live_box()
+        eroded = None
+        if box is not None:
+            rows = box[0]
+            extents = tuple(s.stop - s.start for s in box[1:])
+            extents += (min(8 * rows.stop, self.shape[-1]) - 8 * rows.start,)
+            if min(extents) >= 2 * r + 1:
+                eroded = _box(self.bits[box], extents, r, np.bitwise_and)
+        out = np.zeros_like(self.bits)
+        if eroded is not None:
+            out[box] = eroded
+        return PackedMask(out, self.shape)
 
     def count(self) -> int:
         """Number of set cells."""
-        return int(_POPCOUNT[self.bits].sum(dtype=np.int64))
+        return int(np.bitwise_count(self.bits).sum(dtype=np.int64))
 
     def any(self) -> bool:
         return bool(self.bits.any())
@@ -336,84 +354,140 @@ class PackedMask:
         lead = np.unravel_index(col, self.shape[:-1]) if len(self.shape) > 1 else ()
         return tuple(int(i) for i in lead) + (8 * byte_index + bit,)
 
-    def _box(self, r: int, op: np.ufunc) -> "PackedMask":
-        if r < 0:
-            raise ValueError(f"box radius must be >= 0, got {r}")
-        bits = self.bits.copy()
-        if r == 0:
-            return PackedMask(bits, self.shape)
-        for axis in range(len(self.shape)):
-            # Each output cell along the axis combines the window [i, i + r]
-            # (built by doubling, reading only cells farther up, so the zero
-            # fill is exactly "outside is empty") with the window [i - r, i].
-            # For an erosion the lower window is the upper one moved up by r:
-            # a window that leaves the array is empty either way.  For a
-            # dilation a window reaching below the array still holds cells,
-            # so the lower window is doubled on its own.
-            if op is np.bitwise_and:
-                self._window(bits, axis, r, -1, op)
-                self._fold(bits, axis, r, op)
-            else:
-                lower = bits.copy()
-                self._window(bits, axis, r, -1, op)
-                self._window(lower, axis, r, 1, op)
-                op(bits, lower, out=bits)
-        return PackedMask(bits, self.shape)
-
-    def _window(
-        self, bits: NDArray[np.uint8], axis: int, r: int, direction: int, op: np.ufunc
-    ) -> None:
-        """In place: each cell combines the r + 1 cells from it going ``-direction``."""
-        span = 1
-        while span <= r:
-            step = min(span, r + 1 - span)
-            self._fold(bits, axis, direction * step, op)
-            span += step
-
-    def _fold(self, bits: NDArray[np.uint8], axis: int, shift: int, op: np.ufunc) -> None:
-        """In place: cell i becomes ``op(cell i, cell i - shift)`` along ``axis``.
-
-        Cells i - shift outside the array read as empty.
-        """
-        if axis == len(self.shape) - 1:
-            op(bits, _moved_bits(bits, shift), out=bits)
-            tail = self.shape[-1] % 8
-            if tail:
-                bits[-1] &= np.uint8((1 << tail) - 1)
-            return
-        k = axis + 1
-        extent = bits.shape[k]
-        keep = slice(shift, None) if shift > 0 else slice(0, extent + shift)
-        take = slice(0, extent - shift) if shift > 0 else slice(-shift, None)
-        hole = slice(0, shift) if shift > 0 else slice(extent + shift, None)
-        if abs(shift) >= extent:
-            keep = take = slice(0, 0)
-            hole = slice(None)
-        lead = (slice(None),) * k
-        # ufuncs treat overlapping operands as if the inputs were copied first.
-        op(bits[lead + (keep,)], bits[lead + (take,)], out=bits[lead + (keep,)])
-        if op is np.bitwise_and:
-            bits[lead + (hole,)] = 0
+    def _live_box(self) -> tuple[slice, ...] | None:
+        """Bounding box of the non-zero bytes (byte axis first), or None when empty."""
+        lead: tuple[slice, ...] = ()
+        if self.bits.ndim > 1:
+            plane = np.bitwise_or.reduce(self.bits, axis=0)
+            for axis in range(plane.ndim):
+                others = tuple(k for k in range(plane.ndim) if k != axis)
+                live = (plane.any(axis=others) if others else plane).nonzero()[0]
+                if live.size == 0:
+                    return None
+                lead += (slice(int(live[0]), int(live[-1]) + 1),)
+        crop = self.bits[(slice(None),) + lead]
+        rows = crop.any(axis=tuple(range(1, crop.ndim))) if crop.ndim > 1 else crop
+        live = rows.nonzero()[0]
+        if live.size == 0:
+            return None
+        return (slice(int(live[0]), int(live[-1]) + 1),) + lead
 
 
-def _moved_bits(bits: NDArray[np.uint8], shift: int) -> NDArray[np.uint8]:
-    """Packed rows whose cell i holds cell i - shift of the packed axis; zero fill."""
+def _box(
+    src: NDArray[np.uint8], shape: tuple[int, ...], r: int, op: np.ufunc
+) -> NDArray[np.uint8]:
+    """New packed array: the box dilation (OR) or erosion (AND) of ``src`` by ``r``.
+
+    Along each axis every cell first combines the window [i, i + r], built
+    by doubling and reading only cells farther up, so the zero fill is
+    exactly "outside is empty".  Then it combines the same window moved up
+    by r, [i - r, i].  For an erosion a moved window that leaves the array is
+    empty either way.  For a dilation cell i < r takes the window of cell 0
+    instead, [0, r], which lies inside [i - r, i + r] and, with [i, i + r],
+    covers its cells in the array.  The folds alternate between two
+    buffers, so no fold allocates.  The packed axis goes first: its folds
+    read ``src`` by slices, so a strided view is read without a copy.
+    """
+    if r < 0:
+        raise ValueError(f"box radius must be >= 0, got {r}")
+    if r == 0:
+        return np.array(src)
+    shifts = []
+    span = 1
+    while span <= r:
+        step = min(span, r + 1 - span)
+        shifts.append(-step)
+        span += step
+    shifts.append(r)
+    buffers = (np.empty(src.shape, np.uint8), np.empty(src.shape, np.uint8))
+    carry = np.empty(src.shape, np.uint8)
+    last = len(shape) - 1
+    for axis in (last, *range(last)):
+        for shift in shifts:
+            out = buffers[1] if src is buffers[0] else buffers[0]
+            _fold(src, out, carry, shape, axis, shift, op)
+            src = out
+    return src
+
+
+def _fold(
+    src: NDArray[np.uint8],
+    out: NDArray[np.uint8],
+    carry: NDArray[np.uint8],
+    shape: tuple[int, ...],
+    axis: int,
+    shift: int,
+    op: np.ufunc,
+) -> None:
+    """Write ``op(cell i, cell i - shift)`` of ``src`` along ``axis`` into ``out``.
+
+    A cell i - shift above the array reads as empty.  One below it reads as
+    empty for an AND and as cell 0 for an OR, as :func:`_box` needs.
+    ``carry`` is a spare buffer of the same shape.
+    """
+    is_or = op is np.bitwise_or
+    if axis == len(shape) - 1:
+        _moved_bits(src, out, carry, shift)
+        if shift > 0 and is_or:
+            cell0 = (src[0] & np.uint8(1)) * np.uint8(0xFF)
+            whole, part = divmod(shift, 8)
+            out[:whole] |= cell0
+            if part and whole < out.shape[0]:
+                out[whole] |= cell0 & np.uint8((1 << part) - 1)
+        op(out, src, out=out)
+        tail = shape[-1] % 8
+        if tail:
+            out[-1] &= np.uint8((1 << tail) - 1)
+        return
+    lead = (slice(None),) * (axis + 1)
+    extent = src.shape[axis + 1]
+    t = min(abs(shift), extent)
+    if t < extent:
+        # One flat shift by t slabs: the cells it pairs across the axis's
+        # end are exactly the edge cells, rewritten below.  A short inner
+        # axis runs several times faster flat than as strided rows.
+        step = t * math.prod(src.shape[axis + 2 :])
+        flat, dest = src.reshape(-1), out.reshape(-1)
+        if shift > 0:
+            op(flat[step:], flat[:-step], out=dest[step:])
+        else:
+            op(flat[:-step], flat[step:], out=dest[:-step])
+    edge = slice(0, t) if shift > 0 else slice(extent - t, None)
+    if not is_or:
+        out[lead + (edge,)] = 0
+    elif shift > 0:
+        np.bitwise_or(src[lead + (edge,)], src[lead + (slice(0, 1),)], out=out[lead + (edge,)])
+    else:
+        out[lead + (edge,)] = src[lead + (edge,)]
+
+
+def _moved_bits(
+    bits: NDArray[np.uint8], out: NDArray[np.uint8], carry: NDArray[np.uint8], shift: int
+) -> None:
+    """Write into ``out`` the packed rows whose cell i is cell i - shift; zero fill.
+
+    ``carry`` is a spare buffer of the same shape.
+    """
     rows = bits.shape[0]
     whole, part = divmod(abs(shift), 8)
-    moved = np.zeros_like(bits)
     if whole >= rows:
-        return moved
+        out[...] = 0
+        return
     # Multiplying by 2**part is the in-byte left shift; numpy's vectorised
     # multiply runs several times faster than its left shift on uint8.
     if shift > 0:
-        np.multiply(bits[: rows - whole], np.uint8(1 << part), out=moved[whole:])
+        np.multiply(bits[: rows - whole], np.uint8(1 << part), out=out[whole:])
+        out[:whole] = 0
         if part:
-            moved[whole + 1 :] |= bits[: rows - whole - 1] >> (8 - part)
+            np.right_shift(bits[: rows - whole - 1], np.uint8(8 - part), out=carry[whole + 1 :])
+            out[whole + 1 :] |= carry[whole + 1 :]
     else:
-        np.right_shift(bits[whole:], part, out=moved[: rows - whole])
+        np.right_shift(bits[whole:], np.uint8(part), out=out[: rows - whole])
+        out[rows - whole :] = 0
         if part:
-            moved[: rows - whole - 1] |= bits[whole + 1 :] * np.uint8(1 << (8 - part))
-    return moved
+            low = slice(0, rows - whole - 1)
+            np.multiply(bits[whole + 1 :], np.uint8(1 << (8 - part)), out=carry[low])
+            out[low] |= carry[low]
 
 
 def _combined_semantics(semantics: Semantics, slack: float, b: GridSet) -> tuple[Semantics, float]:

@@ -249,8 +249,11 @@ def _has_inner_ball(grid: GridSet, radius_cells: int) -> bool:
     """Is some cell surrounded by occupied cells out to the given radius?
 
     That is, is the box erosion by the radius non-empty?  Cells beyond the
-    grid border count as unoccupied.
+    grid border count as unoccupied, so a grid thinner than the ball on some
+    axis holds none and is not packed.
     """
+    if min(grid.geometry.extents) < 2 * radius_cells + 1:
+        return False
     return PackedMask.pack(grid.occupancy).erode(radius_cells).any()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,6 +56,9 @@ from .sums import (
 )
 
 DEFAULT_RESOLUTIONS = (0.02, 0.01, 0.005)
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
 
 #: Patch radius for the staircase flatness probe: small enough to fit inside
 #: the central removed third, large enough for patches to hold real geometry
@@ -173,7 +176,8 @@ def _largest_cube(
     only picks where the search for R starts; the search gallops from there
     and bisects once R is bracketed, so the answer never depends on it.
     Starting low is cheap, as each larger radius erodes the last non-empty
-    erosion further rather than starting over.  Cubes no wider than twice
+    erosion further rather than starting over, and each erosion runs only on
+    the bounding box of that erosion's set bytes.  Cubes no wider than twice
     the threshold witness nothing beyond the allowed slack and are rejected.
     """
     h = geometry.spacing
@@ -228,21 +232,35 @@ def _normalized_inputs(
         raise ValueError("all sets must share one ambient dimension")
     if len(sets) != n:
         raise ValueError(f"need exactly {n} sets in dimension {n}, got {len(sets)}")
-    translated = [k.translated(tuple(-float(c) for c in k.points[0])) for k in sets]
+    # A set passed more than once stays one object through every stage, so
+    # it is moved, rasterized and checked once.
+    translated = _each_once(sets, lambda k: k.translated(tuple(-float(c) for c in k.points[0])))
     union = np.concatenate([k.points for k in translated], axis=0)
     cert = nonflat_certificate(union, order="pivot")
     rotation = _certificate_rotation(cert)
     # x -> rotation.T @ x; density picks up the sup-norm operator factor.
-    normalized = [k.linear_image(rotation.T) for k in translated]
+    normalized = _each_once(translated, lambda k: k.linear_image(rotation.T))
     return n, cert, rotation, normalized
+
+
+def _each_once(items: Sequence[_T], make: Callable[[_T], _U]) -> list[_U]:
+    """``make`` of every item, called once per distinct object, in item order."""
+    made: dict[int, _U] = {}
+    for item in items:
+        if id(item) not in made:
+            made[id(item)] = make(item)
+    return [made[id(item)] for item in items]
+
+
+def _rasters(sets: Sequence[SampledSet], h: float) -> list[GridSet]:
+    """Each set's raster at spacing ``h``; a set listed more than once is rasterized once."""
+    return _each_once(sets, lambda k: rasterize(k, auto_geometry(k.points, h)))
 
 
 def normalized_sum_raster(sets: Sequence[SampledSet], h: float) -> GridSet:
     """The rotated sum raster the evidence sweep inspects at one resolution."""
     _, _, _, normalized = _normalized_inputs(sets)
-    return minkowski_sum(
-        [rasterize(k, auto_geometry(k.points, float(h))) for k in normalized]
-    )
+    return minkowski_sum(_rasters(normalized, float(h)))
 
 
 def verify_theorem_main(
@@ -260,6 +278,8 @@ def verify_theorem_main(
     n, cert, rotation, normalized = _normalized_inputs(sets)
     finest = steps[-1]
     for i, k in enumerate(normalized):
+        if any(k is other for other in normalized[:i]):
+            continue
         semantics = Semantics.OUTER if k.exact else Semantics.SAMPLE_COVER
         raster = rasterize(k, auto_geometry(k.points, finest), semantics)
         if not is_grid_continuum(raster):
@@ -270,9 +290,7 @@ def verify_theorem_main(
     entries = []
     hint_side = None
     for h in steps:
-        total = minkowski_sum(
-            [rasterize(k, auto_geometry(k.points, h)) for k in normalized]
-        )
+        total = minkowski_sum(_rasters(normalized, h))
         threshold = n * (eps + h)
         limit = math.floor(threshold / h + 1e-9)
         grow = int(math.ceil(eps_sum / h - 1e-12)) if eps_sum > 0 else 0

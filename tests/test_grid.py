@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -650,6 +650,7 @@ _PACKED_SHAPES = st.one_of(
     st.tuples(st.integers(1, 40)),
     st.tuples(st.integers(1, 9), st.integers(1, 19)),
     st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 19)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 19)),
 )
 
 
@@ -708,6 +709,91 @@ def test_packed_morphology_on_empty_and_full_masks(shape):
     one = np.zeros(shape, bool)
     one[tuple(m // 2 for m in shape)] = True
     assert PackedMask.pack(one).dilate(big).count() == math.prod(shape)
+
+
+def former_pack(mask: np.ndarray) -> np.ndarray:
+    """Packed bits as first built: pack the last axis, then copy the byte axis to the front."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    return np.ascontiguousarray(np.moveaxis(packed, -1, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PACKED_SHAPES.flatmap(lambda shape: arrays(np.bool_, shape)))
+@example(np.ones((16,), bool))
+@example(np.ones((3, 8), bool))
+@example(np.eye(4, 9, 5, bool))
+@example(np.ones((2, 1, 3, 17), bool))
+@example(np.ones((1, 2, 2, 24), bool))
+def test_pack_matches_former_transposing_pack(mask):
+    # Last axes of whole bytes and ones crossing a byte; the bits must also
+    # be C-ordered, as the folds shift them through flat views.
+    packed = PackedMask.pack(mask)
+    expected = former_pack(mask)
+    assert packed.shape == mask.shape
+    assert packed.bits.flags.c_contiguous
+    assert packed.bits.shape == expected.shape
+    assert np.array_equal(packed.bits, expected)
+
+
+def boxed_mask_and_radius() -> st.SearchStrategy[tuple[np.ndarray, int]]:
+    """A mask confined to a random sub-box: the box set, minus sparse holes."""
+
+    def build(shape: tuple[int, ...]) -> st.SearchStrategy[tuple[np.ndarray, int]]:
+        def confine(case: tuple[tuple[slice, ...], np.ndarray, int]) -> tuple[np.ndarray, int]:
+            box, holes, r = case
+            mask = np.zeros(shape, bool)
+            mask[box] = ~holes[box]
+            return mask, r
+
+        return st.tuples(
+            st.tuples(*(_window(m) for m in shape)),
+            arrays(np.bool_, shape),
+            st.integers(0, max(shape) // 2 + 1),
+        ).map(confine)
+
+    return _PACKED_SHAPES.flatmap(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_mask_and_radius())
+def test_packed_erode_on_a_sub_box_matches_oracle(case):
+    mask, r = case
+    got = PackedMask.pack(mask).erode(r)
+    assert got.shape == mask.shape
+    assert np.array_equal(got.unpack(), oracle_box_erode(mask, r))
+
+
+def test_packed_erode_pinned_bounding_boxes(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = []
+    # Packed-axis extents that start or end mid-byte, or on byte edges.
+    for lo, hi in [(5, 13), (9, 24), (8, 16), (3, 6), (0, 37), (17, 37)]:
+        mask = np.zeros((4, 5, 37), bool)
+        mask[1:4, 0:5, lo:hi] = rng.random((3, 5, hi - lo)) < 0.95
+        cases += [(mask, r) for r in range(0, 4)]
+    four = np.zeros((4, 5, 3, 21), bool)
+    four[1:4, 1:5, :, 6:19] = True
+    cases += [(four, r) for r in range(0, 3)]
+    cases += [(np.zeros(shape, bool), 1) for shape in [(1,), (13,), (3, 17), (2, 2, 2, 9)]]
+    for mask, r in cases:
+        got = PackedMask.pack(mask).erode(r).unpack()
+        assert np.array_equal(got, oracle_box_erode(mask, r)), (mask.shape, r)
+
+    # 2r + 1 exceeds the bounding box but not the array: empty, and no fold.
+    # The box holds whole bytes on the packed axis: cells 9-11 span 8 cells.
+    def refuse(*args):
+        raise AssertionError("an erosion wider than the set bytes must not fold")
+
+    monkeypatch.setattr(grid_mod, "_box", refuse)
+    thin = np.zeros((9, 21), bool)
+    thin[2:5, 3:18] = True
+    narrow = np.zeros((9, 9, 30), bool)
+    narrow[:, :, 9:12] = True
+    for mask, r in [(thin, 2), (thin, 4), (narrow, 4), (np.zeros((7, 7), bool), 1)]:
+        assert 2 * r + 1 <= min(mask.shape)
+        got = PackedMask.pack(mask).erode(r)
+        assert not got.any()
+        assert np.array_equal(got.unpack(), oracle_box_erode(mask, r))
 
 
 def test_packed_unpack_window_matches_slicing():

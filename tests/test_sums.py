@@ -361,6 +361,31 @@ def test_midpoint_chain_equals_pairwise_dilate_fold(label, steps, interior_at):
         assert np.array_equal(np.packbits(got.occupancy), np.packbits(ref.occupancy))
 
 
+def test_planar_cloud_chain_packs_nothing(monkeypatch):
+    # Every step of the planar cloud lives on an (m, m, 1) grid, thinner
+    # than any inner ball, so no probe packs or erodes it; the chain and its
+    # answer are those of the pairwise fold, whose probes do erode.
+    raster = criterion_07_inputs()["planar cloud"]
+    expected, found = former_midpoint_chain(raster, 8)
+    packed = []
+    real = PackedMask.pack
+
+    def pack(occupancy):
+        packed.append(np.shape(occupancy))
+        return real(occupancy)
+
+    monkeypatch.setattr(PackedMask, "pack", staticmethod(pack))
+    chain = midpoint_iterate(raster, 8)
+    assert packed == []
+    assert chain.interior_found_at == found is None
+    assert all(step.geometry.extents[-1] == 1 for step in chain.steps)
+    assert len(chain.steps) == len(expected)
+    for got, ref in zip(chain.steps, expected):
+        assert got.geometry == ref.geometry
+        assert got.slack == ref.slack
+        assert np.array_equal(got.occupancy, ref.occupancy)
+
+
 def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
     # Step 10 of the diagonal chain sums a 2049^2 grid with itself into 4097^2
     # cells from 2049^2 pairs: minkowski_sum's sparse route, no dilate call.

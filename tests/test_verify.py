@@ -20,6 +20,18 @@ from continuum_sums.verify import (
 
 COARSE = (0.1, 0.05)
 
+TRIPOD_LADDER_EVIDENCE = [
+    "ResolutionEvidence(h=0.04, interior_cube_center=(0.5, 0.5, 0.5), interior_cube_side=0.93,"
+    " density_margin=0.16, threshold=0.195, outer_measure=3.1680000000000006,"
+    " vol_parallelotope=1.0, ratio=3.1680000000000006)",
+    "ResolutionEvidence(h=0.02, interior_cube_center=(0.51, 0.51, 0.51), interior_cube_side=0.99,"
+    " density_margin=0.12, threshold=0.135, outer_measure=2.9174320000000007,"
+    " vol_parallelotope=1.0, ratio=2.9174320000000007)",
+    "ResolutionEvidence(h=0.01, interior_cube_center=(0.505, 0.505, 0.505),"
+    " interior_cube_side=1.0, density_margin=0.1, threshold=0.10500000000000001,"
+    " outer_measure=2.7950130000000004, vol_parallelotope=1.0, ratio=2.7950130000000004)",
+]
+
 
 def _probe_points(center, side, h):
     """Cube center plus the centers of its extreme cells."""
@@ -157,6 +169,47 @@ class TestTheoremMain:
             verify_theorem_main(good, resolutions=())
         with pytest.raises(ValueError, match="positive"):
             verify_theorem_main(good, resolutions=(0.1, -0.05))
+
+    def test_repeated_set_is_rasterized_and_labelled_once(self, monkeypatch):
+        # One set passed three times is rasterized once per resolution (plus
+        # once for the connectivity check) and labelled once; equal copies
+        # that are distinct objects are each handled, with the same evidence.
+        rasterized, labelled = [], []
+        real_rasterize = verify_mod.rasterize
+        real_continuum = verify_mod.is_grid_continuum
+
+        def rasterize(samples, geometry, *args):
+            rasterized.append((id(samples), geometry.spacing))
+            return real_rasterize(samples, geometry, *args)
+
+        def is_grid_continuum(raster):
+            labelled.append(raster.geometry.spacing)
+            return real_continuum(raster)
+
+        monkeypatch.setattr(verify_mod, "rasterize", rasterize)
+        monkeypatch.setattr(verify_mod, "is_grid_continuum", is_grid_continuum)
+        k = l_shape(3, 63)
+        once = verify_theorem_main([k] * 3, COARSE)
+        assert [h for _, h in rasterized] == [0.05, 0.1, 0.05]
+        assert len({key for key, _ in rasterized}) == 1
+        assert labelled == [0.05]
+        rasterized.clear()
+        labelled.clear()
+        copies = [k, k.translated((0.0, 0.0, 0.0)), k.translated((0.0, 0.0, 0.0))]
+        each = verify_theorem_main(copies, COARSE)
+        assert [h for _, h in rasterized] == [0.05] * 3 + [0.1] * 3 + [0.05] * 3
+        assert len({key for key, _ in rasterized}) == 3
+        assert labelled == [0.05] * 3
+        assert each.resolutions == once.resolutions
+        assert each.verdict == once.verdict == "supported"
+
+    def test_benchmark_ladder_evidence_is_pinned(self):
+        # The tripod ladder the benchmark sweeps, as computed before the
+        # morphology was restricted to bounding boxes.  A change that moves a
+        # cube, side, margin or measure fails here.
+        ev = verify_theorem_main([l_shape(3, 63)] * 3, (0.04, 0.02, 0.01))
+        assert [repr(e) for e in ev.resolutions] == TRIPOD_LADDER_EVIDENCE
+        assert ev.verdict == "supported"
 
     def test_rejects_disconnected_set(self):
         far = SampledSet(points=np.array([[0.0, 0.0], [5.0, 5.0]]), density=0.01)
