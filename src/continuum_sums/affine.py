@@ -7,9 +7,7 @@ disagree with each other at a given tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -106,17 +104,6 @@ def greedy_row_elimination(
         pivot_values=tuple(pivot_vals),
         basis=original[accepted].copy() if accepted else np.empty((0, n)),
     )
-
-
-def affine_dimension(
-    points: SampledSet | NDArray[np.float64], tol: float | None = None
-) -> tuple[int, NDArray[np.float64], NDArray[np.float64]]:
-    """Rank of the differences to the first point: (dim, basis, base point)."""
-    pts = as_points(points)
-    if tol is None:
-        tol = default_rank_tol(pts)
-    result = greedy_row_elimination(pts[1:] - pts[0], tol, order="input")
-    return result.rank, result.basis, pts[0].copy()
 
 
 def parallelotope_volume(vectors: NDArray[np.float64], tol: float | None = None) -> float:
@@ -318,196 +305,6 @@ def is_nowhere_flat(
     return NowhereFlatReport(
         nowhere_flat=not flat_centers,
         flat_centers=tuple(flat_centers),
-        rho=rho,
-        tol=tol,
-    )
-
-
-@dataclass(frozen=True)
-class CollectiveCertificate:
-    """One-vector-per-set basis search over patch tuples.
-
-    ``verdict`` True means every examined patch tuple admits difference
-    vectors, one drawn from each set's patch, forming a basis; ``pairs``,
-    ``basis`` and ``det_abs`` demonstrate such a choice on a representative
-    tuple.  A failing tuple is returned in ``witness_centers`` (one sample
-    index per set) and is a proof regardless of ``exhaustive``.
-    """
-
-    verdict: bool
-    exhaustive: bool
-    tuples_checked: int
-    witness_centers: tuple[int, ...] | None
-    demo_centers: tuple[int, ...] | None
-    pairs: tuple[tuple[int, int], ...] | None
-    basis: NDArray[np.float64] | None
-    det_abs: float | None
-    rho: float
-    tol: float
-
-
-def _rado_feasible(bases: Sequence[NDArray[np.float64]], tol: float) -> bool:
-    """Independent-transversal existence over span bases (Rado's condition)."""
-    for size in range(1, len(bases) + 1):
-        for combo in combinations(range(len(bases)), size):
-            stacked = np.vstack([bases[i] for i in combo])
-            if greedy_row_elimination(stacked, tol, order="pivot").rank < size:
-                return False
-    return True
-
-
-def _transversal_pairs(
-    candidate_lists: Sequence[NDArray[np.float64]],
-    tol: float,
-    step_cap: int = 100_000,
-) -> tuple[int, ...] | None:
-    """Pick one row per list, jointly independent at tol.
-
-    Depth-first greedy: candidates are tried in decreasing residual order
-    (ties by lower index) with backtracking, capped at ``step_cap`` visits.
-    Returns the per-list row indices, or None if no basis was found.
-    """
-    n = candidate_lists[0].shape[1]
-    budget = step_cap
-
-    def descend(level: int, pivots: list[tuple[NDArray[np.float64], int]]) -> tuple[int, ...] | None:
-        nonlocal budget
-        if level == len(candidate_lists):
-            return ()
-        cands = candidate_lists[level].copy()
-        for prow, pcol in pivots:
-            cands -= np.outer(cands[:, pcol] / prow[pcol], prow)
-            cands[:, pcol] = 0.0
-        mags = np.abs(cands).max(axis=1, initial=0.0)
-        order = np.argsort(-mags, kind="stable")
-        for idx in order:
-            if mags[idx] <= tol:
-                break
-            if budget <= 0:
-                return None
-            budget -= 1
-            row = cands[idx]
-            col = int(np.argmax(np.abs(row)))
-            rest = descend(level + 1, pivots + [(row, col)])
-            if rest is not None:
-                return (int(idx),) + rest
-        return None
-
-    if n < len(candidate_lists):
-        return None
-    return descend(0, [])
-
-
-def collectively_nowhere_flat(
-    sets: Sequence[SampledSet | NDArray[np.float64]],
-    rho: float,
-    tol: float | None = None,
-    tuple_limit: int = 10_000,
-    seed: int = 0,
-) -> CollectiveCertificate:
-    """Certify that every patch tuple spans a basis with one vector per set.
-
-    Only rank-deficient patches can break the property (a failing Rado subset
-    cannot contain a full-rank patch), so tuples are enumerated over deficient
-    patch centers grouped by which sets contribute them.  Groups larger than
-    ``tuple_limit`` are sampled with the given seed and flagged non-exhaustive;
-    any failing tuple found is a standalone proof of failure.
-    """
-    if not sets:
-        raise ValueError("need at least one sampled set")
-    for s in sets:
-        _check_patch_radius(rho, s)
-    pts_list = [as_points(s) for s in sets]
-    n = pts_list[0].shape[1]
-    if any(p.shape[1] != n for p in pts_list):
-        raise ValueError("all sets must share one ambient dimension")
-    if len(sets) != n:
-        raise ValueError(f"need exactly {n} sets in dimension {n}, got {len(sets)}")
-    if tol is None:
-        tol = max(default_rank_tol(p) for p in pts_list)
-
-    # Deficient patches per set: center index plus a span basis of its diffs.
-    deficient: list[list[tuple[int, NDArray[np.float64]]]] = []
-    for pts in pts_list:
-        entries = []
-        for center in range(pts.shape[0]):
-            res = greedy_row_elimination(_patch_rows(pts, center, rho), tol, order="pivot")
-            if res.rank < n:
-                entries.append((center, res.basis))
-        deficient.append(entries)
-
-    rng = np.random.default_rng(seed)
-    exhaustive = True
-    tuples_checked = 0
-    witness: tuple[int, ...] | None = None
-
-    for size in range(1, n + 1):
-        if witness:
-            break
-        for combo in combinations(range(n), size):
-            if witness:
-                break
-            counts = [len(deficient[i]) for i in combo]
-            if any(c == 0 for c in counts):
-                continue
-            total = math.prod(counts)
-            if total <= tuple_limit:
-                picks = product(*(range(c) for c in counts))
-            else:
-                exhaustive = False
-                draws = rng.integers(0, counts, size=(tuple_limit, size))
-                picks = (tuple(int(x) for x in row) for row in draws)
-            for pick in picks:
-                tuples_checked += 1
-                bases = [deficient[i][j][1] for i, j in zip(combo, pick)]
-                if not _rado_feasible(bases, tol):
-                    centers = [0] * n
-                    for i, j in zip(combo, pick):
-                        centers[i] = deficient[i][j][0]
-                    witness = tuple(centers)
-                    break
-
-    if witness is not None:
-        return CollectiveCertificate(
-            verdict=False,
-            exhaustive=exhaustive,
-            tuples_checked=tuples_checked,
-            witness_centers=witness,
-            demo_centers=None,
-            pairs=None,
-            basis=None,
-            det_abs=None,
-            rho=rho,
-            tol=tol,
-        )
-
-    # Demonstration pairs on the first-sample tuple: one difference per set,
-    # anchored at the patch center (a_i = center sample).
-    demo_centers = tuple(0 for _ in range(n))
-    cand_lists = []
-    cand_index_maps = []
-    for pts in pts_list:
-        base = pts[0]
-        near = np.flatnonzero(np.abs(pts - base).max(axis=1) <= rho)
-        cand_lists.append(pts[near] - base)
-        cand_index_maps.append(near)
-    picks = _transversal_pairs(cand_lists, tol)
-    pairs = None
-    basis = None
-    det_abs = None
-    if picks is not None:
-        pairs = tuple((0, int(cand_index_maps[i][p])) for i, p in enumerate(picks))
-        basis = np.vstack([cand_lists[i][p] for i, p in enumerate(picks)])
-        det_abs = parallelotope_volume(basis, tol)
-    return CollectiveCertificate(
-        verdict=True,
-        exhaustive=exhaustive,
-        tuples_checked=tuples_checked,
-        witness_centers=None,
-        demo_centers=demo_centers,
-        pairs=pairs,
-        basis=basis,
-        det_abs=det_abs,
         rho=rho,
         tol=tol,
     )

@@ -270,25 +270,29 @@ def render_pbm(occupancy: np.ndarray) -> str:
     return f"P1\n{width} {height}\n" + body.tobytes().decode("ascii")
 
 
+def _check_bitmap_dim(dim: int) -> None:
+    if dim not in (2, 3):
+        raise InputError(f"bitmap supports 2-D and sliced 3-D grids, not {dim}-D")
+
+
 def _bitmap_plane(grid: GridSet, slice_spec: tuple[int, int] | None) -> np.ndarray:
+    _check_bitmap_dim(grid.dim)
     occ = grid.occupancy
     if grid.dim == 2:
         if slice_spec is not None:
             raise InputError("--slice applies only to 3-D grids")
         return occ
-    if grid.dim == 3:
-        if slice_spec is None:
-            raise InputError("3-D grids need --slice AXIS INDEX")
-        axis, index = slice_spec
-        if not 0 <= axis < 3:
-            raise InputError(f"slice axis must be 0, 1 or 2, got {axis}")
-        if not 0 <= index < occ.shape[axis]:
-            raise InputError(
-                f"slice index {index} out of range for axis {axis} "
-                f"with {occ.shape[axis]} cells"
-            )
-        return np.take(occ, index, axis=axis)
-    raise InputError(f"bitmap supports 2-D and sliced 3-D grids, not {grid.dim}-D")
+    if slice_spec is None:
+        raise InputError("3-D grids need --slice AXIS INDEX")
+    axis, index = slice_spec
+    if not 0 <= axis < 3:
+        raise InputError(f"slice axis must be 0, 1 or 2, got {axis}")
+    if not 0 <= index < occ.shape[axis]:
+        raise InputError(
+            f"slice index {index} out of range for axis {axis} "
+            f"with {occ.shape[axis]} cells"
+        )
+    return np.take(occ, index, axis=axis)
 
 
 def _write_bitmaps(prefix: str, rasters: Iterable[tuple[float, GridSet]]) -> None:
@@ -371,6 +375,8 @@ def _main_sets(doc: Document) -> list[SampledSet]:
 
 def _cmd_verify_main(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
+    if args.bitmap:
+        _check_bitmap_dim(doc.dim)
     resolutions = _effective_resolutions(args, doc)
     sets = _main_sets(doc)
     start = time.perf_counter()
@@ -398,6 +404,8 @@ def _cmd_verify_c1(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     if len(doc.sets) != 1:
         raise InputError("the c1 scenario takes exactly one set")
+    if args.bitmap:
+        _check_bitmap_dim(doc.dim)
     resolutions = _effective_resolutions(args, doc)
     rep = verify_corollary_c1(doc.sets[0], args.directions, resolutions)
     report = _from_verification_report(rep)
@@ -428,6 +436,8 @@ def _cmd_verify_hl(args: argparse.Namespace) -> int:
 
 def _cmd_verify_claim(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
+    if args.bitmap:
+        _check_bitmap_dim(doc.dim)
     resolutions = sorted(_effective_resolutions(args, doc), reverse=True)
     s = args.s if args.s is not None else (doc.construction_s or 1)
     start = time.perf_counter()
@@ -556,6 +566,7 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 
 def _cmd_bitmap(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
+    _check_bitmap_dim(doc.dim)
     h = args.h if args.h is not None else (
         doc.resolutions[-1] if doc.resolutions else DEFAULT_RESOLUTIONS[-1]
     )
@@ -660,9 +671,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -624,12 +624,17 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     for i in range(geom.dim - 2, -1, -1):
         weights[i] = weights[i + 1] * geom.extents[i + 1]
     # Index sums never exceed the output extents, so key sums cannot carry
-    # across axes and the flat keys add exactly like the index vectors.
-    keys = np.unique(rasters[0].occupied_indices() @ weights)
+    # across axes and the flat keys add exactly like the index vectors.  A
+    # raster passed more than once is keyed once.
+    keyed: dict[int, NDArray[np.int64]] = {}
+    for r in rasters:
+        if id(r) not in keyed:
+            keyed[id(r)] = np.unique(r.occupied_indices() @ weights)
+    keys = keyed[id(rasters[0])]
     for r in rasters[1:]:
         if keys.size == 0:
             break
-        other = np.unique(r.occupied_indices() @ weights)
+        other = keyed[id(r)]
         step = max(1, _SPARSE_CHUNK // max(len(other), 1))
         chunks = [
             np.unique((keys[i : i + step, None] + other[None, :]).ravel())

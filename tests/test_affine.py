@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from continuum_sums.affine import (
-    CollectiveCertificate,
-    affine_dimension,
-    collectively_nowhere_flat,
     flatness_by_projection,
     greedy_row_elimination,
     is_nowhere_flat,
@@ -199,89 +196,26 @@ def test_patch_radius_must_be_positive():
         is_nowhere_flat(circle_points(16), rho=0.0)
 
 
-# --- collective flatness --------------------------------------------------------------
+# --- certificate dimension and preconditions -------------------------------------------
 
 
-def test_two_circles_collectively_nowhere_flat_with_demo_pairs():
-    report = collectively_nowhere_flat([circle_points(), circle_points(90, 0.5)], rho=0.2)
-    assert report.verdict
-    assert report.exhaustive
-    assert report.tuples_checked == 0  # no rank-deficient patches to combine
-    assert report.pairs is not None and len(report.pairs) == 2
-    assert report.det_abs is not None and report.det_abs > report.tol
-
-
-def test_parallel_plateaus_share_a_normal():
-    a = np.stack([np.linspace(0, 1, 20), np.zeros(20)], axis=1)
-    b = np.stack([np.linspace(0, 1, 20), np.full(20, 0.5)], axis=1)
-    report = collectively_nowhere_flat([a, b], rho=0.2)
-    assert not report.verdict
-    assert report.witness_centers is not None
-    assert len(report.witness_centers) == 2
-    assert report.pairs is None and report.det_abs is None
-
-
-def test_identical_segments_fail_collectively():
-    seg = np.stack([np.linspace(0, 1, 20), np.zeros(20)], axis=1)
-    report = collectively_nowhere_flat([seg, seg.copy()], rho=0.2)
-    assert not report.verdict
-
-
-def test_perpendicular_segments_have_no_common_normal():
-    # Every patch of either axis segment is rank-deficient, but any pair of
-    # patches provides perpendicular difference vectors, so all singleton and
-    # pair tuples (20 + 20 + 400) pass.
-    a = np.stack([np.linspace(0, 1, 20), np.zeros(20)], axis=1)
-    b = np.stack([np.zeros(20), np.linspace(0, 1, 20)], axis=1)
-    report = collectively_nowhere_flat([a, b], rho=0.2)
-    assert report.verdict
-    assert report.exhaustive
-    assert report.tuples_checked == 440
-    assert report.pairs is not None
-    basis = report.basis
-    assert basis is not None
-    assert abs(basis[0][1]) < 1e-12 and abs(basis[1][0]) < 1e-12  # one vector per arm
-    assert report.det_abs == pytest.approx(abs(basis[0][0] * basis[1][1]))
-
-
-def test_collective_check_validates_inputs():
-    with pytest.raises(ValueError, match="at least one"):
-        collectively_nowhere_flat([], rho=0.1)
-    with pytest.raises(ValueError, match="dimension"):
-        collectively_nowhere_flat([np.zeros((3, 2)), np.zeros((3, 3))], rho=0.1)
-    with pytest.raises(ValueError, match="exactly 2 sets"):
-        collectively_nowhere_flat([circle_points(8)] * 3, rho=0.2)
-
-
-def test_collective_check_sampled_mode_still_finds_witness():
-    base = np.stack([np.linspace(0, 1, 150), np.zeros(150)], axis=1)
-    jitter = np.stack([np.linspace(0, 1, 150), np.full(150, 0.25)], axis=1)
-    report = collectively_nowhere_flat([base, jitter], rho=0.05, tuple_limit=100)
-    assert isinstance(report, CollectiveCertificate)
-    assert not report.verdict
-    assert not report.exhaustive
-    assert report.witness_centers is not None
-
-
-# --- affine dimension and preconditions ------------------------------------------------
-
-
-def test_affine_dimension_of_moment_curve():
+def test_certificate_dimension_of_moment_curve():
     t = np.arange(41) / 40.0
     pts = np.stack([t, t**2], axis=1)
-    d, basis, base = affine_dimension(pts)
+    cert = nonflat_certificate(pts)
+    d, basis, base = cert.affine_dim, cert.basis, cert.base_point
     assert d == 2
     assert basis.shape == (2, 2)
     assert np.array_equal(base, pts[0])
 
 
-def test_affine_dimension_of_noisy_plane():
+def test_certificate_dimension_of_noisy_plane():
     rng = np.random.default_rng(11)
     pts = np.zeros((200, 3))
     pts[:, 0] = rng.uniform(-1, 1, 200)
     pts[:, 1] = rng.uniform(-1, 1, 200)
     pts += rng.uniform(-1e-12, 1e-12, (200, 3))
-    d, _, _ = affine_dimension(pts, tol=1e-9)
+    d = nonflat_certificate(pts, tol=1e-9).affine_dim
     assert d == 2
 
 

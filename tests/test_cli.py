@@ -11,6 +11,8 @@ from continuum_sums.cli import (
     parse_document,
     render_pbm,
 )
+from continuum_sums.gallery import cantor_graph
+from continuum_sums.verify import normalized_sum_raster
 
 FULL_SQUARE = {
     "dim": 2,
@@ -141,6 +143,19 @@ class TestPbm:
         assert code == 2 and "axis" in err
         code, _, err = _run(capsys, "bitmap", doc, "--h", "0.25", "--slice", "2", "99")
         assert code == 2 and "out of range" in err
+
+    def test_unsupported_dimension_refused_before_summing(self, tmp_path, capsys, monkeypatch):
+        import continuum_sums.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sum ran before the dimension was refused")
+
+        monkeypatch.setattr(cli_mod, "minkowski_sum", refuse)
+        doc = _write_doc(
+            tmp_path, "seg.json", {"dim": 1, "sets": [{"points": [[0], [1]], "density": 0.0}]}
+        )
+        code, _, err = _run(capsys, "bitmap", doc, "--h", "0.5")
+        assert code == 2 and "not 1-D" in err
 
     def test_slice_rejected_in_two_dimensions(self, tmp_path, capsys):
         doc = _write_doc(tmp_path, "square.json", FULL_SQUARE)
@@ -323,6 +338,67 @@ class TestVerifyCommands:
         assert report["passed"] is True
         leftovers = [p for p in tmp_path.iterdir() if p.name != "report.json"]
         assert leftovers == []
+
+
+class TestVerifyBitmaps:
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran before --bitmap was refused")
+
+    @pytest.mark.parametrize(
+        "dim, scenario, pipeline",
+        [
+            (1, "main", "verify_theorem_main"),
+            (4, "main", "verify_theorem_main"),
+            (1, "c1", "verify_corollary_c1"),
+            (4, "c1", "verify_corollary_c1"),
+            (1, "claim", "shift_construction"),
+        ],
+    )
+    def test_unsupported_dimension_refused_before_pipeline(
+        self, tmp_path, capsys, monkeypatch, dim, scenario, pipeline
+    ):
+        import continuum_sums.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, pipeline, self._refuse)
+        points = [[0.0] * dim, [1.0] + [0.0] * (dim - 1)]
+        doc = _write_doc(
+            tmp_path, "seg.json", {"dim": dim, "sets": [{"points": points, "density": 0.0}]}
+        )
+        prefix = tmp_path / "pix"
+        code, out, err = _run(
+            capsys, "verify", scenario, doc, "--h", "0.1", "--bitmap", str(prefix)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"bitmap supports 2-D and sliced 3-D grids, not {dim}-D" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["seg.json"]
+
+    @staticmethod
+    def _assert_pbms(prefix, sets, resolutions):
+        for h in resolutions:
+            want = render_pbm(normalized_sum_raster(sets, h).occupancy)
+            assert (prefix.parent / f"{prefix.name}-h{h:g}.pbm").read_text() == want
+
+    def test_c1_bitmaps_render_the_sum_raster(self, tmp_path, capsys):
+        obj = {"dim": 2, "sets": [{"kind": "circle", "budget": 400}]}
+        doc = _write_doc(tmp_path, "circle.json", obj)
+        prefix = tmp_path / "pix"
+        code, _, _ = _run(
+            capsys, "verify", "c1", doc, "--h", "0.08", "--h", "0.04",
+            "--directions", "20", "--bitmap", str(prefix),
+        )
+        assert code == 0
+        self._assert_pbms(prefix, parse_document(obj).sets * 2, (0.08, 0.04))
+
+    def test_cantor_bitmaps_render_the_sum_raster(self, tmp_path, capsys):
+        prefix = tmp_path / "pix"
+        code, _, _ = _run(
+            capsys, "verify", "cantor", "--depth", "3", "--h", "0.05", "--h", "0.025",
+            "--bitmap", str(prefix),
+        )
+        assert code == 0
+        self._assert_pbms(prefix, [cantor_graph(3)] * 2, (0.05, 0.025))
 
 
 class TestDeterminism:

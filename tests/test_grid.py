@@ -391,6 +391,26 @@ class TestSparseSumRoute:
         assert sparse.semantics is dense.semantics
         assert sparse.slack == dense.slack
 
+    def test_repeated_raster_is_keyed_once(self, monkeypatch):
+        k = l_shape(dim=3, budget=24)
+        raster = rasterize(k, auto_geometry(k.points, 0.125))
+        dense = dilate(dilate(raster, raster), raster)
+        calls = []
+        real = GridSet.occupied_indices
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(GridSet, "occupied_indices", spy)
+        self._force_sparse(monkeypatch)
+        sparse = minkowski_sum([raster] * 3)
+        assert len(calls) == 1 and calls[0] is raster
+        assert sparse.geometry == dense.geometry
+        assert np.array_equal(sparse.occupancy, dense.occupancy)
+        assert sparse.semantics is dense.semantics
+        assert sparse.slack == dense.slack
+
     def test_single_raster_passthrough(self):
         k = l_shape(budget=42)
         raster = rasterize(k, auto_geometry(k.points, 0.1))

@@ -30,3 +30,16 @@ def test_no_module_mentions_a_distance_transform():
         if "distance_transform" in path.read_text(encoding="utf-8")
     ]
     assert not offenders, offenders
+
+
+def test_all_lists_exactly_the_imported_names():
+    # Every name the package imports is exported, and nothing else.
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(continuum_sums.__all__) - {"__version__"} == imported
+    assert len(continuum_sums.__all__) == len(set(continuum_sums.__all__))

@@ -14,7 +14,7 @@ from scipy import ndimage
 
 import continuum_sums.grid as grid_mod
 import continuum_sums.sums as sums_mod
-from continuum_sums.affine import affine_dimension
+from continuum_sums.affine import nonflat_certificate
 from continuum_sums.gallery import l_shape, segment
 from continuum_sums.grid import (
     GridGeometry,
@@ -256,10 +256,10 @@ def test_midpoint_flat_segment_never_finds_interior():
     raster = rasterize(exact, auto_geometry(exact.points, 0.05), Semantics.OUTER)
     chain = midpoint_iterate(raster, 8)
     assert chain.interior_found_at is None
-    base_dim = affine_dimension(np.argwhere(chain.steps[0].occupancy).astype(float))[0]
+    base_dim = nonflat_certificate(np.argwhere(chain.steps[0].occupancy).astype(float)).affine_dim
     for step in chain.steps:
         cells = np.argwhere(step.occupancy).astype(float)
-        assert affine_dimension(cells)[0] == base_dim
+        assert nonflat_certificate(cells).affine_dim == base_dim
 
 
 def test_midpoint_l_shape_interior_at_step_one():
