@@ -29,21 +29,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gallery import (
-    ALLOWED_PARAMS,
-    KINDS,
-    Generated,
-    GeneratorSpec,
-    cantor_graph,
-    generate,
-)
-from .grid import GridSet, SampledSet, auto_geometry, minkowski_sum, rasterize, thread_count
-from .sums import claim_measure_chain, shift_construction, shifted_sum_raster, verify_claim
+from .gallery import ALLOWED_PARAMS, KINDS, Generated, GeneratorSpec, generate
+from .grid import PackedMask, SampledSet, auto_geometry, minkowski_sum, rasterize, thread_count
+from .sums import claim_measure_chain, shift_construction, verify_claim
 from .verify import (
     DEFAULT_RESOLUTIONS,
     SumEvidence,
     VerificationReport,
-    normalized_sum_raster,
     verify_corollary_c1,
     verify_example_cantor,
     verify_hl_suite,
@@ -275,32 +267,36 @@ def _check_bitmap_dim(dim: int) -> None:
         raise InputError(f"bitmap supports 2-D and sliced 3-D grids, not {dim}-D")
 
 
-def _bitmap_plane(grid: GridSet, slice_spec: tuple[int, int] | None) -> np.ndarray:
-    _check_bitmap_dim(grid.dim)
-    occ = grid.occupancy
-    if grid.dim == 2:
+def _bitmap_plane(cells: PackedMask, slice_spec: tuple[int, int] | None) -> np.ndarray:
+    """The plane of a packed 2-D or 3-D raster that a PBM shows; only that
+    plane is unpacked."""
+    shape = cells.shape
+    _check_bitmap_dim(len(shape))
+    if len(shape) == 2:
         if slice_spec is not None:
             raise InputError("--slice applies only to 3-D grids")
-        return occ
+        return cells.unpack()
     if slice_spec is None:
         raise InputError("3-D grids need --slice AXIS INDEX")
     axis, index = slice_spec
     if not 0 <= axis < 3:
         raise InputError(f"slice axis must be 0, 1 or 2, got {axis}")
-    if not 0 <= index < occ.shape[axis]:
+    if not 0 <= index < shape[axis]:
         raise InputError(
             f"slice index {index} out of range for axis {axis} "
-            f"with {occ.shape[axis]} cells"
+            f"with {shape[axis]} cells"
         )
-    return np.take(occ, index, axis=axis)
+    window = [slice(None)] * 3
+    window[axis] = slice(index, index + 1)
+    return np.take(cells.unpack(tuple(window)), 0, axis=axis)
 
 
-def _write_bitmaps(prefix: str, rasters: Iterable[tuple[float, GridSet]]) -> None:
-    """One PBM ``PREFIX-hH.pbm`` per (h, raster) pair; 3-D rasters use the
-    middle slice of the last axis."""
-    for h, raster in rasters:
-        spec = (2, raster.geometry.extents[2] // 2) if raster.dim == 3 else None
-        _atomic_write_text(f"{prefix}-h{h:g}.pbm", render_pbm(_bitmap_plane(raster, spec)))
+def _write_bitmaps(prefix: str, sums: Iterable[tuple[float, PackedMask]]) -> None:
+    """One PBM ``PREFIX-hH.pbm`` per (h, packed sum raster) pair; 3-D rasters
+    use the middle slice of the last axis."""
+    for h, cells in sums:
+        spec = (2, cells.shape[2] // 2) if len(cells.shape) == 3 else None
+        _atomic_write_text(f"{prefix}-h{h:g}.pbm", render_pbm(_bitmap_plane(cells, spec)))
 
 
 def _effective_resolutions(args: argparse.Namespace, doc: Document | None) -> list[float]:
@@ -395,7 +391,7 @@ def _cmd_verify_main(args: argparse.Namespace) -> int:
     report["passed"] = ev.verdict == "supported"
     report["elapsed_seconds"] = time.perf_counter() - start
     if args.bitmap:
-        _write_bitmaps(args.bitmap, ((h, normalized_sum_raster(sets, h)) for h in resolutions))
+        _write_bitmaps(args.bitmap, ((e.h, e.sum_cells) for e in ev.resolutions))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -411,8 +407,7 @@ def _cmd_verify_c1(args: argparse.Namespace) -> int:
     report = _from_verification_report(rep)
     report["inputs"]["document"] = doc.raw
     if args.bitmap:
-        sets = [doc.sets[0]] * doc.dim
-        _write_bitmaps(args.bitmap, ((h, normalized_sum_raster(sets, h)) for h in resolutions))
+        _write_bitmaps(args.bitmap, ((e.h, e.sum_cells) for e in rep.evidence.resolutions))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -422,8 +417,7 @@ def _cmd_verify_cantor(args: argparse.Namespace) -> int:
     rep = verify_example_cantor(args.depth, resolutions)
     report = _from_verification_report(rep)
     if args.bitmap:
-        sets = [cantor_graph(args.depth)] * 2
-        _write_bitmaps(args.bitmap, ((h, normalized_sum_raster(sets, h)) for h in resolutions))
+        _write_bitmaps(args.bitmap, ((e.h, e.sum_cells) for e in rep.evidence.resolutions))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -444,8 +438,10 @@ def _cmd_verify_claim(args: argparse.Namespace) -> int:
     construction = shift_construction(doc.sets, s=s)
     checks = []
     per_h = []
+    claims = []
     for h in resolutions:
         claim = verify_claim(construction, doc.sets, h)
+        claims.append(claim)
         chain = claim_measure_chain(construction, doc.sets, h)
         checks.append(
             {
@@ -498,10 +494,7 @@ def _cmd_verify_claim(args: argparse.Namespace) -> int:
     report["passed"] = all(c["passed"] for c in checks)
     report["elapsed_seconds"] = time.perf_counter() - start
     if args.bitmap:
-        _write_bitmaps(
-            args.bitmap,
-            ((h, shifted_sum_raster(construction, doc.sets, h)) for h in resolutions),
-        )
+        _write_bitmaps(args.bitmap, ((c.h, c.sum_cells) for c in claims))
     _emit_report(report, args.out)
     return 0 if report["passed"] else 1
 
@@ -567,14 +560,12 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 def _cmd_bitmap(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     _check_bitmap_dim(doc.dim)
-    h = args.h if args.h is not None else (
-        doc.resolutions[-1] if doc.resolutions else DEFAULT_RESOLUTIONS[-1]
-    )
+    h = args.h if args.h is not None else min(doc.resolutions or DEFAULT_RESOLUTIONS)
     if h <= 0:
         raise InputError(f"--h must be positive, got {h}")
     total = minkowski_sum([rasterize(k, auto_geometry(k.points, h)) for k in doc.sets])
     slice_spec = tuple(args.slice) if args.slice is not None else None
-    text = render_pbm(_bitmap_plane(total, slice_spec))
+    text = render_pbm(_bitmap_plane(PackedMask.pack(total.occupancy), slice_spec))
     if args.out:
         _atomic_write_text(args.out, text)
     else:
@@ -646,7 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bitmap = sub.add_parser("bitmap", help="render a sum raster as ASCII PBM")
     p_bitmap.add_argument("input", help="set-description JSON file")
-    p_bitmap.add_argument("--h", type=float, help="grid resolution")
+    p_bitmap.add_argument("--h", type=float,
+                          help="grid resolution (default: the document's finest, "
+                          f"else {min(DEFAULT_RESOLUTIONS):g})")
     p_bitmap.add_argument("--slice", nargs=2, type=int, metavar=("AXIS", "INDEX"),
                           help="3-D only: fix AXIS at INDEX")
     p_bitmap.add_argument("--out", metavar="PATH", help="write the PBM here")

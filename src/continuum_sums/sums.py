@@ -9,7 +9,7 @@ the shifted copies chain into grid continua.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -118,13 +118,18 @@ def shifted_sum_raster(
 
 @dataclass(frozen=True)
 class ClaimReport:
-    """Coverage of [-s, s]^n by the rasterized shifted sum."""
+    """Coverage of [-s, s]^n by the rasterized shifted sum.
+
+    ``sum_cells`` holds that sum raster, packed; it is left out of the repr
+    and of comparisons.
+    """
 
     covered: bool
     margin: float
     threshold: float
     passed: bool
     h: float
+    sum_cells: PackedMask = field(repr=False, compare=False)
 
 
 def verify_claim(
@@ -158,6 +163,7 @@ def verify_claim(
         threshold=threshold,
         passed=margin <= threshold,
         h=h,
+        sum_cells=PackedMask.pack(total.occupancy),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -83,6 +83,9 @@ class ResolutionEvidence:
     erosion's first cell in C order.  The raw found side grows with the
     fattening allowance and so shrinks again as h refines; subtracting the
     allowance leaves the part whose size is comparable across resolutions.
+
+    ``sum_cells`` holds the unpadded sum raster the step inspected, packed;
+    it is left out of the repr and of comparisons.
     """
 
     h: float
@@ -93,6 +96,7 @@ class ResolutionEvidence:
     outer_measure: float
     vol_parallelotope: float
     ratio: float | None
+    sum_cells: PackedMask = field(repr=False, compare=False)
 
     @property
     def found(self) -> bool:
@@ -132,6 +136,8 @@ class VerificationReport:
 
     ``inputs`` carries enough parameters to re-run the scenario; wall-clock
     time is reported separately so reports stay comparable across runs.
+    ``evidence`` is the sum sweep a scenario ran, if any, with the sum raster
+    of each resolution; it is left out of the repr and of comparisons.
     """
 
     scenario: str
@@ -139,6 +145,7 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
     elapsed_seconds: float
     passed: bool
+    evidence: SumEvidence | None = field(default=None, repr=False, compare=False)
 
 
 def _resolution_list(resolutions: Sequence[float] | None) -> list[float]:
@@ -220,10 +227,27 @@ def _largest_cube(
     return tuple(float(c) for c in center), float(side), window
 
 
-def _normalized_inputs(
-    sets: Sequence[SampledSet],
-) -> tuple[int, FlatnessReport, NDArray[np.float64], list[SampledSet]]:
-    """Shared-origin translation, rank certificate, certificate-frame rotation."""
+def _each_once(items: Sequence[_T], make: Callable[[_T], _U]) -> list[_U]:
+    """``make`` of every item, called once per distinct object, in item order."""
+    made: dict[int, _U] = {}
+    for item in items:
+        if id(item) not in made:
+            made[id(item)] = make(item)
+    return [made[id(item)] for item in items]
+
+
+def verify_theorem_main(
+    sets: Sequence[SampledSet], resolutions: Sequence[float] | None = None
+) -> SumEvidence:
+    """Interior evidence for the sum of n connected sampled sets in n-space.
+
+    The sets are translated to share the origin, the union is rank-certified,
+    everything is rotated into the certificate frame, and the sum raster is
+    swept coarse to fine.  A flat union refutes the hypothesis outright: the
+    sum then lives in a proper affine subspace, so no cube is ever admitted
+    and the sweep only documents the degenerate measures.
+    """
+    steps = _resolution_list(resolutions)
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one sampled set")
@@ -240,42 +264,6 @@ def _normalized_inputs(
     rotation = _certificate_rotation(cert)
     # x -> rotation.T @ x; density picks up the sup-norm operator factor.
     normalized = _each_once(translated, lambda k: k.linear_image(rotation.T))
-    return n, cert, rotation, normalized
-
-
-def _each_once(items: Sequence[_T], make: Callable[[_T], _U]) -> list[_U]:
-    """``make`` of every item, called once per distinct object, in item order."""
-    made: dict[int, _U] = {}
-    for item in items:
-        if id(item) not in made:
-            made[id(item)] = make(item)
-    return [made[id(item)] for item in items]
-
-
-def _rasters(sets: Sequence[SampledSet], h: float) -> list[GridSet]:
-    """Each set's raster at spacing ``h``; a set listed more than once is rasterized once."""
-    return _each_once(sets, lambda k: rasterize(k, auto_geometry(k.points, h)))
-
-
-def normalized_sum_raster(sets: Sequence[SampledSet], h: float) -> GridSet:
-    """The rotated sum raster the evidence sweep inspects at one resolution."""
-    _, _, _, normalized = _normalized_inputs(sets)
-    return minkowski_sum(_rasters(normalized, float(h)))
-
-
-def verify_theorem_main(
-    sets: Sequence[SampledSet], resolutions: Sequence[float] | None = None
-) -> SumEvidence:
-    """Interior evidence for the sum of n connected sampled sets in n-space.
-
-    The sets are translated to share the origin, the union is rank-certified,
-    everything is rotated into the certificate frame, and the sum raster is
-    swept coarse to fine.  A flat union refutes the hypothesis outright: the
-    sum then lives in a proper affine subspace, so no cube is ever admitted
-    and the sweep only documents the degenerate measures.
-    """
-    steps = _resolution_list(resolutions)
-    n, cert, rotation, normalized = _normalized_inputs(sets)
     finest = steps[-1]
     for i, k in enumerate(normalized):
         if any(k is other for other in normalized[:i]):
@@ -290,7 +278,9 @@ def verify_theorem_main(
     entries = []
     hint_side = None
     for h in steps:
-        total = minkowski_sum(_rasters(normalized, h))
+        total = minkowski_sum(
+            _each_once(normalized, lambda k: rasterize(k, auto_geometry(k.points, h)))
+        )
         threshold = n * (eps + h)
         limit = math.floor(threshold / h + 1e-9)
         grow = int(math.ceil(eps_sum / h - 1e-12)) if eps_sum > 0 else 0
@@ -303,8 +293,9 @@ def verify_theorem_main(
             spacing=h,
             extents=tuple(m + 2 * pad for m in total.geometry.extents),
         )
-        padded = PackedMask.pack(total.occupancy).padded(pad)
+        cells = PackedMask.pack(total.occupancy)
         del total
+        padded = cells.padded(pad)
         # The box dilations by grow and by limit are the cells within those
         # chessboard distances of the sum.
         outer = padded.dilate(grow)
@@ -336,6 +327,7 @@ def verify_theorem_main(
                 outer_measure=bound.measure,
                 vol_parallelotope=vol_p,
                 ratio=bound.ratio,
+                sum_cells=cells,
             )
         )
     if cert.flat:
@@ -437,6 +429,7 @@ def verify_corollary_c1(
         checks=checks,
         elapsed_seconds=time.perf_counter() - start,
         passed=consistent,
+        evidence=evidence,
     )
 
 
@@ -490,6 +483,7 @@ def verify_example_cantor(
         checks=checks,
         elapsed_seconds=time.perf_counter() - start,
         passed=all(c.passed for c in checks),
+        evidence=evidence,
     )
 
 

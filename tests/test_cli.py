@@ -11,8 +11,13 @@ from continuum_sums.cli import (
     parse_document,
     render_pbm,
 )
+import continuum_sums.cli as cli_mod
+import continuum_sums.sums as sums_mod
+import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import cantor_graph
-from continuum_sums.verify import normalized_sum_raster
+from continuum_sums.grid import auto_geometry, minkowski_sum, rasterize
+from continuum_sums.sums import shift_construction, shifted_sum_raster
+from continuum_sums.verify import verify_theorem_main
 
 FULL_SQUARE = {
     "dim": 2,
@@ -156,6 +161,20 @@ class TestPbm:
         )
         code, _, err = _run(capsys, "bitmap", doc, "--h", "0.5")
         assert code == 2 and "not 1-D" in err
+
+    def test_default_resolution_is_the_finest_listed(self, tmp_path, capsys):
+        doc = _write_doc(
+            tmp_path,
+            "tri.json",
+            {
+                "dim": 2,
+                "sets": [{"points": [[0, 0], [1, 0], [0, 1]], "density": 0.0}],
+                "resolutions": [0.25, 0.5],
+            },
+        )
+        code, out, _ = _run(capsys, "bitmap", doc)
+        assert code == 0 and out.startswith("P1\n5 5\n")
+        assert out == _run(capsys, "bitmap", doc, "--h", "0.25")[1]
 
     def test_slice_rejected_in_two_dimensions(self, tmp_path, capsys):
         doc = _write_doc(tmp_path, "square.json", FULL_SQUARE)
@@ -376,9 +395,87 @@ class TestVerifyBitmaps:
 
     @staticmethod
     def _assert_pbms(prefix, sets, resolutions):
+        # Oracle from public pieces: the sweep's rotation, then each distinct
+        # set moved to the origin, rotated, rasterized and summed.
+        rotation = verify_theorem_main(sets, resolutions).rotation
         for h in resolutions:
-            want = render_pbm(normalized_sum_raster(sets, h).occupancy)
+            rasters = {}
+            for k in sets:
+                if id(k) not in rasters:
+                    moved = k.translated(-k.points[0]).linear_image(rotation.T)
+                    rasters[id(k)] = rasterize(moved, auto_geometry(moved.points, h))
+            occupancy = minkowski_sum([rasters[id(k)] for k in sets]).occupancy
+            if occupancy.ndim == 3:
+                occupancy = occupancy[:, :, occupancy.shape[2] // 2]
+            want = render_pbm(occupancy)
             assert (prefix.parent / f"{prefix.name}-h{h:g}.pbm").read_text() == want
+
+    def test_main_bitmaps_render_the_sum_raster(self, tmp_path, capsys):
+        obj = {
+            "dim": 2,
+            "sets": [{"kind": "l_shape", "budget": 42}, {"kind": "moment_curve", "budget": 41}],
+        }
+        doc = _write_doc(tmp_path, "pair.json", obj)
+        prefix = tmp_path / "pix"
+        code, _, _ = _run(
+            capsys, "verify", "main", doc, "--h", "0.1", "--h", "0.05", "--bitmap", str(prefix)
+        )
+        assert code == 0
+        self._assert_pbms(prefix, parse_document(obj).sets, (0.1, 0.05))
+
+    def test_main_bitmaps_slice_three_dimensional_sums(self, tmp_path, capsys):
+        obj = {"dim": 3, "sets": [{"kind": "l_shape", "dim": 3, "budget": 63}]}
+        doc = _write_doc(tmp_path, "tripod.json", obj)
+        prefix = tmp_path / "pix"
+        code, _, _ = _run(capsys, "verify", "main", doc, "--h", "0.1", "--bitmap", str(prefix))
+        assert code == 0
+        self._assert_pbms(prefix, parse_document(obj).sets * 3, (0.1,))
+
+    def test_claim_bitmaps_render_the_shifted_sum(self, tmp_path, capsys):
+        obj = {"dim": 2, "sets": [{"kind": "l_shape", "budget": 82}] * 2, "construction": {"s": 1}}
+        doc = _write_doc(tmp_path, "pair.json", obj)
+        prefix = tmp_path / "pix"
+        code, _, _ = _run(
+            capsys, "verify", "claim", doc, "--h", "0.1", "--h", "0.05", "--bitmap", str(prefix)
+        )
+        assert code == 0
+        sets = parse_document(obj).sets
+        construction = shift_construction(sets, s=1)
+        for h in (0.1, 0.05):
+            want = render_pbm(shifted_sum_raster(construction, sets, h).occupancy)
+            assert (tmp_path / f"pix-h{h:g}.pbm").read_text() == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["main", "circle.json", "--h", "0.1", "--h", "0.05"],
+            ["c1", "circle.json", "--h", "0.1", "--directions", "20"],
+            ["cantor", "--depth", "3", "--h", "0.05"],
+            ["claim", "pair.json", "--h", "0.1", "--h", "0.05"],
+        ],
+    )
+    def test_bitmaps_add_no_sum(self, tmp_path, capsys, monkeypatch, argv):
+        _write_doc(tmp_path, "circle.json", {"dim": 2, "sets": [{"kind": "circle", "budget": 90}]})
+        _write_doc(
+            tmp_path,
+            "pair.json",
+            {"dim": 2, "sets": [{"kind": "l_shape", "budget": 82}] * 2, "construction": {"s": 1}},
+        )
+        calls = []
+
+        def counted(rasters):
+            calls.append(len(rasters))
+            return minkowski_sum(rasters)
+
+        for module in (cli_mod, sums_mod, verify_mod):
+            monkeypatch.setattr(module, "minkowski_sum", counted)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        counts = []
+        for extra in ([], ["--bitmap", str(tmp_path / "pix")]):
+            calls.clear()
+            _run(capsys, "verify", *argv, *extra)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[1] == counts[0]
 
     def test_c1_bitmaps_render_the_sum_raster(self, tmp_path, capsys):
         obj = {"dim": 2, "sets": [{"kind": "circle", "budget": 400}]}

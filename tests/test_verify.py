@@ -10,7 +10,14 @@ import continuum_sums.grid as grid_mod
 import continuum_sums.sums as sums_mod
 import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import circle, l_shape, moment_curve, segment
-from continuum_sums.grid import GridGeometry, PackedMask, SampledSet
+from continuum_sums.grid import (
+    GridGeometry,
+    PackedMask,
+    SampledSet,
+    auto_geometry,
+    minkowski_sum,
+    rasterize,
+)
 from continuum_sums.verify import (
     verify_corollary_c1,
     verify_example_cantor,
@@ -210,6 +217,22 @@ class TestTheoremMain:
         ev = verify_theorem_main([l_shape(3, 63)] * 3, (0.04, 0.02, 0.01))
         assert [repr(e) for e in ev.resolutions] == TRIPOD_LADDER_EVIDENCE
         assert ev.verdict == "supported"
+
+    @pytest.mark.parametrize(
+        "sets, resolutions",
+        [
+            ([l_shape(budget=42), moment_curve(dim=2, budget=41)], COARSE),
+            ([l_shape(3, 63)] * 3, (0.1,)),
+        ],
+    )
+    def test_sum_cells_hold_the_swept_sum_raster(self, sets, resolutions):
+        # Oracle from public pieces: each set moved to the origin, rotated
+        # into the sweep's frame, rasterized and summed.
+        ev = verify_theorem_main(sets, resolutions)
+        moved = [k.translated(-k.points[0]).linear_image(ev.rotation.T) for k in sets]
+        for e in ev.resolutions:
+            total = minkowski_sum([rasterize(k, auto_geometry(k.points, e.h)) for k in moved])
+            assert np.array_equal(e.sum_cells.unpack(), total.occupancy)
 
     def test_rejects_disconnected_set(self):
         far = SampledSet(points=np.array([[0.0, 0.0], [5.0, 5.0]]), density=0.01)
