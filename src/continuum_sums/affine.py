@@ -1,14 +1,13 @@
 """Affine rank certificates for sampled sets.
 
 Everything here runs through one greedy row-elimination routine so that rank
-decisions, independent-direction bases and parallelotope volumes can never
-disagree with each other at a given tolerance.
+decisions, independent-direction bases and the determinant of a full-rank
+certificate can never disagree with each other at a given tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -106,27 +105,6 @@ def greedy_row_elimination(
     )
 
 
-def parallelotope_volume(vectors: NDArray[np.float64], tol: float | None = None) -> float:
-    """|det| of n edge vectors in n-space; exactly 0.0 when rank-deficient.
-
-    The volume is the product of elimination pivots, which equals |det| because
-    row reduction is unimodular and the reduced matrix is a column permutation
-    of a triangular one.
-    """
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square (n, n) edge matrix, got {mat.shape}")
-    if tol is None:
-        tol = default_rank_tol(mat)
-    result = greedy_row_elimination(mat, tol, order="pivot")
-    if result.rank < mat.shape[1]:
-        return 0.0
-    prod = 1.0
-    for p in result.pivot_values:
-        prod *= abs(p)
-    return prod
-
-
 @dataclass(frozen=True)
 class FlatnessReport:
     """Affine rank of a sampled set around its first point.
@@ -189,23 +167,6 @@ def nonflat_certificate(
         base_point=pts[0].copy(),
         complement=complement,
     )
-
-
-def projection_range(
-    samples: SampledSet | NDArray[np.float64], direction: Sequence[float]
-) -> tuple[float, float]:
-    """Min and max of the dot product with a unit ``direction``."""
-    pts = as_points(samples)
-    u = np.asarray(direction, dtype=np.float64)
-    if u.shape != (pts.shape[1],):
-        raise ValueError(f"direction must have shape ({pts.shape[1]},)")
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        raise ValueError("direction must be non-zero")
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"direction must be unit length, got norm {norm}")
-    dots = pts @ u
-    return float(dots.min()), float(dots.max())
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .grid import SampledSet
 

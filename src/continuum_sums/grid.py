@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,8 +52,9 @@ class Semantics(Enum):
     underlying set; ``slack`` records the sup-norm sample density.
     OUTER: the underlying set is contained in the union of occupied cells
     dilated by ``slack`` (length units).
-    INNER: the union of occupied cells is contained in the underlying set
-    (up to the documented erosion contract); produced only by :func:`erode`.
+    INNER: the union of occupied cells is contained in the underlying set.
+    No package function produces it; the tag exists so that a sum of INNER
+    grids, built by hand, stays INNER with slack 0 (acceptance criterion 01).
     """
 
     SAMPLE_COVER = "sample_cover"
@@ -164,7 +165,8 @@ class GridSet:
     """Occupancy bitmap over a :class:`GridGeometry` with tagged semantics.
 
     ``slack`` means: sample density (SAMPLE_COVER), covering radius (OUTER),
-    or 0.0 (INNER).  All length units, not cell counts.
+    or 0.0 (INNER).  All length units, not cell counts.  No package function
+    produces an INNER grid; sums of INNER grids keep slack 0 (criterion 01).
     """
 
     geometry: GridGeometry
@@ -206,12 +208,12 @@ def rasterize(
     """Mark the cells holding samples; OUTER additionally dilates by ceil(eps/h).
 
     Every sample must lie inside the geometry's box; the error names the first
-    offender.  INNER cannot be rasterized directly (it is produced by erosion).
+    offender.  INNER is refused: no sample list bounds a set from below.
     """
     if samples.dim != geometry.dim:
         raise ValueError(f"sample dim {samples.dim} != grid dim {geometry.dim}")
     if semantics is Semantics.INNER:
-        raise ValueError("INNER semantics is produced only by erode()")
+        raise ValueError("INNER semantics cannot be rasterized from samples")
     if semantics is Semantics.OUTER and not samples.exact:
         raise ValueError("OUTER rasterization requires exact samples")
 
@@ -653,35 +655,6 @@ def nfold_sum(a: GridSet, n: int) -> GridSet:
     return minkowski_sum([a] * n)
 
 
-def negate(a: GridSet) -> GridSet:
-    """Reflection through 0 of the occupied lattice points."""
-    occ = a.occupancy[tuple(slice(None, None, -1) for _ in range(a.dim))].copy()
-    origin = tuple(
-        -(o + a.spacing * (m - 1)) for o, m in zip(a.geometry.origin, a.geometry.extents)
-    )
-    geom = GridGeometry(origin=origin, spacing=a.spacing, extents=a.geometry.extents)
-    return GridSet(geom, occ, a.semantics, a.slack)
-
-
-def erode(a: GridSet, r: int) -> GridSet:
-    """Keep cells whose full r-cell sup-norm neighborhood is occupied.
-
-    Requires OUTER input.  The result is tagged INNER exactly when
-    ``r * h >= outer radius + h`` (the erosion outruns the outer slack);
-    otherwise the semantics stays OUTER-derived, which callers must treat as
-    "no inner guarantee".
-    """
-    if a.semantics is not Semantics.OUTER:
-        raise ValueError("erode requires OUTER semantics")
-    if r < 1:
-        raise ValueError(f"erosion radius must be >= 1, got {r}")
-    out = PackedMask.pack(a.occupancy).erode(r).unpack()
-    guaranteed = r * a.spacing >= (a.slack + a.spacing) * (1.0 - 1e-9)
-    if guaranteed:
-        return GridSet(a.geometry, out, Semantics.INNER, slack=0.0)
-    return GridSet(a.geometry, out, Semantics.OUTER, slack=a.slack)
-
-
 @functools.cache
 def _adjacency_structure(adjacency: str, dim: int) -> NDArray[np.bool_]:
     """The labeling structure for an adjacency, built once per dimension.
@@ -696,20 +669,6 @@ def _adjacency_structure(adjacency: str, dim: int) -> NDArray[np.bool_]:
         raise ValueError(f"unknown adjacency {adjacency!r}")
     structure.flags.writeable = False
     return structure
-
-
-def connected_components(a: GridSet, adjacency: str = "face") -> list[set[tuple[int, ...]]]:
-    """Occupied-cell components, in first-cell scan order.
-
-    ``face`` adjacency (2n neighbors) is the default; ``chessboard`` also links
-    diagonal cells, which is the right notion for rasters of eps-dense samples
-    of connected sets whenever 2*eps <= h.
-    """
-    labels, count = _ndimage.label(a.occupancy, structure=_adjacency_structure(adjacency, a.dim))
-    comps: list[set[tuple[int, ...]]] = [set() for _ in range(count)]
-    for cell in np.argwhere(labels):
-        comps[labels[tuple(cell)] - 1].add(tuple(int(c) for c in cell))
-    return comps
 
 
 def component_count(a: GridSet, adjacency: str = "face") -> int:
@@ -795,14 +754,17 @@ def covering_radius(
     return hi
 
 
-def eps_density_margin(a: GridSet, center: Sequence[float], side: float) -> float:
+def eps_density_margin(
+    occupied: PackedMask, geometry: GridGeometry, center: Sequence[float], side: float
+) -> float:
     """Max over cube cells of the sup-norm distance (length units) to an occupied cell.
 
-    The :func:`covering_radius` of the cube's cells in the whole grid, times
-    the spacing: 0 means the cube is fully covered, ``inf`` an empty grid.
+    ``occupied`` is the grid's occupancy over ``geometry``, packed.  The
+    :func:`covering_radius` of the cube's cells in the whole grid, times the
+    spacing: 0 means the cube is fully covered, ``inf`` an empty grid.
     """
-    window = tuple(slice(lo, hi + 1) for lo, hi in _cube_cell_range(a.geometry, center, side))
-    return covering_radius(PackedMask.pack(a.occupancy), window) * a.spacing
+    window = tuple(slice(lo, hi + 1) for lo, hi in _cube_cell_range(geometry, center, side))
+    return covering_radius(occupied, window) * geometry.spacing
 
 
 def thread_count() -> int:

@@ -153,8 +153,9 @@ def verify_claim(
     center = np.zeros(construction.n)
     side = 2.0 * construction.s
     threshold = construction.n * (construction.eps + h)
+    sum_cells = PackedMask.pack(total.occupancy)
     try:
-        margin = eps_density_margin(total, center, side)
+        margin = eps_density_margin(sum_cells, total.geometry, center, side)
     except CubeOutsideGridError:
         margin = math.inf
     return ClaimReport(
@@ -163,7 +164,7 @@ def verify_claim(
         threshold=threshold,
         passed=margin <= threshold,
         h=h,
-        sum_cells=PackedMask.pack(total.occupancy),
+        sum_cells=sum_cells,
     )
 
 
@@ -173,18 +174,6 @@ class MeasureBoundReport:
     vol_parallelotope: float
     ratio: float | None
     ok: bool
-
-
-def measure_lower_bound_check(sumset: GridSet, vol_p: float) -> MeasureBoundReport:
-    """Outer measure of a sum raster against the parallelotope volume.
-
-    Outer rasters over-approximate, so measure >= vol_p whenever the true sum
-    carries at least a parallelotope of measure; a failure is a hard
-    inconsistency, not a resolution artifact.
-    """
-    if sumset.semantics is not Semantics.OUTER:
-        raise ValueError(f"sumset must be an Outer raster, got {sumset.semantics.value}")
-    return measure_floor_check(measure_estimate(sumset), vol_p)
 
 
 def measure_floor_check(measure: float, vol_p: float) -> MeasureBoundReport:
@@ -271,10 +260,11 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     index keys for a thin set in a large box).  Index sums land exactly on
     the half-spacing lattice, so each step is exact: same origin, spacing
     h/2, extents 2m-1.  The raster slack sigma becomes sigma + h_next.
-    ``interior_found_at`` is the first step whose raster contains a certified
-    inner ball (erosion radius ceil(sigma/h) + 1, which meets the
-    Inner-promotion rule).  Step j has extents 2^j (m - 1) + 1, so the memory
-    guard refuses an oversized chain before the first sum.
+    ``interior_found_at`` is the first step whose raster has a cell with every
+    cell within r = ceil(sigma/h) + 1 occupied: the occupied cells then hold
+    a sup-norm cube of half-width (r + 1/2) h >= sigma + 3h/2, wider than the
+    slack by more than a cell.  Step j has extents 2^j (m - 1) + 1, so the
+    memory guard refuses an oversized chain before the first sum.
     """
     if not 1 <= k <= 20:
         raise ValueError(f"iteration count must be in [1, 20], got {k}")

@@ -23,18 +23,16 @@ from continuum_sums.grid import (
     SampledSet,
     Semantics,
     auto_geometry,
-    connected_components,
+    component_count,
     covering_radius,
     cube_coverage,
     dilate,
     dilate_fft,
     dilate_naive,
     eps_density_margin,
-    erode,
     is_grid_continuum,
     measure_estimate,
     minkowski_sum,
-    negate,
     nfold_sum,
     rasterize,
     thread_count,
@@ -468,39 +466,6 @@ class TestSparseSumRoute:
         assert len(calls) == 2 and out.occupancy.all()
 
 
-# --- negate and reflection identities -------------------------------------------
-
-
-def test_negate_two_cell_example():
-    # Lattice points {0, 1} reflect to {-1, 0}.
-    geom = GridGeometry(origin=(0.0,), spacing=1.0, extents=(2,))
-    a = GridSet(geom, np.array([True, True]), Semantics.SAMPLE_COVER, 0.0)
-    out = negate(a)
-    assert out.geometry.origin == (-1.0,)
-    assert out.occupancy.all()
-    pts = sorted(out.geometry.lattice_point(c)[0] for c in out.occupied_indices())
-    assert pts == [-1.0, 0.0]
-
-
-@given(single_grid())
-def test_negate_involution(a):
-    back = negate(negate(a))
-    assert np.array_equal(back.occupancy, a.occupancy)
-    assert back.geometry.extents == a.geometry.extents
-    assert np.allclose(back.geometry.origin, a.geometry.origin)
-
-
-@given(single_grid())
-def test_sum_with_negation_hits_zero(a):
-    # i + (reflected i) always lands on the cell whose lattice point is 0.
-    if not a.occupancy.any():
-        return
-    out = dilate_naive(a, negate(a))
-    zero_index = tuple(m - 1 for m in a.geometry.extents)
-    assert out.occupancy[zero_index]
-    assert np.allclose(out.geometry.lattice_point(zero_index), 0.0)
-
-
 # --- rasterize -------------------------------------------------------------------
 
 
@@ -547,51 +512,20 @@ def test_rasterize_rejects_inner():
         rasterize(s, geom, Semantics.INNER)
 
 
-# --- erode -----------------------------------------------------------------------
-
-
-def test_erode_keeps_core_and_tags_inner_when_radius_clears_slack():
-    h = 0.5
-    geom = GridGeometry(origin=(0.0, 0.0), spacing=h, extents=(7, 7))
-    full = GridSet(geom, np.ones((7, 7), bool), Semantics.OUTER, slack=2 * h)
-    r1 = erode(full, 1)
-    assert r1.semantics is Semantics.OUTER  # 1*h < slack + h
-    assert r1.occupied_count == 25
-    r3 = erode(full, 3)
-    assert r3.semantics is Semantics.INNER  # 3*h >= slack + h
-    assert r3.slack == 0.0
-    assert r3.occupied_count == 1
-    assert r3.occupancy[3, 3]
-
-
-def test_erode_thin_slab_vanishes():
-    geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(5, 1))
-    slab = GridSet(geom, np.ones((5, 1), bool), Semantics.OUTER, slack=0.0)
-    assert erode(slab, 1).occupied_count == 0
-
-
-def test_erode_requires_outer():
-    geom = GridGeometry(origin=(0.0,), spacing=1.0, extents=(3,))
-    a = GridSet(geom, np.ones(3, bool), Semantics.SAMPLE_COVER, 0.0)
-    with pytest.raises(ValueError, match="OUTER"):
-        erode(a, 1)
-
-
 # --- connectivity ----------------------------------------------------------------
 
 
 @given(single_grid(), st.sampled_from(["face", "chessboard"]))
 def test_components_match_bfs(a, adjacency):
-    got = {frozenset(c) for c in connected_components(a, adjacency)}
-    assert got == oracle_components(a.occupancy, adjacency)
+    assert component_count(a, adjacency) == len(oracle_components(a.occupancy, adjacency))
 
 
 def test_diagonal_pair_adjacency():
     occ = np.eye(2, dtype=bool)
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(2, 2))
     a = GridSet(geom, occ, Semantics.SAMPLE_COVER, 0.0)
-    assert len(connected_components(a, "face")) == 2
-    assert len(connected_components(a, "chessboard")) == 1
+    assert component_count(a, "face") == len(oracle_components(occ, "face")) == 2
+    assert component_count(a, "chessboard") == len(oracle_components(occ, "chessboard")) == 1
     assert not is_grid_continuum(a, "face")
     assert is_grid_continuum(a, "chessboard")
 
@@ -618,7 +552,7 @@ def test_empty_grid_is_not_a_continuum():
     geom = GridGeometry(origin=(0.0,), spacing=1.0, extents=(3,))
     a = GridSet(geom, np.zeros(3, bool), Semantics.SAMPLE_COVER, 0.0)
     assert not is_grid_continuum(a)
-    assert connected_components(a) == []
+    assert component_count(a) == 0
 
 
 # --- measure ----------------------------------------------------------------------
@@ -938,7 +872,7 @@ def test_cube_cells_use_interior_overlap():
 def test_cube_margin_full_grid_is_zero():
     geom = GridGeometry(origin=(0.0, 0.0), spacing=0.5, extents=(4, 4))
     a = GridSet(geom, np.ones((4, 4), bool), Semantics.SAMPLE_COVER, 0.0)
-    assert eps_density_margin(a, (1.0, 1.0), 2.0) == 0.0
+    assert eps_density_margin(PackedMask.pack(a.occupancy), a.geometry, (1.0, 1.0), 2.0) == 0.0
 
 
 def test_cube_margin_checkerboard_is_one_cell():
@@ -946,13 +880,14 @@ def test_cube_margin_checkerboard_is_one_cell():
     occ = (np.add.outer(np.arange(m), np.arange(m)) % 2) == 0
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(m, m))
     a = GridSet(geom, occ, Semantics.SAMPLE_COVER, 0.0)
-    assert eps_density_margin(a, (2.0, 2.0), 4.0) == pytest.approx(1.0)
+    margin = eps_density_margin(PackedMask.pack(a.occupancy), a.geometry, (2.0, 2.0), 4.0)
+    assert margin == pytest.approx(1.0)
 
 
 def test_cube_margin_empty_grid_is_inf():
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(3, 3))
     a = GridSet(geom, np.zeros((3, 3), bool), Semantics.SAMPLE_COVER, 0.0)
-    assert eps_density_margin(a, (1.5, 1.5), 3.0) == math.inf
+    assert eps_density_margin(PackedMask.pack(a.occupancy), a.geometry, (1.5, 1.5), 3.0) == math.inf
 
 
 def test_cube_outside_grid_rejected():
@@ -966,7 +901,7 @@ def test_cube_outside_grid_has_its_own_error_type():
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(2, 2))
     a = GridSet(geom, np.ones((2, 2), bool), Semantics.SAMPLE_COVER, 0.0)
     with pytest.raises(CubeOutsideGridError):
-        eps_density_margin(a, (0.5, 0.5), 10.0)
+        eps_density_margin(PackedMask.pack(a.occupancy), a.geometry, (0.5, 0.5), 10.0)
     with pytest.raises(ValueError, match="positive") as info:
         cube_coverage(a, (0.5, 0.5), 0.0)
     assert not isinstance(info.value, CubeOutsideGridError)
@@ -990,7 +925,7 @@ def test_rasterize_outer_requires_exact_samples():
 
 
 def test_erode_after_box_dilation_recovers_original():
-    # erode(a + box_r, r) contains a, cell for cell.
+    # The box erosion of a + box_r by r contains a, cell for cell.
     rng = np.random.default_rng(11)
     occ = rng.random((6, 5)) < 0.4
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(6, 5))
@@ -999,9 +934,9 @@ def test_erode_after_box_dilation_recovers_original():
     box_geom = GridGeometry(origin=(-float(r), -float(r)), spacing=1.0, extents=(2 * r + 1, 2 * r + 1))
     box = GridSet(box_geom, np.ones((2 * r + 1, 2 * r + 1), bool), Semantics.OUTER, 0.0)
     fat = dilate_naive(a, box)
-    thin = erode(fat, r)
+    thin = PackedMask.pack(fat.occupancy).erode(r).unpack()
     # fat's grid is offset by -r cells relative to a's.
-    assert thin.occupancy[r : r + 6, r : r + 5][occ].all()
+    assert thin[r : r + 6, r : r + 5][occ].all()
 
 
 def test_sum_cell_count_product_bound():
@@ -1042,22 +977,8 @@ def test_cube_margin_center_cell_missing_is_one():
     occ[1, 1] = False
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(3, 3))
     a = GridSet(geom, occ, Semantics.SAMPLE_COVER, 0.0)
-    assert eps_density_margin(a, (1.5, 1.5), 3.0) == pytest.approx(1.0)
-
-
-def test_disk_inner_outer_sandwich():
-    # Inner estimate <= pi <= Outer estimate for the unit disk.
-    h = 0.02
-    m = 120
-    lo = np.arange(m) * h - 1.2
-    hi = lo + h
-    near = np.maximum(0.0, np.maximum(lo, -hi))
-    occ = near[:, None] ** 2 + near[None, :] ** 2 <= 1.0
-    geom = GridGeometry(origin=(-1.2, -1.2), spacing=h, extents=(m, m))
-    outer = GridSet(geom, occ, Semantics.OUTER, slack=h)
-    inner = erode(outer, 2)  # 2*h >= slack + h
-    assert inner.semantics is Semantics.INNER
-    assert measure_estimate(inner) <= math.pi <= measure_estimate(outer)
+    margin = eps_density_margin(PackedMask.pack(a.occupancy), a.geometry, (1.5, 1.5), 3.0)
+    assert margin == pytest.approx(1.0)
 
 
 def test_auto_geometry_covers_points_with_padding():

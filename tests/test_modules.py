@@ -21,6 +21,28 @@ def test_no_module_imports_another_modules_private_name():
     assert not offenders, offenders
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # A name counts as used when the module reads it or lists it in __all__.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {elt.value for elt in node.value.elts}
+        offenders += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not offenders, offenders
+
+
 def test_no_module_mentions_a_distance_transform():
     # Margins are read off box dilations; the package keeps one morphology
     # primitive and no distance engine.

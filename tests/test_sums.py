@@ -36,7 +36,7 @@ from continuum_sums.sums import (
     build_sum_separators,
     claim_measure_chain,
     hl_discrete_check,
-    measure_lower_bound_check,
+    measure_floor_check,
     midpoint_iterate,
     random_separator_instance,
     separation_by_search,
@@ -166,6 +166,22 @@ def test_claim_covered_is_a_zero_margin():
     assert covered == [True, False, False, False, False, False]
 
 
+def test_claim_packs_its_sum_once(monkeypatch):
+    # The margin and ClaimReport.sum_cells read the same packed sum.
+    packs = []
+    pack = PackedMask.pack
+
+    def counting(cls, occupancy):
+        packs.append(np.shape(occupancy))
+        return pack(occupancy)
+
+    monkeypatch.setattr(PackedMask, "pack", classmethod(counting))
+    sets = axis_segments(2, 41)
+    report = verify_claim(shift_construction(sets, s=1), sets, h=0.1)
+    assert len(packs) == 1
+    assert packs[0] == report.sum_cells.shape
+
+
 def test_claim_propagates_errors_other_than_cube_outside_grid(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("margin failed")
@@ -200,26 +216,10 @@ def test_measure_chain_for_l_instance():
     assert chain.implied_lower_bound == pytest.approx((2 / 7) ** 2)
 
 
-def test_measure_lower_bound_requires_outer():
-    square = SampledSet(
-        points=np.stack(
-            np.meshgrid(np.linspace(0, 1, 21), np.linspace(0, 1, 21)), axis=-1
-        ).reshape(-1, 2),
-        density=0.025,
-    )
-    outer = rasterize(square, auto_geometry(square.points, 0.05), Semantics.OUTER)
-    cover = rasterize(square, auto_geometry(square.points, 0.05))
-    with pytest.raises(ValueError, match="Outer"):
-        measure_lower_bound_check(cover, 1.0)
-    report = measure_lower_bound_check(outer, 1.0)
-    assert report.ok
-    assert report.ratio is not None and report.ratio >= 1.0
-
-
 def test_measure_lower_bound_flags_failure():
     point = SampledSet(points=np.zeros((1, 2)), density=0.0)
     outer = rasterize(point, auto_geometry(point.points, 0.5, pad_cells=1), Semantics.OUTER)
-    report = measure_lower_bound_check(outer, vol_p=10.0)
+    report = measure_floor_check(measure_estimate(outer), 10.0)
     assert not report.ok
     assert measure_estimate(outer) == report.measure
 
