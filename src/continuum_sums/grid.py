@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,9 +29,6 @@ _FFT_EXACT_LIMIT = 2**52
 # Auto dilation switches to the FFT route only when the plain shift-OR route
 # would move more bytes than a transform of the output array, with this margin.
 _FFT_ADVANTAGE = 4.0
-
-#: Above this many output cells :func:`minkowski_sum` may accumulate sparsely.
-_DENSE_SUM_LIMIT = 2**24
 
 #: Pair-sum chunk size (index keys) for the sparse accumulation route.
 _SPARSE_CHUNK = 5_000_000
@@ -594,18 +591,40 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     return dilate_naive(a, b)
 
 
+def _sorted_distinct(keys: NDArray[np.int64]) -> NDArray[np.int64]:
+    """The distinct keys in ascending order, the array ``np.unique`` returns.
+
+    Sorts, then keeps each key that differs from its left neighbour; on
+    numpy 2.x this is far cheaper than ``np.unique``'s hash-based path.
+    """
+    keys = np.sort(keys, axis=None)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _pair_sums(keys: NDArray[np.int64], other: NDArray[np.int64]) -> Iterator[NDArray[np.int64]]:
+    """Every key plus every ``other`` key, in chunks of about ``_SPARSE_CHUNK`` sums."""
+    step = max(1, _SPARSE_CHUNK // max(len(other), 1))
+    for i in range(0, len(keys), step):
+        yield (keys[i : i + step, None] + other[None, :]).ravel()
+
+
 def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     """Grid Minkowski sum K_1 + ... + K_n, exactly ``dilate`` folded left to right.
 
     Geometry, semantics and slack are folded (and validated) over all inputs
     before a route is chosen, so every route returns the same grid set.  The
-    cost model: when the output box exceeds ``_DENSE_SUM_LIMIT`` cells and the
-    product of occupied counts (the most index-key pairs the sparse route can
-    form) is below the output cell count, occupied index tuples are summed as
-    flat keys in chunks of ``_SPARSE_CHUNK`` pairs and only the result is made
-    dense; no dense intermediate is ever held.  Otherwise ``dilate`` is folded
-    over the inputs, choosing FFT or shift-OR at each step.  A single input is
-    returned as is.
+    cost model weighs pairs against output cells: when the product of
+    occupied counts (the most index-key pairs the sparse route can form) is
+    below the output cell count, occupied index tuples are summed as flat
+    keys in chunks of ``_SPARSE_CHUNK`` pairs.  Each operand's keys and each
+    earlier fold's keys are deduplicated by sorting and dropping equal
+    neighbours; the last fold scatters its pair keys straight into the output
+    occupancy, so no dense intermediate is ever held.  Otherwise ``dilate``
+    is folded over the inputs, choosing FFT or shift-OR at each step.  A
+    single input is returned as is.
     """
     rasters = list(rasters)
     if not rasters:
@@ -617,7 +636,7 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
         semantics, slack = _combined_semantics(semantics, slack, r)
     out_cells = math.prod(geom.extents)
     pairs = math.prod(r.occupied_count for r in rasters)
-    if len(rasters) == 1 or out_cells <= _DENSE_SUM_LIMIT or pairs >= out_cells:
+    if len(rasters) == 1 or pairs >= out_cells:
         acc = rasters[0]
         for r in rasters[1:]:
             acc = dilate(acc, r)
@@ -631,20 +650,15 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     keyed: dict[int, NDArray[np.int64]] = {}
     for r in rasters:
         if id(r) not in keyed:
-            keyed[id(r)] = np.unique(r.occupied_indices() @ weights)
+            keyed[id(r)] = _sorted_distinct(r.occupied_indices() @ weights)
     keys = keyed[id(rasters[0])]
-    for r in rasters[1:]:
-        if keys.size == 0:
-            break
-        other = keyed[id(r)]
-        step = max(1, _SPARSE_CHUNK // max(len(other), 1))
-        chunks = [
-            np.unique((keys[i : i + step, None] + other[None, :]).ravel())
-            for i in range(0, len(keys), step)
-        ]
-        keys = np.unique(np.concatenate(chunks))
+    for r in rasters[1:-1]:
+        chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]
+        keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys
     occupancy = np.zeros(geom.extents, dtype=bool)
-    occupancy.reshape(-1)[keys] = True
+    flat = occupancy.reshape(-1)
+    for chunk in _pair_sums(keys, keyed[id(rasters[-1])]):
+        flat[chunk] = True
     return GridSet(geom, occupancy, semantics, slack)
 
 

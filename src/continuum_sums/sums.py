@@ -236,6 +236,14 @@ def claim_measure_chain(
 
 @dataclass(frozen=True)
 class MidpointChain:
+    """The rasters of T, (T + T) / 2, ... and the first step whose probe held.
+
+    The probe reads an OUTER raster, which bounds the set from above only, so
+    ``interior_found_at`` witnesses interior of the raster, not of the set:
+    the 121 points of a 0.1-lattice in the unit square, with density 0.05 and
+    rasterized OUTER at h = 0.01, are found at step 0.
+    """
+
     steps: tuple[GridSet, ...]
     interior_found_at: int | None
 
@@ -256,14 +264,17 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     """Iterate T -> (T + T) / 2 on successively halved grids.
 
     Each step sums T with itself through :func:`minkowski_sum`, which picks
-    the route (an FFT self-sum with one forward transform, shift-OR, or sparse
-    index keys for a thin set in a large box).  Index sums land exactly on
-    the half-spacing lattice, so each step is exact: same origin, spacing
-    h/2, extents 2m-1.  The raster slack sigma becomes sigma + h_next.
+    the route (sparse index keys when the key pairs are fewer than the
+    output cells, else an FFT self-sum with one forward transform or
+    shift-OR).  Index sums land exactly on the half-spacing lattice, so each
+    step is exact: same origin, spacing h/2, extents 2m-1.  The raster slack
+    sigma becomes sigma + h_next.
     ``interior_found_at`` is the first step whose raster has a cell with every
     cell within r = ceil(sigma/h) + 1 occupied: the occupied cells then hold
     a sup-norm cube of half-width (r + 1/2) h >= sigma + 3h/2, wider than the
-    slack by more than a cell.  Step j has extents 2^j (m - 1) + 1, so the
+    slack by more than a cell.  That is interior of the OUTER raster, which
+    bounds the set from above only, not interior of the set (see
+    :class:`MidpointChain`).  Step j has extents 2^j (m - 1) + 1, so the
     memory guard refuses an oversized chain before the first sum.
     """
     if not 1 <= k <= 20:

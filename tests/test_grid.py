@@ -362,26 +362,38 @@ def test_nfold_slack_formula():
         assert got.slack == pytest.approx(n * 0.1 + (n - 1) * 0.25, abs=1e-12)
 
 
+def dense_fold(rasters):
+    """``dilate`` folded left to right: the dense routes of ``minkowski_sum``."""
+    acc = rasters[0]
+    for r in rasters[1:]:
+        acc = dilate(acc, r)
+    return acc
+
+
 class TestSparseSumRoute:
-    """``minkowski_sum`` forced onto the sparse index-key route."""
+    """``minkowski_sum`` on inputs with fewer key pairs than output cells.
+
+    Such inputs take the sparse index-key route; the spy makes any ``dilate``
+    call fail, and small chunks make every fold span several chunks.
+    """
 
     @staticmethod
     def _force_sparse(monkeypatch):
         def refuse(a, b):
             raise AssertionError("dense route taken")
 
-        monkeypatch.setattr(grid_mod, "_DENSE_SUM_LIMIT", 1)
         monkeypatch.setattr(grid_mod, "_SPARSE_CHUNK", 64)
         monkeypatch.setattr(grid_mod, "dilate", refuse)
 
     def test_sparse_matches_dense(self, monkeypatch):
+        # 22 * 22 * 9 key pairs against 25^3 output cells.
         sets = [
             l_shape(dim=3, budget=24),
             l_shape(dim=3, budget=24),
             segment((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 15),
         ]
         rasters = [rasterize(k, auto_geometry(k.points, 0.125)) for k in sets]
-        dense = minkowski_sum(rasters)
+        dense = dense_fold(rasters)
         self._force_sparse(monkeypatch)
         sparse = minkowski_sum(rasters)
         assert sparse.geometry == dense.geometry
@@ -390,6 +402,7 @@ class TestSparseSumRoute:
         assert sparse.slack == dense.slack
 
     def test_repeated_raster_is_keyed_once(self, monkeypatch):
+        # 22^3 key pairs against 25^3 output cells.
         k = l_shape(dim=3, budget=24)
         raster = rasterize(k, auto_geometry(k.points, 0.125))
         dense = dilate(dilate(raster, raster), raster)
@@ -415,11 +428,12 @@ class TestSparseSumRoute:
         assert minkowski_sum([raster]) is raster
 
     def test_inner_inputs_keep_zero_slack(self, monkeypatch):
+        # 2^3 key pairs against 7 * 10 output cells.
         geom = GridGeometry(origin=(0.0, 0.0), spacing=0.5, extents=(3, 4))
         occ = np.zeros((3, 4), dtype=bool)
         occ[0, 0] = occ[2, 3] = True
         inner = GridSet(geom, occ, Semantics.INNER, 0.0)
-        dense = minkowski_sum([inner, inner, inner])
+        dense = dense_fold([inner, inner, inner])
         self._force_sparse(monkeypatch)
         sparse = minkowski_sum([inner, inner, inner])
         assert sparse.semantics is Semantics.INNER and sparse.slack == 0.0
@@ -427,17 +441,20 @@ class TestSparseSumRoute:
         assert np.array_equal(sparse.occupancy, dense.occupancy)
 
     def test_empty_summand_gives_empty_sum(self, monkeypatch):
+        # An empty summand makes no key pairs, against 7^2 output cells.
         geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(3, 3))
         full = GridSet(geom, np.ones((3, 3), bool), Semantics.SAMPLE_COVER, 0.0)
         empty = GridSet(geom, np.zeros((3, 3), bool), Semantics.SAMPLE_COVER, 0.0)
-        dense = minkowski_sum([full, empty, full])
+        dense = dense_fold([full, empty, full])
         self._force_sparse(monkeypatch)
         sparse = minkowski_sum([full, empty, full])
         assert sparse.geometry == dense.geometry and not sparse.occupancy.any()
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_mixed_inputs_raise_on_both_routes(self, monkeypatch, sparse):
-        occ = np.array([[True, False], [False, True]])
+        # Diagonal 2x2 occupancies make fewer key pairs than output cells
+        # (8 < 3^2 and 4 < 3^2), filled ones more (64 and 16).
+        occ = np.array([[True, False], [False, True]]) if sparse else np.ones((2, 2), bool)
         a = GridSet(GridGeometry((0.0, 0.0), 0.5, (2, 2)), occ, Semantics.SAMPLE_COVER, 0.1)
         coarse = GridSet(GridGeometry((0.0, 0.0), 1.0, (2, 2)), occ, Semantics.SAMPLE_COVER, 0.1)
         outer = GridSet(GridGeometry((0.0, 0.0), 0.5, (2, 2)), occ, Semantics.OUTER, 0.1)
@@ -449,8 +466,7 @@ class TestSparseSumRoute:
             minkowski_sum([a, outer])
 
     def test_filled_rasters_stay_dense(self, monkeypatch):
-        # Key pairs outnumber output cells, so the dense fold runs even above
-        # the cell limit.
+        # 16^3 key pairs outnumber the 10^2 output cells, so the dense fold runs.
         geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(4, 4))
         full = GridSet(geom, np.ones((4, 4), bool), Semantics.SAMPLE_COVER, 0.0)
         calls = []
@@ -460,10 +476,71 @@ class TestSparseSumRoute:
             calls.append((a, b))
             return real(a, b)
 
-        monkeypatch.setattr(grid_mod, "_DENSE_SUM_LIMIT", 1)
         monkeypatch.setattr(grid_mod, "dilate", counting)
         out = minkowski_sum([full, full, full])
         assert len(calls) == 2 and out.occupancy.all()
+
+
+@st.composite
+def sum_operands(draw, max_extent: int = 5) -> list[GridSet]:
+    """Two or three 1-D to 3-D grids of one spacing and semantics, empty ones too.
+
+    An operand may be the previous raster object passed again.
+    """
+    dim = draw(st.integers(1, 3))
+    semantics = draw(st.sampled_from(list(Semantics)))
+    slack = 0.0 if semantics is Semantics.INNER else 0.1
+    rasters: list[GridSet] = []
+    for _ in range(draw(st.integers(2, 3))):
+        if rasters and draw(st.booleans()):
+            rasters.append(rasters[-1])
+            continue
+        extents = tuple(draw(st.lists(st.integers(1, max_extent), min_size=dim, max_size=dim)))
+        cells = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        origin = tuple(c * H for c in cells)
+        occ = draw(arrays(np.bool_, extents))
+        rasters.append(GridSet(GridGeometry(origin, H, extents), occ, semantics, slack))
+    return rasters
+
+
+def _diagonal(n: int, semantics: Semantics = Semantics.SAMPLE_COVER) -> GridSet:
+    slack = 0.0 if semantics is Semantics.INNER else 0.1
+    return GridSet(GridGeometry((0.0, 0.0), H, (n, n)), np.eye(n, dtype=bool), semantics, slack)
+
+
+@given(sum_operands(), st.sampled_from([1, 3, grid_mod._SPARSE_CHUNK]))
+@example([_diagonal(4)] * 2 + [_diagonal(3)], 3)
+@example([_diagonal(4), cover_grid(np.zeros((2, 3))), _diagonal(2)], 3)
+@example([_diagonal(4, Semantics.INNER)] * 3, 1)
+@settings(deadline=None)
+def test_minkowski_sum_matches_naive_fold(rasters, chunk):
+    ref = rasters[0]
+    for r in rasters[1:]:
+        ref = dilate_naive(ref, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_mod, "_SPARSE_CHUNK", chunk)
+        out = minkowski_sum(rasters)
+    assert out.geometry == ref.geometry
+    assert np.array_equal(out.occupancy, ref.occupancy)
+    assert out.semantics is ref.semantics
+    assert out.slack == ref.slack
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.random.default_rng(3).integers(-(2**62), 2**62, 5000),
+        np.random.default_rng(4).integers(0, 300, 5000),
+        np.array([], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(9, -5, dtype=np.int64),
+    ],
+    ids=["wide", "repeats", "empty", "single", "all-equal"],
+)
+def test_sorted_distinct_matches_unique(keys):
+    got = grid_mod._sorted_distinct(keys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(keys))
 
 
 # --- rasterize -------------------------------------------------------------------

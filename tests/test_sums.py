@@ -389,6 +389,8 @@ def test_planar_cloud_chain_packs_nothing(monkeypatch):
 def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
     # Step 10 of the diagonal chain sums a 2049^2 grid with itself into 4097^2
     # cells from 2049^2 pairs: minkowski_sum's sparse route, no dilate call.
+    # Only a step whose key pairs reach its output cells folds dilate, and
+    # on this thin diagonal no step does.
     summed = []
     real = grid_mod.dilate
 
@@ -399,7 +401,12 @@ def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
     monkeypatch.setattr(grid_mod, "dilate", counting)
     chain = midpoint_iterate(criterion_07_inputs()["diagonal segment"], 10)
     assert chain.steps[-1].geometry.extents == (4097, 4097)
-    assert len(summed) == 9
+    dense_steps = [
+        step.geometry.extents
+        for step in chain.steps[:-1]
+        if step.occupied_count**2 >= math.prod(2 * e - 1 for e in step.geometry.extents)
+    ]
+    assert summed == dense_steps == []
     assert (2049, 2049) not in summed
 
 
