@@ -267,15 +267,13 @@ def _check_bitmap_dim(dim: int) -> None:
         raise InputError(f"bitmap supports 2-D and sliced 3-D grids, not {dim}-D")
 
 
-def _bitmap_plane(cells: PackedMask, slice_spec: tuple[int, int] | None) -> np.ndarray:
-    """The plane of a packed 2-D or 3-D raster that a PBM shows; only that
-    plane is unpacked."""
-    shape = cells.shape
+def _check_plane(shape: tuple[int, ...], slice_spec: tuple[int, int] | None) -> None:
+    """Refuses a raster shape and ``--slice`` that name no plane a PBM can show."""
     _check_bitmap_dim(len(shape))
     if len(shape) == 2:
         if slice_spec is not None:
             raise InputError("--slice applies only to 3-D grids")
-        return cells.unpack()
+        return
     if slice_spec is None:
         raise InputError("3-D grids need --slice AXIS INDEX")
     axis, index = slice_spec
@@ -286,6 +284,15 @@ def _bitmap_plane(cells: PackedMask, slice_spec: tuple[int, int] | None) -> np.n
             f"slice index {index} out of range for axis {axis} "
             f"with {shape[axis]} cells"
         )
+
+
+def _bitmap_plane(cells: PackedMask, slice_spec: tuple[int, int] | None) -> np.ndarray:
+    """The plane of a packed 2-D or 3-D raster that a PBM shows; only that
+    plane is unpacked."""
+    _check_plane(cells.shape, slice_spec)
+    if slice_spec is None:
+        return cells.unpack()
+    axis, index = slice_spec
     window = [slice(None)] * 3
     window[axis] = slice(index, index + 1)
     return np.take(cells.unpack(tuple(window)), 0, axis=axis)
@@ -563,8 +570,12 @@ def _cmd_bitmap(args: argparse.Namespace) -> int:
     h = args.h if args.h is not None else min(doc.resolutions or DEFAULT_RESOLUTIONS)
     if h <= 0:
         raise InputError(f"--h must be positive, got {h}")
-    total = minkowski_sum([rasterize(k, auto_geometry(k.points, h)) for k in doc.sets])
     slice_spec = tuple(args.slice) if args.slice is not None else None
+    geometries = [auto_geometry(k.points, h) for k in doc.sets]
+    # Each axis of a sum of n grids spans the extents' total less n - 1 cells.
+    shape = tuple(sum(e) - (len(geometries) - 1) for e in zip(*(g.extents for g in geometries)))
+    _check_plane(shape, slice_spec)
+    total = minkowski_sum([rasterize(k, g) for k, g in zip(doc.sets, geometries)])
     text = render_pbm(_bitmap_plane(PackedMask.pack(total.occupancy), slice_spec))
     if args.out:
         _atomic_write_text(args.out, text)

@@ -30,8 +30,8 @@ _FFT_EXACT_LIMIT = 2**52
 # would move more bytes than a transform of the output array, with this margin.
 _FFT_ADVANTAGE = 4.0
 
-#: Pair-sum chunk size (index keys) for the sparse accumulation route.
-_SPARSE_CHUNK = 5_000_000
+#: Pair-sum chunk size (index keys or runs) for the sparse accumulation routes.
+_SPARSE_CHUNK = 2_000_000
 
 
 class DilationPrecisionError(ValueError):
@@ -611,20 +611,121 @@ def _pair_sums(keys: NDArray[np.int64], other: NDArray[np.int64]) -> Iterator[ND
         yield (keys[i : i + step, None] + other[None, :]).ravel()
 
 
+#: Runs as flat ``[start, end)`` keys: the start array and the end array.
+_Runs = tuple[NDArray[np.int64], NDArray[np.int64]]
+
+
+def _runs(r: GridSet, weights: NDArray[np.int64], axis: int) -> _Runs:
+    """Maximal runs of occupied cells along ``axis``, as flat ``[start, end)`` keys.
+
+    Every axis after ``axis`` has extent 1 in the output, hence in ``r``, so
+    ``weights[axis]`` is 1 and the keys of one run are consecutive.
+    """
+    occupancy = r.occupancy
+    rows = occupancy.reshape(-1, occupancy.shape[axis])
+    row, col = np.nonzero(np.diff(rows, axis=1, prepend=False, append=False))
+    row_keys = np.zeros(1, dtype=np.int64)
+    for m, w in zip(occupancy.shape[:axis], weights[:axis]):
+        row_keys = (row_keys[:, None] + np.arange(m, dtype=np.int64) * w).ravel()
+    keys = row_keys[row] + col
+    return keys[::2], keys[1::2]
+
+
+def _run_pair_sums(runs: _Runs, other: _Runs) -> Iterator[_Runs]:
+    """Every run plus every ``other`` run, in chunks of about ``_SPARSE_CHUNK`` pairs.
+
+    ``[s1, e1) + [s2, e2)`` is the one run ``[s1 + s2, e1 + e2 - 1)``.
+    """
+    yield from zip(_pair_sums(runs[0], other[0]), _pair_sums(runs[1], other[1] - 1))
+
+
+def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64]) -> _Runs:
+    """Disjoint runs, sorted by start, that cover the keys of the given runs.
+
+    Sorts by start and takes a running maximum of ends; a run that starts at
+    or before the running end joins it, so touching runs join too.
+    """
+    order = np.argsort(starts)
+    starts = starts[order]
+    reach = np.maximum.accumulate(ends[order])
+    first = np.empty(starts.size, dtype=bool)
+    first[:1] = True
+    np.greater(starts[1:], reach[:-1], out=first[1:])
+    last = np.empty_like(first)
+    last[-1:] = True
+    last[:-1] = first[1:]
+    return starts[first], reach[last]
+
+
+def _key_sum(
+    rasters: list[GridSet], extents: tuple[int, ...], weights: NDArray[np.int64]
+) -> NDArray[np.bool_]:
+    """Occupancy of the sum, from the flat index keys of the occupied cells."""
+    # A raster passed more than once is keyed once.
+    keyed: dict[int, NDArray[np.int64]] = {}
+    for r in rasters:
+        if id(r) not in keyed:
+            keyed[id(r)] = _sorted_distinct(r.occupied_indices() @ weights)
+    keys = keyed[id(rasters[0])]
+    for r in rasters[1:-1]:
+        chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]
+        keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys
+    occupancy = np.zeros(extents, dtype=bool)
+    flat = occupancy.reshape(-1)
+    for chunk in _pair_sums(keys, keyed[id(rasters[-1])]):
+        flat[chunk] = True
+    return occupancy
+
+
+def _run_sum(operands: list[_Runs], extents: tuple[int, ...]) -> NDArray[np.bool_]:
+    """Occupancy of the sum, from the runs of the operands (one entry per summand)."""
+    runs = operands[0]
+    # Joining touching runs is safe because keys use the output's row width:
+    # an earlier fold reaches a row's last cell only when the later operands
+    # have extent 1 along the run axis, and those add no width, so no sum
+    # of a joined run carries into the next row.
+    for other in operands[1:-1]:
+        chunks = [_merged_runs(*pair) for pair in _run_pair_sums(runs, other)]
+        runs = _merged_runs(*(np.concatenate(part) for part in zip(*chunks)))
+    last = operands[-1]
+    out_cells = math.prod(extents)
+    # A cell is covered by at most as many pair runs as the fold forms.
+    wide = len(runs[0]) * len(last[0]) >= 2**31
+    counts = np.zeros(out_cells + 1, dtype=np.int64 if wide else np.int32)
+    # A step of the array's own type keeps ``ufunc.at`` on its fast path.
+    one = counts.dtype.type(1)
+    for starts, ends in _run_pair_sums(runs, last):
+        np.add.at(counts, starts, one)
+        np.subtract.at(counts, ends, one)
+    np.cumsum(counts, out=counts)
+    return (counts[:out_cells] > 0).reshape(extents)
+
+
 def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     """Grid Minkowski sum K_1 + ... + K_n, exactly ``dilate`` folded left to right.
 
     Geometry, semantics and slack are folded (and validated) over all inputs
-    before a route is chosen, so every route returns the same grid set.  The
-    cost model weighs pairs against output cells: when the product of
-    occupied counts (the most index-key pairs the sparse route can form) is
-    below the output cell count, occupied index tuples are summed as flat
-    keys in chunks of ``_SPARSE_CHUNK`` pairs.  Each operand's keys and each
-    earlier fold's keys are deduplicated by sorting and dropping equal
-    neighbours; the last fold scatters its pair keys straight into the output
-    occupancy, so no dense intermediate is ever held.  Otherwise ``dilate``
-    is folded over the inputs, choosing FFT or shift-OR at each step.  A
-    single input is returned as is.
+    before a route is chosen, so every route returns the same grid set.  Each
+    route is chosen from counts known before any sum, weighing pairs against
+    output cells:
+
+    1. When the product of occupied counts (the most index-key pairs a sum
+       can form) is below the output cell count, occupied index tuples are
+       summed as flat keys.  Each operand's keys and each earlier fold's
+       keys are deduplicated by sorting and dropping equal neighbours; the
+       last fold scatters its pair keys straight into the output occupancy.
+    2. Otherwise, when the product of run counts is below the output cell
+       count, maximal runs of occupied cells along the last output axis of
+       extent > 1 are summed: two runs sum to exactly one run.  Earlier
+       folds merge their pair runs into disjoint runs; the last fold counts
+       run starts and ends in a difference array whose cumulative sum marks
+       the output cells.
+    3. Otherwise ``dilate`` is folded over the inputs, choosing FFT or
+       shift-OR at each step.
+
+    Both sparse routes form their pairs in chunks of ``_SPARSE_CHUNK``, and
+    extract keys or runs once per distinct raster object, so no dense
+    intermediate is ever held.  A single input is returned as is.
     """
     rasters = list(rasters)
     if not rasters:
@@ -634,32 +735,28 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     for r in rasters[1:]:
         geom = _sum_geometry(geom, r.geometry)
         semantics, slack = _combined_semantics(semantics, slack, r)
+    if len(rasters) == 1:
+        return rasters[0]
     out_cells = math.prod(geom.extents)
-    pairs = math.prod(r.occupied_count for r in rasters)
-    if len(rasters) == 1 or pairs >= out_cells:
-        acc = rasters[0]
-        for r in rasters[1:]:
-            acc = dilate(acc, r)
-        return acc
+    # Index sums never exceed the output extents, so key sums cannot carry
+    # across axes and the flat keys add exactly like the index vectors.
     weights = np.ones(geom.dim, dtype=np.int64)
     for i in range(geom.dim - 2, -1, -1):
         weights[i] = weights[i + 1] * geom.extents[i + 1]
-    # Index sums never exceed the output extents, so key sums cannot carry
-    # across axes and the flat keys add exactly like the index vectors.  A
-    # raster passed more than once is keyed once.
-    keyed: dict[int, NDArray[np.int64]] = {}
+    if math.prod(r.occupied_count for r in rasters) < out_cells:
+        return GridSet(geom, _key_sum(rasters, geom.extents, weights), semantics, slack)
+    axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
+    runs: dict[int, _Runs] = {}
     for r in rasters:
-        if id(r) not in keyed:
-            keyed[id(r)] = _sorted_distinct(r.occupied_indices() @ weights)
-    keys = keyed[id(rasters[0])]
-    for r in rasters[1:-1]:
-        chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]
-        keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys
-    occupancy = np.zeros(geom.extents, dtype=bool)
-    flat = occupancy.reshape(-1)
-    for chunk in _pair_sums(keys, keyed[id(rasters[-1])]):
-        flat[chunk] = True
-    return GridSet(geom, occupancy, semantics, slack)
+        if id(r) not in runs:
+            runs[id(r)] = _runs(r, weights, axis)
+    if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
+        occupancy = _run_sum([runs[id(r)] for r in rasters], geom.extents)
+        return GridSet(geom, occupancy, semantics, slack)
+    acc = rasters[0]
+    for r in rasters[1:]:
+        acc = dilate(acc, r)
+    return acc
 
 
 def nfold_sum(a: GridSet, n: int) -> GridSet:

@@ -265,8 +265,8 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
 
     Each step sums T with itself through :func:`minkowski_sum`, which picks
     the route (sparse index keys when the key pairs are fewer than the
-    output cells, else an FFT self-sum with one forward transform or
-    shift-OR).  Index sums land exactly on the half-spacing lattice, so each
+    output cells, else row runs when the run pairs are, else an FFT
+    self-sum with one forward transform or shift-OR).  Index sums land exactly on the half-spacing lattice, so each
     step is exact: same origin, spacing h/2, extents 2m-1.  The raster slack
     sigma becomes sigma + h_next.
     ``interior_found_at`` is the first step whose raster has a cell with every

@@ -162,6 +162,35 @@ class TestPbm:
         code, _, err = _run(capsys, "bitmap", doc, "--h", "0.5")
         assert code == 2 and "not 1-D" in err
 
+    @pytest.mark.parametrize(
+        "dim, slice_args, message",
+        [
+            (2, ["--slice", "0", "0"], "only to 3-D"),
+            (3, [], "need --slice"),
+            (3, ["--slice", "3", "0"], "axis must be"),
+            # Two 5-cell extents on axis 2 sum to 9 cells, so index 9 is past the end.
+            (3, ["--slice", "2", "9"], "index 9 out of range for axis 2 with 9 cells"),
+        ],
+        ids=["slice-in-2d", "3d-without-slice", "bad-axis", "index-past-end"],
+    )
+    def test_slice_errors_refused_before_summing(
+        self, tmp_path, capsys, monkeypatch, dim, slice_args, message
+    ):
+        import continuum_sums.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sum ran before the slice was refused")
+
+        monkeypatch.setattr(cli_mod, "minkowski_sum", refuse)
+        corners = [[0] * dim, [1] * dim]
+        doc = _write_doc(
+            tmp_path,
+            "pair.json",
+            {"dim": dim, "sets": [{"points": corners, "density": 0.0}] * 2},
+        )
+        code, _, err = _run(capsys, "bitmap", doc, "--h", "0.25", *slice_args)
+        assert code == 2 and message in err
+
     def test_default_resolution_is_the_finest_listed(self, tmp_path, capsys):
         doc = _write_doc(
             tmp_path,

@@ -371,10 +371,11 @@ def dense_fold(rasters):
 
 
 class TestSparseSumRoute:
-    """``minkowski_sum`` on inputs with fewer key pairs than output cells.
+    """``minkowski_sum`` on inputs with fewer key or run pairs than output cells.
 
-    Such inputs take the sparse index-key route; the spy makes any ``dilate``
-    call fail, and small chunks make every fold span several chunks.
+    Such inputs take a sparse route (index keys, else row runs); the spy
+    makes any ``dilate`` call fail, and small chunks make every fold span
+    several chunks.
     """
 
     @staticmethod
@@ -466,9 +467,10 @@ class TestSparseSumRoute:
             minkowski_sum([a, outer])
 
     def test_filled_rasters_stay_dense(self, monkeypatch):
-        # 16^3 key pairs outnumber the 10^2 output cells, so the dense fold runs.
-        geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(4, 4))
-        full = GridSet(geom, np.ones((4, 4), bool), Semantics.SAMPLE_COVER, 0.0)
+        # Full 8x2 grids: 16^3 key pairs and 8^3 run pairs (one run per row)
+        # both outnumber the 22 * 4 output cells, so the dense fold runs.
+        geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(8, 2))
+        full = GridSet(geom, np.ones((8, 2), bool), Semantics.SAMPLE_COVER, 0.0)
         calls = []
         real = grid_mod.dilate
 
@@ -479,6 +481,17 @@ class TestSparseSumRoute:
         monkeypatch.setattr(grid_mod, "dilate", counting)
         out = minkowski_sum([full, full, full])
         assert len(calls) == 2 and out.occupancy.all()
+
+    def test_filled_rows_take_the_run_route(self, monkeypatch):
+        # Full 4x4 grids: 16^3 key pairs outnumber the 10^2 output cells, but
+        # each row is one run, and 4^3 run pairs do not.
+        geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(4, 4))
+        full = GridSet(geom, np.ones((4, 4), bool), Semantics.SAMPLE_COVER, 0.0)
+        dense = dense_fold([full, full, full])
+        self._force_sparse(monkeypatch)
+        out = minkowski_sum([full, full, full])
+        assert out.geometry == dense.geometry and out.occupancy.all()
+        assert out.semantics is dense.semantics and out.slack == dense.slack
 
 
 @st.composite
@@ -508,10 +521,24 @@ def _diagonal(n: int, semantics: Semantics = Semantics.SAMPLE_COVER) -> GridSet:
     return GridSet(GridGeometry((0.0, 0.0), H, (n, n)), np.eye(n, dtype=bool), semantics, slack)
 
 
+# Rows of long runs: 21^2 key pairs against 5 * 15 output cells, but two
+# runs per row make 6^2 run pairs.
+_LONG_RUNS = cover_grid([[1, 1, 1, 0, 1, 1, 1, 1]] * 2 + [[1, 1, 1, 1, 1, 1, 0, 1]])
+# A planar raster on an (m, m, 1) grid runs along axis 1.
+_FLAT_3D = cover_grid(np.triu(np.ones((5, 5), bool))[:, :, None])
+# The last operand has extent 1 on the run axis, so the first fold reaches
+# each row's last cell and touching runs join across rows.
+_COLUMN = cover_grid([[1], [0], [1]])
+
+
 @given(sum_operands(), st.sampled_from([1, 3, grid_mod._SPARSE_CHUNK]))
 @example([_diagonal(4)] * 2 + [_diagonal(3)], 3)
 @example([_diagonal(4), cover_grid(np.zeros((2, 3))), _diagonal(2)], 3)
 @example([_diagonal(4, Semantics.INNER)] * 3, 1)
+@example([_LONG_RUNS, _LONG_RUNS], 1)
+@example([_FLAT_3D, _FLAT_3D], 3)
+@example([_LONG_RUNS, _LONG_RUNS, _COLUMN], 1)
+@example([_LONG_RUNS, _LONG_RUNS, _COLUMN], 3)
 @settings(deadline=None)
 def test_minkowski_sum_matches_naive_fold(rasters, chunk):
     ref = rasters[0]
