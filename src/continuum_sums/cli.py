@@ -9,10 +9,7 @@ large to allocate included).
 
 Reports are plain JSON with a fixed key order and a schema version; the only
 field that varies between identical runs is ``elapsed_seconds``.  Non-finite
-numbers (an infinite density margin) serialize as null.  The environment
-variable CONTINUUM_SUMS_THREADS sets the worker count of the FFT dilation
-route (unset = 1, 0 = one per core); a value that is not a non-negative
-integer exits 2.
+numbers (an infinite density margin) serialize as null.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gallery import ALLOWED_PARAMS, KINDS, Generated, GeneratorSpec, generate
-from .grid import PackedMask, SampledSet, auto_geometry, minkowski_sum, rasterize, thread_count
+from .grid import PackedMask, SampledSet, auto_geometry, minkowski_sum, rasterize
 from .sums import claim_measure_chain, shift_construction, verify_claim
 from .verify import (
     DEFAULT_RESOLUTIONS,
@@ -660,11 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        thread_count()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -26,10 +26,6 @@ Point = tuple[float, ...]
 # coefficient is an exact float64 integer with slack for FFT roundoff.
 _FFT_EXACT_LIMIT = 2**52
 
-# Auto dilation switches to the FFT route only when the plain shift-OR route
-# would move more bytes than a transform of the output array, with this margin.
-_FFT_ADVANTAGE = 4.0
-
 #: Pair-sum chunk size (index keys or runs) for the sparse accumulation routes.
 _SPARSE_CHUNK = 2_000_000
 
@@ -517,8 +513,8 @@ def dilate_naive(a: GridSet, b: GridSet) -> GridSet:
     """Grid Minkowski sum by definition: occupied index sums, origins added.
 
     Shift-ORs the larger occupancy once per occupied cell of the smaller one,
-    which is the direct reading of {i + j} and serves as the exact reference
-    for the FFT route.
+    which is the direct reading of {i + j}: the exact reference for the FFT
+    route, and its fallback past the FFT's exact range.
     """
     geom = _sum_geometry(a.geometry, b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
@@ -555,40 +551,20 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     out_shape = geom.extents
     axes = [k for k, m in enumerate(out_shape) if m > 1] or [0]
     fast = [_fft.next_fast_len(out_shape[k]) for k in axes]
-    workers = thread_count()
 
     def spectrum(occupancy: NDArray[np.bool_]) -> NDArray[np.complex128]:
         kept = occupancy.reshape([occupancy.shape[k] for k in axes])
-        return _fft.rfftn(kept.astype(np.float64), fast, workers=workers)
+        return _fft.rfftn(kept.astype(np.float64), fast)
 
     prod = spectrum(a.occupancy)
     if a is b or np.array_equal(a.occupancy, b.occupancy):
         np.multiply(prod, prod, out=prod)
     else:
         np.multiply(prod, spectrum(b.occupancy), out=prod)
-    conv = _fft.irfftn(prod, fast, workers=workers)
+    conv = _fft.irfftn(prod, fast)
     del prod
     occupied = conv[tuple(slice(0, out_shape[k]) for k in axes)] > 0.5
     return GridSet(geom, occupied.reshape(out_shape), semantics, slack)
-
-
-def dilate(a: GridSet, b: GridSet) -> GridSet:
-    """Minkowski sum choosing the cheaper exact route (FFT or shift-OR)."""
-    small = min(a.occupied_count, b.occupied_count)
-    if small == 0:
-        return dilate_naive(a, b)
-    out_cells = 1
-    for p, q in zip(a.geometry.extents, b.geometry.extents):
-        out_cells *= p + q - 1
-    body_cells = max(int(np.prod(a.geometry.extents)), int(np.prod(b.geometry.extents)))
-    naive_traffic = small * body_cells
-    fft_traffic = out_cells * math.log2(max(out_cells, 2)) * 2
-    if naive_traffic > _FFT_ADVANTAGE * fft_traffic:
-        try:
-            return dilate_fft(a, b)
-        except DilationPrecisionError:
-            pass
-    return dilate_naive(a, b)
 
 
 def _sorted_distinct(keys: NDArray[np.int64]) -> NDArray[np.int64]:
@@ -702,7 +678,7 @@ def _run_sum(operands: list[_Runs], extents: tuple[int, ...]) -> NDArray[np.bool
 
 
 def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
-    """Grid Minkowski sum K_1 + ... + K_n, exactly ``dilate`` folded left to right.
+    """Grid Minkowski sum K_1 + ... + K_n, exactly ``dilate_naive`` folded left to right.
 
     Geometry, semantics and slack are folded (and validated) over all inputs
     before a route is chosen, so every route returns the same grid set.  Each
@@ -720,8 +696,9 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
        folds merge their pair runs into disjoint runs; the last fold counts
        run starts and ends in a difference array whose cumulative sum marks
        the output cells.
-    3. Otherwise ``dilate`` is folded over the inputs, choosing FFT or
-       shift-OR at each step.
+    3. Otherwise :func:`dilate_fft` is folded over the inputs; a fold whose
+       occupied-count product leaves the FFT's exact range falls back to
+       the shift-OR of :func:`dilate_naive`.
 
     Both sparse routes form their pairs in chunks of ``_SPARSE_CHUNK``, and
     extract keys or runs once per distinct raster object, so no dense
@@ -755,7 +732,10 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
         return GridSet(geom, occupancy, semantics, slack)
     acc = rasters[0]
     for r in rasters[1:]:
-        acc = dilate(acc, r)
+        try:
+            acc = dilate_fft(acc, r)
+        except DilationPrecisionError:
+            acc = dilate_naive(acc, r)
     return acc
 
 
@@ -767,29 +747,25 @@ def nfold_sum(a: GridSet, n: int) -> GridSet:
 
 
 @functools.cache
-def _adjacency_structure(adjacency: str, dim: int) -> NDArray[np.bool_]:
-    """The labeling structure for an adjacency, built once per dimension.
+def _face_structure(dim: int) -> NDArray[np.bool_]:
+    """The face-adjacency labeling structure, built once per dimension.
 
     The array is shared between calls, so it is read-only.
     """
-    if adjacency == "face":
-        structure = _ndimage.generate_binary_structure(dim, 1)
-    elif adjacency == "chessboard":
-        structure = np.ones((3,) * dim, dtype=bool)
-    else:
-        raise ValueError(f"unknown adjacency {adjacency!r}")
+    structure = _ndimage.generate_binary_structure(dim, 1)
     structure.flags.writeable = False
     return structure
 
 
-def component_count(a: GridSet, adjacency: str = "face") -> int:
-    _, count = _ndimage.label(a.occupancy, structure=_adjacency_structure(adjacency, a.dim))
+def component_count(a: GridSet) -> int:
+    """Number of face-connected components of the occupied cells."""
+    _, count = _ndimage.label(a.occupancy, structure=_face_structure(a.dim))
     return int(count)
 
 
-def is_grid_continuum(a: GridSet, adjacency: str = "face") -> bool:
-    """True iff the occupied cells form exactly one non-empty component."""
-    return component_count(a, adjacency) == 1
+def is_grid_continuum(a: GridSet) -> bool:
+    """True iff the occupied cells form exactly one non-empty face component."""
+    return component_count(a) == 1
 
 
 def cells_measure(count: int, spacing: float, dim: int) -> float:
@@ -877,20 +853,3 @@ def eps_density_margin(
     window = tuple(slice(lo, hi + 1) for lo, hi in _cube_cell_range(geometry, center, side))
     return covering_radius(occupied, window) * geometry.spacing
 
-
-def thread_count() -> int:
-    """Worker count from CONTINUUM_SUMS_THREADS (0 = auto, unset = 1)."""
-    import os
-
-    raw = os.environ.get("CONTINUUM_SUMS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CONTINUUM_SUMS_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"CONTINUUM_SUMS_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value

@@ -264,9 +264,7 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     """Iterate T -> (T + T) / 2 on successively halved grids.
 
     Each step sums T with itself through :func:`minkowski_sum`, which picks
-    the route (sparse index keys when the key pairs are fewer than the
-    output cells, else row runs when the run pairs are, else an FFT
-    self-sum with one forward transform or shift-OR).  Index sums land exactly on the half-spacing lattice, so each
+    the route.  Index sums land exactly on the half-spacing lattice, so each
     step is exact: same origin, spacing h/2, extents 2m-1.  The raster slack
     sigma becomes sigma + h_next.
     ``interior_found_at`` is the first step whose raster has a cell with every
@@ -522,10 +520,6 @@ def hl_discrete_check(instance: SeparatorInstance) -> bool:
     return bands_share_cell(instance)
 
 
-def _occupied_cells(grid: GridSet) -> NDArray[np.int64]:
-    return np.argwhere(grid.occupancy).astype(np.int64)
-
-
 def _cells_of_points(grid: GridSet, points: NDArray[np.float64]) -> NDArray[np.int64]:
     geo = grid.geometry
     idx = np.floor((points - np.asarray(geo.origin)) / geo.spacing).astype(np.int64)
@@ -594,7 +588,7 @@ def build_sum_separators(
         raster = rasterize(
             factor_samples, auto_geometry(factor_samples.points, h), Semantics.OUTER
         )
-        cells = _occupied_cells(raster)
+        cells = raster.occupied_indices()
         factors.append(raster)
         factor_cells.append(cells)
         lo_copy = k.points + construction.lattice_axis[j][0]

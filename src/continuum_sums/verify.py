@@ -265,13 +265,14 @@ def verify_theorem_main(
     # x -> rotation.T @ x; density picks up the sup-norm operator factor.
     normalized = _each_once(translated, lambda k: k.linear_image(rotation.T))
     finest = steps[-1]
-    for i, k in enumerate(normalized):
-        if any(k is other for other in normalized[:i]):
-            continue
+
+    def check_connected(k: SampledSet) -> None:
         semantics = Semantics.OUTER if k.exact else Semantics.SAMPLE_COVER
-        raster = rasterize(k, auto_geometry(k.points, finest), semantics)
-        if not is_grid_continuum(raster):
-            raise ValueError(f"set {i} is not grid-connected at h={finest}")
+        if not is_grid_continuum(rasterize(k, auto_geometry(k.points, finest), semantics)):
+            first = next(i for i, other in enumerate(normalized) if other is k)
+            raise ValueError(f"set {first} is not grid-connected at h={finest}")
+
+    _each_once(normalized, check_connected)
     eps = max(k.density for k in normalized)
     eps_sum = float(sum(k.density for k in normalized))
     vol_p = float(cert.det_abs) if cert.det_abs is not None else 0.0

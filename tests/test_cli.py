@@ -579,11 +579,6 @@ class TestTopLevel:
         assert code == 2
         assert "usage" in err.lower()
 
-    def test_bad_thread_env_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "lots")
-        code, _, err = _run(capsys, "verify", "hl", "--trials", "2")
-        assert code == 2 and "CONTINUUM_SUMS_THREADS" in err
-
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         import continuum_sums.cli as cli_mod
 
@@ -595,8 +590,3 @@ class TestTopLevel:
         code, _, err = _run(capsys, "verify", "main", doc, "--h", "0.5")
         assert code == 2
         assert err.startswith("error: out of memory") and "1.82 TiB" in err
-
-    def test_thread_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "0")
-        code, _, _ = _run(capsys, "verify", "hl", "--trials", "2")
-        assert code == 0

@@ -26,7 +26,6 @@ from continuum_sums.grid import (
     component_count,
     covering_radius,
     cube_coverage,
-    dilate,
     dilate_fft,
     dilate_naive,
     eps_density_margin,
@@ -35,7 +34,6 @@ from continuum_sums.grid import (
     minkowski_sum,
     nfold_sum,
     rasterize,
-    thread_count,
 )
 
 # --- independent oracles -----------------------------------------------------
@@ -64,13 +62,9 @@ def oracle_chessboard_dt(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_components(mask: np.ndarray, adjacency: str) -> set[frozenset[tuple[int, ...]]]:
-    """BFS flood fill over occupied cells."""
-    offsets = [
-        off
-        for off in product((-1, 0, 1), repeat=mask.ndim)
-        if any(off) and (adjacency == "chessboard" or sum(abs(o) for o in off) == 1)
-    ]
+def oracle_components(mask: np.ndarray) -> set[frozenset[tuple[int, ...]]]:
+    """BFS flood fill over face-adjacent occupied cells."""
+    offsets = [off for off in product((-1, 0, 1), repeat=mask.ndim) if sum(map(abs, off)) == 1]
     todo = {tuple(int(x) for x in c) for c in np.argwhere(mask)}
     comps = set()
     while todo:
@@ -148,13 +142,6 @@ def test_dilate_fft_bit_identical_to_naive(pair):
     assert np.array_equal(out.occupancy, ref.occupancy)
     assert out.geometry == ref.geometry
     assert out.semantics is ref.semantics
-
-
-@settings(deadline=None)
-@given(grid_pair())
-def test_dilate_auto_agrees(pair):
-    a, b = pair
-    assert np.array_equal(dilate(a, b).occupancy, dilate_naive(a, b).occupancy)
 
 
 def test_dilate_full_squares():
@@ -362,20 +349,29 @@ def test_nfold_slack_formula():
         assert got.slack == pytest.approx(n * 0.1 + (n - 1) * 0.25, abs=1e-12)
 
 
+# Dense fold inputs: key pairs and run pairs both reach the output cells.
+# Full 8x2 grids have one run per row: 16^3 key and 8^3 run pairs against
+# 22 * 4 output cells.  Every cell of a checkerboard is its own run: 8^2
+# pairs against 7^2 cells.  Isolated cells on a line: 3^2 pairs, 9 cells.
+_FULL_8X2 = cover_grid(np.ones((8, 2), bool))
+_CHECKER = cover_grid(np.indices((4, 4)).sum(axis=0) % 2 == 0)
+_DOTS = cover_grid([1, 0, 1, 0, 1])
+
+
 def dense_fold(rasters):
-    """``dilate`` folded left to right: the dense routes of ``minkowski_sum``."""
+    """``dilate_fft`` folded left to right: the dense route of ``minkowski_sum``."""
     acc = rasters[0]
     for r in rasters[1:]:
-        acc = dilate(acc, r)
+        acc = dilate_fft(acc, r)
     return acc
 
 
 class TestSparseSumRoute:
     """``minkowski_sum`` on inputs with fewer key or run pairs than output cells.
 
-    Such inputs take a sparse route (index keys, else row runs); the spy
-    makes any ``dilate`` call fail, and small chunks make every fold span
-    several chunks.
+    Such inputs take a sparse route (index keys, else row runs); the spies
+    make any ``dilate_fft`` or ``dilate_naive`` call fail, and small chunks
+    make every fold span several chunks.
     """
 
     @staticmethod
@@ -384,7 +380,8 @@ class TestSparseSumRoute:
             raise AssertionError("dense route taken")
 
         monkeypatch.setattr(grid_mod, "_SPARSE_CHUNK", 64)
-        monkeypatch.setattr(grid_mod, "dilate", refuse)
+        monkeypatch.setattr(grid_mod, "dilate_fft", refuse)
+        monkeypatch.setattr(grid_mod, "dilate_naive", refuse)
 
     def test_sparse_matches_dense(self, monkeypatch):
         # 22 * 22 * 9 key pairs against 25^3 output cells.
@@ -406,7 +403,7 @@ class TestSparseSumRoute:
         # 22^3 key pairs against 25^3 output cells.
         k = l_shape(dim=3, budget=24)
         raster = rasterize(k, auto_geometry(k.points, 0.125))
-        dense = dilate(dilate(raster, raster), raster)
+        dense = dense_fold([raster] * 3)
         calls = []
         real = GridSet.occupied_indices
 
@@ -466,21 +463,37 @@ class TestSparseSumRoute:
         with pytest.raises(ValueError, match="mixed semantics"):
             minkowski_sum([a, outer])
 
+    @staticmethod
+    def _count_dense_folds(monkeypatch) -> dict[str, int]:
+        calls = {"dilate_fft": 0, "dilate_naive": 0}
+        for name in calls:
+            real = getattr(grid_mod, name)
+
+            def counting(a, b, name=name, real=real):
+                calls[name] += 1
+                return real(a, b)
+
+            monkeypatch.setattr(grid_mod, name, counting)
+        return calls
+
     def test_filled_rasters_stay_dense(self, monkeypatch):
         # Full 8x2 grids: 16^3 key pairs and 8^3 run pairs (one run per row)
-        # both outnumber the 22 * 4 output cells, so the dense fold runs.
-        geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(8, 2))
-        full = GridSet(geom, np.ones((8, 2), bool), Semantics.SAMPLE_COVER, 0.0)
-        calls = []
-        real = grid_mod.dilate
+        # both outnumber the 22 * 4 output cells, so the FFT fold runs.
+        calls = self._count_dense_folds(monkeypatch)
+        out = minkowski_sum([_FULL_8X2] * 3)
+        assert calls == {"dilate_fft": 2, "dilate_naive": 0} and out.occupancy.all()
 
-        def counting(a, b):
-            calls.append((a, b))
-            return real(a, b)
-
-        monkeypatch.setattr(grid_mod, "dilate", counting)
-        out = minkowski_sum([full, full, full])
-        assert len(calls) == 2 and out.occupancy.all()
+    def test_dense_fold_falls_back_past_the_exact_range(self, monkeypatch):
+        # With an exact range of one pair, every FFT fold refuses and the
+        # shift-OR fold gives the same grid set.
+        ref = dilate_naive(dilate_naive(_FULL_8X2, _FULL_8X2), _FULL_8X2)
+        monkeypatch.setattr(grid_mod, "_FFT_EXACT_LIMIT", 1)
+        calls = self._count_dense_folds(monkeypatch)
+        out = minkowski_sum([_FULL_8X2] * 3)
+        assert calls == {"dilate_fft": 2, "dilate_naive": 2}
+        assert out.geometry == ref.geometry
+        assert np.array_equal(out.occupancy, ref.occupancy)
+        assert out.semantics is ref.semantics and out.slack == ref.slack
 
     def test_filled_rows_take_the_run_route(self, monkeypatch):
         # Full 4x4 grids: 16^3 key pairs outnumber the 10^2 output cells, but
@@ -539,6 +552,9 @@ _COLUMN = cover_grid([[1], [0], [1]])
 @example([_FLAT_3D, _FLAT_3D], 3)
 @example([_LONG_RUNS, _LONG_RUNS, _COLUMN], 1)
 @example([_LONG_RUNS, _LONG_RUNS, _COLUMN], 3)
+@example([_FULL_8X2] * 3, 3)
+@example([_CHECKER, _CHECKER], 1)
+@example([_DOTS, _DOTS], 3)
 @settings(deadline=None)
 def test_minkowski_sum_matches_naive_fold(rasters, chunk):
     ref = rasters[0]
@@ -619,37 +635,29 @@ def test_rasterize_rejects_inner():
 # --- connectivity ----------------------------------------------------------------
 
 
-@given(single_grid(), st.sampled_from(["face", "chessboard"]))
-def test_components_match_bfs(a, adjacency):
-    assert component_count(a, adjacency) == len(oracle_components(a.occupancy, adjacency))
+@given(single_grid())
+def test_components_match_bfs(a):
+    assert component_count(a) == len(oracle_components(a.occupancy))
 
 
 def test_diagonal_pair_adjacency():
     occ = np.eye(2, dtype=bool)
     geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(2, 2))
     a = GridSet(geom, occ, Semantics.SAMPLE_COVER, 0.0)
-    assert component_count(a, "face") == len(oracle_components(occ, "face")) == 2
-    assert component_count(a, "chessboard") == len(oracle_components(occ, "chessboard")) == 1
-    assert not is_grid_continuum(a, "face")
-    assert is_grid_continuum(a, "chessboard")
+    assert component_count(a) == len(oracle_components(occ)) == 2
+    assert not is_grid_continuum(a)
 
 
 def test_adjacency_structures_are_cached_read_only():
     from scipy import ndimage
 
     for dim in (1, 2, 3):
-        face = grid_mod._adjacency_structure("face", dim)
-        assert face is grid_mod._adjacency_structure("face", dim)
+        face = grid_mod._face_structure(dim)
+        assert face is grid_mod._face_structure(dim)
         assert not face.flags.writeable
         assert np.array_equal(face, ndimage.generate_binary_structure(dim, 1))
         with pytest.raises(ValueError, match="read-only"):
             face[(1,) * dim] = False
-        chessboard = grid_mod._adjacency_structure("chessboard", dim)
-        assert not chessboard.flags.writeable
-        assert np.array_equal(chessboard, np.ones((3,) * dim, dtype=bool))
-    dot = GridSet(GridGeometry((0.0,), 1.0, (1,)), np.ones(1, bool), Semantics.SAMPLE_COVER, 0.0)
-    with pytest.raises(ValueError, match="unknown adjacency"):
-        is_grid_continuum(dot, "king")
 
 
 def test_empty_grid_is_not_a_continuum():
@@ -1071,9 +1079,9 @@ def test_sum_of_connected_grids_is_connected():
                 occ[tuple(pos)] = True
             geom = GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(9, 9))
             blobs.append(GridSet(geom, occ, Semantics.SAMPLE_COVER, 0.0))
-        assert is_grid_continuum(blobs[0], "face")
-        assert is_grid_continuum(blobs[1], "face")
-        assert is_grid_continuum(dilate_naive(blobs[0], blobs[1]), "face")
+        assert is_grid_continuum(blobs[0])
+        assert is_grid_continuum(blobs[1])
+        assert is_grid_continuum(dilate_naive(blobs[0], blobs[1]))
 
 
 def test_cube_margin_center_cell_missing_is_one():
@@ -1100,14 +1108,3 @@ def test_sampled_set_linear_image_scales_density():
     assert out.density == pytest.approx(0.3)  # max row abs sum = 3
     assert np.allclose(out.points, [[2.0, 0.0]])
 
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("CONTINUUM_SUMS_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("CONTINUUM_SUMS_THREADS", "nope")
-    with pytest.raises(ValueError):
-        thread_count()

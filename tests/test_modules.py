@@ -65,3 +65,22 @@ def test_all_lists_exactly_the_imported_names():
     }
     assert set(continuum_sums.__all__) - {"__version__"} == imported
     assert len(continuum_sums.__all__) == len(set(continuum_sums.__all__))
+
+
+def test_one_sum_entry_point_and_no_thread_variable():
+    # minkowski_sum chooses every route; the two dense folds stay public as
+    # the criterion-01 oracle pair, and no worker-count variable is read.
+    assert not hasattr(continuum_sums, "dilate")
+    sum_names = {
+        name
+        for name in continuum_sums.__all__
+        if getattr(getattr(continuum_sums, name), "__module__", None) == "continuum_sums.grid"
+        and ("sum" in name or "dilate" in name)
+    }
+    assert sum_names == {"minkowski_sum", "nfold_sum", "dilate_fft", "dilate_naive"}
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if "CONTINUUM_SUMS_THREADS" in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders

@@ -319,10 +319,10 @@ def criterion_07_inputs() -> dict[str, GridSet]:
 
 
 def former_midpoint_chain(raster: GridSet, k: int) -> tuple[list[GridSet], int | None]:
-    """T -> (T + T) / 2 folded one pairwise ``dilate`` per step, with its probe step."""
+    """T -> (T + T) / 2 folded one pairwise ``dilate_fft`` per step, with its probe step."""
     steps = [raster]
     for _ in range(k):
-        doubled = grid_mod.dilate(steps[-1], steps[-1])
+        doubled = grid_mod.dilate_fft(steps[-1], steps[-1])
         geometry = GridGeometry(
             origin=tuple(o / 2 for o in doubled.geometry.origin),
             spacing=doubled.geometry.spacing / 2,
@@ -388,17 +388,18 @@ def test_planar_cloud_chain_packs_nothing(monkeypatch):
 
 def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
     # Step 10 of the diagonal chain sums a 2049^2 grid with itself into 4097^2
-    # cells from 2049^2 pairs: minkowski_sum's sparse route, no dilate call.
-    # Only a step whose key pairs reach its output cells folds dilate, and
-    # on this thin diagonal no step does.
+    # cells from 2049^2 pairs: minkowski_sum's sparse route, no dense fold.
+    # Only a step whose key pairs reach its output cells folds dilate_fft
+    # (or dilate_naive), and on this thin diagonal no step does.
     summed = []
-    real = grid_mod.dilate
+    for name in ("dilate_fft", "dilate_naive"):
+        real = getattr(grid_mod, name)
 
-    def counting(a, b):
-        summed.append(a.geometry.extents)
-        return real(a, b)
+        def counting(a, b, real=real):
+            summed.append(a.geometry.extents)
+            return real(a, b)
 
-    monkeypatch.setattr(grid_mod, "dilate", counting)
+        monkeypatch.setattr(grid_mod, name, counting)
     chain = midpoint_iterate(criterion_07_inputs()["diagonal segment"], 10)
     assert chain.steps[-1].geometry.extents == (4097, 4097)
     dense_steps = [
