@@ -43,7 +43,6 @@ class EliminationResult:
 
     rank: int
     accepted: tuple[int, ...]
-    pivot_columns: tuple[int, ...]
     pivot_values: tuple[float, ...]
     basis: NDArray[np.float64]
 
@@ -70,7 +69,6 @@ def greedy_row_elimination(
     work = original.copy()
     alive = np.ones(k, dtype=bool)
     accepted: list[int] = []
-    pivot_cols: list[int] = []
     pivot_vals: list[float] = []
     while len(accepted) < n and alive.any():
         mags = np.abs(work).max(axis=1, initial=0.0)
@@ -89,7 +87,6 @@ def greedy_row_elimination(
         row = work[cand].copy()
         col = int(np.argmax(np.abs(row)))
         accepted.append(cand)
-        pivot_cols.append(col)
         pivot_vals.append(float(row[col]))
         alive[cand] = False
         factors = work[:, col] / row[col]
@@ -99,7 +96,6 @@ def greedy_row_elimination(
     return EliminationResult(
         rank=len(accepted),
         accepted=tuple(accepted),
-        pivot_columns=tuple(pivot_cols),
         pivot_values=tuple(pivot_vals),
         basis=original[accepted].copy() if accepted else np.empty((0, n)),
     )

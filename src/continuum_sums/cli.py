@@ -303,9 +303,15 @@ def _write_bitmaps(prefix: str, sums: Iterable[tuple[float, PackedMask]]) -> Non
         _atomic_write_text(f"{prefix}-h{h:g}.pbm", render_pbm(_bitmap_plane(cells, spec)))
 
 
+def _finite_h(h: float) -> float:
+    if not math.isfinite(h):
+        raise InputError(f"--h must be finite, got {h}")
+    return h
+
+
 def _effective_resolutions(args: argparse.Namespace, doc: Document | None) -> list[float]:
     if getattr(args, "h", None):
-        return [float(h) for h in args.h]
+        return [_finite_h(h) for h in args.h]
     if doc is not None and doc.resolutions:
         return list(doc.resolutions)
     return list(DEFAULT_RESOLUTIONS)
@@ -436,7 +442,7 @@ def _cmd_verify_claim(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     if args.bitmap:
         _check_bitmap_dim(doc.dim)
-    resolutions = sorted(_effective_resolutions(args, doc), reverse=True)
+    resolutions = sorted(set(_effective_resolutions(args, doc)), reverse=True)
     s = args.s if args.s is not None else (doc.construction_s or 1)
     start = time.perf_counter()
     construction = shift_construction(doc.sets, s=s)
@@ -564,7 +570,7 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 def _cmd_bitmap(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     _check_bitmap_dim(doc.dim)
-    h = args.h if args.h is not None else min(doc.resolutions or DEFAULT_RESOLUTIONS)
+    h = _finite_h(args.h) if args.h is not None else min(doc.resolutions or DEFAULT_RESOLUTIONS)
     if h <= 0:
         raise InputError(f"--h must be positive, got {h}")
     slice_spec = tuple(args.slice) if args.slice is not None else None

@@ -530,17 +530,13 @@ def dilate_naive(a: GridSet, b: GridSet) -> GridSet:
 def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     """FFT-convolution route; bit-identical to :func:`dilate_naive`.
 
-    Convolution counts are integers bounded by the occupied-count product, so
-    they are exact in float64 below 2**52; beyond that the call refuses with
+    This is :func:`minkowski_sum`'s dense fold, and the route that acceptance
+    criterion 01 holds to :func:`dilate_naive` cell for cell.  Convolution
+    counts are integers bounded by the occupied-count product, so they are
+    exact in float64 below 2**52; beyond that the call refuses with
     :class:`DilationPrecisionError` and the caller must fall back to the naive
     route.  A count is occupied when it exceeds 0.5, which is exactly the
     rounding test ``rint(count) >= 1`` (``rint(0.5) == 0``).
-
-    A self-sum (the same raster twice, or two rasters with equal occupancy,
-    whatever their origins: the index sums are the same) transforms once and
-    squares the spectrum.  Output axes of extent 1 are dropped from the
-    transform: both operands have extent 1 there, and a real transform along
-    a length-1 last axis would make the whole spectrum complex-sized.
     """
     geom = _sum_geometry(a.geometry, b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
@@ -548,23 +544,13 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
         raise DilationPrecisionError(
             "occupied-cell product exceeds the exact float64 range; use dilate_naive"
         )
-    out_shape = geom.extents
-    axes = [k for k, m in enumerate(out_shape) if m > 1] or [0]
-    fast = [_fft.next_fast_len(out_shape[k]) for k in axes]
-
-    def spectrum(occupancy: NDArray[np.bool_]) -> NDArray[np.complex128]:
-        kept = occupancy.reshape([occupancy.shape[k] for k in axes])
-        return _fft.rfftn(kept.astype(np.float64), fast)
-
-    prod = spectrum(a.occupancy)
-    if a is b or np.array_equal(a.occupancy, b.occupancy):
-        np.multiply(prod, prod, out=prod)
-    else:
-        np.multiply(prod, spectrum(b.occupancy), out=prod)
+    fast = [_fft.next_fast_len(m) for m in geom.extents]
+    prod = _fft.rfftn(a.occupancy.astype(np.float64), fast)
+    prod *= _fft.rfftn(b.occupancy.astype(np.float64), fast)
     conv = _fft.irfftn(prod, fast)
     del prod
-    occupied = conv[tuple(slice(0, out_shape[k]) for k in axes)] > 0.5
-    return GridSet(geom, occupied.reshape(out_shape), semantics, slack)
+    occupied = conv[tuple(slice(0, m) for m in geom.extents)] > 0.5
+    return GridSet(geom, occupied, semantics, slack)
 
 
 def _sorted_distinct(keys: NDArray[np.int64]) -> NDArray[np.int64]:

@@ -169,27 +169,6 @@ def verify_claim(
 
 
 @dataclass(frozen=True)
-class MeasureBoundReport:
-    measure: float
-    vol_parallelotope: float
-    ratio: float | None
-    ok: bool
-
-
-def measure_floor_check(measure: float, vol_p: float) -> MeasureBoundReport:
-    """An outer measure, already taken, against the parallelotope volume."""
-    if vol_p < 0:
-        raise ValueError(f"volume must be non-negative, got {vol_p}")
-    ratio = measure / vol_p if vol_p > 0 else None
-    return MeasureBoundReport(
-        measure=measure,
-        vol_parallelotope=vol_p,
-        ratio=ratio,
-        ok=measure >= vol_p,
-    )
-
-
-@dataclass(frozen=True)
 class MeasureChainReport:
     """The squeeze (2s)^n <= outer(K (+) Z) <= outer(K) * (2l+1)^n."""
 
@@ -568,15 +547,11 @@ def build_sum_separators(
     if y.shape != (n,):
         raise ValueError(f"target must be a {n}-vector")
     total = shifted_sum_raster(construction, sets, h)
-    geo = total.geometry
-    inside = geo.contains_point(y)
-    if inside:
-        cell = np.floor((y - np.asarray(geo.origin)) / geo.spacing).astype(np.int64)
-        cell = np.minimum(cell, np.asarray(geo.extents) - 1)
-        if total.occupancy[tuple(cell)]:
-            raise ValueError(
-                f"target {tuple(float(v) for v in y)} lies inside the rasterized sum"
-            )
+    if (
+        total.geometry.contains_point(y)
+        and total.occupancy[tuple(_cells_of_points(total, y[None, :])[0])]
+    ):
+        raise ValueError(f"target {tuple(float(v) for v in y)} lies inside the rasterized sum")
     factors = []
     factor_cells = []
     faces_neg = []

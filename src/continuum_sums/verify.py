@@ -49,7 +49,6 @@ from .sums import (
     bands_share_cell,
     build_sum_separators,
     hl_discrete_check,
-    measure_floor_check,
     random_separator_instance,
     separation_by_search,
     shift_construction,
@@ -300,7 +299,7 @@ def verify_theorem_main(
         # The box dilations by grow and by limit are the cells within those
         # chessboard distances of the sum.
         outer = padded.dilate(grow)
-        bound = measure_floor_check(cells_measure(outer.count(), h, n), vol_p)
+        measure = cells_measure(outer.count(), h, n)
         cube_center = None
         cube_side = None
         margin = math.inf
@@ -325,9 +324,9 @@ def verify_theorem_main(
                 interior_cube_side=cube_side,
                 density_margin=margin,
                 threshold=threshold,
-                outer_measure=bound.measure,
+                outer_measure=measure,
                 vol_parallelotope=vol_p,
-                ratio=bound.ratio,
+                ratio=measure / vol_p if vol_p > 0 else None,
                 sum_cells=cells,
             )
         )
@@ -497,10 +496,13 @@ def _instance_label(n: int, seed: int, instance: SeparatorInstance) -> str:
 
 
 def _axis_band_cube_check() -> tuple[bool, str]:
-    """Bands on coordinate potentials over a full square product.
+    """Bands on coordinate potentials over a full 7x7 square product.
 
     The bands depend on one factor each, so their intersection is the product
-    of two coordinate slabs: a central block whose size is known exactly.
+    of two coordinate slabs, a central block.  Checked: the bands share a
+    product cell (:func:`hl_discrete_check`), and each band separates its
+    faces (:func:`separation_by_search` on both axes).  The block's cell
+    count is computed only to name it in the detail.
     """
     extent = 7
     occupancy = np.ones((extent, extent), dtype=bool)
@@ -536,11 +538,6 @@ def _axis_band_cube_check() -> tuple[bool, str]:
     ok = ok and all(separation_by_search(instance, axis) for axis in range(2))
     band_width = int(np.count_nonzero(np.abs(cells[:, 0] - mid) <= 1))
     expected = band_width * int(np.count_nonzero(np.abs(cells[:, 1] - mid) <= 1))
-    in_band = (
-        (np.abs(cells[:, 0] - mid) <= 1)[:, None]
-        & (np.abs(cells[:, 1] - mid) <= 1)[None, :]
-    )
-    ok = ok and int(in_band.sum()) == expected
     detail = (
         f"central block of {expected} product cells"
         if ok

@@ -342,6 +342,50 @@ class TestVerifyCommands:
         ]
         assert all(c["passed"] for c in report["checks"])
 
+    def test_claim_runs_each_resolution_once(self, tmp_path, capsys):
+        doc = _write_doc(
+            tmp_path, "pair.json", {"dim": 2, "sets": [{"kind": "l_shape", "budget": 82}] * 2}
+        )
+        code, out, _ = _run(
+            capsys, "verify", "claim", doc, "--h", "0.05", "--h", "0.1", "--h", "0.05"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"]["resolutions"] == [0.1, 0.05]
+        assert [c["name"] for c in report["checks"]] == [
+            "cube-evidence[h=0.1]",
+            "measure-chain[h=0.1]",
+            "cube-evidence[h=0.05]",
+            "measure-chain[h=0.05]",
+        ]
+        assert [e["h"] for e in report["evidence"]["per_resolution"]] == [0.1, 0.05]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "main", "pair.json"],
+            ["verify", "c1", "one.json"],
+            ["verify", "cantor"],
+            ["verify", "claim", "pair.json"],
+            ["bitmap", "pair.json"],
+        ],
+    )
+    def test_non_finite_h_exits_two(self, tmp_path, capsys, argv, value):
+        _write_doc(tmp_path, "pair.json", {"dim": 2, "sets": [{"kind": "l_shape"}] * 2})
+        _write_doc(tmp_path, "one.json", {"dim": 2, "sets": [{"kind": "circle"}]})
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = _run(capsys, *argv, f"--h={value}")
+        assert code == 2 and out == ""
+        assert err == f"error: --h must be finite, got {float(value)}\n"
+
+    def test_finite_bad_h_keeps_its_message(self, tmp_path, capsys):
+        doc = _write_doc(tmp_path, "pair.json", {"dim": 2, "sets": [{"kind": "l_shape"}] * 2})
+        code, _, err = _run(capsys, "bitmap", doc, "--h", "0")
+        assert code == 2 and err == "error: --h must be positive, got 0.0\n"
+        code, _, err = _run(capsys, "verify", "main", doc, "--h", "-0.1")
+        assert code == 2 and err == "error: resolutions must be positive, got -0.1\n"
+
     def test_c1_requires_single_set(self, tmp_path, capsys):
         doc = _write_doc(
             tmp_path, "two.json", {"dim": 2, "sets": [{"kind": "circle"}] * 2}

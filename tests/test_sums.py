@@ -25,7 +25,6 @@ from continuum_sums.grid import (
     auto_geometry,
     cube_coverage,
     is_grid_continuum,
-    measure_estimate,
     rasterize,
 )
 from continuum_sums.sums import (
@@ -36,7 +35,6 @@ from continuum_sums.sums import (
     build_sum_separators,
     claim_measure_chain,
     hl_discrete_check,
-    measure_floor_check,
     midpoint_iterate,
     random_separator_instance,
     separation_by_search,
@@ -214,14 +212,6 @@ def test_measure_chain_for_l_instance():
     assert chain.cube_volume == 4.0
     assert chain.lower_ok and chain.upper_ok
     assert chain.implied_lower_bound == pytest.approx((2 / 7) ** 2)
-
-
-def test_measure_lower_bound_flags_failure():
-    point = SampledSet(points=np.zeros((1, 2)), density=0.0)
-    outer = rasterize(point, auto_geometry(point.points, 0.5, pad_cells=1), Semantics.OUTER)
-    report = measure_floor_check(measure_estimate(outer), 10.0)
-    assert not report.ok
-    assert measure_estimate(outer) == report.measure
 
 
 # --- midpoint iteration ---------------------------------------------------------------

@@ -154,6 +154,35 @@ class TestTheoremMain:
         assert ev.verdict == "inconclusive"
         assert "no admissible interior cube" in ev.reason
 
+    def test_outer_measure_below_volume_is_inconclusive(self, monkeypatch):
+        # A supported pair whose outer measures are forced to 0 trips only
+        # the measure-floor rule of the verdict.
+        monkeypatch.setattr(verify_mod, "cells_measure", lambda count, h, dim: 0.0)
+        ev = verify_theorem_main([l_shape(budget=42), l_shape(budget=42)], resolutions=COARSE)
+        assert all(e.outer_measure == 0.0 < e.vol_parallelotope for e in ev.resolutions)
+        assert ev.verdict == "inconclusive"
+        assert ev.reason == "outer measure fell below the parallelotope volume"
+
+    def test_lattice_sampled_square_takes_the_fft_fold(self, monkeypatch):
+        # A dense lattice sample has too many cells and row runs for either
+        # sparse route, so its sums are folded by dilate_fft.
+        calls = []
+        real_fft = grid_mod.dilate_fft
+
+        def dilate_fft(a, b):
+            calls.append(1)
+            return real_fft(a, b)
+
+        monkeypatch.setattr(grid_mod, "dilate_fft", dilate_fft)
+        axis = np.arange(0.0, 1.0 + 1e-12, 0.0071)
+        square = SampledSet(
+            points=np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2),
+            density=0.0071 / 2,
+        )
+        ev = verify_theorem_main([square, square], resolutions=(0.02, 0.01, 0.005))
+        assert calls
+        assert ev.verdict == "supported"
+
     def test_moment_curve_parallelotope_volume(self):
         k = moment_curve(dim=2, budget=201)
         ev = verify_theorem_main([k, k], resolutions=(0.1,))
