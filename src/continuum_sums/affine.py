@@ -66,33 +66,46 @@ def greedy_row_elimination(
     if not np.isfinite(original).all():
         raise ValueError("vectors must be finite")
     k, n = original.shape
-    work = original.copy()
-    alive = np.ones(k, dtype=bool)
+    # One contiguous residual array per coordinate, so the sup norms and the
+    # updates stream over rows instead of reducing short rows one by one.
+    work = original.T.copy()
+    mags = np.empty(k)
+    scratch = np.empty(k)
     accepted: list[int] = []
     pivot_vals: list[float] = []
-    while len(accepted) < n and alive.any():
-        mags = np.abs(work).max(axis=1, initial=0.0)
-        mags[~alive] = -1.0
+    # Rows before ``start`` are spent: in input order every row at or before
+    # an accepted one was tested once; pivot order keeps all rows live.
+    start = 0
+    while len(accepted) < min(n, k) and start < k:
+        live = work[:, start:]
+        live_mags = mags[start:]
+        np.abs(live[0], out=live_mags)
+        for j in range(1, n):
+            np.maximum(live_mags, np.abs(live[j], out=scratch[start:]), out=live_mags)
         if order == "pivot":
-            cand = int(np.argmax(mags))
-            if mags[cand] <= tol:
+            live_mags[accepted] = -1.0
+            cand = int(np.argmax(live_mags))
+            if live_mags[cand] <= tol:
                 break
         else:
-            above = mags > tol
+            above = live_mags > tol
             if not above.any():
                 break
-            cand = int(np.argmax(above))
-            # Rows at or before the accepted one were already tested once.
-            alive[: cand + 1] = False
-        row = work[cand].copy()
+            cand = start + int(np.argmax(above))
+            start = cand + 1
+        row = work[:, cand].copy()
         col = int(np.argmax(np.abs(row)))
         accepted.append(cand)
         pivot_vals.append(float(row[col]))
-        alive[cand] = False
-        factors = work[:, col] / row[col]
-        work -= np.outer(factors, row)
-        work[:, col] = 0.0
-        work[cand] = 0.0
+        live = work[:, start:]
+        factors = live[col] / row[col]
+        update = scratch[start:]
+        for j in range(n):
+            if j != col:
+                np.multiply(factors, row[j], out=update)
+                live[j] -= update
+        live[col] = 0.0
+        work[:, cand] = 0.0
     return EliminationResult(
         rank=len(accepted),
         accepted=tuple(accepted),

@@ -26,8 +26,13 @@ Point = tuple[float, ...]
 # coefficient is an exact float64 integer with slack for FFT roundoff.
 _FFT_EXACT_LIMIT = 2**52
 
-#: Pair-sum chunk size (index keys or runs) for the sparse accumulation routes.
-_SPARSE_CHUNK = 2_000_000
+#: Most pair sums (index keys or runs) the sparse routes form at once.  A
+#: chunk of 2**18 int64 sums is 2 MB, so a run fold's start and end chunks
+#: and their temporaries stay small next to its output-sized difference
+#: array.  At 2_000_000 sums (16 MB a chunk) the chunks set most of the
+#: peak of the planar-cloud midpoint chain, whose last run fold forms 6.5M
+#: pairs into 9.4M cells (100 MB traced by tracemalloc, 51 MB at 2**18).
+_SPARSE_CHUNK = 2**18
 
 
 class DilationPrecisionError(ValueError):
@@ -567,10 +572,23 @@ def _sorted_distinct(keys: NDArray[np.int64]) -> NDArray[np.int64]:
 
 
 def _pair_sums(keys: NDArray[np.int64], other: NDArray[np.int64]) -> Iterator[NDArray[np.int64]]:
-    """Every key plus every ``other`` key, in chunks of about ``_SPARSE_CHUNK`` sums."""
-    step = max(1, _SPARSE_CHUNK // max(len(other), 1))
-    for i in range(0, len(keys), step):
-        yield (keys[i : i + step, None] + other[None, :]).ravel()
+    """Every key plus every ``other`` key, in chunks of at most ``_SPARSE_CHUNK`` sums.
+
+    Rows ``[i, i + step)`` of ``keys`` meet the columns of ``other`` in
+    blocks, split along the columns too when one row alone exceeds the
+    chunk.  When ``keys is other`` (a fold of one object with itself) the
+    rows meet columns ``[i:]`` only: sums commute, so each unordered pair is
+    formed once, plus the lower triangle inside each block of rows.
+    """
+    same = keys is other
+    i = 0
+    while i < len(keys):
+        cols = other[i:] if same else other
+        step = max(1, _SPARSE_CHUNK // max(len(cols), 1))
+        rows = keys[i : i + step, None]
+        for j in range(0, len(cols), _SPARSE_CHUNK):
+            yield (rows + cols[None, j : j + _SPARSE_CHUNK]).ravel()
+        i += step
 
 
 #: Runs as flat ``[start, end)`` keys: the start array and the end array.
@@ -594,11 +612,15 @@ def _runs(r: GridSet, weights: NDArray[np.int64], axis: int) -> _Runs:
 
 
 def _run_pair_sums(runs: _Runs, other: _Runs) -> Iterator[_Runs]:
-    """Every run plus every ``other`` run, in chunks of about ``_SPARSE_CHUNK`` pairs.
+    """Every run plus every ``other`` run, in chunks of at most ``_SPARSE_CHUNK`` pairs.
 
-    ``[s1, e1) + [s2, e2)`` is the one run ``[s1 + s2, e1 + e2 - 1)``.
+    ``[s1, e1) + [s2, e2)`` is the one run ``[s1 + s2, e1 + e2 - 1)``.  The
+    ends are summed as given, so a runs tuple summed with itself keeps its
+    identity and forms each unordered pair once (see :func:`_pair_sums`).
     """
-    yield from zip(_pair_sums(runs[0], other[0]), _pair_sums(runs[1], other[1] - 1))
+    for starts, ends in zip(_pair_sums(runs[0], other[0]), _pair_sums(runs[1], other[1])):
+        ends -= 1
+        yield starts, ends
 
 
 def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64]) -> _Runs:
@@ -631,7 +653,8 @@ def _key_sum(
     keys = keyed[id(rasters[0])]
     for r in rasters[1:-1]:
         chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]
-        keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys
+        # No chunk means an empty operand, hence an empty sum.
+        keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys[:0]
     occupancy = np.zeros(extents, dtype=bool)
     flat = occupancy.reshape(-1)
     for chunk in _pair_sums(keys, keyed[id(rasters[-1])]):
@@ -686,9 +709,12 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
        occupied-count product leaves the FFT's exact range falls back to
        the shift-OR of :func:`dilate_naive`.
 
-    Both sparse routes form their pairs in chunks of ``_SPARSE_CHUNK``, and
-    extract keys or runs once per distinct raster object, so no dense
-    intermediate is ever held.  A single input is returned as is.
+    Both sparse routes form their pairs in chunks of at most
+    ``_SPARSE_CHUNK`` sums, and extract keys or runs once per distinct
+    raster object, so no dense intermediate is ever held.  A fold of one
+    raster object with itself (``[a, a]``, or the first fold of
+    ``[a] * n``) forms each unordered pair once.  A single input is
+    returned as is.
     """
     rasters = list(rasters)
     if not rasters:

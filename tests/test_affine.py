@@ -72,6 +72,75 @@ def test_basis_rows_are_original_vectors():
     assert np.array_equal(res.basis, rows[:2])
 
 
+def _dense_elimination(vectors, tol, order):
+    """The elimination as first written: every row rescanned and updated per acceptance.
+
+    Returns ``(accepted, pivot_values, basis)``; the bit-identity oracle for
+    :func:`greedy_row_elimination`, which scans and updates live rows only.
+    """
+    original = np.asarray(vectors, dtype=np.float64)
+    k, n = original.shape
+    work = original.copy()
+    alive = np.ones(k, dtype=bool)
+    accepted: list[int] = []
+    pivot_vals: list[float] = []
+    while len(accepted) < n and alive.any():
+        mags = np.abs(work).max(axis=1, initial=0.0)
+        mags[~alive] = -1.0
+        if order == "pivot":
+            cand = int(np.argmax(mags))
+            if mags[cand] <= tol:
+                break
+        else:
+            above = mags > tol
+            if not above.any():
+                break
+            cand = int(np.argmax(above))
+            alive[: cand + 1] = False
+        row = work[cand].copy()
+        col = int(np.argmax(np.abs(row)))
+        accepted.append(cand)
+        pivot_vals.append(float(row[col]))
+        alive[cand] = False
+        factors = work[:, col] / row[col]
+        work -= np.outer(factors, row)
+        work[:, col] = 0.0
+        work[cand] = 0.0
+    basis = original[accepted].copy() if accepted else np.empty((0, n))
+    return tuple(accepted), tuple(pivot_vals), basis
+
+
+def _elimination_cases():
+    rng = np.random.default_rng(20)
+    cases = {"empty": np.empty((0, 3)), "no-columns": np.empty((4, 0))}
+    for k, n in [(1, 1), (5, 3), (40, 2), (200, 3), (30, 6), (3, 5)]:
+        cases[f"random-{k}x{n}"] = rng.standard_normal((k, n))
+        rows = rng.standard_normal((k, n))
+        cases[f"duplicated-{k}x{n}"] = np.vstack([rows, rows[::-1], rows])
+        cases[f"zero-{k}x{n}"] = np.zeros((k, n))
+        # Rank min(2, n) - 1 or 2: every row a combination of two rows.
+        basis = rng.standard_normal((min(2, n), n))
+        cases[f"deficient-{k}x{n}"] = rng.standard_normal((k, len(basis))) @ basis
+    cases["zeros-then-rows"] = np.vstack([np.zeros((4, 3)), rng.standard_normal((6, 3))])
+    cases["planar-cells"] = np.column_stack(
+        [rng.integers(0, 50, 500), rng.integers(0, 50, 500), np.zeros(500)]
+    ).astype(float)
+    cases["ties"] = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [-2.0, 2.0]])
+    return cases
+
+
+@pytest.mark.parametrize("order", ["input", "pivot"])
+@pytest.mark.parametrize("case", sorted(_elimination_cases()))
+def test_elimination_matches_dense_rescan(case, order):
+    vectors = _elimination_cases()[case]
+    for tol in (1e-9, 0.5):
+        accepted, pivots, basis = _dense_elimination(vectors, tol, order)
+        got = greedy_row_elimination(vectors, tol, order=order)
+        assert got.accepted == accepted and got.rank == len(accepted)
+        assert np.array_equal(np.array(got.pivot_values), np.array(pivots))
+        assert got.basis.shape == basis.shape and np.array_equal(got.basis, basis)
+
+
 # --- parallelotope volume (the certificate's det_abs) ----------------------------
 
 

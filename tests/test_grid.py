@@ -204,6 +204,8 @@ def test_fft_guard_on_occupancy_product():
 
 
 # --- FFT route: self-sums and length-1 axes ---------------------------------------
+# Each test here ties dilate_fft to dilate_naive on its operands; none counts
+# transforms.
 
 
 def cover_grid(occ, origin=None) -> GridSet:
@@ -520,6 +522,10 @@ _FLAT_3D = cover_grid(np.triu(np.ones((5, 5), bool))[:, :, None])
 # The last operand has extent 1 on the run axis, so the first fold reaches
 # each row's last cell and touching runs join across rows.
 _COLUMN = cover_grid([[1], [0], [1]])
+# Two rows of two runs: 14^2 and 14^3 key pairs outnumber 3 * 15 and
+# 4 * 22 output cells, but 4^2 and 4^3 run pairs do not, so [a, a] and
+# [a, a, a] take the run route and fold one runs tuple with itself.
+_TWO_RUN_ROWS = cover_grid([[1, 1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1, 1, 1]])
 
 
 @given(sum_operands(), st.sampled_from([1, 3, grid_mod._SPARSE_CHUNK]))
@@ -533,6 +539,10 @@ _COLUMN = cover_grid([[1], [0], [1]])
 @example([_FULL_8X2] * 3, 3)
 @example([_CHECKER, _CHECKER], 1)
 @example([_DOTS, _DOTS], 3)
+@example([_TWO_RUN_ROWS] * 2, 1)
+@example([_TWO_RUN_ROWS] * 2, 3)
+@example([_TWO_RUN_ROWS] * 3, 1)
+@example([_TWO_RUN_ROWS] * 3, 3)
 @settings(deadline=None)
 def test_minkowski_sum_matches_naive_fold(rasters, chunk):
     ref = rasters[0]
@@ -545,6 +555,116 @@ def test_minkowski_sum_matches_naive_fold(rasters, chunk):
     assert np.array_equal(out.occupancy, ref.occupancy)
     assert out.semantics is ref.semantics
     assert out.slack == ref.slack
+
+
+def _spy_pair_sums(monkeypatch, chunk: int) -> list[dict]:
+    """Record every ``_pair_sums`` call of the sparse routes at chunk size ``chunk``.
+
+    Each record holds the operand sizes, whether both operands are one
+    object, and the size of every chunk the call yields.  Dense folds and
+    the naive fold are refused, so only the sparse routes run.
+    """
+    calls: list[dict] = []
+    real = grid_mod._pair_sums
+
+    def spy(keys, other):
+        call = {"m": len(keys), "n": len(other), "same": keys is other, "chunks": []}
+        calls.append(call)
+        for c in real(keys, other):
+            call["chunks"].append(c.size)
+            yield c
+
+    def refuse(a, b):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(grid_mod, "_SPARSE_CHUNK", chunk)
+    monkeypatch.setattr(grid_mod, "_pair_sums", spy)
+    monkeypatch.setattr(grid_mod, "dilate_fft", refuse)
+    monkeypatch.setattr(grid_mod, "dilate_naive", refuse)
+    return calls
+
+
+def _route(monkeypatch) -> list[str]:
+    """Name the sparse route each ``minkowski_sum`` call takes."""
+    taken: list[str] = []
+    for name in ("_key_sum", "_run_sum"):
+        real = getattr(grid_mod, name)
+
+        def recording(*args, name=name, real=real):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(grid_mod, name, recording)
+    return taken
+
+
+# Five full rows of four: 20^2 key pairs outnumber 9 * 7 output cells, but
+# 5^2 run pairs (and 5^3 against 13 * 10 for three) do not.
+_FIVE_ROWS = cover_grid(np.ones((5, 4), bool))
+
+
+@pytest.mark.parametrize(
+    "rasters, route",
+    [
+        # 6 * 5 key pairs against 10^2 cells; 6^3 against 16^2.
+        ([_diagonal(6), _diagonal(5)], "_key_sum"),
+        ([_diagonal(6)] * 3, "_key_sum"),
+        ([_FIVE_ROWS, cover_grid(np.ones((5, 4), bool))], "_run_sum"),
+        ([_FIVE_ROWS] * 3, "_run_sum"),
+    ],
+    ids=["keys-distinct", "keys-self", "runs-distinct", "runs-self"],
+)
+def test_sparse_chunks_never_exceed_the_chunk_size(monkeypatch, rasters, route):
+    # Every operand has more keys (or runs) than the chunk holds.
+    ref = rasters[0]
+    for r in rasters[1:]:
+        ref = dilate_naive(ref, r)
+    taken = _route(monkeypatch)
+    calls = _spy_pair_sums(monkeypatch, 4)
+    out = minkowski_sum(rasters)
+    assert taken == [route]
+    assert np.array_equal(out.occupancy, ref.occupancy)
+    assert calls and min(call["n"] for call in calls) > 4
+    assert max(max(call["chunks"]) for call in calls) <= 4
+
+
+# 12 keys against 23^2 output cells; 12 runs against 23 * 11.
+_TWELVE_DOTS = _diagonal(12)
+_TWELVE_ROWS = cover_grid(np.ones((12, 6), bool))
+
+
+@pytest.mark.parametrize("raster", [_TWELVE_DOTS, _TWELVE_ROWS], ids=["keys", "runs"])
+def test_self_sum_forms_each_unordered_pair_once(monkeypatch, raster):
+    chunk = 16
+    ref = dilate_naive(raster, raster)
+    taken = _route(monkeypatch)
+    calls = _spy_pair_sums(monkeypatch, chunk)
+    out = minkowski_sum([raster, raster])
+    assert np.array_equal(out.occupancy, ref.occupancy)
+    # The run route sums starts and ends in two calls of one shape.
+    assert len(calls) == (1 if taken == ["_key_sum"] else 2)
+    # A chunk spans at most isqrt(chunk) rows, so it repeats at most the
+    # pairs of that many rows in its in-block lower triangle.
+    rows = math.isqrt(chunk)
+    for call in calls:
+        m = call["m"]
+        assert call["same"] and m == 12
+        formed = sum(call["chunks"])
+        assert formed <= m * (m + 1) // 2 + len(call["chunks"]) * rows * (rows - 1) // 2
+        assert formed < m * m
+
+
+@pytest.mark.parametrize("raster", [_TWELVE_DOTS, _TWELVE_ROWS], ids=["keys", "runs"])
+def test_equal_occupancy_in_distinct_rasters_forms_every_pair(monkeypatch, raster):
+    # Identity, not equal values, decides the self-sum.
+    twin = cover_grid(raster.occupancy.copy())
+    ref = dilate_naive(raster, twin)
+    calls = _spy_pair_sums(monkeypatch, 16)
+    out = minkowski_sum([raster, twin])
+    assert np.array_equal(out.occupancy, ref.occupancy)
+    assert calls
+    for call in calls:
+        assert not call["same"] and sum(call["chunks"]) == 12 * 12
 
 
 @pytest.mark.parametrize(
