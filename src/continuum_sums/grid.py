@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,6 +21,7 @@ from scipy import fft as _fft
 from scipy import ndimage as _ndimage
 
 Point = tuple[float, ...]
+_T = TypeVar("_T")
 
 # Product of occupied-cell counts must stay below 2**52 so every convolution
 # coefficient is an exact float64 integer with slack for FFT roundoff.
@@ -33,6 +34,21 @@ _FFT_EXACT_LIMIT = 2**52
 #: peak of the planar-cloud midpoint chain, whose last run fold forms 6.5M
 #: pairs into 9.4M cells (100 MB traced by tracemalloc, 51 MB at 2**18).
 _SPARSE_CHUNK = 2**18
+
+#: The key route's packed sink: a last fold whose output has more than this
+#: many cells per pair sum ORs its pair keys into packed bits.  A bit set by
+#: ``np.bitwise_or.at`` costs far more than a cell of a dense box to zero,
+#: scatter into and pack, so the box wins when pair sums are many next to
+#: the cells, and the sink when they are few.  Whole packed sums, dense box
+#: against packed sink (best of 7, two cores): the 801^2 circle pair (1.2
+#: cells a pair) 3.3 against 17.4 ms, the 151^3 tripod (41) 3.5 ms either
+#: way, the 301^3 tripod (338) 21.2 against 8.9 ms, the 601^3 tripod
+#: (2,694) 137 against 47 ms.
+_PACKED_SINK_CELLS_PER_PAIR = 40
+
+#: Most bytes of scratch a packed-axis bit shift holds at once (one plane
+#: when a plane of the array is larger).
+_CARRY_BYTES = 2**20
 
 
 class DilationPrecisionError(ValueError):
@@ -235,7 +251,7 @@ def rasterize(
         return GridSet(geometry, occ, Semantics.SAMPLE_COVER, slack=samples.density)
 
     grow = int(math.ceil(samples.density / h))
-    fat = PackedMask.pack(occ).padded(grow).dilate(grow).unpack()
+    fat = PackedMask.pack(occ).padded(grow)._dilate_spent(grow).unpack()
     out_geom = GridGeometry(
         origin=tuple(o - grow * h for o in geometry.origin),
         spacing=h,
@@ -293,31 +309,52 @@ class PackedMask:
     def padded(self, pad: int) -> "PackedMask":
         """The mask inside ``pad`` empty cells on every side.
 
-        Equals packing ``np.pad(occupancy, pad)`` without a dense copy: the
-        packed rows are placed at the leading offsets, then moved ``pad``
-        cells along the packed axis (whole bytes plus a bit shift).
+        Equals packing ``np.pad(occupancy, pad)`` without a dense copy, built
+        in the one result array: each packed row is written at the leading
+        offsets, moved ``pad`` cells along the packed axis (whole bytes plus
+        a bit shift), and the bits it carries into the next byte are ORed in
+        one slab of planes at a time.
         """
         if pad < 0:
             raise ValueError(f"pad must be >= 0, got {pad}")
         shape = tuple(m + 2 * pad for m in self.shape)
         bits = np.zeros((-(-shape[-1] // 8),) + shape[:-1], dtype=np.uint8)
         lead = tuple(slice(pad, pad + m) for m in self.shape[:-1])
-        bits[(slice(0, self.bits.shape[0]),) + lead] = self.bits
-        moved = np.empty_like(bits)
-        _moved_bits(bits, moved, np.empty_like(bits), pad)
-        return PackedMask(moved, shape)
+        rows = self.bits.shape[0]
+        whole, part = divmod(pad, 8)
+        np.multiply(self.bits, np.uint8(1 << part), out=bits[(slice(whole, whole + rows),) + lead])
+        # Bits carried past the last byte would lie beyond the last cell, so
+        # they are zero and need no row.
+        carried = min(rows, bits.shape[0] - whole - 1)
+        if part and carried > 0:
+            dest = bits[(slice(whole + 1, whole + 1 + carried),) + lead]
+            scratch = _slab_scratch(self.bits.shape)
+            _or_slabs(dest, self.bits[:carried], np.right_shift, np.uint8(8 - part), scratch)
+        return PackedMask(bits, shape)
 
     def dilate(self, r: int) -> "PackedMask":
         """Box dilation by radius ``r`` cells (log-step shifted ORs)."""
         return PackedMask(_box(self.bits, self.shape, r, np.bitwise_or), self.shape)
 
+    def _dilate_spent(self, r: int) -> "PackedMask":
+        """:meth:`dilate`, built in this mask's own array, which the mask gives up.
+
+        The dilation allocates one array instead of two.  The mask keeps no
+        bits, so using it afterwards raises ``AttributeError``.
+        """
+        bits = self.bits
+        del self.bits
+        return PackedMask(_box(bits, self.shape, r, np.bitwise_or, spent=True), self.shape)
+
     def erode(self, r: int) -> "PackedMask":
         """Box erosion by radius ``r`` cells (log-step shifted ANDs).
 
-        The erosion runs on the bounding box of the set bytes only and is
-        written back into an empty array.  Cells outside that box are empty,
-        so a window leaving it is empty either way and the result is exact.
-        A box thinner than 2r + 1 cells on some axis erodes to nothing at once.
+        The erosion runs on the bounding box of the set bytes only.  Cells
+        outside that box are empty, so a window leaving it is empty either
+        way and the result is exact.  A box that is the whole array is
+        returned as eroded; a smaller one is written back into an empty
+        array.  A box thinner than 2r + 1 cells on some axis erodes to
+        nothing at once.
         """
         if r < 0:
             raise ValueError(f"box radius must be >= 0, got {r}")
@@ -329,6 +366,8 @@ class PackedMask:
             extents += (min(8 * rows.stop, self.shape[-1]) - 8 * rows.start,)
             if min(extents) >= 2 * r + 1:
                 eroded = _box(self.bits[box], extents, r, np.bitwise_and)
+                if eroded.shape == self.bits.shape:
+                    return PackedMask(eroded, self.shape)
         out = np.zeros_like(self.bits)
         if eroded is not None:
             out[box] = eroded
@@ -374,9 +413,9 @@ class PackedMask:
 
 
 def _box(
-    src: NDArray[np.uint8], shape: tuple[int, ...], r: int, op: np.ufunc
+    src: NDArray[np.uint8], shape: tuple[int, ...], r: int, op: np.ufunc, spent: bool = False
 ) -> NDArray[np.uint8]:
-    """New packed array: the box dilation (OR) or erosion (AND) of ``src`` by ``r``.
+    """The box dilation (OR) or erosion (AND) of ``src`` by ``r``, packed.
 
     Along each axis every cell first combines the window [i, i + r], built
     by doubling and reading only cells farther up, so the zero fill is
@@ -384,14 +423,20 @@ def _box(
     by r, [i - r, i].  For an erosion a moved window that leaves the array is
     empty either way.  For a dilation cell i < r takes the window of cell 0
     instead, [0, r], which lies inside [i - r, i + r] and, with [i, i + r],
-    covers its cells in the array.  The folds alternate between two
-    buffers, so no fold allocates.  The packed axis goes first: its folds
+    covers its cells in the array.
+
+    The folds alternate between two buffers of ``src``'s shape, so the
+    result is one of them and the other is freed on return.  Both are new
+    arrays unless ``spent``: then ``src``, which the caller gives up, is
+    the first buffer.  A fold along the packed axis also holds the bits
+    that cross a byte boundary, in one scratch slab of at most
+    ``_CARRY_BYTES`` (or one plane).  The packed axis goes first: its folds
     read ``src`` by slices, so a strided view is read without a copy.
     """
     if r < 0:
         raise ValueError(f"box radius must be >= 0, got {r}")
     if r == 0:
-        return np.array(src)
+        return src if spent else np.array(src)
     shifts = []
     span = 1
     while span <= r:
@@ -399,13 +444,14 @@ def _box(
         shifts.append(-step)
         span += step
     shifts.append(r)
-    buffers = (np.empty(src.shape, np.uint8), np.empty(src.shape, np.uint8))
-    carry = np.empty(src.shape, np.uint8)
+    first = src if spent else np.empty(src.shape, np.uint8)
+    buffers = (first, np.empty(src.shape, np.uint8))
+    scratch = _slab_scratch(src.shape)
     last = len(shape) - 1
     for axis in (last, *range(last)):
         for shift in shifts:
             out = buffers[1] if src is buffers[0] else buffers[0]
-            _fold(src, out, carry, shape, axis, shift, op)
+            _fold(src, out, scratch, shape, axis, shift, op)
             src = out
     return src
 
@@ -413,7 +459,7 @@ def _box(
 def _fold(
     src: NDArray[np.uint8],
     out: NDArray[np.uint8],
-    carry: NDArray[np.uint8],
+    scratch: NDArray[np.uint8],
     shape: tuple[int, ...],
     axis: int,
     shift: int,
@@ -423,11 +469,11 @@ def _fold(
 
     A cell i - shift above the array reads as empty.  One below it reads as
     empty for an AND and as cell 0 for an OR, as :func:`_box` needs.
-    ``carry`` is a spare buffer of the same shape.
+    ``scratch`` is a :func:`_slab_scratch` of ``src``'s shape.
     """
     is_or = op is np.bitwise_or
     if axis == len(shape) - 1:
-        _moved_bits(src, out, carry, shift)
+        _moved_bits(src, out, scratch, shift)
         if shift > 0 and is_or:
             cell0 = (src[0] & np.uint8(1)) * np.uint8(0xFF)
             whole, part = divmod(shift, 8)
@@ -462,11 +508,11 @@ def _fold(
 
 
 def _moved_bits(
-    bits: NDArray[np.uint8], out: NDArray[np.uint8], carry: NDArray[np.uint8], shift: int
+    bits: NDArray[np.uint8], out: NDArray[np.uint8], scratch: NDArray[np.uint8], shift: int
 ) -> None:
     """Write into ``out`` the packed rows whose cell i is cell i - shift; zero fill.
 
-    ``carry`` is a spare buffer of the same shape.
+    ``scratch`` is a :func:`_slab_scratch` of ``bits``'s shape.
     """
     rows = bits.shape[0]
     whole, part = divmod(abs(shift), 8)
@@ -479,15 +525,39 @@ def _moved_bits(
         np.multiply(bits[: rows - whole], np.uint8(1 << part), out=out[whole:])
         out[:whole] = 0
         if part:
-            np.right_shift(bits[: rows - whole - 1], np.uint8(8 - part), out=carry[whole + 1 :])
-            out[whole + 1 :] |= carry[whole + 1 :]
+            carried = bits[: rows - whole - 1]
+            _or_slabs(out[whole + 1 :], carried, np.right_shift, np.uint8(8 - part), scratch)
     else:
         np.right_shift(bits[whole:], np.uint8(part), out=out[: rows - whole])
         out[rows - whole :] = 0
         if part:
             low = slice(0, rows - whole - 1)
-            np.multiply(bits[whole + 1 :], np.uint8(1 << (8 - part)), out=carry[low])
-            out[low] |= carry[low]
+            _or_slabs(out[low], bits[whole + 1 :], np.multiply, np.uint8(1 << (8 - part)), scratch)
+
+
+def _slab_scratch(shape: tuple[int, ...]) -> NDArray[np.uint8]:
+    """Scratch for :func:`_or_slabs` on arrays of ``shape``: one slab of planes.
+
+    A slab holds at most ``_CARRY_BYTES``, or one plane when a plane is
+    larger, so the scratch stays small next to the arrays it serves.
+    """
+    plane = math.prod(shape[1:])
+    return np.empty((min(shape[0], max(1, _CARRY_BYTES // max(plane, 1))),) + shape[1:], np.uint8)
+
+
+def _or_slabs(
+    out: NDArray[np.uint8],
+    src: NDArray[np.uint8],
+    op: np.ufunc,
+    arg: np.uint8,
+    scratch: NDArray[np.uint8],
+) -> None:
+    """``out |= op(src, arg)``, one slab of ``scratch``'s planes at a time."""
+    step = len(scratch)
+    for i in range(0, len(src), step):
+        slab = scratch[: min(step, len(src) - i)]
+        op(src[i : i + step], arg, out=slab)
+        out[i : i + step] |= slab
 
 
 def _combined_semantics(semantics: Semantics, slack: float, b: GridSet) -> tuple[Semantics, float]:
@@ -641,23 +711,50 @@ def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64]) -> _Runs:
     return starts[first], reach[last]
 
 
-def _key_sum(
-    rasters: list[GridSet], extents: tuple[int, ...], weights: NDArray[np.int64]
-) -> NDArray[np.bool_]:
-    """Occupancy of the sum, from the flat index keys of the occupied cells."""
-    # A raster passed more than once is keyed once.
-    keyed: dict[int, NDArray[np.int64]] = {}
+def _each_object(rasters: list[GridSet], make: Callable[[GridSet], _T]) -> dict[int, _T]:
+    """``make`` of each distinct raster object, keyed by its ``id``."""
+    made: dict[int, _T] = {}
     for r in rasters:
-        if id(r) not in keyed:
-            keyed[id(r)] = _sorted_distinct(r.occupied_indices() @ weights)
+        if id(r) not in made:
+            made[id(r)] = make(r)
+    return made
+
+
+def _key_sum(
+    rasters: list[GridSet], extents: tuple[int, ...], weights: NDArray[np.int64], packed: bool
+) -> NDArray[np.bool_] | PackedMask:
+    """Occupancy of the sum, from the flat index keys of the occupied cells.
+
+    With ``packed``, a last fold that has more than
+    ``_PACKED_SINK_CELLS_PER_PAIR`` output cells per pair sum writes each
+    pair key as one bit of a :class:`PackedMask`; every other last fold
+    scatters into a dense box.
+    """
+    keyed = _each_object(rasters, lambda r: _sorted_distinct(r.occupied_indices() @ weights))
     keys = keyed[id(rasters[0])]
     for r in rasters[1:-1]:
         chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]
         # No chunk means an empty operand, hence an empty sum.
         keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys[:0]
+    last = keyed[id(rasters[-1])]
+    out_cells = math.prod(extents)
+    if packed and out_cells > _PACKED_SINK_CELLS_PER_PAIR * len(keys) * len(last):
+        # Key lead * width + col is cell col of C-order row lead, which is bit
+        # col & 7 of byte (col >> 3) * lead_cells + lead of the packed array.
+        width = extents[-1]
+        lead_cells = out_cells // width
+        bits = np.zeros((-(-width // 8),) + extents[:-1], dtype=np.uint8)
+        flat_bits = bits.reshape(-1)
+        for chunk in _pair_sums(keys, last):
+            lead, col = np.divmod(chunk, width)
+            lead += (col >> 3) * lead_cells
+            bit = (col & 7).astype(np.uint8)
+            np.left_shift(np.uint8(1), bit, out=bit)
+            np.bitwise_or.at(flat_bits, lead, bit)
+        return PackedMask(bits, extents)
     occupancy = np.zeros(extents, dtype=bool)
     flat = occupancy.reshape(-1)
-    for chunk in _pair_sums(keys, keyed[id(rasters[-1])]):
+    for chunk in _pair_sums(keys, last):
         flat[chunk] = True
     return occupancy
 
@@ -686,12 +783,55 @@ def _run_sum(operands: list[_Runs], extents: tuple[int, ...]) -> NDArray[np.bool
     return (counts[:out_cells] > 0).reshape(extents)
 
 
+def _folded_frame(rasters: list[GridSet]) -> tuple[GridGeometry, Semantics, float]:
+    """Geometry, semantics and slack of the sum, folded and validated over all inputs."""
+    if not rasters:
+        raise ValueError("need at least one raster")
+    geom = rasters[0].geometry
+    semantics, slack = rasters[0].semantics, rasters[0].slack
+    for r in rasters[1:]:
+        geom = _sum_geometry(geom, r.geometry)
+        semantics, slack = _combined_semantics(semantics, slack, r)
+    return geom, semantics, slack
+
+
+def _summed(
+    rasters: list[GridSet], geom: GridGeometry, packed: bool
+) -> NDArray[np.bool_] | PackedMask:
+    """Occupancy of the sum of two or more rasters over ``geom``, by the route rules.
+
+    The one rule set of :func:`minkowski_sum` and :func:`packed_minkowski_sum`;
+    ``packed`` only lets the key route's last fold pick its packed sink.
+    """
+    out_cells = math.prod(geom.extents)
+    # Index sums never exceed the output extents, so key sums cannot carry
+    # across axes and the flat keys add exactly like the index vectors.
+    weights = np.ones(geom.dim, dtype=np.int64)
+    for i in range(geom.dim - 2, -1, -1):
+        weights[i] = weights[i + 1] * geom.extents[i + 1]
+    counts = _each_object(rasters, lambda r: int(np.count_nonzero(r.occupancy)))
+    if math.prod(counts[id(r)] for r in rasters) < out_cells:
+        return _key_sum(rasters, geom.extents, weights, packed)
+    axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
+    runs = _each_object(rasters, lambda r: _runs(r, weights, axis))
+    if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
+        return _run_sum([runs[id(r)] for r in rasters], geom.extents)
+    acc = rasters[0]
+    for r in rasters[1:]:
+        try:
+            acc = dilate_fft(acc, r)
+        except DilationPrecisionError:
+            acc = dilate_naive(acc, r)
+    return acc.occupancy
+
+
 def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     """Grid Minkowski sum K_1 + ... + K_n, exactly ``dilate_naive`` folded left to right.
 
     Geometry, semantics and slack are folded (and validated) over all inputs
     before a route is chosen, so every route returns the same grid set.  Each
-    route is chosen from counts known before any sum, weighing pairs against
+    route is chosen from counts known before any sum (the occupied cells of
+    each distinct raster object are counted once), weighing pairs against
     output cells:
 
     1. When the product of occupied counts (the most index-key pairs a sum
@@ -699,6 +839,11 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
        summed as flat keys.  Each operand's keys and each earlier fold's
        keys are deduplicated by sorting and dropping equal neighbours; the
        last fold scatters its pair keys straight into the output occupancy.
+       For :func:`packed_minkowski_sum` a last fold with more than
+       ``_PACKED_SINK_CELLS_PER_PAIR`` (40) output cells per pair sum ORs
+       each pair key into packed bits instead, so no dense box is made; a
+       bit costs far more than a box cell, so a sum with fewer cells per
+       pair sum keeps the box.
     2. Otherwise, when the product of run counts is below the output cell
        count, maximal runs of occupied cells along the last output axis of
        extent > 1 are summed: two runs sum to exactly one run.  Earlier
@@ -717,38 +862,24 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     returned as is.
     """
     rasters = list(rasters)
-    if not rasters:
-        raise ValueError("need at least one raster")
-    geom = rasters[0].geometry
-    semantics, slack = rasters[0].semantics, rasters[0].slack
-    for r in rasters[1:]:
-        geom = _sum_geometry(geom, r.geometry)
-        semantics, slack = _combined_semantics(semantics, slack, r)
+    geom, semantics, slack = _folded_frame(rasters)
     if len(rasters) == 1:
         return rasters[0]
-    out_cells = math.prod(geom.extents)
-    # Index sums never exceed the output extents, so key sums cannot carry
-    # across axes and the flat keys add exactly like the index vectors.
-    weights = np.ones(geom.dim, dtype=np.int64)
-    for i in range(geom.dim - 2, -1, -1):
-        weights[i] = weights[i + 1] * geom.extents[i + 1]
-    if math.prod(r.occupied_count for r in rasters) < out_cells:
-        return GridSet(geom, _key_sum(rasters, geom.extents, weights), semantics, slack)
-    axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
-    runs: dict[int, _Runs] = {}
-    for r in rasters:
-        if id(r) not in runs:
-            runs[id(r)] = _runs(r, weights, axis)
-    if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
-        occupancy = _run_sum([runs[id(r)] for r in rasters], geom.extents)
-        return GridSet(geom, occupancy, semantics, slack)
-    acc = rasters[0]
-    for r in rasters[1:]:
-        try:
-            acc = dilate_fft(acc, r)
-        except DilationPrecisionError:
-            acc = dilate_naive(acc, r)
-    return acc
+    occupancy = _summed(rasters, geom, packed=False)
+    return GridSet(geom, occupancy, semantics, slack)
+
+
+def packed_minkowski_sum(rasters: Sequence[GridSet]) -> tuple[GridGeometry, PackedMask]:
+    """The geometry and packed occupancy of :func:`minkowski_sum` of ``rasters``.
+
+    Same routes and the same cells; a key-route sum whose last fold is
+    sparse next to its box is written straight into packed bits, and every
+    other sum is packed from its dense occupancy.
+    """
+    rasters = list(rasters)
+    geom, _, _ = _folded_frame(rasters)
+    cells = rasters[0].occupancy if len(rasters) == 1 else _summed(rasters, geom, packed=True)
+    return geom, cells if isinstance(cells, PackedMask) else PackedMask.pack(cells)
 
 
 def nfold_sum(a: GridSet, n: int) -> GridSet:

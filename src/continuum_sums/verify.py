@@ -41,7 +41,7 @@ from .grid import (
     cells_measure,
     covering_radius,
     is_grid_continuum,
-    minkowski_sum,
+    packed_minkowski_sum,
     rasterize,
 )
 from .sums import (
@@ -194,6 +194,9 @@ def _largest_cube(
     # shortest axis.
     lo, kept = 1, good
     hi = (min(good.shape) + 1) // 2 + 1
+    # Held as ``kept`` only, the input is freed once an erosion replaces it
+    # (when the caller holds no other reference).
+    del good
     if hint_side is None:
         r = 2
     else:
@@ -245,6 +248,22 @@ def verify_theorem_main(
     swept coarse to fine.  A flat union refutes the hypothesis outright: the
     sum then lives in a proper affine subspace, so no cube is ever admitted
     and the sweep only documents the degenerate measures.
+
+    Memory of one step at spacing h.  Let m_1..m_n be the sum's extents and
+    E_i = m_i + 2 * pad the padded ones, pad = max(grow, limit) + 1.  The
+    packed sum takes U = ceil(m_n / 8) * m_1 * ... * m_{n-1} bytes and stays
+    in the evidence; a padded packed mask takes P = ceil(E_n / 8) * E_1 *
+    ... * E_{n-1} bytes.  Once the sum is made, the step holds at most
+    U + 3 P bytes, plus one scratch slab of at most max(2**20, E_1 * ... *
+    E_{n-1}) bytes: the dilation by grow (built in the padded sum's array
+    and one more), the dilation by limit (built in that one's array), then
+    the cube search's kept erosion and its two erosion buffers.  The search
+    frees the dilation by limit once an erosion replaces it, which needs
+    the argument handoff of CPython 3.11 and later; on 3.10 add one P.
+    While the sum is made, a key-route sum written straight into packed
+    bits holds U bytes plus pair-key chunks of a few MB; every other sum
+    holds a dense box of m_1 * ... * m_n bytes until it is packed, plus its
+    route's working arrays.
     """
     steps = _resolution_list(resolutions)
     sets = list(sets)
@@ -278,7 +297,7 @@ def verify_theorem_main(
     entries = []
     hint_side = None
     for h in steps:
-        total = minkowski_sum(
+        sum_geometry, cells = packed_minkowski_sum(
             _each_once(normalized, lambda k: rasterize(k, auto_geometry(k.points, h)))
         )
         threshold = n * (eps + h)
@@ -289,34 +308,31 @@ def verify_theorem_main(
         # cells beyond the sample bounding box stay in play.
         pad = max(grow, limit) + 1
         geometry = GridGeometry(
-            origin=tuple(o - pad * h for o in total.geometry.origin),
+            origin=tuple(o - pad * h for o in sum_geometry.origin),
             spacing=h,
-            extents=tuple(m + 2 * pad for m in total.geometry.extents),
+            extents=tuple(m + 2 * pad for m in sum_geometry.extents),
         )
-        cells = PackedMask.pack(total.occupancy)
-        del total
-        padded = cells.padded(pad)
         # The box dilations by grow and by limit are the cells within those
-        # chessboard distances of the sum.
-        outer = padded.dilate(grow)
+        # chessboard distances of the sum.  Each is built in the array of the
+        # mask it grows, which gives the array up.
+        outer = cells.padded(pad)._dilate_spent(grow)
         measure = cells_measure(outer.count(), h, n)
         cube_center = None
         cube_side = None
         margin = math.inf
         if not cert.flat:
-            if limit >= grow:
-                good = outer.dilate(limit - grow)
-            else:
-                good = padded.dilate(limit)
-            found = _largest_cube(good, geometry, threshold, hint_side)
-            del good
+            # Dilations compose, so the threshold-dense cells are the outer
+            # set grown by limit - grow, which is >= 0 because threshold =
+            # n * (eps + h) >= eps_sum + n * h.  They reach the cube search
+            # under no other name, so it frees them once it erodes past them.
+            found = _largest_cube(outer._dilate_spent(limit - grow), geometry, threshold, hint_side)
             hint_side = None
             if found is not None:
                 cube_center, found_side, window = found
                 cube_side = found_side - 2.0 * threshold
                 hint_side = cube_side
-                margin = float(covering_radius(padded, window, limit)) * h
-        del outer, padded
+                margin = float(covering_radius(cells.padded(pad), window, limit)) * h
+        del outer
         entries.append(
             ResolutionEvidence(
                 h=h,

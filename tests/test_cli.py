@@ -15,7 +15,7 @@ import continuum_sums.cli as cli_mod
 import continuum_sums.sums as sums_mod
 import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import cantor_graph
-from continuum_sums.grid import auto_geometry, minkowski_sum, rasterize
+from continuum_sums.grid import auto_geometry, minkowski_sum, packed_minkowski_sum, rasterize
 from continuum_sums.sums import shift_construction, shifted_sum_raster
 from continuum_sums.verify import verify_theorem_main
 
@@ -540,8 +540,15 @@ class TestVerifyBitmaps:
             calls.append(len(rasters))
             return minkowski_sum(rasters)
 
-        for module in (cli_mod, sums_mod, verify_mod):
+        def counted_packed(rasters):
+            calls.append(len(rasters))
+            return packed_minkowski_sum(rasters)
+
+        # The sweep sums through the packed entry point, the rest through
+        # minkowski_sum; both count.
+        for module in (cli_mod, sums_mod):
             monkeypatch.setattr(module, "minkowski_sum", counted)
+        monkeypatch.setattr(verify_mod, "packed_minkowski_sum", counted_packed)
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         counts = []
         for extra in ([], ["--bitmap", str(tmp_path / "pix")]):

@@ -32,6 +32,7 @@ from continuum_sums.grid import (
     measure_estimate,
     minkowski_sum,
     nfold_sum,
+    packed_minkowski_sum,
     rasterize,
 )
 
@@ -665,6 +666,106 @@ def test_equal_occupancy_in_distinct_rasters_forms_every_pair(monkeypatch, raste
     assert calls
     for call in calls:
         assert not call["same"] and sum(call["chunks"]) == 12 * 12
+
+
+# --- the packed sum: oracle is the packed, padded dense sum ----------------------
+
+#: Sink thresholds that force the key route's packed sink, leave the
+#: default rule, and force the dense box.
+_SINKS = [0, grid_mod._PACKED_SINK_CELLS_PER_PAIR, 10**12]
+
+
+@st.composite
+def packed_sum_cases(draw) -> tuple[list[GridSet], int, int]:
+    """Operands of one 1-D to 4-D spacing, a pad of 0-9 cells and a sink threshold.
+
+    Occupied cells are drawn as a few index tuples, so most sums take the
+    key route; the forms cover a self-sum of two and of three, distinct
+    objects with equal occupancy, distinct operands and an empty operand.
+    """
+    dim = draw(st.integers(1, 4))
+    top = 9 if dim <= 2 else 4
+
+    def operand() -> GridSet:
+        extents = tuple(draw(st.lists(st.integers(1, top), min_size=dim, max_size=dim)))
+        occ = np.zeros(extents, bool)
+        for _ in range(draw(st.integers(0, 6))):
+            occ[tuple(draw(st.integers(0, m - 1)) for m in extents)] = True
+        return cover_grid(occ)
+
+    a = operand()
+    form = draw(st.sampled_from(["self", "self3", "twins", "distinct", "empty"]))
+    if form == "self":
+        rasters = [a, a]
+    elif form == "self3":
+        rasters = [a, a, a]
+    elif form == "twins":
+        rasters = [a, cover_grid(a.occupancy.copy())]
+    elif form == "distinct":
+        rasters = [a, operand()]
+    else:
+        rasters = [a, cover_grid(np.zeros(a.occupancy.shape, bool))]
+    return rasters, draw(st.integers(0, 9)), draw(st.sampled_from(_SINKS))
+
+
+def _assert_packed_sum_matches_dense(rasters: list[GridSet], pad: int) -> None:
+    dense = minkowski_sum(rasters)
+    geometry, cells = packed_minkowski_sum(rasters)
+    assert geometry == dense.geometry
+    want = PackedMask.pack(dense.occupancy)
+    assert cells.shape == want.shape and np.array_equal(cells.bits, want.bits)
+    padded = cells.padded(pad)
+    want = PackedMask.pack(np.pad(dense.occupancy, pad))
+    assert padded.shape == want.shape and np.array_equal(padded.bits, want.bits)
+
+
+@given(packed_sum_cases())
+@example(([_diagonal(12)] * 2, 3, 0))
+@example(([_diagonal(12)] * 3, 9, 0))
+@example(([_diagonal(12), cover_grid(np.eye(12, dtype=bool))], 5, 0))
+@example(([_diagonal(12), cover_grid(np.zeros((4, 4), bool))], 1, 0))
+@example(([cover_grid(np.eye(9, dtype=bool)[:, :, None] & np.eye(9, dtype=bool)[:, None, :])] * 3, 7, 0))
+@settings(max_examples=300, deadline=None)
+def test_packed_sum_matches_packed_dense_sum(case):
+    rasters, pad, sink = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_mod, "_PACKED_SINK_CELLS_PER_PAIR", sink)
+        _assert_packed_sum_matches_dense(rasters, pad)
+
+
+@pytest.mark.parametrize(
+    "sink, packs", [(0, 0), (10**12, 1)], ids=["packed-sink", "dense-box"]
+)
+def test_key_route_sink_decides_whether_a_dense_box_is_packed(monkeypatch, sink, packs):
+    # A self-sum of a 12-cell diagonal takes the key route; the packed sink
+    # writes its bits with no dense box, hence no pack.
+    raster = _diagonal(12)
+    taken = _route(monkeypatch)
+    packed = []
+    real_pack = PackedMask.pack.__func__
+
+    def pack(cls, occupancy):
+        packed.append(np.shape(occupancy))
+        return real_pack(cls, occupancy)
+
+    monkeypatch.setattr(grid_mod, "_PACKED_SINK_CELLS_PER_PAIR", sink)
+    monkeypatch.setattr(PackedMask, "pack", classmethod(pack))
+    geometry, cells = packed_minkowski_sum([raster, raster])
+    assert taken == ["_key_sum"]
+    assert len(packed) == packs
+    assert np.array_equal(cells.unpack(), dilate_naive(raster, raster).occupancy)
+
+
+def test_sparse_tripod_sum_is_born_packed(monkeypatch):
+    # The finest tripod sum of the 0.04/0.02/0.01 ladder has hundreds of
+    # output cells per pair sum, so the default rule takes the packed sink.
+    k = l_shape(3, 63)
+    raster = rasterize(k, auto_geometry(k.points, 0.01))
+    monkeypatch.setattr(PackedMask, "pack", None)
+    geometry, cells = packed_minkowski_sum([raster] * 3)
+    monkeypatch.undo()
+    assert cells.shape == geometry.extents
+    assert np.array_equal(cells.bits, PackedMask.pack(minkowski_sum([raster] * 3).occupancy).bits)
 
 
 @pytest.mark.parametrize(

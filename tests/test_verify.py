@@ -1,6 +1,7 @@
 """Pipeline tests: interior sweeps, equivalence checks, example scenarios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,97 @@ class TestBoxMorphologySweep:
             for shape in shapes:
                 assert all(m <= cube_cells + 2 * limit for m in shape), shape
                 assert shape != full, shape
+
+
+class TestStepMemory:
+    def test_tripod_sweep_traced_peak_is_bounded(self):
+        # A step holds the unpadded packed sum and at most three padded
+        # packed masks; at h = 0.01 the sum is 3.4 MB and a padded mask 4.3 MB.
+        sets = [l_shape(3, 63)] * 3
+        tracemalloc.start()
+        try:
+            verify_theorem_main(sets, (0.04, 0.02, 0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize(
+        "sets, resolutions",
+        [
+            ([l_shape(3, 63)] * 3, (0.04, 0.02, 0.01)),
+            ([circle(budget=720)] * 2, (0.02, 0.01)),
+            ([l_shape(2, 42), moment_curve(2, 41)], (0.05, 0.025)),
+        ],
+        ids=["tripod", "circle", "distinct"],
+    )
+    def test_sum_cells_equal_a_fresh_pack_of_the_dense_sum(self, sets, resolutions):
+        evidence = verify_theorem_main(sets, resolutions)
+        for entry in evidence.resolutions:
+            rasters = {}
+            for k in sets:
+                if id(k) not in rasters:
+                    moved = k.translated(-k.points[0]).linear_image(evidence.rotation.T)
+                    rasters[id(k)] = rasterize(moved, auto_geometry(moved.points, entry.h))
+            dense = minkowski_sum([rasters[id(k)] for k in sets]).occupancy
+            want = PackedMask.pack(dense)
+            assert entry.sum_cells.shape == want.shape
+            assert np.array_equal(entry.sum_cells.bits, want.bits)
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 13), (4, 6, 17), (3, 3, 3, 9)])
+    def test_morphology_results_share_no_memory_with_their_input(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for mask in (rng.random(shape) < 0.6, np.ones(shape, bool)):
+            kept = PackedMask.pack(mask)
+            before = kept.bits.copy()
+            results = [kept.padded(pad) for pad in (0, 1, 9)]
+            results += [kept.dilate(r) for r in (0, 1, 2)]
+            # A full mask's live box is the whole array, so its erosion
+            # returns the box buffer itself.
+            results += [kept.erode(r) for r in (0, 1)]
+            for out in results:
+                assert not np.shares_memory(out.bits, kept.bits)
+            assert np.array_equal(kept.bits, before)
+
+    def test_sweep_morphology_shares_no_memory_with_kept_masks(self, monkeypatch):
+        # Every dilate, erode and padded call of a sweep returns an array of
+        # its own; only a spent dilation reuses its input's array.
+        pairs = []
+
+        def record(name):
+            real = getattr(PackedMask, name)
+
+            def wrapped(mask, arg):
+                out = real(mask, arg)
+                pairs.append((name, mask.bits, out.bits))
+                return out
+
+            monkeypatch.setattr(PackedMask, name, wrapped)
+
+        for name in ("dilate", "erode", "padded"):
+            record(name)
+        spent = []
+        real_spent = PackedMask._dilate_spent
+
+        def dilate_spent(mask, r):
+            out = real_spent(mask, r)
+            spent.append(mask)
+            return out
+
+        monkeypatch.setattr(PackedMask, "_dilate_spent", dilate_spent)
+        evidence = verify_theorem_main([l_shape(3, 63)] * 3, (0.04, 0.02))
+        assert evidence.verdict == "supported"
+        assert {name for name, _, _ in pairs} == {"dilate", "erode", "padded"}
+        for name, src, out in pairs:
+            assert not np.shares_memory(src, out), name
+        for entry in evidence.resolutions:
+            for _, _, out in pairs:
+                assert not np.shares_memory(entry.sum_cells.bits, out)
+        # A spent mask gives its array up, so no later use can read it.
+        assert spent
+        for mask in spent:
+            with pytest.raises(AttributeError):
+                mask.count()
 
 
 class TestSeparatorSuite:
