@@ -28,11 +28,12 @@ _T = TypeVar("_T")
 _FFT_EXACT_LIMIT = 2**52
 
 #: Most pair sums (index keys or runs) the sparse routes form at once.  A
-#: chunk of 2**18 int64 sums is 2 MB, so a run fold's start and end chunks
-#: and their temporaries stay small next to its output-sized difference
-#: array.  At 2_000_000 sums (16 MB a chunk) the chunks set most of the
-#: peak of the planar-cloud midpoint chain, whose last run fold forms 6.5M
-#: pairs into 9.4M cells (100 MB traced by tracemalloc, 51 MB at 2**18).
+#: chunk of 2**18 int64 sums is 2 MB.  At 2_000_000 sums (16 MB a chunk) the
+#: chunks set most of the peak of the planar-cloud midpoint chain, whose
+#: last run fold forms 3.3M pairs into 9.4M cells (100 MB traced by
+#: tracemalloc; 51 MB at 2**18 with a whole-box difference array, 24 MB
+#: with the run fold's difference array over two bands of
+#: ``2 * _SPARSE_CHUNK`` cells, at least one output row each).
 _SPARSE_CHUNK = 2**18
 
 #: The key route's packed sink: a last fold whose output has more than this
@@ -208,7 +209,7 @@ class GridSet:
 
     @property
     def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
+        return int(np.count_nonzero(self.occupancy))
 
     def occupied_indices(self) -> NDArray[np.int64]:
         return np.argwhere(self.occupancy)
@@ -693,11 +694,12 @@ def _run_pair_sums(runs: _Runs, other: _Runs) -> Iterator[_Runs]:
         yield starts, ends
 
 
-def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64]) -> _Runs:
+def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64], width: int) -> _Runs:
     """Disjoint runs, sorted by start, that cover the keys of the given runs.
 
     Sorts by start and takes a running maximum of ends; a run that starts at
-    or before the running end joins it, so touching runs join too.
+    or before the running end joins it, so touching runs join too, except at
+    the start of a row of ``width`` keys: no run leaves its row.
     """
     order = np.argsort(starts)
     starts = starts[order]
@@ -705,6 +707,7 @@ def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64]) -> _Runs:
     first = np.empty(starts.size, dtype=bool)
     first[:1] = True
     np.greater(starts[1:], reach[:-1], out=first[1:])
+    first[1:] |= (starts[1:] == reach[:-1]) & (starts[1:] % width == 0)
     last = np.empty_like(first)
     last[-1:] = True
     last[:-1] = first[1:]
@@ -759,28 +762,104 @@ def _key_sum(
     return occupancy
 
 
-def _run_sum(operands: list[_Runs], extents: tuple[int, ...]) -> NDArray[np.bool_]:
-    """Occupancy of the sum, from the runs of the operands (one entry per summand)."""
+def _banded_run_pairs(
+    runs: _Runs, other: _Runs, span: int
+) -> Iterator[tuple[int, NDArray[np.int64], NDArray[np.int64]]]:
+    """Every run plus every ``other`` run, by band of ``span`` output keys.
+
+    Keys use the output's row width and a band is whole output rows, so the
+    sum of two runs lies in the output row that is the sum of their rows,
+    and band p of ``runs`` plus band q of ``other`` lands in bands d and
+    d + 1, d = p + q.  Each pair of occupied bands is formed by
+    :func:`_run_pair_sums` on its keys less their band's first key, so its
+    pair runs are ``[start, end)`` keys less ``d * span``.  Yields
+    ``(d, starts, ends)`` in nondecreasing d, in chunks of at most
+    ``_SPARSE_CHUNK`` pairs.  When ``runs is other`` band p meets only bands
+    q >= p, and itself as one runs tuple, so each unordered pair is formed
+    once.
+    """
+    if not len(runs[0]) or not len(other[0]):
+        return
+
+    def banded(r: _Runs) -> tuple[NDArray[np.int64], list[_Runs]]:
+        # The occupied bands, and the runs of each less its first key.
+        band_of = r[0] // span
+        cut = np.flatnonzero(np.diff(band_of)) + 1
+        first = band_of * span
+        parts = zip(np.split(r[0] - first, cut), np.split(r[1] - first, cut))
+        return band_of[np.r_[0, cut]], list(parts)
+
+    left_bands, left = banded(runs)
+    right_bands, right = (left_bands, left) if runs is other else banded(other)
+    # Index of each band of ``other`` among its occupied bands, or -1.
+    right_at = np.full(int(right_bands[-1]) + 1, -1)
+    right_at[right_bands] = np.arange(len(right))
+    lp = np.arange(len(left))
+    for d in range(int(left_bands[0] + right_bands[0]), int(left_bands[-1] + right_bands[-1]) + 1):
+        q = d - left_bands
+        inside = (q >= 0) & (q < right_at.size)
+        rq = np.where(inside, right_at[np.where(inside, q, 0)], -1)
+        meets = rq >= lp if runs is other else rq >= 0
+        for i, j in zip(lp[meets].tolist(), rq[meets].tolist()):
+            for starts, ends in _run_pair_sums(left[i], right[j]):
+                yield d, starts, ends
+
+
+def _run_sum(operands: list[_Runs], extents: tuple[int, ...], width: int) -> NDArray[np.bool_]:
+    """Occupancy of the sum, from the runs of the operands (one entry per summand).
+
+    ``width`` is the output's extent along the run axis, the row width of
+    the run keys.  The last fold counts run starts and ends in a difference
+    array over a window of two bands of output rows (see
+    :func:`_banded_run_pairs`).  Once no pair lands in the first band, its
+    cumulative sum marks its output cells, and the second band moves up
+    with the count it carries.  An output of at most two bands is one
+    window, and its pairs are formed without bands.
+    """
     runs = operands[0]
-    # Joining touching runs is safe because keys use the output's row width:
-    # an earlier fold reaches a row's last cell only when the later operands
-    # have extent 1 along the run axis, and those add no width, so no sum
-    # of a joined run carries into the next row.
+    # Keys use the output's row width, so a sum of two runs in one row each
+    # is one run in one row, and merging keeps every run in its row.
     for other in operands[1:-1]:
-        chunks = [_merged_runs(*pair) for pair in _run_pair_sums(runs, other)]
-        runs = _merged_runs(*(np.concatenate(part) for part in zip(*chunks)))
+        chunks = [_merged_runs(*pair, width) for pair in _run_pair_sums(runs, other)]
+        runs = _merged_runs(*(np.concatenate(part) for part in zip(*chunks)), width)
     last = operands[-1]
     out_cells = math.prod(extents)
+    rows = out_cells // width
+    band = max(1, 2 * _SPARSE_CHUNK // width)
+    if rows <= 2 * band:
+        pairs = ((0, starts, ends) for starts, ends in _run_pair_sums(runs, last))
+    else:
+        pairs = _banded_run_pairs(runs, last, band * width)
     # A cell is covered by at most as many pair runs as the fold forms.
     wide = len(runs[0]) * len(last[0]) >= 2**31
-    counts = np.zeros(out_cells + 1, dtype=np.int64 if wide else np.int32)
+    counts = np.zeros(min(2 * band, rows) * width + 1, dtype=np.int64 if wide else np.int32)
     # A step of the array's own type keeps ``ufunc.at`` on its fast path.
     one = counts.dtype.type(1)
-    for starts, ends in _run_pair_sums(runs, last):
+    occupancy = np.empty(out_cells, dtype=bool)
+    done = 0
+
+    def write(n: int) -> None:
+        # Mark the window's first n rows, then move the rest up.
+        nonlocal done
+        cells = n * width
+        head = counts[:cells]
+        np.cumsum(head, out=head)
+        np.greater(head, 0, out=occupancy[done * width : done * width + cells])
+        done += n
+        if done < rows:
+            carry = head[-1]
+            counts[: counts.size - cells] = counts[cells:]
+            counts[counts.size - cells :] = 0
+            counts[0] += carry
+
+    for d, starts, ends in pairs:
+        while done < d * band:
+            write(band)
         np.add.at(counts, starts, one)
         np.subtract.at(counts, ends, one)
-    np.cumsum(counts, out=counts)
-    return (counts[:out_cells] > 0).reshape(extents)
+    while done < rows:
+        write(min(2 * band, rows - done))
+    return occupancy.reshape(extents)
 
 
 def _folded_frame(rasters: list[GridSet]) -> tuple[GridGeometry, Semantics, float]:
@@ -809,13 +888,13 @@ def _summed(
     weights = np.ones(geom.dim, dtype=np.int64)
     for i in range(geom.dim - 2, -1, -1):
         weights[i] = weights[i + 1] * geom.extents[i + 1]
-    counts = _each_object(rasters, lambda r: int(np.count_nonzero(r.occupancy)))
+    counts = _each_object(rasters, lambda r: r.occupied_count)
     if math.prod(counts[id(r)] for r in rasters) < out_cells:
         return _key_sum(rasters, geom.extents, weights, packed)
     axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
     runs = _each_object(rasters, lambda r: _runs(r, weights, axis))
     if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
-        return _run_sum([runs[id(r)] for r in rasters], geom.extents)
+        return _run_sum([runs[id(r)] for r in rasters], geom.extents, geom.extents[axis])
     acc = rasters[0]
     for r in rasters[1:]:
         try:
@@ -846,10 +925,13 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
        pair sum keeps the box.
     2. Otherwise, when the product of run counts is below the output cell
        count, maximal runs of occupied cells along the last output axis of
-       extent > 1 are summed: two runs sum to exactly one run.  Earlier
-       folds merge their pair runs into disjoint runs; the last fold counts
-       run starts and ends in a difference array whose cumulative sum marks
-       the output cells.
+       extent > 1 are summed: two runs sum to exactly one run, in one
+       output row.  Earlier folds merge their pair runs into disjoint runs;
+       the last fold counts run starts and ends in a difference array over
+       two bands of output rows, each about ``2 * _SPARSE_CHUNK`` cells and
+       at least one row, and writes each finished band's cumulative sum
+       straight into the output occupancy.  Beyond the output it holds that
+       array and two chunks of pair runs, not an array the size of the box.
     3. Otherwise :func:`dilate_fft` is folded over the inputs; a fold whose
        occupied-count product leaves the FFT's exact range falls back to
        the shift-OR of :func:`dilate_naive`.
@@ -918,7 +1000,7 @@ def cells_measure(count: int, spacing: float, dim: int) -> float:
 
 def measure_estimate(a: GridSet) -> float:
     """Occupied volume: cell count times h^n, interpreted per the semantics tag."""
-    return cells_measure(int(a.occupancy.sum()), a.spacing, a.dim)
+    return cells_measure(a.occupied_count, a.spacing, a.dim)
 
 
 def _cube_cell_range(geometry: GridGeometry, center: Sequence[float], side: float) -> tuple[tuple[int, int], ...]:
@@ -960,15 +1042,24 @@ def covering_radius(
     so each trial grows the last one that fell short.  Without ``limit`` the
     radius gallops up from 1, then bisects.  A ``limit`` whose dilation is
     known to cover bisects [0, limit] on the window grown by ``limit`` per
-    side (clamped to the array), which holds every nearest set cell.
+    side (cut to the box of the window and the mask), which holds every
+    nearest set cell.  With a ``limit`` the window
+    may leave the mask, as when it is given in the coordinates of a padded
+    copy less the padding: cells outside the mask are empty.
     """
     if limit is not None:
-        crop = tuple(
-            slice(max(s.start - limit, 0), min(s.stop + limit, m))
+        # Cut to the box of the window and the mask: no set cell lies beyond.
+        crop = [
+            (max(s.start - limit, min(s.start, 0)), min(s.stop + limit, max(s.stop, m)))
             for s, m in zip(window, occupied.shape)
-        )
-        window = tuple(slice(s.start - c.start, s.stop - c.start) for s, c in zip(window, crop))
-        occupied = PackedMask.pack(occupied.unpack(crop))
+        ]
+        inside = tuple(slice(max(lo, 0), min(hi, m)) for (lo, hi), m in zip(crop, occupied.shape))
+        dense = np.zeros([hi - lo for lo, hi in crop], dtype=bool)
+        if all(s.start < s.stop for s in inside):
+            at = tuple(slice(s.start - lo, s.stop - lo) for s, (lo, _) in zip(inside, crop))
+            dense[at] = occupied.unpack(inside)
+        window = tuple(slice(s.start - lo, s.stop - lo) for s, (lo, _) in zip(window, crop))
+        occupied = PackedMask.pack(dense)
     if occupied.unpack(window).all():
         return 0
     if not occupied.any():

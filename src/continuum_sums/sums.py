@@ -376,7 +376,7 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
     for j, factor in enumerate(instance.factors):
         if not is_grid_continuum(factor):
             raise ValueError(f"factor {j} is not a connected grid continuum")
-        if len(instance.factor_cells[j]) != int(factor.occupancy.sum()):
+        if len(instance.factor_cells[j]) != factor.occupied_count:
             raise ValueError(f"factor {j} cell list does not match its occupancy")
         for k in range(n):
             if len(instance.potentials[k][j]) != len(instance.factor_cells[j]):

@@ -263,7 +263,10 @@ def verify_theorem_main(
     While the sum is made, a key-route sum written straight into packed
     bits holds U bytes plus pair-key chunks of a few MB; every other sum
     holds a dense box of m_1 * ... * m_n bytes until it is packed, plus its
-    route's working arrays.
+    route's working arrays: pair-key chunks for the key route, a band
+    difference array and pair-run chunks of a few MB for the run route,
+    and the FFT's float64 transforms for the dense route.  The margin reads
+    the cube window grown by limit from the unpadded sum.
     """
     steps = _resolution_list(resolutions)
     sets = list(sets)
@@ -331,7 +334,10 @@ def verify_theorem_main(
                 cube_center, found_side, window = found
                 cube_side = found_side - 2.0 * threshold
                 hint_side = cube_side
-                margin = float(covering_radius(cells.padded(pad), window, limit)) * h
+                # The window is in padded coordinates; the sum is the padded
+                # grid less its empty padding.
+                unpadded = tuple(slice(s.start - pad, s.stop - pad) for s in window)
+                margin = float(covering_radius(cells, unpadded, limit)) * h
         del outer
         entries.append(
             ResolutionEvidence(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -527,6 +528,13 @@ _COLUMN = cover_grid([[1], [0], [1]])
 # 4 * 22 output cells, but 4^2 and 4^3 run pairs do not, so [a, a] and
 # [a, a, a] take the run route and fold one runs tuple with itself.
 _TWO_RUN_ROWS = cover_grid([[1, 1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1, 1, 1]])
+# Sums three cells wide: at chunk 3 the last run fold's bands are two rows
+# high, so a band pair's sums reach into the next band, and at chunk 1 one
+# row high.  A self-sum: 7^2 key pairs against 9 * 3 output cells, 5^2 run
+# pairs; three operands: 3^2 * 2 key pairs against 4 * 3, 2^2 * 2 run pairs.
+_NARROW = cover_grid([[1, 0], [1, 1], [0, 1], [1, 1], [1, 0]])
+_CORNER = cover_grid([[1, 1], [0, 1]])
+_TWO_CELL_COLUMN = cover_grid([[1], [1]])
 
 
 @given(sum_operands(), st.sampled_from([1, 3, grid_mod._SPARSE_CHUNK]))
@@ -544,6 +552,11 @@ _TWO_RUN_ROWS = cover_grid([[1, 1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1, 1, 1]])
 @example([_TWO_RUN_ROWS] * 2, 3)
 @example([_TWO_RUN_ROWS] * 3, 1)
 @example([_TWO_RUN_ROWS] * 3, 3)
+@example([_NARROW, _NARROW], 1)
+@example([_NARROW, _NARROW], 3)
+@example([_FLAT_3D, _FLAT_3D], 1)
+@example([_CORNER, _CORNER, _TWO_CELL_COLUMN], 1)
+@example([_CORNER, _CORNER, _TWO_CELL_COLUMN], 3)
 @settings(deadline=None)
 def test_minkowski_sum_matches_naive_fold(rasters, chunk):
     ref = rasters[0]
@@ -602,6 +615,10 @@ def _route(monkeypatch) -> list[str]:
 # Five full rows of four: 20^2 key pairs outnumber 9 * 7 output cells, but
 # 5^2 run pairs (and 5^3 against 13 * 10 for three) do not.
 _FIVE_ROWS = cover_grid(np.ones((5, 4), bool))
+# Three diagonals of twelve: 34^2 key pairs outnumber 23^2 output cells,
+# but 12^2 run pairs do not.  One run a row, and at chunk 16 the last run
+# fold's bands are one row high, so every band holds one run.
+_THIN_BAND = cover_grid(np.abs(np.subtract.outer(np.arange(12), np.arange(12))) <= 1)
 
 
 @pytest.mark.parametrize(
@@ -625,8 +642,9 @@ def test_sparse_chunks_never_exceed_the_chunk_size(monkeypatch, rasters, route):
     out = minkowski_sum(rasters)
     assert taken == [route]
     assert np.array_equal(out.occupancy, ref.occupancy)
-    assert calls and min(call["n"] for call in calls) > 4
-    assert max(max(call["chunks"]) for call in calls) <= 4
+    # The folds form more sums than a chunk holds, and no chunk exceeds it.
+    chunks = [size for call in calls for size in call["chunks"]]
+    assert sum(chunks) > 4 and max(chunks) <= 4
 
 
 # 12 keys against 23^2 output cells; 12 runs against 23 * 11.
@@ -634,25 +652,38 @@ _TWELVE_DOTS = _diagonal(12)
 _TWELVE_ROWS = cover_grid(np.ones((12, 6), bool))
 
 
-@pytest.mark.parametrize("raster", [_TWELVE_DOTS, _TWELVE_ROWS], ids=["keys", "runs"])
-def test_self_sum_forms_each_unordered_pair_once(monkeypatch, raster):
+@pytest.mark.parametrize(
+    "raster, route",
+    [(_TWELVE_DOTS, "_key_sum"), (_TWELVE_ROWS, "_run_sum"), (_THIN_BAND, "_run_sum")],
+    ids=["keys", "runs", "runs-thin"],
+)
+def test_self_sum_forms_each_unordered_pair_once(monkeypatch, raster, route):
     chunk = 16
     ref = dilate_naive(raster, raster)
     taken = _route(monkeypatch)
     calls = _spy_pair_sums(monkeypatch, chunk)
     out = minkowski_sum([raster, raster])
     assert np.array_equal(out.occupancy, ref.occupancy)
-    # The run route sums starts and ends in two calls of one shape.
-    assert len(calls) == (1 if taken == ["_key_sum"] else 2)
-    # A chunk spans at most isqrt(chunk) rows, so it repeats at most the
-    # pairs of that many rows in its in-block lower triangle.
+    assert taken == [route]
+    if route == "_run_sum":
+        # The run route sums starts and ends in two calls of one shape, for
+        # each pair of bands of output rows.
+        assert calls[::2] == calls[1::2]
+        calls = calls[::2]
+    # The calls that meet themselves hold each of the m keys (or runs) once.
+    m = 12
+    assert sum(call["m"] for call in calls if call["same"]) == m
+    # A chunk spans at most isqrt(chunk) rows, so a call that meets itself
+    # repeats at most the pairs of that many rows in each chunk's in-block
+    # lower triangle.
     rows = math.isqrt(chunk)
-    for call in calls:
-        m = call["m"]
-        assert call["same"] and m == 12
-        formed = sum(call["chunks"])
-        assert formed <= m * (m + 1) // 2 + len(call["chunks"]) * rows * (rows - 1) // 2
-        assert formed < m * m
+    repeated = sum(len(call["chunks"]) for call in calls if call["same"]) * rows * (rows - 1) // 2
+    formed = sum(sum(call["chunks"]) for call in calls)
+    assert formed <= m * (m + 1) // 2 + repeated
+    assert formed < m * m
+    if raster is _THIN_BAND:
+        # A band of one run meets itself in one pair.
+        assert formed == m * (m + 1) // 2
 
 
 @pytest.mark.parametrize("raster", [_TWELVE_DOTS, _TWELVE_ROWS], ids=["keys", "runs"])
@@ -663,9 +694,33 @@ def test_equal_occupancy_in_distinct_rasters_forms_every_pair(monkeypatch, raste
     calls = _spy_pair_sums(monkeypatch, 16)
     out = minkowski_sum([raster, twin])
     assert np.array_equal(out.occupancy, ref.occupancy)
-    assert calls
-    for call in calls:
-        assert not call["same"] and sum(call["chunks"]) == 12 * 12
+    assert calls and not any(call["same"] for call in calls)
+    # The run route sums starts and ends in two calls of one shape.
+    formed = sum(sum(call["chunks"]) for call in calls)
+    assert formed == 12 * 12 * (1 if raster is _TWELVE_DOTS else 2)
+
+
+def test_run_sum_holds_no_whole_box_difference_array(monkeypatch):
+    # Five diagonals of 1025: one run a row, 1025^2 run pairs against 2049^2
+    # output cells.  At chunk 16384 the last run fold counts into bands of
+    # 15 rows, so the traced peak is the output plus a little; a difference
+    # array over the whole box takes 4 bytes a cell more.
+    index = np.arange(1025)
+    band = cover_grid(np.abs(np.subtract.outer(index, index)) <= 2)
+    monkeypatch.setattr(grid_mod, "_SPARSE_CHUNK", 16384)
+    taken = _route(monkeypatch)
+    tracemalloc.start()
+    try:
+        out = minkowski_sum([band, band])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["_run_sum"]
+    cells = out.occupancy.size
+    assert cells == 2049**2
+    assert peak < 1.5 * cells
+    index = np.arange(2049)
+    assert np.array_equal(out.occupancy, np.abs(np.subtract.outer(index, index)) <= 4)
 
 
 # --- the packed sum: oracle is the packed, padded dense sum ----------------------
@@ -1165,6 +1220,17 @@ def test_covering_radius_pinned_cases():
     ]:
         for slack in (0, 1, 9):
             assert assert_margin_matches_oracle(sparse, window, slack) < math.inf
+    # A window of a padded copy, given less the padding, leaves the mask:
+    # with a limit, cells outside the mask are empty, as in the padded copy.
+    pad = 4
+    plane = sparse[1]
+    for window in [(slice(-pad, 3), slice(-2, 9)), (slice(2, 6 + pad), slice(30, 37 + pad))]:
+        inner = tuple(slice(s.start + pad, s.stop + pad) for s in window)
+        expected = oracle_window_margin(np.pad(plane, pad), inner)
+        assert 0 < expected < math.inf
+        assert covering_radius(PackedMask.pack(np.pad(plane, pad)), inner) == expected
+        for limit in (int(expected), int(expected) + 5):
+            assert covering_radius(PackedMask.pack(plane), window, limit) == expected
 
 
 # --- cube coverage and margin --------------------------------------------------------
