@@ -32,7 +32,7 @@ _FFT_EXACT_LIMIT = 2**52
 #: chunks set most of the peak of the planar-cloud midpoint chain, whose
 #: last run fold forms 3.3M pairs into 9.4M cells (100 MB traced by
 #: tracemalloc; 51 MB at 2**18 with a whole-box difference array, 24 MB
-#: with the run fold's difference array over two bands of
+#: with every run fold's difference array over two bands of
 #: ``2 * _SPARSE_CHUNK`` cells, at least one output row each).
 _SPARSE_CHUNK = 2**18
 
@@ -611,12 +611,17 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     counts are integers bounded by the occupied-count product, so they are
     exact in float64 below 2**52; beyond that the call refuses with
     :class:`DilationPrecisionError` and the caller must fall back to the naive
-    route.  A count is occupied when it exceeds 0.5, which is exactly the
-    rounding test ``rint(count) >= 1`` (``rint(0.5) == 0``).
+    route.  The box product bounds the occupied product, so occupied cells
+    are counted only when the box product reaches the limit.  A count is
+    occupied when it exceeds 0.5, which is exactly the rounding test
+    ``rint(count) >= 1`` (``rint(0.5) == 0``).
     """
     geom = _sum_geometry(a.geometry, b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
-    if a.occupied_count * b.occupied_count >= _FFT_EXACT_LIMIT:
+    if (
+        a.occupancy.size * b.occupancy.size >= _FFT_EXACT_LIMIT
+        and a.occupied_count * b.occupied_count >= _FFT_EXACT_LIMIT
+    ):
         raise DilationPrecisionError(
             "occupied-cell product exceeds the exact float64 range; use dilate_naive"
         )
@@ -666,13 +671,13 @@ def _pair_sums(keys: NDArray[np.int64], other: NDArray[np.int64]) -> Iterator[ND
 _Runs = tuple[NDArray[np.int64], NDArray[np.int64]]
 
 
-def _runs(r: GridSet, weights: NDArray[np.int64], axis: int) -> _Runs:
+def _runs(occupancy: NDArray[np.bool_], weights: NDArray[np.int64], axis: int) -> _Runs:
     """Maximal runs of occupied cells along ``axis``, as flat ``[start, end)`` keys.
 
-    Every axis after ``axis`` has extent 1 in the output, hence in ``r``, so
-    ``weights[axis]`` is 1 and the keys of one run are consecutive.
+    Every axis after ``axis`` has extent 1 in the output, hence in
+    ``occupancy``, so ``weights[axis]`` is 1 and the keys of one run are
+    consecutive.
     """
-    occupancy = r.occupancy
     rows = occupancy.reshape(-1, occupancy.shape[axis])
     row, col = np.nonzero(np.diff(rows, axis=1, prepend=False, append=False))
     row_keys = np.zeros(1, dtype=np.int64)
@@ -692,26 +697,6 @@ def _run_pair_sums(runs: _Runs, other: _Runs) -> Iterator[_Runs]:
     for starts, ends in zip(_pair_sums(runs[0], other[0]), _pair_sums(runs[1], other[1])):
         ends -= 1
         yield starts, ends
-
-
-def _merged_runs(starts: NDArray[np.int64], ends: NDArray[np.int64], width: int) -> _Runs:
-    """Disjoint runs, sorted by start, that cover the keys of the given runs.
-
-    Sorts by start and takes a running maximum of ends; a run that starts at
-    or before the running end joins it, so touching runs join too, except at
-    the start of a row of ``width`` keys: no run leaves its row.
-    """
-    order = np.argsort(starts)
-    starts = starts[order]
-    reach = np.maximum.accumulate(ends[order])
-    first = np.empty(starts.size, dtype=bool)
-    first[:1] = True
-    np.greater(starts[1:], reach[:-1], out=first[1:])
-    first[1:] |= (starts[1:] == reach[:-1]) & (starts[1:] % width == 0)
-    last = np.empty_like(first)
-    last[-1:] = True
-    last[:-1] = first[1:]
-    return starts[first], reach[last]
 
 
 def _each_object(rasters: list[GridSet], make: Callable[[GridSet], _T]) -> dict[int, _T]:
@@ -790,48 +775,34 @@ def _banded_run_pairs(
         return band_of[np.r_[0, cut]], list(parts)
 
     left_bands, left = banded(runs)
-    right_bands, right = (left_bands, left) if runs is other else banded(other)
-    # Index of each band of ``other`` among its occupied bands, or -1.
-    right_at = np.full(int(right_bands[-1]) + 1, -1)
-    right_at[right_bands] = np.arange(len(right))
-    lp = np.arange(len(left))
-    for d in range(int(left_bands[0] + right_bands[0]), int(left_bands[-1] + right_bands[-1]) + 1):
-        q = d - left_bands
-        inside = (q >= 0) & (q < right_at.size)
-        rq = np.where(inside, right_at[np.where(inside, q, 0)], -1)
-        meets = rq >= lp if runs is other else rq >= 0
-        for i, j in zip(lp[meets].tolist(), rq[meets].tolist()):
-            for starts, ends in _run_pair_sums(left[i], right[j]):
-                yield d, starts, ends
+    same = runs is other
+    right_bands, right = (left_bands, left) if same else banded(other)
+    meetings = sorted(
+        (p + q, i, j)
+        for i, p in enumerate(left_bands.tolist())
+        for j, q in enumerate(right_bands.tolist())
+        if not same or j >= i
+    )
+    for d, i, j in meetings:
+        for starts, ends in _run_pair_sums(left[i], right[j]):
+            yield d, starts, ends
 
 
-def _run_sum(operands: list[_Runs], extents: tuple[int, ...], width: int) -> NDArray[np.bool_]:
-    """Occupancy of the sum, from the runs of the operands (one entry per summand).
+def _run_fold(runs: _Runs, other: _Runs, extents: tuple[int, ...], width: int) -> NDArray[np.bool_]:
+    """Occupancy over ``extents`` of every run plus every ``other`` run.
 
     ``width`` is the output's extent along the run axis, the row width of
-    the run keys.  The last fold counts run starts and ends in a difference
-    array over a window of two bands of output rows (see
+    the run keys.  Run starts and ends are counted in a difference array
+    over a window of two bands of output rows (see
     :func:`_banded_run_pairs`).  Once no pair lands in the first band, its
     cumulative sum marks its output cells, and the second band moves up
-    with the count it carries.  An output of at most two bands is one
-    window, and its pairs are formed without bands.
+    with the count it carries.
     """
-    runs = operands[0]
-    # Keys use the output's row width, so a sum of two runs in one row each
-    # is one run in one row, and merging keeps every run in its row.
-    for other in operands[1:-1]:
-        chunks = [_merged_runs(*pair, width) for pair in _run_pair_sums(runs, other)]
-        runs = _merged_runs(*(np.concatenate(part) for part in zip(*chunks)), width)
-    last = operands[-1]
     out_cells = math.prod(extents)
     rows = out_cells // width
     band = max(1, 2 * _SPARSE_CHUNK // width)
-    if rows <= 2 * band:
-        pairs = ((0, starts, ends) for starts, ends in _run_pair_sums(runs, last))
-    else:
-        pairs = _banded_run_pairs(runs, last, band * width)
     # A cell is covered by at most as many pair runs as the fold forms.
-    wide = len(runs[0]) * len(last[0]) >= 2**31
+    wide = len(runs[0]) * len(other[0]) >= 2**31
     counts = np.zeros(min(2 * band, rows) * width + 1, dtype=np.int64 if wide else np.int32)
     # A step of the array's own type keeps ``ufunc.at`` on its fast path.
     one = counts.dtype.type(1)
@@ -852,7 +823,7 @@ def _run_sum(operands: list[_Runs], extents: tuple[int, ...], width: int) -> NDA
             counts[counts.size - cells :] = 0
             counts[0] += carry
 
-    for d, starts, ends in pairs:
+    for d, starts, ends in _banded_run_pairs(runs, other, band * width):
         while done < d * band:
             write(band)
         np.add.at(counts, starts, one)
@@ -860,6 +831,23 @@ def _run_sum(operands: list[_Runs], extents: tuple[int, ...], width: int) -> NDA
     while done < rows:
         write(min(2 * band, rows - done))
     return occupancy.reshape(extents)
+
+
+def _run_sum(
+    operands: list[_Runs], extents: tuple[int, ...], weights: NDArray[np.int64], axis: int
+) -> NDArray[np.bool_]:
+    """Occupancy of the sum, from the runs along ``axis`` of the operands (one per summand).
+
+    Every fold is a :func:`_run_fold` over the output box: the first sums
+    the first two operands, and each later one the runs of the occupancy
+    so far with the next operand.  Keys use the output's row width, so a
+    sum of two runs in one row each is one run in one row.
+    """
+    width = extents[axis]
+    occupancy = _run_fold(operands[0], operands[1], extents, width)
+    for other in operands[2:]:
+        occupancy = _run_fold(_runs(occupancy, weights, axis), other, extents, width)
+    return occupancy
 
 
 def _folded_frame(rasters: list[GridSet]) -> tuple[GridGeometry, Semantics, float]:
@@ -892,9 +880,9 @@ def _summed(
     if math.prod(counts[id(r)] for r in rasters) < out_cells:
         return _key_sum(rasters, geom.extents, weights, packed)
     axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
-    runs = _each_object(rasters, lambda r: _runs(r, weights, axis))
+    runs = _each_object(rasters, lambda r: _runs(r.occupancy, weights, axis))
     if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
-        return _run_sum([runs[id(r)] for r in rasters], geom.extents, geom.extents[axis])
+        return _run_sum([runs[id(r)] for r in rasters], geom.extents, weights, axis)
     acc = rasters[0]
     for r in rasters[1:]:
         try:
@@ -926,12 +914,13 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
     2. Otherwise, when the product of run counts is below the output cell
        count, maximal runs of occupied cells along the last output axis of
        extent > 1 are summed: two runs sum to exactly one run, in one
-       output row.  Earlier folds merge their pair runs into disjoint runs;
-       the last fold counts run starts and ends in a difference array over
-       two bands of output rows, each about ``2 * _SPARSE_CHUNK`` cells and
-       at least one row, and writes each finished band's cumulative sum
-       straight into the output occupancy.  Beyond the output it holds that
-       array and two chunks of pair runs, not an array the size of the box.
+       output row.  Every fold counts run starts and ends in a difference
+       array over two bands of output rows, each about
+       ``2 * _SPARSE_CHUNK`` cells and at least one row, and writes each
+       finished band's cumulative sum straight into an occupancy over the
+       output box; a fold after the first sums the runs of that occupancy
+       with the next operand.  Beyond the output a fold holds that array
+       and two chunks of pair runs, not an array the size of the box.
     3. Otherwise :func:`dilate_fft` is folded over the inputs; a fold whose
        occupied-count product leaves the FFT's exact range falls back to
        the shift-OR of :func:`dilate_naive`.

@@ -264,8 +264,9 @@ def verify_theorem_main(
     bits holds U bytes plus pair-key chunks of a few MB; every other sum
     holds a dense box of m_1 * ... * m_n bytes until it is packed, plus its
     route's working arrays: pair-key chunks for the key route, a band
-    difference array and pair-run chunks of a few MB for the run route,
-    and the FFT's float64 transforms for the dense route.  The margin reads
+    difference array and pair-run chunks of a few MB for the run route
+    (past its first fold also the box so far and its runs), and the FFT's
+    float64 transforms for the dense route.  The margin reads
     the cube window grown by limit from the unpadded sum.
     """
     steps = _resolution_list(resolutions)

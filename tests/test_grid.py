@@ -191,18 +191,32 @@ def test_dilate_spacing_mismatch_rejected():
         dilate_naive(a, b)
 
 
-def test_fft_guard_on_occupancy_product():
-    geom = GridGeometry(origin=(0.0,), spacing=1.0, extents=(2,))
-    a = GridSet(geom, np.ones(2, bool), Semantics.SAMPLE_COVER, 0.0)
-    big = GridSet.__new__(GridSet)  # bypass __post_init__ to fake a huge count
-    object.__setattr__(big, "geometry", geom)
-    object.__setattr__(big, "occupancy", np.ones(2, bool))
-    object.__setattr__(big, "semantics", Semantics.SAMPLE_COVER)
-    object.__setattr__(big, "slack", 0.0)
-    # Guard math only: 2 occupied cells each is fine, so this must not raise.
-    dilate_fft(a, big)
+def test_fft_guard_on_occupancy_product(monkeypatch):
+    # With an exact range of 4 pairs: a full 4-cell grid plus one cell is 4
+    # occupied pairs and refuses; one cell plus one cell in 4-cell boxes is
+    # 16 box pairs but 1 occupied pair, and sums.
+    geom = GridGeometry(origin=(0.0,), spacing=1.0, extents=(4,))
+    full = GridSet(geom, np.ones(4, bool), Semantics.SAMPLE_COVER, 0.0)
+    dot = GridSet(geom, np.array([True, False, False, False]), Semantics.SAMPLE_COVER, 0.0)
+    counted = []
+    real = GridSet.occupied_count
+
+    def spy(self):
+        counted.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(grid_mod, "_FFT_EXACT_LIMIT", 4)
+    monkeypatch.setattr(GridSet, "occupied_count", property(spy))
     with pytest.raises(DilationPrecisionError):
-        raise DilationPrecisionError("direct")
+        dilate_fft(full, dot)
+    out = dilate_fft(dot, dot)
+    assert np.array_equal(out.occupancy, dilate_naive(dot, dot).occupancy)
+    # A box product below the limit bounds the occupied product: no count.
+    three = GridSet(GridGeometry((0.0,), 1.0, (3,)), np.ones(3, bool), Semantics.SAMPLE_COVER, 0.0)
+    one = GridSet(GridGeometry((0.0,), 1.0, (1,)), np.ones(1, bool), Semantics.SAMPLE_COVER, 0.0)
+    counted.clear()
+    assert dilate_fft(three, one).occupancy.all()
+    assert counted == []
 
 
 # --- FFT route: self-sums and length-1 axes ---------------------------------------
@@ -557,6 +571,16 @@ _TWO_CELL_COLUMN = cover_grid([[1], [1]])
 @example([_FLAT_3D, _FLAT_3D], 1)
 @example([_CORNER, _CORNER, _TWO_CELL_COLUMN], 1)
 @example([_CORNER, _CORNER, _TWO_CELL_COLUMN], 3)
+# Four run-route operands, so two folds hand their runs on across band
+# edges.  [_CORNER] * 4: 3^4 key pairs against 5^2 output cells, 2^4 run
+# pairs, and bands of one row of five at chunks 1 and 3.  Two corners and
+# two columns: 3^2 * 2^2 key pairs against 6 * 3 output cells, 2^4 run
+# pairs, and bands of two rows of three at chunk 3 (one at chunk 1); the
+# runs the second fold hands on end at their row's last cell.
+@example([_CORNER] * 4, 1)
+@example([_CORNER] * 4, 3)
+@example([_CORNER, _CORNER, _TWO_CELL_COLUMN, _COLUMN], 1)
+@example([_CORNER, _CORNER, _TWO_CELL_COLUMN, _COLUMN], 3)
 @settings(deadline=None)
 def test_minkowski_sum_matches_naive_fold(rasters, chunk):
     ref = rasters[0]
