@@ -766,21 +766,25 @@ def _banded_run_pairs(
     if not len(runs[0]) or not len(other[0]):
         return
 
-    def banded(r: _Runs) -> tuple[NDArray[np.int64], list[_Runs]]:
-        # The occupied bands, and the runs of each less its first key.
+    def banded(r: _Runs) -> tuple[list[int], list[_Runs]]:
+        # The occupied bands, and the runs of each less its first key.  Starts
+        # ascend, so runs whose first and last start share a band are one band.
+        low, high = int(r[0][0]) // span, int(r[0][-1]) // span
+        if low == high:
+            return [low], [(r[0] - low * span, r[1] - low * span)]
         band_of = r[0] // span
         cut = np.flatnonzero(np.diff(band_of)) + 1
         first = band_of * span
         parts = zip(np.split(r[0] - first, cut), np.split(r[1] - first, cut))
-        return band_of[np.r_[0, cut]], list(parts)
+        return band_of[np.r_[0, cut]].tolist(), list(parts)
 
     left_bands, left = banded(runs)
     same = runs is other
     right_bands, right = (left_bands, left) if same else banded(other)
     meetings = sorted(
         (p + q, i, j)
-        for i, p in enumerate(left_bands.tolist())
-        for j, q in enumerate(right_bands.tolist())
+        for i, p in enumerate(left_bands)
+        for j, q in enumerate(right_bands)
         if not same or j >= i
     )
     for d, i, j in meetings:
@@ -971,10 +975,46 @@ def _face_structure(dim: int) -> NDArray[np.bool_]:
     return structure
 
 
+def component_counts(grids: Sequence[GridSet]) -> list[int]:
+    """Number of face-connected components of the occupied cells of each grid.
+
+    A grid alone in its dimension is labeled as it is.  The grids of one
+    dimension are labeled together on one canvas that stacks them along
+    axis 0, each followed by an empty row, so no face joins two grids; each
+    component is counted for the grid that holds its first row.  A grid
+    goes onto the canvas with its axes ordered longest first (a transpose
+    keeps its components), which keeps the canvas narrow.
+    """
+    counts = [0] * len(grids)
+    by_dim: dict[int, list[int]] = {}
+    for i, g in enumerate(grids):
+        by_dim.setdefault(g.dim, []).append(i)
+    for dim, members in by_dim.items():
+        structure = _face_structure(dim)
+        if len(members) == 1:
+            counts[members[0]] = int(_ndimage.label(grids[members[0]].occupancy, structure)[1])
+            continue
+        tiles = [
+            grids[i].occupancy.transpose(
+                sorted(range(dim), key=grids[i].geometry.extents.__getitem__, reverse=True)
+            )
+            for i in members
+        ]
+        rows = np.cumsum([0] + [t.shape[0] + 1 for t in tiles])
+        canvas = np.zeros((int(rows[-1]), *np.max([t.shape for t in tiles], axis=0)[1:]), dtype=bool)
+        for tile, row in zip(tiles, rows.tolist()):
+            canvas[(slice(row, row + tile.shape[0]), *map(slice, tile.shape[1:]))] = tile
+        labels, _ = _ndimage.label(canvas, structure)
+        first_rows = [box[0].start for box in _ndimage.find_objects(labels)]
+        owners = np.searchsorted(rows, first_rows, side="right") - 1
+        for i, count in zip(members, np.bincount(owners, minlength=len(members)).tolist()):
+            counts[i] = count
+    return counts
+
+
 def component_count(a: GridSet) -> int:
     """Number of face-connected components of the occupied cells."""
-    _, count = _ndimage.label(a.occupancy, structure=_face_structure(a.dim))
-    return int(count)
+    return component_counts([a])[0]
 
 
 def is_grid_continuum(a: GridSet) -> bool:

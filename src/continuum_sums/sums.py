@@ -8,7 +8,9 @@ the shifted copies chain into grid continua.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,8 +25,8 @@ from .grid import (
     SampledSet,
     Semantics,
     auto_geometry,
+    component_counts,
     eps_density_margin,
-    is_grid_continuum,
     measure_estimate,
     minkowski_sum,
     rasterize,
@@ -338,65 +340,139 @@ class SeparatorValidation:
     face_above: NDArray[np.float64]
 
 
-def _adjacent_pairs(cells: NDArray[np.int64]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """Index pairs (both orders) of chessboard-adjacent cells in a cell list."""
-    diff = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2)
-    return np.nonzero(diff == 1)
+def _adjacent_pairs(
+    cells: NDArray[np.int64], starts: NDArray[np.intp]
+) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Chessboard-adjacent pairs of cells within each of several cell lists.
+
+    ``cells`` holds non-empty lists of one dimension one after another, list
+    i from row ``starts[i]`` on.  Returns row pairs ``(first, second)``,
+    each unordered pair of adjacent rows once.  A list's cells are keyed in
+    its bounding box grown by one cell on every side, the boxes laid end to
+    end, so the key of a neighbour lies in its own list's box and names a
+    cell only if the list holds it.  Each cell's neighbours are found by
+    searching the sorted keys for its key plus half the neighbour offsets
+    (the other half give the same pairs reversed).
+    """
+    rows, dim = cells.shape
+    lo = np.minimum.reduceat(cells, starts) - 1
+    widths = np.maximum.reduceat(cells, starts) - lo + 2
+    if np.prod(widths.astype(np.float64), axis=1).sum() >= 2.0**62:
+        raise ValueError("cell indices span too many keys to search")
+    weights = np.ones_like(widths)
+    for a in range(dim - 2, -1, -1):
+        weights[:, a] = weights[:, a + 1] * widths[:, a + 1]
+    boxes = weights[:, 0] * widths[:, 0]
+    sizes = np.diff(starts, append=rows)
+    cell_weights = np.repeat(weights, sizes, axis=0)
+    shifted = cells - np.repeat(lo, sizes, axis=0)
+    keys = np.repeat(np.cumsum(boxes) - boxes, sizes) + (shifted * cell_weights).sum(axis=1)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    # One of each pair o, -o of neighbour offsets: those whose first nonzero entry is +1.
+    offsets = np.array(
+        [o for o in itertools.product((-1, 0, 1), repeat=dim) if next((v for v in o if v), 0) == 1],
+        dtype=np.int64,
+    ).reshape(-1, dim)
+    queries = (keys[:, None] + cell_weights @ offsets.T).ravel()
+    left = np.searchsorted(ordered, queries, "left")
+    hits = np.searchsorted(ordered, queries, "right") - left
+    # A listed cell twice over is two hits, consecutive in the sorted keys.
+    first = np.repeat(np.arange(rows), hits.reshape(rows, -1).sum(axis=1))
+    within = np.arange(first.size) - np.repeat(np.cumsum(hits) - hits, hits)
+    return first, order[np.repeat(left, hits) + within]
 
 
-def _adjacent_potential_step(
-    pairs: tuple[NDArray[np.intp], NDArray[np.intp]], values: NDArray[np.float64]
-) -> float:
-    """Largest |value difference| over chessboard-adjacent occupied cells."""
-    first, second = pairs
-    if len(first) == 0:
-        return 0.0
-    return float(np.abs(values[first] - values[second]).max())
-
-
-def _is_integral(values: NDArray[np.float64]) -> bool:
-    """``np.allclose(values, np.round(values), atol=1e-9)``, written out.
+def _integral_entries(values: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Which entries ``np.allclose(values, np.round(values), atol=1e-9)`` finds close.
 
     Infinities equal their own rounding; NaN is never integral.
     """
     rounded = np.round(values)
-    exact = values == rounded
-    if exact.all():
-        return True
     with np.errstate(invalid="ignore"):
         close = np.abs(values - rounded) <= 1e-9 + 1e-5 * np.abs(rounded)
-    return bool((close | exact).all())
+    return close | (values == rounded)
 
 
-def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
-    """Check the band-jump preconditions; raise on an invalid instance."""
-    n = instance.n
-    if not 1 <= n <= _MAX_SEPARATOR_DIM:
-        raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
+def _listed_cells(instance: SeparatorInstance, components: list[int]) -> list[NDArray[np.int64]]:
+    """The factor cell lists as int64 arrays, after the checks of each factor's structure.
+
+    In factor order: one face component, a cell list of one row per
+    occupied cell (an integer array of the factor's dimension), and one
+    potential per cell on every axis.
+    """
+    cells = []
     for j, factor in enumerate(instance.factors):
-        if not is_grid_continuum(factor):
+        if components[j] != 1:
             raise ValueError(f"factor {j} is not a connected grid continuum")
-        if len(instance.factor_cells[j]) != factor.occupied_count:
+        listed = np.asarray(instance.factor_cells[j])
+        if (
+            len(instance.factor_cells[j]) != factor.occupied_count
+            or listed.ndim != 2
+            or listed.shape[1] != factor.dim
+            or listed.dtype.kind not in "iu"
+        ):
             raise ValueError(f"factor {j} cell list does not match its occupancy")
-        for k in range(n):
+        for k in range(instance.n):
             if len(instance.potentials[k][j]) != len(instance.factor_cells[j]):
                 raise ValueError(f"axis {k}: factor {j} potentials do not match its cell list")
-    pairs = [_adjacent_pairs(cells) for cells in instance.factor_cells]
-    max_step = np.zeros(n)
-    integral = np.zeros(n, dtype=bool)
-    face_below = np.zeros(n)
-    face_above = np.zeros(n)
+        cells.append(listed.astype(np.int64, copy=False))
+    return cells
+
+
+def _outside_factors(
+    instances: Sequence[SeparatorInstance], cells: dict[int, list[NDArray[np.int64]]]
+) -> dict[int, int]:
+    """The first factor of each instance whose listed cells leave its grid."""
+    outside: dict[int, int] = {}
+    by_dim: dict[int, list[tuple[int, int]]] = {}
+    for i, lists in cells.items():
+        for j, listed in enumerate(lists):
+            by_dim.setdefault(listed.shape[1], []).append((i, j))
+    for slots in by_dim.values():
+        lists = [cells[i][j] for i, j in slots]
+        sizes = [len(c) for c in lists]
+        starts = np.cumsum(sizes) - sizes
+        joined = np.concatenate(lists)
+        extents = np.array([instances[i].factors[j].geometry.extents for i, j in slots])
+        inside = (np.minimum.reduceat(joined, starts) >= 0) & (
+            np.maximum.reduceat(joined, starts) < extents
+        )
+        for (i, j), ok in zip(slots, inside.all(axis=1).tolist()):
+            if not ok:
+                outside[i] = min(j, outside.get(i, j))
+    return outside
+
+
+def _band_report(
+    instance: SeparatorInstance,
+    steps: list[list[float]],
+    integral: list[list[bool]],
+    highest: list[list[float]],
+    lowest: list[list[float]],
+    face_values: dict[tuple[int, int], float],
+) -> SeparatorValidation:
+    """The band checks of one instance, axis by axis, from its grouped reductions.
+
+    ``steps[k][j]``, ``integral[k][j]``, ``highest[k][j]`` and ``lowest[k][j]``
+    describe factor j's axis-k potentials; ``face_values[k, 0]`` is the
+    largest potential on F_k^- and ``face_values[k, 1]`` the smallest on
+    F_k^+, for the faces that were gathered.  Any other face is read here.
+    """
+    n = instance.n
+    max_step: list[float] = []
+    integral_axes: list[bool] = []
+    face_below: list[float] = []
+    face_above: list[float] = []
     for k in range(n):
-        pots = instance.potentials[k]
-        steps = [_adjacent_potential_step(pairs[j], pots[j]) for j in range(n)]
-        level = float(max(steps))
-        max_step[k] = level
+        level = float(max(steps[k]))
+        max_step.append(level)
         center = float(instance.band_center[k])
         radius = float(instance.band_radius[k])
-        is_integral = all(
-            _is_integral(p) for p in pots
-        ) and abs(center - round(center)) < 1e-9 and abs(radius - round(radius)) < 1e-9
-        integral[k] = is_integral
+        is_integral = all(integral[k]) and abs(center - round(center)) < 1e-9 and abs(
+            radius - round(radius)
+        ) < 1e-9
+        integral_axes.append(is_integral)
         # One product step moves every factor at most one cell.
         jump = n * level
         allowed = 2 * radius + (1.0 if is_integral else 0.0)
@@ -407,20 +483,196 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
             )
         if len(instance.faces_neg[k]) == 0 or len(instance.faces_pos[k]) == 0:
             raise ValueError(f"axis {k}: empty face set")
-        others_max = sum(float(pots[j].max()) for j in range(n) if j != k)
-        others_min = sum(float(pots[j].min()) for j in range(n) if j != k)
-        below = float(pots[k][instance.faces_neg[k]].max()) + others_max
-        above = float(pots[k][instance.faces_pos[k]].min()) + others_min
-        face_below[k] = below
-        face_above[k] = above
+        own = instance.potentials[k][k]
+        below = face_values.get((k, 0))
+        if below is None:
+            below = float(own[instance.faces_neg[k]].max())
+        above = face_values.get((k, 1))
+        if above is None:
+            above = float(own[instance.faces_pos[k]].min())
+        below += sum(highest[k][j] for j in range(n) if j != k)
+        above += sum(lowest[k][j] for j in range(n) if j != k)
+        face_below.append(below)
+        face_above.append(above)
         if not (below < center - radius and above > center + radius):
             raise ValueError(
                 f"axis {k}: faces do not straddle the band "
                 f"({below} .. {above} around {center} +- {radius})"
             )
     return SeparatorValidation(
-        max_step=max_step, integral=integral, face_below=face_below, face_above=face_above
+        max_step=np.array(max_step, dtype=np.float64),
+        integral=np.array(integral_axes, dtype=bool),
+        face_below=np.array(face_below, dtype=np.float64),
+        face_above=np.array(face_above, dtype=np.float64),
     )
+
+
+def _band_checks(
+    instances: Sequence[SeparatorInstance], cells: dict[int, list[NDArray[np.int64]]]
+) -> dict[int, SeparatorValidation | Exception]:
+    """The band checks of the instances whose cells passed, with every array reduction grouped.
+
+    Factors are laid end to end, grouped by dimension, and their axis-k
+    potentials form row k of one array (zeros past an instance's n).
+    Steps come from one ``maximum.at`` over the adjacent pairs of each
+    dimension, integrality and the potential extremes from ``reduceat``
+    over the factors, and the face extremes from one gather of every face
+    held as a non-empty integer array of in-range indices.
+    """
+    slots = sorted((c.shape[1], i, j) for i, lists in cells.items() for j, c in enumerate(lists))
+    if not slots:
+        return {}
+    factor_of = {(i, j): f for f, (_, i, j) in enumerate(slots)}
+    lists = [cells[i][j] for _, i, j in slots]
+    sizes = np.array([len(c) for c in lists])
+    starts = np.cumsum(sizes) - sizes
+    axes = max(instances[i].n for i in cells)
+    zeros = np.zeros(int(sizes.max()))
+    pots = np.stack(
+        [
+            np.concatenate(
+                [
+                    instances[i].potentials[k][j] if k < instances[i].n else zeros[: len(c)]
+                    for (_, i, j), c in zip(slots, lists)
+                ]
+            )
+            for k in range(axes)
+        ]
+    ).astype(np.float64, copy=False)
+    factor_rows = np.repeat(np.arange(len(slots)), sizes)
+    steps = np.zeros((axes, len(slots)))
+    dims = [d for d, _, _ in slots]
+    for d in sorted(set(dims)):
+        lo, hi = dims.index(d), len(dims) - dims[::-1].index(d)
+        first, second = _adjacent_pairs(np.concatenate(lists[lo:hi]), starts[lo:hi] - starts[lo])
+        first += starts[lo]
+        second += starts[lo]
+        np.maximum.at(steps.T, factor_rows[first], np.abs(pots[:, first] - pots[:, second]).T)
+    highest = np.maximum.reduceat(pots, starts, axis=1).tolist()
+    lowest = np.minimum.reduceat(pots, starts, axis=1).tolist()
+    integral = np.logical_and.reduceat(_integral_entries(pots), starts, axis=1).tolist()
+    face_values = _face_extremes(instances, cells, factor_of, pots, starts, sizes)
+    steps_by_factor = steps.tolist()
+    outcomes: dict[int, SeparatorValidation | Exception] = {}
+    for i in cells:
+        instance = instances[i]
+        fs = [factor_of[i, j] for j in range(instance.n)]
+        try:
+            outcomes[i] = _band_report(
+                instance,
+                [[row[f] for f in fs] for row in steps_by_factor],
+                [[row[f] for f in fs] for row in integral],
+                [[row[f] for f in fs] for row in highest],
+                [[row[f] for f in fs] for row in lowest],
+                face_values.get(i, {}),
+            )
+        except Exception as exc:  # this instance's outcome, raised by its caller
+            outcomes[i] = exc
+    return outcomes
+
+
+def _face_extremes(
+    instances: Sequence[SeparatorInstance],
+    cells: dict[int, list[NDArray[np.int64]]],
+    factor_of: dict[tuple[int, int], int],
+    pots: NDArray[np.float64],
+    starts: NDArray[np.intp],
+    sizes: NDArray[np.intp],
+) -> dict[int, dict[tuple[int, int], float]]:
+    """``{i: {(k, 0): max over F_k^-, (k, 1): min over F_k^+}}`` of axis-k potentials, gathered at once.
+
+    Only faces held as non-empty 1-D signed-integer arrays whose indices are
+    all in range (negative ones counted from the end) are gathered; any
+    other face is left to :func:`_band_report`, which reads it as numpy
+    indexing does.
+    """
+    picks = []
+    for i in cells:
+        instance = instances[i]
+        for k in range(min(instance.n, len(instance.faces_neg), len(instance.faces_pos))):
+            for side, faces in enumerate((instance.faces_neg[k], instance.faces_pos[k])):
+                if (
+                    isinstance(faces, np.ndarray)
+                    and faces.ndim == 1
+                    and faces.size
+                    and faces.dtype.kind == "i"
+                ):
+                    picks.append((i, k, side, faces))
+    if not picks:
+        return {}
+    counts = [len(p[3]) for p in picks]
+    rows = [factor_of[i, k] for i, k, _, _ in picks]
+    index = np.concatenate([p[3] for p in picks]).astype(np.int64, copy=False)
+    bounds = np.repeat(sizes[rows], counts)
+    index = np.where(index < 0, index + bounds, index)
+    inside = (index >= 0) & (index < bounds)
+    axis = np.repeat([k for _, k, _, _ in picks], counts)
+    values = pots[axis, np.repeat(starts[rows], counts) + np.where(inside, index, 0)]
+    cuts = np.cumsum(counts) - counts
+    found: dict[int, dict[tuple[int, int], float]] = {}
+    for (i, k, side, _), ok, top, bottom in zip(
+        picks,
+        np.logical_and.reduceat(inside, cuts).tolist(),
+        np.maximum.reduceat(values, cuts).tolist(),
+        np.minimum.reduceat(values, cuts).tolist(),
+    ):
+        if ok:
+            found.setdefault(i, {})[k, side] = bottom if side else top
+    return found
+
+
+def _validations(
+    instances: Sequence[SeparatorInstance],
+) -> list[SeparatorValidation | Exception]:
+    """What :func:`validate_separators` returns or raises for each instance, found together.
+
+    The checks run in the order of a single validation, and an instance's
+    outcome never depends on the others: every factor's face components are
+    counted in one :func:`~continuum_sums.grid.component_counts` call, then
+    each instance's factor structure is checked, then its listed cells must
+    lie in their grids, then :func:`_band_checks` groups the band checks.
+    """
+    outcomes: list[SeparatorValidation | Exception | None] = [None] * len(instances)
+    live = []
+    for i, instance in enumerate(instances):
+        if 1 <= instance.n <= _MAX_SEPARATOR_DIM:
+            live.append(i)
+        else:
+            outcomes[i] = ValueError(
+                f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors"
+            )
+    components = iter(component_counts([f for i in live for f in instances[i].factors]))
+    cells: dict[int, list[NDArray[np.int64]]] = {}
+    for i in live:
+        counts = [next(components) for _ in instances[i].factors]
+        try:
+            cells[i] = _listed_cells(instances[i], counts)
+        except Exception as exc:  # this instance's outcome, raised by its caller
+            outcomes[i] = exc
+    for i, j in _outside_factors(instances, cells).items():
+        outcomes[i] = ValueError(f"factor {j} cell list does not match its occupancy")
+        del cells[i]
+    for i, outcome in _band_checks(instances, cells).items():
+        outcomes[i] = outcome
+    return outcomes  # type: ignore[return-value]
+
+
+def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
+    """Check the band-jump preconditions; raise on an invalid instance.
+
+    In order: 1..3 factors; factor by factor, one face component, one
+    listed cell per occupied cell and one potential per cell on every
+    axis; every listed cell inside its factor's grid; then axis by axis, a
+    product step (every factor one chessboard step, the largest potential
+    change over adjacent listed cells) cannot leap the band, both faces are
+    non-empty, and the faces straddle the band.  The one-instance call of
+    the grouped validation that :func:`random_separator_instances` runs
+    over a whole batch.
+    """
+    (outcome,) = _validations([instance])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _band_masks(instance: SeparatorInstance, k: int) -> NDArray[np.bool_]:
@@ -449,7 +701,9 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     adjacency = []
     for count, cells in zip(counts, instance.factor_cells):
         matrix = np.eye(count, dtype=np.float32)
-        matrix[_adjacent_pairs(cells)] = 1.0
+        if count:
+            first, second = _adjacent_pairs(np.asarray(cells, dtype=np.int64), np.zeros(1, np.intp))
+            matrix[first, second] = matrix[second, first] = 1.0
         adjacency.append(matrix)
     blocked = _band_masks(instance, axis)
     reached = np.zeros(counts, dtype=bool)
@@ -480,7 +734,7 @@ def bands_share_cell(instance: SeparatorInstance) -> bool:
     """Scan the product for a cell in every band; no validation.
 
     Only meaningful for an instance :func:`validate_separators` accepted
-    (:func:`random_separator_instance` returns only such instances).
+    (:func:`random_separator_instances` returns only such instances).
     """
     mask = _band_masks(instance, 0)
     for k in range(1, instance.n):
@@ -587,90 +841,315 @@ def build_sum_separators(
     )
 
 
-def random_separator_instance(
-    n: int, seed: int, size_range: tuple[int, int] = (10, 26)
-) -> SeparatorInstance:
-    """A random valid band-separator instance on n blob factors.
+#: Every word below this gives ``random() < 0.7``: ``random()`` is
+#: ``(word >> 11) * 2**-53``, and 0.7 * 2**53 is an integer in binary64.
+_SEVEN_TENTHS = int(0.7 * 2**53) << 11
+
+_LOW_HALF = 0xFFFFFFFF
+
+
+class _ReplayedDraws:
+    """The ``random()`` and ``integers()`` draws of ``np.random.default_rng(seed)``.
+
+    They are replayed from the raw 64-bit words of the same PCG64 stream
+    (``bit_generator.random_raw``), without a ``Generator`` call per draw.
+    A ``random()`` draw is one word, ``(word >> 11) * 2**-53``.
+    ``integers(low, high)`` is Lemire's bounded method ("Fast Random Integer
+    Generation in an Interval", 2019), as numpy runs it: a span of one
+    draws nothing, a span up to 2^32 scales a 32-bit draw and a wider one a
+    whole word, and a product whose low part falls below 2^32 (or 2^64)
+    mod span is drawn again.  32-bit draws take the low half of a word,
+    then its high half at the next 32-bit draw, whatever whole words come
+    between.  Words are fetched as a walk may need them, and the ones it
+    leaves unread are kept for the next draws.
+    """
+
+    __slots__ = ("_bits", "_words", "_next", "_high")
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._words = array("Q")
+        self._next = 0
+        self._high: int | None = None
+
+    def _reserve(self, count: int) -> None:
+        """Hold at least ``count`` unread words."""
+        unread = len(self._words) - self._next
+        if unread < count:
+            fresh = array("Q", self._bits.random_raw(count - unread).tobytes())
+            self._words = self._words[self._next :] + fresh
+            self._next = 0
+
+    def word(self) -> int:
+        self._reserve(1)
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def half(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        word = self.word()
+        self._high = word >> 32
+        return word & _LOW_HALF
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span <= 0:
+            raise ValueError("low >= high")
+        if span == 1:
+            return low
+        draw, bits = (self.half, 32) if span <= 2**32 else (self.word, 64)
+        mask = (1 << bits) - 1
+        scaled = draw() * span
+        if scaled & mask < span:
+            floor = (1 << bits) % span
+            while scaled & mask < floor:
+                scaled = draw() * span
+        return low + (scaled >> bits)
+
+    def walk(self, n: int, j: int, size_range: tuple[int, int]) -> _Walk:
+        """One random-walk factor stretched along axis j, from the next draws.
+
+        ``steps = integers(*size_range)``; then up to ``3 * steps`` moves,
+        until ``steps`` cells are visited.  A move is a step along axis j
+        when ``random() < 0.7``, else one along axis ``integers(0, n)``,
+        backwards when ``integers(0, 2)`` is 0.  The moves' draws are read
+        from the words here, and a 32-bit draw that Lemire's method rejects
+        is left to :meth:`integers`.  A position is one int holding its
+        coordinates (each within ``3 * high`` of 0) as digits, so the sorted
+        keys are the lexicographic (C scan) order of the cells.
+        """
+        steps = self.integers(*size_range)
+        reach = 3 * max(size_range[1], 0)
+        base = 2 * reach + 1
+        strides = [base ** (n - 1 - a) for a in range(n)]
+        key = reach * sum(strides)
+        visited = {key}
+        forward = strides[j]
+        floor = 2**32 % n
+        moves = 3 * steps
+        # A move reads one word, and a side move at most one more for its two halves.
+        self._reserve(2 * moves)
+        words, at, high = self._words, self._next, self._high
+        for move in range(moves):
+            word = words[at]
+            at += 1
+            if word < _SEVEN_TENTHS:
+                key += forward
+            else:
+                axis = 0
+                if n > 1:
+                    before = at, high
+                    if high is None:
+                        word = words[at]
+                        at += 1
+                        scaled, high = (word & _LOW_HALF) * n, word >> 32
+                    else:
+                        scaled, high = high * n, None
+                    if scaled & _LOW_HALF < floor:
+                        self._next, self._high = before
+                        axis = self.integers(0, n)
+                        self._reserve(2 * (moves - move))
+                        words, at, high = self._words, self._next, self._high
+                    else:
+                        axis = scaled >> 32
+                if high is None:
+                    word = words[at]
+                    at += 1
+                    sign, high = word & _LOW_HALF, word >> 32
+                else:
+                    sign, high = high, None
+                key += strides[axis] if sign >> 31 else -strides[axis]
+            visited.add(key)
+            if len(visited) >= steps:
+                break
+        self._next, self._high = at, high
+        keys = sorted(visited)
+        coords = [[k // stride % base for k in keys] for stride in strides]
+        lows = [min(c) for c in coords]
+        extents = [max(c) - low + 1 for c, low in zip(coords, lows)]
+        return coords, lows, extents
+
+
+#: One walk: the cell coordinates along each axis (cells in lexicographic
+#: order), their lowest values and the factor's extents.
+_Walk = tuple[list[list[int]], list[int], list[int]]
+
+
+def _gapped_walks(
+    draws: _ReplayedDraws, n: int, size_range: tuple[int, int], attempts: int
+) -> tuple[list[_Walk], list[int], int] | None:
+    """The next n walks whose face gaps all exceed 4, their band centers and the attempt count.
+
+    With coordinate potentials shifted to start at 0, axis k's faces sit at
+    ``below``, the other factors' axis-k extents less one each, summed, and
+    ``above``, factor k's own axis-k extent less one; so the gap test needs
+    only the walks' extents.  Each failed candidate counts as an attempt;
+    None once 64 have failed.
+    """
+    while attempts < 64:
+        walks = [draws.walk(n, j, size_range) for j in range(n)]
+        centers = []
+        for k in range(n):
+            below = sum(walks[j][2][k] - 1 for j in range(n) if j != k)
+            above = walks[k][2][k] - 1
+            if above - below <= 4:
+                break
+            centers.append(round((below + above) / 2))
+        else:
+            return walks, centers, attempts
+        attempts += 1
+    return None
+
+
+def _built_instances(
+    n: int, candidates: list[tuple[list[_Walk], list[int]]]
+) -> list[SeparatorInstance]:
+    """The candidates of one dimension as instances, their arrays made together.
+
+    Every factor's cells, potentials and face lists are slices of arrays
+    made for the whole batch, and its occupancy is a view of its own
+    stretch of one flat buffer.
+    """
+    walks = [w for ws, _ in candidates for w in ws]
+    sizes = np.array([len(w[0][0]) for w in walks])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    factor_rows = np.repeat(np.arange(len(walks)), sizes)
+    coords = np.array([[v for w in walks for v in w[0][a]] for a in range(n)], dtype=np.int64)
+    coords -= np.array([w[1] for w in walks], dtype=np.int64).T[:, factor_rows]
+    cells = coords.T.copy()
+    potentials = coords.astype(np.float64)
+    extents = np.array([w[2] for w in walks], dtype=np.int64)
+    strides = np.ones_like(extents)
+    for a in range(n - 2, -1, -1):
+        strides[:, a] = strides[:, a + 1] * extents[:, a + 1]
+    boxes = strides[:, 0] * extents[:, 0]
+    box_ends = np.cumsum(boxes)
+    buffer = np.zeros(int(box_ends[-1]), dtype=bool)
+    buffer[(box_ends - boxes)[factor_rows] + (cells * strides[factor_rows]).sum(axis=1)] = True
+    # Factor j's faces are its cells at either end of its own axis j.
+    own_axis = np.arange(len(walks)) % n
+    own = cells[np.arange(len(cells)), own_axis[factor_rows]]
+    local = np.arange(len(cells), dtype=np.int64) - starts[factor_rows]
+    faces = []
+    for side in (own == 0, own == (extents[np.arange(len(walks)), own_axis] - 1)[factor_rows]):
+        found = local[side]
+        bounds = np.cumsum(np.bincount(factor_rows[side], minlength=len(walks))).tolist()
+        faces.append([found[lo:hi] for lo, hi in zip([0, *bounds], bounds)])
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    box_spans = list(zip((box_ends - boxes).tolist(), box_ends.tolist()))
+    instances = []
+    for c, (_, centers) in enumerate(candidates):
+        fs = range(c * n, (c + 1) * n)
+        factors = tuple(
+            GridSet(
+                geometry=GridGeometry(origin=(0.0,) * n, spacing=1.0, extents=tuple(walks[f][2])),
+                occupancy=buffer[slice(*box_spans[f])].reshape(walks[f][2]),
+                semantics=Semantics.SAMPLE_COVER,
+                slack=0.5,
+            )
+            for f in fs
+        )
+        instances.append(
+            SeparatorInstance(
+                factors=factors,
+                factor_cells=tuple(cells[slice(*spans[f])] for f in fs),
+                potentials=tuple(
+                    tuple(potentials[k, slice(*spans[f])] for f in fs) for k in range(n)
+                ),
+                band_center=np.array(centers, dtype=np.float64),
+                band_radius=np.ones(n),
+                faces_neg=tuple(faces[0][f] for f in fs),
+                faces_pos=tuple(faces[1][f] for f in fs),
+            )
+        )
+    return instances
+
+
+def _candidates(
+    specs: Sequence[tuple[int, int]],
+    draws: list[_ReplayedDraws | None],
+    attempts: list[int],
+    pending: list[int],
+    size_range: tuple[int, int],
+) -> tuple[list[int], list[SeparatorInstance]]:
+    """The next gap-tested candidate of each pending spec, built by dimension.
+
+    Returns the specs' indices in the order of the candidates, and the
+    candidates; ``attempts`` counts each spec's failed gap tests.
+    """
+    by_dim: dict[int, list[int]] = {}
+    drawn = {}
+    for i in pending:
+        n, seed = specs[i]
+        found = _gapped_walks(draws[i], n, size_range, attempts[i])  # type: ignore[arg-type]
+        if found is None:
+            raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
+        walks, centers, attempts[i] = found
+        by_dim.setdefault(n, []).append(i)
+        drawn[i] = (walks, centers)
+    order = [i for members in by_dim.values() for i in members]
+    candidates = [
+        instance
+        for n, members in by_dim.items()
+        for instance in _built_instances(n, [drawn[i] for i in members])
+    ]
+    return order, candidates
+
+
+def random_separator_instances(
+    specs: Sequence[tuple[int, int]], size_range: tuple[int, int] = (10, 26)
+) -> list[SeparatorInstance]:
+    """One random valid band-separator instance per ``(n, seed)`` spec, in order.
 
     Factor j is a random-walk grid continuum stretched along axis j; the
     axis-k potentials are plain cell coordinates (integral and 1-Lipschitz
     under chessboard steps), the band sits at an integer level inside the
     verified face gap with half-width 1, and faces are the coordinate
-    extremes of the stretched factor.  Every returned instance has passed
-    :func:`validate_separators` here (a candidate it rejects is redrawn), so
-    callers can go straight to :func:`bands_share_cell`.
+    extremes of the stretched factor.
+
+    Each spec draws from its own ``np.random.default_rng(seed)`` stream,
+    replayed from raw words (:class:`_ReplayedDraws`), so an instance
+    depends on its spec alone.  A candidate whose face gap is too narrow is
+    redrawn at once, on plain ints.  The others are built as arrays and
+    validated together (:func:`validate_separators`, grouped over the
+    batch), and one that fails is redrawn from its own stream.  So every
+    returned instance has passed validation, and callers can go straight to
+    :func:`bands_share_cell`.  A spec with no valid candidate in 64 attempts
+    raises RuntimeError.  The instances of one call share array buffers.
     """
-    if not 1 <= n <= _MAX_SEPARATOR_DIM:
-        raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
-    rng = np.random.default_rng(seed)
-    for attempt in range(64):
-        factors = []
-        factor_cells = []
-        ok = True
-        for j in range(n):
-            steps = int(rng.integers(*size_range))
-            pos = [0] * n
-            visited = {tuple(pos)}
-            # March mostly along axis j so its own extent dominates.
-            for _ in range(steps * 3):
-                if rng.random() < 0.7:
-                    pos[j] += 1
-                else:
-                    axis = int(rng.integers(n))
-                    # The same draw as rng.choice((-1, 1)), at under a third of its cost.
-                    pos[axis] += (-1, 1)[int(rng.integers(2))]
-                visited.add(tuple(pos))
-                if len(visited) >= steps:
-                    break
-            # Sorted tuples are the lexicographic (C scan) order of the cells.
-            cells = np.array(sorted(visited), dtype=np.int64)
-            cells -= cells.min(axis=0)
-            extents = tuple(int(e) for e in cells.max(axis=0) + 1)
-            occupancy = np.zeros(extents, dtype=bool)
-            occupancy[tuple(cells.T)] = True
-            grid = GridSet(
-                geometry=GridGeometry(
-                    origin=(0.0,) * n, spacing=1.0, extents=extents
-                ),
-                occupancy=occupancy,
-                semantics=Semantics.SAMPLE_COVER,
-                slack=0.5,
-            )
-            factors.append(grid)
-            factor_cells.append(cells)
-        potentials = tuple(
-            tuple(factor_cells[j][:, k].astype(np.float64) for j in range(n))
-            for k in range(n)
-        )
-        centers = np.zeros(n)
-        faces_neg = []
-        faces_pos = []
-        for k in range(n):
-            own = potentials[k][k]
-            others_max = sum(float(potentials[k][j].max()) for j in range(n) if j != k)
-            others_min = sum(float(potentials[k][j].min()) for j in range(n) if j != k)
-            below = float(own.min()) + others_max
-            above = float(own.max()) + others_min
-            if above - below <= 4:
-                ok = False
-                break
-            centers[k] = round((below + above) / 2)
-            faces_neg.append(np.flatnonzero(own == own.min()).astype(np.int64))
-            faces_pos.append(np.flatnonzero(own == own.max()).astype(np.int64))
-        if not ok:
-            continue
-        instance = SeparatorInstance(
-            factors=tuple(factors),
-            factor_cells=tuple(factor_cells),
-            potentials=potentials,
-            band_center=centers,
-            band_radius=np.ones(n),
-            faces_neg=tuple(faces_neg),
-            faces_pos=tuple(faces_pos),
-        )
-        try:
-            validate_separators(instance)
-        except ValueError:
-            continue
-        return instance
-    raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
+    for n, _ in specs:
+        if not 1 <= n <= _MAX_SEPARATOR_DIM:
+            raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
+    # integers() also takes numpy and float bounds; the replay needs Python ints.
+    size_range = (int(size_range[0]), int(size_range[1]))
+    draws: list[_ReplayedDraws | None] = [_ReplayedDraws(seed) for _, seed in specs]
+    attempts = [0] * len(specs)
+    instances: list[SeparatorInstance | None] = [None] * len(specs)
+    pending = list(range(len(specs)))
+    while pending:
+        order, candidates = _candidates(specs, draws, attempts, pending, size_range)
+        pending = []
+        for i, candidate, outcome in zip(order, candidates, _validations(candidates)):
+            if isinstance(outcome, SeparatorValidation):
+                instances[i] = candidate
+                draws[i] = None
+            elif isinstance(outcome, ValueError):
+                attempts[i] += 1
+                pending.append(i)
+            else:
+                raise outcome
+    return instances  # type: ignore[return-value]
+
+
+def random_separator_instance(
+    n: int, seed: int, size_range: tuple[int, int] = (10, 26)
+) -> SeparatorInstance:
+    """The random valid band-separator instance of ``(n, seed)``.
+
+    The one-spec call of :func:`random_separator_instances`.
+    """
+    return random_separator_instances([(n, seed)], size_range)[0]

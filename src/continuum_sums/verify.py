@@ -49,7 +49,7 @@ from .sums import (
     bands_share_cell,
     build_sum_separators,
     hl_discrete_check,
-    random_separator_instance,
+    random_separator_instances,
     separation_by_search,
     shift_construction,
 )
@@ -586,24 +586,26 @@ def _claim_instance_check() -> tuple[bool, str]:
 def verify_hl_suite(trials: int, seed: int = 0) -> VerificationReport:
     """Random plus constructed separator instances, all bands must intersect.
 
-    Every tenth random instance is three-dimensional.  A failing instance is
-    named by its generator coordinates (dimension and seed reproduce it
-    exactly), which is treated as a fatal inconsistency.  Each instance is
-    validated once before its verdict: a random one inside
-    :func:`random_separator_instance` (then only scanned with
-    :func:`bands_share_cell`), a constructed one by :func:`hl_discrete_check`.
+    Trial t draws instance ``(n, seed + t)``, three-dimensional for every
+    tenth trial.  A failing instance is named by those generator
+    coordinates (dimension and seed reproduce it exactly), which is treated
+    as a fatal inconsistency.  The random instances are drawn as one batch
+    by :func:`random_separator_instances`, which validates them together,
+    and are then only scanned with :func:`bands_share_cell`; each
+    constructed one is validated by :func:`hl_discrete_check`.  So each
+    instance is validated once before its verdict, and the suite holds
+    all its random instances at once.
     """
     start = time.perf_counter()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    failures = []
-    counts = {2: 0, 3: 0}
-    for t in range(trials):
-        n = 3 if t % 10 == 9 else 2
-        counts[n] += 1
-        instance = random_separator_instance(n, seed + t)
-        if not bands_share_cell(instance):
-            failures.append(_instance_label(n, seed + t, instance))
+    specs = [(3 if t % 10 == 9 else 2, seed + t) for t in range(trials)]
+    failures = [
+        _instance_label(n, instance_seed, instance)
+        for (n, instance_seed), instance in zip(specs, random_separator_instances(specs))
+        if not bands_share_cell(instance)
+    ]
+    counts = {d: sum(n == d for n, _ in specs) for d in (2, 3)}
     if failures:
         random_detail = "FATAL: bands disjoint for " + "; ".join(failures[:3])
     else:

@@ -24,6 +24,7 @@ from continuum_sums.grid import (
     Semantics,
     auto_geometry,
     component_count,
+    component_counts,
     covering_radius,
     cube_coverage,
     dilate_fft,
@@ -244,14 +245,14 @@ _SELF_SUM_SHAPES = [(17,), (6, 9), (3, 4, 5)]
 
 
 @pytest.mark.parametrize("shape", _SELF_SUM_SHAPES)
-def test_fft_self_sum_of_one_object_transforms_once(shape):
+def test_fft_self_sum_of_one_object_matches_naive(shape):
     rng = np.random.default_rng(len(shape))
     a = cover_grid(rng.random(shape) < 0.4, origin=(0.5,) * len(shape))
     assert_fft_matches_naive(a, a)
 
 
 @pytest.mark.parametrize("shape", _SELF_SUM_SHAPES)
-def test_fft_equal_occupancy_in_distinct_rasters_transforms_once(shape):
+def test_fft_equal_occupancy_in_distinct_rasters_matches_naive(shape):
     rng = np.random.default_rng(10 + len(shape))
     occ = rng.random(shape) < 0.4
     a, b = cover_grid(occ), cover_grid(occ.copy())
@@ -548,6 +549,7 @@ _TWO_RUN_ROWS = cover_grid([[1, 1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1, 1, 1]])
 # pairs; three operands: 3^2 * 2 key pairs against 4 * 3, 2^2 * 2 run pairs.
 _NARROW = cover_grid([[1, 0], [1, 1], [0, 1], [1, 1], [1, 0]])
 _CORNER = cover_grid([[1, 1], [0, 1]])
+_LATE_RUN = cover_grid([[0] * 8, [1] * 8])
 _TWO_CELL_COLUMN = cover_grid([[1], [1]])
 
 
@@ -579,6 +581,15 @@ _TWO_CELL_COLUMN = cover_grid([[1], [1]])
 # runs the second fold hands on end at their row's last cell.
 @example([_CORNER] * 4, 1)
 @example([_CORNER] * 4, 3)
+# An operand whose one run lies in band 1, not band 0, so it is kept as one
+# band without a split.  Bands are one row of 15 at chunks 1 and 3.
+# [_LATE_RUN] * 2: 8^2 key pairs against 3 * 15 output cells, one run pair,
+# landing in band 2.  With _LONG_RUNS: 8 * 21 key pairs against 4 * 15
+# cells, 6 run pairs, the late run meeting the long runs' bands 0, 1 and 2.
+@example([_LATE_RUN] * 2, 1)
+@example([_LATE_RUN] * 2, 3)
+@example([_LATE_RUN, _LONG_RUNS], 1)
+@example([_LONG_RUNS, _LATE_RUN], 3)
 @example([_CORNER, _CORNER, _TWO_CELL_COLUMN, _COLUMN], 1)
 @example([_CORNER, _CORNER, _TWO_CELL_COLUMN, _COLUMN], 3)
 @settings(deadline=None)
@@ -916,6 +927,23 @@ def test_rasterize_rejects_inner():
 @given(single_grid())
 def test_components_match_bfs(a):
     assert component_count(a) == len(oracle_components(a.occupancy))
+
+
+@given(st.lists(single_grid(), max_size=6))
+@example([])
+@settings(deadline=None)
+def test_component_counts_on_one_canvas_match_bfs(grids):
+    # Grids of mixed dimensions: those of one dimension share a canvas, and
+    # a component reaching a grid's last row or column must not join the next.
+    counts = component_counts(grids)
+    assert counts == [len(oracle_components(g.occupancy)) for g in grids]
+    assert counts == [component_count(g) for g in grids]
+
+
+def test_component_counts_of_full_grids_stacked_one_row_apart():
+    full = [cover_grid(np.ones(shape, bool)) for shape in [(2, 3), (1, 5), (3, 1), (2, 2)]]
+    assert component_counts(full) == [1, 1, 1, 1]
+    assert component_counts(full[:1]) == [1]
 
 
 def test_diagonal_pair_adjacency():

@@ -37,6 +37,7 @@ from continuum_sums.sums import (
     hl_discrete_check,
     midpoint_iterate,
     random_separator_instance,
+    random_separator_instances,
     separation_by_search,
     shift_construction,
     shifted_sum_raster,
@@ -752,6 +753,77 @@ def test_random_instance_matches_former_numpy_walk(n, seeds, size_range):
         assert_same_instance(got, want)
 
 
+# Spans 1 (no draw), 2 and 3 (the walk's axis and sign), 16 (the size
+# draw's), 2^31 + 5 (2^32 mod span is 2^31 - 5, so about half the first
+# products are drawn again) and 2^40 + 3 (whole-word draws).
+_REPLAY_SPANS = (1, 2, 3, 16, 2**31 + 5, 2**40 + 3)
+
+
+def test_replayed_draws_match_numpy_generator():
+    for seed in range(1200):
+        rng = np.random.default_rng(seed)
+        draws = sums_mod._ReplayedDraws(seed)
+        plan = np.random.default_rng(10**6 + seed)
+        for _ in range(30):
+            if plan.random() < 0.4:
+                assert (draws.word() >> 11) * 2.0**-53 == rng.random()
+            else:
+                span = _REPLAY_SPANS[int(plan.integers(len(_REPLAY_SPANS)))]
+                low = int(plan.integers(-3, 4))
+                assert draws.integers(low, low + span) == int(rng.integers(low, low + span))
+
+
+def test_walk_threshold_is_random_below_seven_tenths():
+    edge = sums_mod._SEVEN_TENTHS
+    for word in (0, edge - 2049, edge - 1, edge, edge + 2047, edge + 2048, 2**64 - 1):
+        assert (word < edge) == ((word >> 11) * 2.0**-53 < 0.7)
+
+
+def test_batch_instances_match_former_numpy_walk_spec_by_spec():
+    specs = [(2, 0), (3, 0), (1, 4), (2, 0), (3, 7), (2, 11), (1, 0), (2, 3)]
+    for (n, seed), got in zip(specs, random_separator_instances(specs)):
+        assert_same_instance(got, former_random_separator_instance(n, seed))
+    assert random_separator_instances([]) == []
+
+
+def test_rejected_candidate_is_redrawn_from_its_own_stream(monkeypatch):
+    real = sums_mod._validations
+    batches = []
+
+    def reject_second_at_first(instances):
+        outcomes = real(instances)
+        batches.append(len(instances))
+        if len(batches) == 1:
+            outcomes[1] = ValueError("rejected")
+        return outcomes
+
+    monkeypatch.setattr(sums_mod, "_validations", reject_second_at_first)
+    specs = [(2, 4), (2, 5), (3, 6)]
+    got = random_separator_instances(specs)
+    assert batches == [3, 1]
+    assert_same_instance(got[0], former_random_separator_instance(2, 4))
+    assert_same_instance(got[2], former_random_separator_instance(3, 6))
+    # The former walk, had it rejected its first candidate, goes on drawing.
+    rejected = []
+    former_validate = former_validate_separators
+
+    def reject_first(instance):
+        rejected.append(instance)
+        if len(rejected) == 1:
+            raise ValueError("rejected")
+        return former_validate(instance)
+
+    monkeypatch.setitem(globals(), "former_validate_separators", reject_first)
+    assert_same_instance(got[1], former_random_separator_instance(2, 5))
+    assert len(rejected) == 2
+
+
+def test_generator_refuses_unsupported_dimensions():
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="support 1..3"):
+            random_separator_instances([(2, 1), (n, 2)])
+
+
 def validation_outcome(validate, instance):
     """Fields of a validation, or the type and message of its error."""
     try:
@@ -786,10 +858,35 @@ def test_validation_matches_former_on_generated_and_constructed_instances():
         assert assert_same_validation(instance)[0] == "ok"
 
 
-def test_validation_matches_former_on_invalid_instances():
-    instance = random_separator_instance(2, seed=5)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=12),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_adjacent_pairs_match_brute_force(cell_lists):
+    # Lists may repeat a cell and sit anywhere; pairs never cross lists.
+    lists = [np.array(c, dtype=np.int64) for c in cell_lists]
+    sizes = [len(c) for c in lists]
+    starts = np.cumsum(sizes) - sizes
+    first, second = sums_mod._adjacent_pairs(np.concatenate(lists), starts)
+    got = sorted(map(tuple, np.sort(np.stack([first, second], axis=1), axis=1).tolist()))
+    want = []
+    for start, c in zip(starts.tolist(), lists):
+        gap = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
+        want += [(start + a, start + b) for a, b in zip(*np.nonzero(np.triu(gap == 1)))]
+    assert got == sorted(want)
+
+
+def invalid_variants(instance: SeparatorInstance) -> list[SeparatorInstance]:
+    """Variants of a valid instance, one per way the former validation can refuse it."""
+    n = instance.n
     invalid = [
-        dataclasses.replace(instance, band_radius=np.zeros(2)),
+        dataclasses.replace(instance, band_radius=np.zeros(n)),
         dataclasses.replace(instance, band_center=instance.band_center + 1000.0),
         dataclasses.replace(
             instance, faces_neg=(np.zeros(0, dtype=np.int64),) + instance.faces_neg[1:]
@@ -797,11 +894,12 @@ def test_validation_matches_former_on_invalid_instances():
         dataclasses.replace(
             instance, factor_cells=(instance.factor_cells[0][:-1],) + instance.factor_cells[1:]
         ),
+        dataclasses.replace(instance, factors=instance.factors * 4),
     ]
     factor = instance.factors[0]
     occ = np.zeros_like(factor.occupancy)
-    occ[0, 0] = True
-    occ[-1, -1] = True
+    occ[(0,) * n] = True
+    occ[(-1,) * n] = True
     cells = np.argwhere(occ).astype(np.int64)
     invalid.append(
         dataclasses.replace(
@@ -813,8 +911,84 @@ def test_validation_matches_former_on_invalid_instances():
             ),
         )
     )
+    return invalid
+
+
+def test_validation_matches_former_on_invalid_instances():
+    invalid = invalid_variants(random_separator_instance(2, seed=5))
     outcomes = [assert_same_validation(bad) for bad in invalid]
     assert [o[0] for o in outcomes] == ["error"] * len(invalid)
+
+
+def batch_outcome(outcome):
+    """:func:`validation_outcome`'s form of one outcome of a grouped validation."""
+    if isinstance(outcome, Exception):
+        return ("error", type(outcome), str(outcome))
+    return validation_outcome(lambda _: outcome, None)
+
+
+def test_batch_validation_matches_former_instance_by_instance():
+    # Valid instances of every dimension and every invalid kind in one batch:
+    # each outcome must be the former validation's, so no error leaks.
+    valid = [random_separator_instance(n, seed) for n, seed in ((1, 2), (2, 5), (3, 1))]
+    sets = sparse_axis_segments()
+    c = shift_construction(sets, s=1)
+    valid.append(build_sum_separators(c, sets, target=(0.375, 0.375), h=0.25))
+    batch = []
+    for instance in valid:
+        batch += [instance, *invalid_variants(instance), instance]
+    batch += [single_cell_instance(), valid[0]]
+    with np.errstate(all="ignore"):
+        got = [batch_outcome(o) for o in sums_mod._validations(batch)]
+        want = [validation_outcome(former_validate_separators, x) for x in batch]
+        alone = [validation_outcome(validate_separators, x) for x in batch]
+    assert got == want == alone
+    assert all(got[batch.index(instance)][0] == "ok" for instance in valid)
+    # Every variant fails but one (a zero-width band is no error in one
+    # dimension, where a unit step stays within the integral band's slack),
+    # and so does the one-cell instance.
+    variants = 6 * len(valid)
+    assert sum(o[0] == "error" for o in got) == (variants - 1) + 1
+def test_batch_validation_reads_unusual_faces_as_numpy_indexes_them():
+    instance = random_separator_instance(2, seed=5)
+    m = len(instance.factor_cells[0])
+    neg = instance.faces_neg[0]
+    mask = np.zeros(m, dtype=bool)
+    mask[neg] = True
+
+    def with_neg(faces):
+        return dataclasses.replace(instance, faces_neg=(faces,) + instance.faces_neg[1:])
+
+    odd = [
+        with_neg(neg - m),
+        with_neg(neg.tolist()),
+        with_neg(mask),
+        with_neg(neg.astype(np.int32)),
+        with_neg(np.array([m + 5])),
+        with_neg(np.array([-m - 1, 0])),
+        dataclasses.replace(instance, band_center=instance.band_center[:1]),
+    ]
+    batch = [instance, *odd, instance]
+    got = [batch_outcome(o) for o in sums_mod._validations(batch)]
+    assert got == [validation_outcome(former_validate_separators, x) for x in batch]
+    assert got == [validation_outcome(validate_separators, x) for x in batch]
+    assert [o[1] if o[0] == "error" else "ok" for o in got] == (
+        ["ok"] * 5 + [IndexError] * 3 + ["ok"]
+    )
+
+
+def test_cells_outside_their_grid_are_refused():
+    # The former validation only compared the list's length with the
+    # occupied count; cells outside the grid now fail the match as well.
+    instance = random_separator_instance(2, seed=5)
+    moved = instance.factor_cells[1] + np.array([0, 1000])
+    bad = dataclasses.replace(instance, factor_cells=(instance.factor_cells[0], moved))
+    batch = [bad, instance]
+    outcomes = sums_mod._validations(batch)
+    assert str(outcomes[0]) == "factor 1 cell list does not match its occupancy"
+    assert isinstance(outcomes[1], SeparatorValidation)
+    with pytest.raises(ValueError, match="factor 1 cell list does not match its occupancy"):
+        validate_separators(bad)
 
 
 def test_potentials_of_the_wrong_length_are_rejected():
@@ -889,12 +1063,13 @@ def test_integrality_flag_matches_allclose(values):
     values = np.array(values, dtype=np.float64)
     with np.errstate(all="ignore"):
         want = bool(np.allclose(values, np.round(values), atol=1e-9))
-    assert sums_mod._is_integral(values) == want
-    for v in values:
+    entries = sums_mod._integral_entries(values)
+    assert bool(entries.all()) == want
+    for v, entry in zip(values, entries.tolist()):
         one = np.array([v])
         with np.errstate(all="ignore"):
             want_one = bool(np.allclose(one, np.round(one), atol=1e-9))
-        assert sums_mod._is_integral(one) == want_one
+        assert entry == want_one
 
 
 @settings(max_examples=80, deadline=None)

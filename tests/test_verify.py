@@ -569,29 +569,30 @@ class TestSeparatorSuite:
             verify_hl_suite(trials=0)
 
     def test_each_instance_is_validated_once(self, monkeypatch):
-        accepted = []
-        real_validate = sums_mod.validate_separators
+        # Every validation, batched or single, runs through the grouped
+        # validator; record each instance it sees.
+        validated = []
+        real_validations = sums_mod._validations
 
-        def validate(instance):
-            report = real_validate(instance)
-            accepted.append(instance)
-            return report
+        def validations(instances):
+            validated.extend(instances)
+            return real_validations(instances)
 
         generated, checked = [], []
-        real_generate = verify_mod.random_separator_instance
+        real_generate = verify_mod.random_separator_instances
         real_check = verify_mod.hl_discrete_check
 
         def generate(*args, **kwargs):
-            instance = real_generate(*args, **kwargs)
-            generated.append(instance)
-            return instance
+            instances = real_generate(*args, **kwargs)
+            generated.extend(instances)
+            return instances
 
         def check(instance):
             checked.append(instance)
             return real_check(instance)
 
-        monkeypatch.setattr(sums_mod, "validate_separators", validate)
-        monkeypatch.setattr(verify_mod, "random_separator_instance", generate)
+        monkeypatch.setattr(sums_mod, "_validations", validations)
+        monkeypatch.setattr(verify_mod, "random_separator_instances", generate)
         monkeypatch.setattr(verify_mod, "hl_discrete_check", check)
         rep = verify_hl_suite(trials=20, seed=4)
         assert rep.passed
@@ -600,5 +601,5 @@ class TestSeparatorSuite:
         # two constructed ones by hl_discrete_check.
         assert len(checked) == 2
         for instance in generated + checked:
-            assert sum(v is instance for v in accepted) == 1
-        assert len(accepted) == 22
+            assert sum(v is instance for v in validated) == 1
+        assert len(validated) == 22
