@@ -47,8 +47,10 @@ _SPARSE_CHUNK = 2**18
 #: (2,694) 137 against 47 ms.
 _PACKED_SINK_CELLS_PER_PAIR = 40
 
-#: Most bytes of scratch a packed-axis bit shift holds at once (one plane
-#: when a plane of the array is larger).
+#: Most bytes of one slab of box morphology: dilations, erosions and counts
+#: of a :class:`PackedMask` go one slab at a time, and a packed-axis bit
+#: shift carries its bits through one scratch slab (a slab is one row or
+#: plane of the array when that is larger).
 _CARRY_BYTES = 2**20
 
 
@@ -267,16 +269,26 @@ class PackedMask:
     Bit ``t`` of byte ``b`` holds cell ``8 * b + t`` of the last axis (the
     layout of ``np.packbits(..., bitorder="little")``), and the byte axis is
     stored first, so a shift along any axis moves whole contiguous slabs.
-    Bits past the last cell stay zero.  :meth:`dilate` and :meth:`erode` use
-    the (2r+1)^n sup-norm box, keep the shape and count cells outside the
-    array as empty: a dilated cell is within ``r`` of a set cell, an eroded
-    cell has every cell within ``r`` inside the array and set.  A cell's
-    chessboard distance to the set is the smallest ``r`` whose dilation holds it.
+    Bits past the last cell stay zero.  ``bits`` may hold only a box of the
+    mask's ``shape``: its first cell is the mask's cell ``offset`` (a whole
+    byte on the last axis), and every cell outside the box is empty.  An
+    erosion is kept on such a box; every method reads the mask in the
+    coordinates of ``shape``.  :meth:`dilate` and :meth:`erode` use the
+    (2r+1)^n sup-norm box, keep the shape and count cells outside the array
+    as empty: a dilated cell is within ``r`` of a set cell, an eroded cell
+    has every cell within ``r`` inside the array and set.  A cell's
+    chessboard distance to the set is the smallest ``r`` whose dilation
+    holds it.  Morphology and :meth:`count` work one slab of at most
+    ``_CARRY_BYTES`` at a time (or one row or plane of the array, when that
+    is larger).
     """
 
-    def __init__(self, bits: NDArray[np.uint8], shape: tuple[int, ...]) -> None:
+    def __init__(
+        self, bits: NDArray[np.uint8], shape: tuple[int, ...], offset: tuple[int, ...] | None = None
+    ) -> None:
         self.bits = bits
         self.shape = shape
+        self.offset = (0,) * len(shape) if offset is None else offset
 
     @classmethod
     def pack(cls, occupancy: NDArray[np.bool_]) -> "PackedMask":
@@ -295,17 +307,32 @@ class PackedMask:
         ranges = [s.indices(m) for s, m in zip(window, self.shape)]
         if any(step != 1 for _, _, step in ranges):
             raise ValueError("unpack windows must have unit step")
-        start, stop, _ = ranges[-1]
+        # The window cut to the box, in the box's cells.
+        origin = self.offset
+        extents = self.bits.shape[1:] + (min(8 * self.bits.shape[0], self.shape[-1] - origin[-1]),)
+        cut = []
+        for (lo, hi, _), o, e in zip(ranges, origin, extents):
+            start = min(max(lo - o, 0), e)
+            cut.append((start, max(min(hi - o, e), start)))
+        start, stop = cut[-1]
         first = start // 8
         rows = (slice(first, max(first, -(-stop // 8))),)
-        rows += tuple(slice(lo, hi) for lo, hi, _ in ranges[:-1])
+        rows += tuple(slice(lo, hi) for lo, hi in cut[:-1])
         dense = np.unpackbits(
             np.moveaxis(self.bits[rows], 0, -1),
             axis=-1,
             count=max(stop - 8 * first, 0),
             bitorder="little",
+        )[..., start - 8 * first :].view(bool)
+        size = tuple(max(hi - lo, 0) for lo, hi, _ in ranges)
+        if dense.shape == size:
+            return dense
+        out = np.zeros(size, dtype=bool)
+        at = tuple(
+            slice(o + lo - w, o + hi - w) for (lo, hi), o, (w, _, _) in zip(cut, origin, ranges)
         )
-        return dense[..., start - 8 * first :].view(bool)
+        out[at] = dense
+        return out
 
     def padded(self, pad: int) -> "PackedMask":
         """The mask inside ``pad`` empty cells on every side.
@@ -318,72 +345,124 @@ class PackedMask:
         """
         if pad < 0:
             raise ValueError(f"pad must be >= 0, got {pad}")
+        src = self._whole()
         shape = tuple(m + 2 * pad for m in self.shape)
         bits = np.zeros((-(-shape[-1] // 8),) + shape[:-1], dtype=np.uint8)
         lead = tuple(slice(pad, pad + m) for m in self.shape[:-1])
-        rows = self.bits.shape[0]
+        rows = src.shape[0]
         whole, part = divmod(pad, 8)
-        np.multiply(self.bits, np.uint8(1 << part), out=bits[(slice(whole, whole + rows),) + lead])
+        np.multiply(src, np.uint8(1 << part), out=bits[(slice(whole, whole + rows),) + lead])
         # Bits carried past the last byte would lie beyond the last cell, so
         # they are zero and need no row.
         carried = min(rows, bits.shape[0] - whole - 1)
         if part and carried > 0:
             dest = bits[(slice(whole + 1, whole + 1 + carried),) + lead]
-            scratch = _slab_scratch(self.bits.shape)
-            _or_slabs(dest, self.bits[:carried], np.right_shift, np.uint8(8 - part), scratch)
+            scratch = _slab_scratch(src.shape)
+            _or_slabs(dest, src[:carried], np.right_shift, np.uint8(8 - part), scratch)
         return PackedMask(bits, shape)
 
     def dilate(self, r: int) -> "PackedMask":
-        """Box dilation by radius ``r`` cells (log-step shifted ORs)."""
-        return PackedMask(_box(self.bits, self.shape, r, np.bitwise_or), self.shape)
+        """Box dilation by radius ``r`` cells (log-step shifted ORs), in a copy."""
+        return PackedMask(np.array(self._whole()), self.shape)._dilate_spent(r)
 
     def _dilate_spent(self, r: int) -> "PackedMask":
         """:meth:`dilate`, built in this mask's own array, which the mask gives up.
 
-        The dilation allocates one array instead of two.  The mask keeps no
-        bits, so using it afterwards raises ``AttributeError``.
-        """
-        bits = self.bits
-        del self.bits
-        return PackedMask(_box(bits, self.shape, r, np.bitwise_or, spent=True), self.shape)
-
-    def erode(self, r: int) -> "PackedMask":
-        """Box erosion by radius ``r`` cells (log-step shifted ANDs).
-
-        The erosion runs on the bounding box of the set bytes only.  Cells
-        outside that box are empty, so a window leaving it is empty either
-        way and the result is exact.  A box that is the whole array is
-        returned as eroded; a smaller one is written back into an empty
-        array.  A box thinner than 2r + 1 cells on some axis erodes to
-        nothing at once.
+        An array of at most one slab is folded along every axis in one
+        chain through one more array of its size.  A larger one has its
+        lead axes folded one slab of byte rows at a time, then its packed
+        axis one slab of the first lead axis at a time; each slab passes
+        through two slab-sized buffers and is written back, so the dilation
+        holds the array and two slabs.  The mask keeps no bits, so using it
+        afterwards raises ``AttributeError``.
         """
         if r < 0:
             raise ValueError(f"box radius must be >= 0, got {r}")
-        box = self._live_box()
-        eroded = None
-        if box is not None:
-            rows = box[0]
-            extents = tuple(s.stop - s.start for s in box[1:])
-            extents += (min(8 * rows.stop, self.shape[-1]) - 8 * rows.start,)
-            if min(extents) >= 2 * r + 1:
-                eroded = _box(self.bits[box], extents, r, np.bitwise_and)
-                if eroded.shape == self.bits.shape:
-                    return PackedMask(eroded, self.shape)
-        out = np.zeros_like(self.bits)
-        if eroded is not None:
-            out[box] = eroded
-        return PackedMask(out, self.shape)
+        bits = np.ascontiguousarray(self._whole())
+        del self.bits
+        tail = self.shape[-1] % 8
+        if bits.nbytes <= _CARRY_BYTES:
+            # One slab: every fold in one chain through one spare array.
+            bits = _box(bits, (np.empty_like(bits), bits), tail, r, np.bitwise_or, range(bits.ndim))
+        else:
+            _box_in_place(bits, tail, r, np.bitwise_or, range(1, bits.ndim), 0)
+            _box_in_place(bits, tail, r, np.bitwise_or, (0,), 1)
+        return PackedMask(bits, self.shape)
+
+    def erode(self, r: int) -> "PackedMask":
+        """Box erosion by radius ``r`` cells (log-step shifted ANDs), kept on its live box.
+
+        The erosion reads only the bounding box of the set bytes.  Cells
+        outside that box are empty, so a window leaving it is empty either
+        way and the result is exact; a box thinner than 2r + 1 cells on some
+        axis erodes to nothing at once.  A box of at most one slab is folded
+        along every axis in one chain through two arrays of its size, and
+        the result holds that box.  A larger box has its lead axes folded
+        first, one slab of byte rows at a time, and each slab keeps only the
+        bounding box of what survives.  The packed axis, whose folds cost
+        four numpy passes where a lead-axis fold costs one, is then folded
+        in place on the union of those boxes, which the result holds.
+        Either way the result is kept on its box, with its offset: no array
+        of the whole shape is made.
+        """
+        if r < 0:
+            raise ValueError(f"box radius must be >= 0, got {r}")
+        box = _live_box(self.bits)
+        offset, extents = self._sub(box) if box is not None else ((), (0,))
+        if min(extents) < 2 * r + 1:
+            return PackedMask(np.zeros((0,) * len(self.shape), np.uint8), self.shape)
+        crop = self.bits[box]
+        tail = extents[-1] % 8
+        if crop.nbytes <= _CARRY_BYTES:
+            # One slab: every axis in one chain through two new arrays, the
+            # packed axis first, whose folds read the crop without a copy.
+            # Cells within r of the box's lead faces erode away.
+            if r:
+                spare = (np.empty(crop.shape, np.uint8), np.empty(crop.shape, np.uint8))
+                done = _box(crop, spare, tail, r, np.bitwise_and, range(crop.ndim))
+            else:
+                done = np.array(crop)
+            inner = (slice(None),) + tuple(slice(r, m - r) for m in crop.shape[1:])
+            offset = tuple(o + r for o in offset[:-1]) + offset[-1:]
+            return PackedMask(done[inner], self.shape, offset)
+        cuts, size = _slabs(crop.shape, 0)
+        buffers = np.empty((2, size), np.uint8)
+        kept = []
+        for cut in cuts:
+            part = crop[cut]
+            a, b = (buf[: part.size].reshape(part.shape) for buf in buffers)
+            b[...] = part
+            done = _box(b, (a, b), tail, r, np.bitwise_and, range(1, crop.ndim))
+            live = _live_box(done)
+            if live is not None:
+                corner = (cut[0].start + live[0].start,) + tuple(s.start for s in live[1:])
+                kept.append((corner, done[live].copy()))
+        del buffers
+        if not kept:
+            return PackedMask(np.zeros((0,) * len(self.shape), np.uint8), self.shape)
+        low = [min(c[k] for c, _ in kept) for k in range(len(self.shape))]
+        high = [max(c[k] + p.shape[k] for c, p in kept) for k in range(len(self.shape))]
+        bits = np.zeros([hi - lo for lo, hi in zip(low, high)], np.uint8)
+        while kept:
+            corner, part = kept.pop()
+            at = tuple(slice(c - lo, c - lo + m) for c, lo, m in zip(corner, low, part.shape))
+            bits[at] = part
+        union = tuple(slice(s.start + lo, s.start + hi) for s, lo, hi in zip(box, low, high))
+        offset, extents = self._sub(union)
+        _box_in_place(bits, extents[-1] % 8, r, np.bitwise_and, (0,), 1)
+        return PackedMask(bits, self.shape, offset)
 
     def count(self) -> int:
         """Number of set cells."""
-        return int(np.bitwise_count(self.bits).sum(dtype=np.int64))
+        cuts, _ = _slabs(self.bits.shape, 0)
+        return sum(int(np.bitwise_count(self.bits[cut]).sum(dtype=np.int64)) for cut in cuts)
 
     def any(self) -> bool:
         return bool(self.bits.any())
 
     def first(self) -> tuple[int, ...] | None:
         """Index of the first set cell in C order, or None when empty."""
-        columns = self.bits.reshape(self.bits.shape[0], -1)
+        columns = self.bits.reshape(self.bits.shape[0], math.prod(self.bits.shape[1:]))
         live = columns.any(axis=0)
         if not live.any():
             return None
@@ -391,89 +470,143 @@ class PackedMask:
         byte_index = int(np.argmax(columns[:, col] != 0))
         byte = int(columns[byte_index, col])
         bit = (byte & -byte).bit_length() - 1
-        lead = np.unravel_index(col, self.shape[:-1]) if len(self.shape) > 1 else ()
-        return tuple(int(i) for i in lead) + (8 * byte_index + bit,)
+        lead = np.unravel_index(col, self.bits.shape[1:]) if len(self.shape) > 1 else ()
+        index = tuple(int(i) for i in lead) + (8 * byte_index + bit,)
+        return tuple(i + o for i, o in zip(index, self.offset))
 
-    def _live_box(self) -> tuple[slice, ...] | None:
-        """Bounding box of the non-zero bytes (byte axis first), or None when empty."""
-        lead: tuple[slice, ...] = ()
-        if self.bits.ndim > 1:
-            plane = np.bitwise_or.reduce(self.bits, axis=0)
-            for axis in range(plane.ndim):
-                others = tuple(k for k in range(plane.ndim) if k != axis)
-                live = (plane.any(axis=others) if others else plane).nonzero()[0]
-                if live.size == 0:
-                    return None
-                lead += (slice(int(live[0]), int(live[-1]) + 1),)
-        crop = self.bits[(slice(None),) + lead]
-        rows = crop.any(axis=tuple(range(1, crop.ndim))) if crop.ndim > 1 else crop
-        live = rows.nonzero()[0]
-        if live.size == 0:
-            return None
-        return (slice(int(live[0]), int(live[-1]) + 1),) + lead
+    def _sub(self, box: tuple[slice, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """First cell and cell extents of ``box``, a box of ``bits`` (byte axis first)."""
+        lead = tuple(o + s.start for o, s in zip(self.offset[:-1], box[1:]))
+        start = self.offset[-1] + 8 * box[0].start
+        stop = min(self.offset[-1] + 8 * box[0].stop, self.shape[-1])
+        extents = tuple(s.stop - s.start for s in box[1:]) + (max(stop - start, 0),)
+        return lead + (start,), extents
+
+    def _whole(self) -> NDArray[np.uint8]:
+        """``bits`` over the whole shape: the box written into an empty array when it is smaller."""
+        whole = (-(-self.shape[-1] // 8),) + self.shape[:-1]
+        if self.bits.shape == whole:
+            return self.bits
+        out = np.zeros(whole, np.uint8)
+        at = (slice(self.offset[-1] // 8, self.offset[-1] // 8 + self.bits.shape[0]),)
+        at += tuple(slice(o, o + m) for o, m in zip(self.offset, self.bits.shape[1:]))
+        out[at] = self.bits
+        return out
+
+
+def _live_box(bits: NDArray[np.uint8]) -> tuple[slice, ...] | None:
+    """Bounding box of the non-zero bytes of ``bits`` (byte axis first), or None when empty."""
+    lead: tuple[slice, ...] = ()
+    if bits.ndim > 1:
+        plane = np.bitwise_or.reduce(bits, axis=0)
+        for axis in range(plane.ndim):
+            others = tuple(k for k in range(plane.ndim) if k != axis)
+            live = (plane.any(axis=others) if others else plane).nonzero()[0]
+            if live.size == 0:
+                return None
+            lead += (slice(int(live[0]), int(live[-1]) + 1),)
+    crop = bits[(slice(None),) + lead]
+    rows = crop.any(axis=tuple(range(1, crop.ndim))) if crop.ndim > 1 else crop
+    live = rows.nonzero()[0]
+    if live.size == 0:
+        return None
+    return (slice(int(live[0]), int(live[-1]) + 1),) + lead
+
+
+def _slabs(shape: tuple[int, ...], axis: int) -> tuple[list[tuple[slice, ...]], int]:
+    """Cuts of an array of ``shape`` into slabs along ``axis``, and the largest slab's size.
+
+    A slab holds at most ``_CARRY_BYTES`` bytes, or one index of ``axis``
+    when that is larger; an array with no such axis is one slab.
+    """
+    if axis >= len(shape):
+        return [(slice(None),) * len(shape)], math.prod(shape)
+    per = math.prod(shape[:axis] + shape[axis + 1 :])
+    step = max(1, _CARRY_BYTES // max(per, 1))
+    head = (slice(None),) * axis
+    cuts = [head + (slice(i, i + step),) for i in range(0, shape[axis], step)]
+    return cuts, per * min(step, shape[axis])
+
+
+def _box_in_place(
+    bits: NDArray[np.uint8], tail: int, r: int, op: np.ufunc, axes: Sequence[int], across: int
+) -> None:
+    """Fold ``bits`` by :func:`_box` along ``axes``, in place, one slab along ``across`` at a time.
+
+    The slabs pass through two reused buffers of the largest slab's size.
+    """
+    if not r or not axes:
+        return
+    cuts, size = _slabs(bits.shape, across)
+    buffers = np.empty((2, size), np.uint8)
+    for cut in cuts:
+        view = bits[cut]
+        spare = tuple(buf[: view.size].reshape(view.shape) for buf in buffers)
+        _box(view, spare, tail, r, op, axes, out=view)
 
 
 def _box(
-    src: NDArray[np.uint8], shape: tuple[int, ...], r: int, op: np.ufunc, spent: bool = False
+    src: NDArray[np.uint8],
+    spare: tuple[NDArray[np.uint8], NDArray[np.uint8]],
+    tail: int,
+    r: int,
+    op: np.ufunc,
+    axes: Sequence[int],
+    out: NDArray[np.uint8] | None = None,
 ) -> NDArray[np.uint8]:
-    """The box dilation (OR) or erosion (AND) of ``src`` by ``r``, packed.
+    """The box dilation (OR) or erosion (AND) of the packed ``src`` by ``r`` along ``axes``.
 
-    Along each axis every cell first combines the window [i, i + r], built
-    by doubling and reading only cells farther up, so the zero fill is
-    exactly "outside is empty".  Then it combines the same window moved up
-    by r, [i - r, i].  For an erosion a moved window that leaves the array is
-    empty either way.  For a dilation cell i < r takes the window of cell 0
-    instead, [0, r], which lies inside [i - r, i + r] and, with [i, i + r],
-    covers its cells in the array.
+    ``axes`` index ``src``'s dimensions: 0 is the byte axis, whose last
+    byte holds ``tail`` cells (all 8 when ``tail`` is 0).  Along each axis
+    every cell first combines the window [i, i + r], built by doubling and
+    reading only cells farther up, so the zero fill is exactly "outside is
+    empty".  Then it combines the same window moved up by r, [i - r, i].
+    For an erosion a moved window that leaves the array is empty either
+    way.  For a dilation cell i < r takes the window of cell 0 instead,
+    [0, r], which lies inside [i - r, i + r] and, with [i, i + r], covers
+    its cells in the array.
 
-    The folds alternate between two buffers of ``src``'s shape, so the
-    result is one of them and the other is freed on return.  Both are new
-    arrays unless ``spent``: then ``src``, which the caller gives up, is
-    the first buffer.  A fold along the packed axis also holds the bits
+    The folds read ``src`` first and then alternate between the two
+    ``spare`` arrays of its shape (``src`` may be the second of them).  The
+    last fold writes into ``out`` when it is given (which may be ``src``),
+    and the array holding the result is returned.  A lead-axis fold needs
+    C-contiguous arrays.  A fold along the byte axis also holds the bits
     that cross a byte boundary, in one scratch slab of at most
-    ``_CARRY_BYTES`` (or one plane).  The packed axis goes first: its folds
-    read ``src`` by slices, so a strided view is read without a copy.
+    ``_CARRY_BYTES`` (or one plane).
     """
-    if r < 0:
-        raise ValueError(f"box radius must be >= 0, got {r}")
-    if r == 0:
-        return src if spent else np.array(src)
     shifts = []
     span = 1
     while span <= r:
         step = min(span, r + 1 - span)
         shifts.append(-step)
         span += step
-    shifts.append(r)
-    first = src if spent else np.empty(src.shape, np.uint8)
-    buffers = (first, np.empty(src.shape, np.uint8))
-    scratch = _slab_scratch(src.shape)
-    last = len(shape) - 1
-    for axis in (last, *range(last)):
-        for shift in shifts:
-            out = buffers[1] if src is buffers[0] else buffers[0]
-            _fold(src, out, scratch, shape, axis, shift, op)
-            src = out
+    folds = [(axis, shift) for axis in axes for shift in shifts + [r]] if r else []
+    scratch = _slab_scratch(src.shape) if 0 in axes else None
+    for i, (axis, shift) in enumerate(folds):
+        dest = out if out is not None and i == len(folds) - 1 else spare[i % 2]
+        _fold(src, dest, scratch, tail, axis, shift, op)
+        src = dest
     return src
 
 
 def _fold(
     src: NDArray[np.uint8],
     out: NDArray[np.uint8],
-    scratch: NDArray[np.uint8],
-    shape: tuple[int, ...],
+    scratch: NDArray[np.uint8] | None,
+    tail: int,
     axis: int,
     shift: int,
     op: np.ufunc,
 ) -> None:
     """Write ``op(cell i, cell i - shift)`` of ``src`` along ``axis`` into ``out``.
 
-    A cell i - shift above the array reads as empty.  One below it reads as
-    empty for an AND and as cell 0 for an OR, as :func:`_box` needs.
-    ``scratch`` is a :func:`_slab_scratch` of ``src``'s shape.
+    ``axis`` indexes ``src``'s dimensions, the byte axis first.  A cell
+    i - shift above the array reads as empty.  One below it reads as empty
+    for an AND and as cell 0 for an OR, as :func:`_box` needs.  ``scratch``
+    is a :func:`_slab_scratch` of ``src``'s shape, used by byte-axis folds.
     """
     is_or = op is np.bitwise_or
-    if axis == len(shape) - 1:
+    if axis == 0:
         _moved_bits(src, out, scratch, shift)
         if shift > 0 and is_or:
             cell0 = (src[0] & np.uint8(1)) * np.uint8(0xFF)
@@ -482,18 +615,17 @@ def _fold(
             if part and whole < out.shape[0]:
                 out[whole] |= cell0 & np.uint8((1 << part) - 1)
         op(out, src, out=out)
-        tail = shape[-1] % 8
         if tail:
             out[-1] &= np.uint8((1 << tail) - 1)
         return
-    lead = (slice(None),) * (axis + 1)
-    extent = src.shape[axis + 1]
+    lead = (slice(None),) * axis
+    extent = src.shape[axis]
     t = min(abs(shift), extent)
     if t < extent:
         # One flat shift by t slabs: the cells it pairs across the axis's
         # end are exactly the edge cells, rewritten below.  A short inner
         # axis runs several times faster flat than as strided rows.
-        step = t * math.prod(src.shape[axis + 2 :])
+        step = t * math.prod(src.shape[axis + 1 :])
         flat, dest = src.reshape(-1), out.reshape(-1)
         if shift > 0:
             op(flat[step:], flat[:-step], out=dest[step:])

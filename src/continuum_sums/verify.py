@@ -64,6 +64,13 @@ _U = TypeVar("_U")
 #: at truncation levels >= 4.
 _PLATEAU_RHO = 0.15
 
+#: Trials of the separator suite drawn, built and validated as one batch.
+#: Blocks of this size bound the suite's memory whatever ``--trials`` is
+#: (2,000 trials: 0.64 s at 61 MB peak RSS in blocks of 100, 0.68 s at
+#: 93 MB as one batch; 10,000 trials in blocks: 62 MB).  An instance
+#: depends on its spec alone, so the block size moves no result.
+_SUITE_BLOCK = 100
+
 
 @dataclass(frozen=True)
 class ResolutionEvidence:
@@ -253,13 +260,20 @@ def verify_theorem_main(
     E_i = m_i + 2 * pad the padded ones, pad = max(grow, limit) + 1.  The
     packed sum takes U = ceil(m_n / 8) * m_1 * ... * m_{n-1} bytes and stays
     in the evidence; a padded packed mask takes P = ceil(E_n / 8) * E_1 *
-    ... * E_{n-1} bytes.  Once the sum is made, the step holds at most
-    U + 3 P bytes, plus one scratch slab of at most max(2**20, E_1 * ... *
-    E_{n-1}) bytes: the dilation by grow (built in the padded sum's array
-    and one more), the dilation by limit (built in that one's array), then
-    the cube search's kept erosion and its two erosion buffers.  The search
+    ... * E_{n-1} bytes.  Morphology works one slab at a time, a slab
+    holding S = max(2**20, E_1 * ... * E_{n-1}, ceil(E_n / 8) * E_2 * ...
+    * E_{n-1}) bytes at most (P in one dimension).  Once the sum is made,
+    the step holds at most U + P + 2 B + 3 S bytes.  The padded sum is one
+    P; its dilation by grow, which the outer measure counts slab by slab,
+    and then its dilation by limit are built in that array, each with two
+    slab buffers and one carry slab.  The cube search erodes the dilation
+    by limit: an erosion holds its input, the surviving box of each slab
+    and their union, both at most B bytes, where B <= P is the box of the
+    search's first erosion (the input's set bytes less r cells per side on
+    every lead axis), or two arrays of at most S bytes when its input's
+    set bytes fit one slab; every erosion is kept on its box.  The search
     frees the dilation by limit once an erosion replaces it, which needs
-    the argument handoff of CPython 3.11 and later; on 3.10 add one P.
+    the argument handoff of CPython 3.11 and later; on 3.10 add one B.
     While the sum is made, a key-route sum written straight into packed
     bits holds U bytes plus pair-key chunks of a few MB; every other sum
     holds a dense box of m_1 * ... * m_n bytes until it is packed, plus its
@@ -593,18 +607,22 @@ def verify_hl_suite(trials: int, seed: int = 0) -> VerificationReport:
     by :func:`random_separator_instances`, which validates them together,
     and are then only scanned with :func:`bands_share_cell`; each
     constructed one is validated by :func:`hl_discrete_check`.  So each
-    instance is validated once before its verdict, and the suite holds
-    all its random instances at once.
+    instance is validated once before its verdict.  The trials are drawn
+    in blocks of ``_SUITE_BLOCK``, so the suite holds one block of random
+    instances at a time.
     """
     start = time.perf_counter()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     specs = [(3 if t % 10 == 9 else 2, seed + t) for t in range(trials)]
-    failures = [
-        _instance_label(n, instance_seed, instance)
-        for (n, instance_seed), instance in zip(specs, random_separator_instances(specs))
-        if not bands_share_cell(instance)
-    ]
+    failures = []
+    for lo in range(0, trials, _SUITE_BLOCK):
+        block = specs[lo : lo + _SUITE_BLOCK]
+        failures += [
+            _instance_label(n, instance_seed, instance)
+            for (n, instance_seed), instance in zip(block, random_separator_instances(block))
+            if not bands_share_cell(instance)
+        ]
     counts = {d: sum(n == d for n, _ in specs) for d in (2, 3)}
     if failures:
         random_detail = "FATAL: bands disjoint for " + "; ".join(failures[:3])

@@ -269,7 +269,7 @@ def test_fft_equal_occupancy_under_different_origins_adds_origins():
 
 
 @pytest.mark.parametrize("shape", _SELF_SUM_SHAPES)
-def test_fft_equal_extents_different_occupancy_transforms_twice(shape):
+def test_fft_equal_extents_different_occupancy_matches_naive(shape):
     rng = np.random.default_rng(20 + len(shape))
     occ = rng.random(shape) < 0.4
     other = occ.copy()
@@ -278,7 +278,7 @@ def test_fft_equal_extents_different_occupancy_transforms_twice(shape):
 
 
 @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (6, 7, 1), (6, 1, 7), (1, 6, 7)])
-def test_fft_drops_length_one_axes(shape):
+def test_fft_length_one_axes_match_naive(shape):
     rng = np.random.default_rng(sum(shape))
     a = cover_grid(rng.random(shape) < 0.5)
     b = cover_grid(rng.random(shape) < 0.5)
@@ -1166,6 +1166,56 @@ def test_packed_erode_pinned_bounding_boxes(monkeypatch):
         got = PackedMask.pack(mask).erode(r)
         assert not got.any()
         assert np.array_equal(got.unpack(), oracle_box_erode(mask, r))
+
+
+def assert_mask_equals(packed: PackedMask, dense: np.ndarray) -> None:
+    """``packed`` reads as ``dense`` through every query, whatever box it holds."""
+    assert packed.shape == dense.shape
+    assert np.array_equal(packed.unpack(), dense)
+    assert packed.count() == int(dense.sum())
+    assert packed.any() == bool(dense.any())
+    first = np.unravel_index(int(np.argmax(dense)), dense.shape) if dense.any() else None
+    assert packed.first() == (None if first is None else tuple(int(i) for i in first))
+    # A window reaching past the box on every side, and one inside it.
+    for window in (
+        tuple(slice(m // 3, m - m // 3) for m in dense.shape),
+        tuple(slice(m // 2, m // 2 + 1) for m in dense.shape),
+    ):
+        assert np.array_equal(packed.unpack(window), dense[window])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(boxed_mask_and_radius(), mask_and_radius()),
+    st.integers(0, 3),
+    st.sampled_from([1, 5, 40]),
+)
+@example((np.ones((2, 3, 4, 19), bool), 1), 0, 1)
+@example((np.ones((9, 17), bool), 2), 1, 5)
+@example((np.pad(np.ones((7, 13), bool), ((1, 1), (2, 2))), 1), 1, 40)
+def test_packed_morphology_across_slabs_matches_oracles(case, again, carry):
+    # Slabs of a few bytes: every dilation, erosion and count crosses slab
+    # edges on the byte axis and on the first lead axis.
+    mask, r = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_mod, "_CARRY_BYTES", carry)
+        packed = PackedMask.pack(mask)
+        assert_mask_equals(packed, mask)
+        assert_mask_equals(PackedMask.pack(mask)._dilate_spent(r), oracle_box_dilate(mask, r))
+        assert_mask_equals(packed.dilate(r), oracle_box_dilate(mask, r))
+        eroded = packed.erode(r)
+        want = oracle_box_erode(mask, r)
+        assert_mask_equals(eroded, want)
+        # The erosion holds no more than the set's bounding box less r on
+        # every lead axis.
+        for k, extent in enumerate(eroded.bits.shape[1:]):
+            live = np.flatnonzero(mask.any(axis=tuple(j for j in range(mask.ndim) if j != k)))
+            assert extent <= max(0, live[-1] - live[0] + 1 - 2 * r) if live.size else extent == 0
+        # Erosion and dilation of a result kept on its box.
+        assert_mask_equals(eroded.erode(again), oracle_box_erode(want, again))
+        assert_mask_equals(eroded.dilate(again), oracle_box_dilate(want, again))
+        assert_mask_equals(eroded.padded(again), np.pad(want, again))
+        assert np.array_equal(packed.bits, PackedMask.pack(mask).bits)
 
 
 def test_packed_unpack_window_matches_slicing():

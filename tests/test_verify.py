@@ -454,8 +454,9 @@ class TestBoxMorphologySweep:
 
 class TestStepMemory:
     def test_tripod_sweep_traced_peak_is_bounded(self):
-        # A step holds the unpadded packed sum and at most three padded
-        # packed masks; at h = 0.01 the sum is 3.4 MB and a padded mask 4.3 MB.
+        # A step holds the unpadded packed sum, one padded packed mask and
+        # slabs of at most 1 MiB beside it, plus erosions kept on their live
+        # boxes; at h = 0.01 the sum is 3.4 MB and a padded mask 4.3 MB.
         sets = [l_shape(3, 63)] * 3
         tracemalloc.start()
         try:
@@ -463,7 +464,7 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20, peak / 2**20
+        assert peak < 14 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize(
         "sets, resolutions",
@@ -495,8 +496,8 @@ class TestStepMemory:
             before = kept.bits.copy()
             results = [kept.padded(pad) for pad in (0, 1, 9)]
             results += [kept.dilate(r) for r in (0, 1, 2)]
-            # A full mask's live box is the whole array, so its erosion
-            # returns the box buffer itself.
+            # A full mask's erosion by 0 keeps the whole array in a buffer
+            # of its own.
             results += [kept.erode(r) for r in (0, 1)]
             for out in results:
                 assert not np.shares_memory(out.bits, kept.bits)
@@ -567,6 +568,28 @@ class TestSeparatorSuite:
     def test_validates_trials(self):
         with pytest.raises(ValueError, match="trials"):
             verify_hl_suite(trials=0)
+
+    def test_blocks_do_not_change_the_report(self, monkeypatch):
+        # 25 trials fit one default block; blocks of 7 draw them in four
+        # batches (7, 7, 7, 4), and every instance depends on its spec alone.
+        whole = verify_hl_suite(trials=25, seed=6)
+        batches = []
+        real_generate = verify_mod.random_separator_instances
+
+        def generate(specs):
+            batches.append(len(specs))
+            return real_generate(specs)
+
+        monkeypatch.setattr(verify_mod, "_SUITE_BLOCK", 7)
+        monkeypatch.setattr(verify_mod, "random_separator_instances", generate)
+        blocked = verify_hl_suite(trials=25, seed=6)
+        assert batches == [7, 7, 7, 4]
+        assert (blocked.scenario, blocked.inputs, blocked.checks, blocked.passed) == (
+            whole.scenario,
+            whole.inputs,
+            whole.checks,
+            whole.passed,
+        )
 
     def test_each_instance_is_validated_once(self, monkeypatch):
         # Every validation, batched or single, runs through the grouped
