@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gallery import ALLOWED_PARAMS, KINDS, Generated, GeneratorSpec, generate
-from .grid import PackedMask, SampledSet, auto_geometry, minkowski_sum, rasterize
+from .grid import PackedMask, SampledSet, auto_geometry, packed_minkowski_sum, rasterize
 from .sums import claim_measure_chain, shift_construction, verify_claim
 from .verify import (
     DEFAULT_RESOLUTIONS,
@@ -578,8 +578,8 @@ def _cmd_bitmap(args: argparse.Namespace) -> int:
     # Each axis of a sum of n grids spans the extents' total less n - 1 cells.
     shape = tuple(sum(e) - (len(geometries) - 1) for e in zip(*(g.extents for g in geometries)))
     _check_plane(shape, slice_spec)
-    total = minkowski_sum([rasterize(k, g) for k, g in zip(doc.sets, geometries)])
-    text = render_pbm(_bitmap_plane(PackedMask.pack(total.occupancy), slice_spec))
+    _, cells = packed_minkowski_sum([rasterize(k, g) for k, g in zip(doc.sets, geometries)])
+    text = render_pbm(_bitmap_plane(cells, slice_spec))
     if args.out:
         _atomic_write_text(args.out, text)
     else:

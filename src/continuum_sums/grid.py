@@ -1187,12 +1187,6 @@ def _cube_cell_range(geometry: GridGeometry, center: Sequence[float], side: floa
     return tuple(ranges)
 
 
-def cube_coverage(a: GridSet, center: Sequence[float], side: float) -> bool:
-    """True iff every cell meeting the cube is occupied."""
-    window = tuple(slice(lo, hi + 1) for lo, hi in _cube_cell_range(a.geometry, center, side))
-    return bool(a.occupancy[window].all())
-
-
 def covering_radius(
     occupied: PackedMask, window: Sequence[slice], limit: int | None = None
 ) -> float:

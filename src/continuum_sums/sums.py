@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -841,156 +840,59 @@ def build_sum_separators(
     )
 
 
-#: Every word below this gives ``random() < 0.7``: ``random()`` is
-#: ``(word >> 11) * 2**-53``, and 0.7 * 2**53 is an integer in binary64.
-_SEVEN_TENTHS = int(0.7 * 2**53) << 11
-
-_LOW_HALF = 0xFFFFFFFF
-
-
-class _ReplayedDraws:
-    """The ``random()`` and ``integers()`` draws of ``np.random.default_rng(seed)``.
-
-    They are replayed from the raw 64-bit words of the same PCG64 stream
-    (``bit_generator.random_raw``), without a ``Generator`` call per draw.
-    A ``random()`` draw is one word, ``(word >> 11) * 2**-53``.
-    ``integers(low, high)`` is Lemire's bounded method ("Fast Random Integer
-    Generation in an Interval", 2019), as numpy runs it: a span of one
-    draws nothing, a span up to 2^32 scales a 32-bit draw and a wider one a
-    whole word, and a product whose low part falls below 2^32 (or 2^64)
-    mod span is drawn again.  32-bit draws take the low half of a word,
-    then its high half at the next 32-bit draw, whatever whole words come
-    between.  Words are fetched as a walk may need them, and the ones it
-    leaves unread are kept for the next draws.
-    """
-
-    __slots__ = ("_bits", "_words", "_next", "_high")
-
-    def __init__(self, seed: int) -> None:
-        self._bits = np.random.default_rng(seed).bit_generator
-        self._words = array("Q")
-        self._next = 0
-        self._high: int | None = None
-
-    def _reserve(self, count: int) -> None:
-        """Hold at least ``count`` unread words."""
-        unread = len(self._words) - self._next
-        if unread < count:
-            fresh = array("Q", self._bits.random_raw(count - unread).tobytes())
-            self._words = self._words[self._next :] + fresh
-            self._next = 0
-
-    def word(self) -> int:
-        self._reserve(1)
-        self._next += 1
-        return self._words[self._next - 1]
-
-    def half(self) -> int:
-        high = self._high
-        if high is not None:
-            self._high = None
-            return high
-        word = self.word()
-        self._high = word >> 32
-        return word & _LOW_HALF
-
-    def integers(self, low: int, high: int) -> int:
-        span = high - low
-        if span <= 0:
-            raise ValueError("low >= high")
-        if span == 1:
-            return low
-        draw, bits = (self.half, 32) if span <= 2**32 else (self.word, 64)
-        mask = (1 << bits) - 1
-        scaled = draw() * span
-        if scaled & mask < span:
-            floor = (1 << bits) % span
-            while scaled & mask < floor:
-                scaled = draw() * span
-        return low + (scaled >> bits)
-
-    def walk(self, n: int, j: int, size_range: tuple[int, int]) -> _Walk:
-        """One random-walk factor stretched along axis j, from the next draws.
-
-        ``steps = integers(*size_range)``; then up to ``3 * steps`` moves,
-        until ``steps`` cells are visited.  A move is a step along axis j
-        when ``random() < 0.7``, else one along axis ``integers(0, n)``,
-        backwards when ``integers(0, 2)`` is 0.  The moves' draws are read
-        from the words here, and a 32-bit draw that Lemire's method rejects
-        is left to :meth:`integers`.  A position is one int holding its
-        coordinates (each within ``3 * high`` of 0) as digits, so the sorted
-        keys are the lexicographic (C scan) order of the cells.
-        """
-        steps = self.integers(*size_range)
-        reach = 3 * max(size_range[1], 0)
-        base = 2 * reach + 1
-        strides = [base ** (n - 1 - a) for a in range(n)]
-        key = reach * sum(strides)
-        visited = {key}
-        forward = strides[j]
-        floor = 2**32 % n
-        moves = 3 * steps
-        # A move reads one word, and a side move at most one more for its two halves.
-        self._reserve(2 * moves)
-        words, at, high = self._words, self._next, self._high
-        for move in range(moves):
-            word = words[at]
-            at += 1
-            if word < _SEVEN_TENTHS:
-                key += forward
-            else:
-                axis = 0
-                if n > 1:
-                    before = at, high
-                    if high is None:
-                        word = words[at]
-                        at += 1
-                        scaled, high = (word & _LOW_HALF) * n, word >> 32
-                    else:
-                        scaled, high = high * n, None
-                    if scaled & _LOW_HALF < floor:
-                        self._next, self._high = before
-                        axis = self.integers(0, n)
-                        self._reserve(2 * (moves - move))
-                        words, at, high = self._words, self._next, self._high
-                    else:
-                        axis = scaled >> 32
-                if high is None:
-                    word = words[at]
-                    at += 1
-                    sign, high = word & _LOW_HALF, word >> 32
-                else:
-                    sign, high = high, None
-                key += strides[axis] if sign >> 31 else -strides[axis]
-            visited.add(key)
-            if len(visited) >= steps:
-                break
-        self._next, self._high = at, high
-        keys = sorted(visited)
-        coords = [[k // stride % base for k in keys] for stride in strides]
-        lows = [min(c) for c in coords]
-        extents = [max(c) - low + 1 for c, low in zip(coords, lows)]
-        return coords, lows, extents
-
-
 #: One walk: the cell coordinates along each axis (cells in lexicographic
 #: order), their lowest values and the factor's extents.
 _Walk = tuple[list[list[int]], list[int], list[int]]
 
 
+def _walk(rng: np.random.Generator, n: int, j: int, size_range: tuple[int, int]) -> _Walk:
+    """One random-walk factor stretched along axis j, drawn from ``rng``.
+
+    ``steps = rng.integers(*size_range)``, then one ``rng.random(3 * steps)``
+    array: a draw below 0.7 steps forward along axis j, and [0.7, 1) is
+    split evenly among the 2n unit steps -e_0, +e_0, ..., -e_{n-1},
+    +e_{n-1}.  The walk stops once ``steps`` cells are visited.  A position
+    is one int holding its coordinates (each within ``3 * high`` of 0) as
+    digits, so the sorted keys are the lexicographic (C scan) order of the
+    cells.
+    """
+    steps = int(rng.integers(*size_range))
+    reach = 3 * max(int(size_range[1]), 0)
+    base = 2 * reach + 1
+    strides = [base ** (n - 1 - a) for a in range(n)]
+    key = reach * sum(strides)
+    visited = {key}
+    forward = strides[j]
+    sides = [sign * stride for stride in strides for sign in (-1, 1)]
+    # For n <= 3 even the largest draw, 1 - 2**-53, maps below 2n.
+    scale = 2 * n / 0.3
+    for draw in rng.random(3 * steps).tolist():
+        if len(visited) >= steps:
+            break
+        key += forward if draw < 0.7 else sides[int((draw - 0.7) * scale)]
+        visited.add(key)
+    keys = sorted(visited)
+    coords = [[k // stride % base for k in keys] for stride in strides]
+    lows = [min(c) for c in coords]
+    extents = [max(c) - low + 1 for c, low in zip(coords, lows)]
+    return coords, lows, extents
+
+
 def _gapped_walks(
-    draws: _ReplayedDraws, n: int, size_range: tuple[int, int], attempts: int
+    rng: np.random.Generator, n: int, size_range: tuple[int, int], attempts: int
 ) -> tuple[list[_Walk], list[int], int] | None:
     """The next n walks whose face gaps all exceed 4, their band centers and the attempt count.
 
-    With coordinate potentials shifted to start at 0, axis k's faces sit at
-    ``below``, the other factors' axis-k extents less one each, summed, and
-    ``above``, factor k's own axis-k extent less one; so the gap test needs
-    only the walks' extents.  Each failed candidate counts as an attempt;
-    None once 64 have failed.
+    A candidate's walks are drawn from ``rng`` by :func:`_walk`, factor j
+    along axis j in order, and the next candidate goes on in the same
+    stream.  With coordinate potentials shifted to start at 0, axis k's
+    faces sit at ``below``, the other factors' axis-k extents less one
+    each, summed, and ``above``, factor k's own axis-k extent less one; so
+    the gap test needs only the walks' extents.  Each failed candidate
+    counts as an attempt; None once 64 have failed.
     """
     while attempts < 64:
-        walks = [draws.walk(n, j, size_range) for j in range(n)]
+        walks = [_walk(rng, n, j, size_range) for j in range(n)]
         centers = []
         for k in range(n):
             below = sum(walks[j][2][k] - 1 for j in range(n) if j != k)
@@ -1071,7 +973,7 @@ def _built_instances(
 
 def _candidates(
     specs: Sequence[tuple[int, int]],
-    draws: list[_ReplayedDraws | None],
+    rngs: list[np.random.Generator],
     attempts: list[int],
     pending: list[int],
     size_range: tuple[int, int],
@@ -1085,7 +987,7 @@ def _candidates(
     drawn = {}
     for i in pending:
         n, seed = specs[i]
-        found = _gapped_walks(draws[i], n, size_range, attempts[i])  # type: ignore[arg-type]
+        found = _gapped_walks(rngs[i], n, size_range, attempts[i])
         if found is None:
             raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
         walks, centers, attempts[i] = found
@@ -1111,32 +1013,31 @@ def random_separator_instances(
     verified face gap with half-width 1, and faces are the coordinate
     extremes of the stretched factor.
 
-    Each spec draws from its own ``np.random.default_rng(seed)`` stream,
-    replayed from raw words (:class:`_ReplayedDraws`), so an instance
-    depends on its spec alone.  A candidate whose face gap is too narrow is
-    redrawn at once, on plain ints.  The others are built as arrays and
-    validated together (:func:`validate_separators`, grouped over the
-    batch), and one that fails is redrawn from its own stream.  So every
-    returned instance has passed validation, and callers can go straight to
+    Each spec draws its walks from its own ``np.random.default_rng(seed)``
+    (:func:`_walk`: a size, then one array of uniform draws, each a step
+    forward along the factor's axis with probability 0.7, else a unit step
+    along a uniform axis and sign), so an instance depends on its spec
+    alone.  A candidate whose face gap is too narrow is redrawn at once,
+    on plain ints.  The others are built as arrays and validated together
+    (:func:`validate_separators`, grouped over the batch), and one that
+    fails is redrawn from its own stream.  So every returned instance has
+    passed validation, and callers can go straight to
     :func:`bands_share_cell`.  A spec with no valid candidate in 64 attempts
     raises RuntimeError.  The instances of one call share array buffers.
     """
     for n, _ in specs:
         if not 1 <= n <= _MAX_SEPARATOR_DIM:
             raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
-    # integers() also takes numpy and float bounds; the replay needs Python ints.
-    size_range = (int(size_range[0]), int(size_range[1]))
-    draws: list[_ReplayedDraws | None] = [_ReplayedDraws(seed) for _, seed in specs]
+    rngs = [np.random.default_rng(seed) for _, seed in specs]
     attempts = [0] * len(specs)
     instances: list[SeparatorInstance | None] = [None] * len(specs)
     pending = list(range(len(specs)))
     while pending:
-        order, candidates = _candidates(specs, draws, attempts, pending, size_range)
+        order, candidates = _candidates(specs, rngs, attempts, pending, size_range)
         pending = []
         for i, candidate, outcome in zip(order, candidates, _validations(candidates)):
             if isinstance(outcome, SeparatorValidation):
                 instances[i] = candidate
-                draws[i] = None
             elif isinstance(outcome, ValueError):
                 attempts[i] += 1
                 pending.append(i)

@@ -155,7 +155,7 @@ class TestPbm:
         def refuse(*args, **kwargs):
             raise AssertionError("the sum ran before the dimension was refused")
 
-        monkeypatch.setattr(cli_mod, "minkowski_sum", refuse)
+        monkeypatch.setattr(cli_mod, "packed_minkowski_sum", refuse)
         doc = _write_doc(
             tmp_path, "seg.json", {"dim": 1, "sets": [{"points": [[0], [1]], "density": 0.0}]}
         )
@@ -181,7 +181,7 @@ class TestPbm:
         def refuse(*args, **kwargs):
             raise AssertionError("the sum ran before the slice was refused")
 
-        monkeypatch.setattr(cli_mod, "minkowski_sum", refuse)
+        monkeypatch.setattr(cli_mod, "packed_minkowski_sum", refuse)
         corners = [[0] * dim, [1] * dim]
         doc = _write_doc(
             tmp_path,
@@ -544,11 +544,11 @@ class TestVerifyBitmaps:
             calls.append(len(rasters))
             return packed_minkowski_sum(rasters)
 
-        # The sweep sums through the packed entry point, the rest through
-        # minkowski_sum; both count.
-        for module in (cli_mod, sums_mod):
-            monkeypatch.setattr(module, "minkowski_sum", counted)
-        monkeypatch.setattr(verify_mod, "packed_minkowski_sum", counted_packed)
+        # The sweep and the bitmap command sum through the packed entry
+        # point, the rest through minkowski_sum; both count.
+        monkeypatch.setattr(sums_mod, "minkowski_sum", counted)
+        for module in (cli_mod, verify_mod):
+            monkeypatch.setattr(module, "packed_minkowski_sum", counted_packed)
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         counts = []
         for extra in ([], ["--bitmap", str(tmp_path / "pix")]):

@@ -26,7 +26,6 @@ from continuum_sums.grid import (
     component_count,
     component_counts,
     covering_radius,
-    cube_coverage,
     dilate_fft,
     dilate_naive,
     eps_density_margin,
@@ -1336,6 +1335,12 @@ def test_covering_radius_pinned_cases():
 
 
 # --- cube coverage and margin --------------------------------------------------------
+
+
+def cube_coverage(a: GridSet, center, side: float) -> bool:
+    """True iff every cell meeting the cube is occupied."""
+    cells = grid_mod._cube_cell_range(a.geometry, center, side)
+    return bool(a.occupancy[tuple(slice(lo, hi + 1) for lo, hi in cells)].all())
 
 
 def test_cube_cells_use_interior_overlap():

@@ -23,7 +23,6 @@ from continuum_sums.grid import (
     SampledSet,
     Semantics,
     auto_geometry,
-    cube_coverage,
     is_grid_continuum,
     rasterize,
 )
@@ -145,9 +144,9 @@ def test_claim_flat_lattice_reports_infinite_margin():
 
 
 def test_claim_covered_is_a_zero_margin():
-    # A zero margin is exactly a fully occupied cube window, which
-    # cube_coverage reads directly.  The ladder of the unit-arm L pair at
-    # s=2 is covered at h=0.05 only; the doubled segment is never covered.
+    # A zero margin is exactly a fully occupied cube window, read here
+    # directly.  The ladder of the unit-arm L pair at s=2 is covered at
+    # h=0.05 only; the doubled segment is never covered.
     pair = [l_shape(2, 82)] * 2
     horiz = segment((0.0, 0.0), (1.0, 0.0), 41)
     families = [
@@ -159,7 +158,10 @@ def test_claim_covered_is_a_zero_margin():
         for h in ladder:
             report = verify_claim(construction, sets, h)
             total = shifted_sum_raster(construction, sets, h)
-            direct = cube_coverage(total, np.zeros(construction.n), 2.0 * construction.s)
+            cells = grid_mod._cube_cell_range(
+                total.geometry, np.zeros(construction.n), 2.0 * construction.s
+            )
+            direct = bool(total.occupancy[tuple(slice(lo, hi + 1) for lo, hi in cells)].all())
             assert report.covered == (report.margin == 0.0) == direct, h
             covered.append(report.covered)
     assert covered == [True, False, False, False, False, False]
@@ -637,10 +639,16 @@ def former_validate_separators(instance: SeparatorInstance) -> SeparatorValidati
     )
 
 
-def former_random_separator_instance(
+def reference_random_separator_instance(
     n: int, seed: int, size_range: tuple[int, int] = (10, 26)
 ) -> SeparatorInstance:
-    """The former generator: a fresh numpy move and position array per walk step."""
+    """The walk rule re-implemented plainly: a fresh numpy move and position array per step.
+
+    A factor draws its size, then ``3 * size`` uniforms; each is a forward
+    step below 0.7, else side step ``(u - 0.7) / 0.3 * 2n`` (rounded down),
+    which moves axis ``side // 2`` back for an even side and forward for an
+    odd one.  The walk stops once ``size`` cells are visited.
+    """
     rng = np.random.default_rng(seed)
     for _attempt in range(64):
         factors = []
@@ -650,17 +658,17 @@ def former_random_separator_instance(
             steps = int(rng.integers(*size_range))
             pos = np.zeros(n, dtype=np.int64)
             visited = {tuple(pos)}
-            for _ in range(steps * 3):
-                move = np.zeros(n, dtype=np.int64)
-                if rng.random() < 0.7:
-                    move[j] = 1
-                else:
-                    axis = int(rng.integers(n))
-                    move[axis] = int(rng.choice((-1, 1)))
-                pos = pos + move
-                visited.add(tuple(pos))
+            for u in rng.random(3 * steps):
                 if len(visited) >= steps:
                     break
+                move = np.zeros(n, dtype=np.int64)
+                if u < 0.7:
+                    move[j] = 1
+                else:
+                    side = int((u - 0.7) / 0.3 * 2 * n)
+                    move[side // 2] = 1 if side % 2 else -1
+                pos = pos + move
+                visited.add(tuple(pos))
             cells = np.array(sorted(visited), dtype=np.int64)
             cells -= cells.min(axis=0)
             extents = tuple(int(e) for e in cells.max(axis=0) + 1)
@@ -749,40 +757,44 @@ def assert_same_instance(got: SeparatorInstance, want: SeparatorInstance):
 def test_random_instance_matches_former_numpy_walk(n, seeds, size_range):
     for seed in seeds:
         got = random_separator_instance(n, seed, size_range=size_range)
-        want = former_random_separator_instance(n, seed, size_range=size_range)
+        want = reference_random_separator_instance(n, seed, size_range=size_range)
         assert_same_instance(got, want)
 
 
-# Spans 1 (no draw), 2 and 3 (the walk's axis and sign), 16 (the size
-# draw's), 2^31 + 5 (2^32 mod span is 2^31 - 5, so about half the first
-# products are drawn again) and 2^40 + 3 (whole-word draws).
-_REPLAY_SPANS = (1, 2, 3, 16, 2**31 + 5, 2**40 + 3)
+class StubGenerator:
+    """Hands a walk a fixed size and repeats fixed uniforms."""
+
+    def __init__(self, size: int, uniforms: list[float]) -> None:
+        self.size, self.uniforms = size, uniforms
+
+    def integers(self, low, high):
+        return self.size
+
+    def random(self, count):
+        assert count == 3 * self.size
+        return np.resize(self.uniforms, count)
 
 
-def test_replayed_draws_match_numpy_generator():
-    for seed in range(1200):
-        rng = np.random.default_rng(seed)
-        draws = sums_mod._ReplayedDraws(seed)
-        plan = np.random.default_rng(10**6 + seed)
-        for _ in range(30):
-            if plan.random() < 0.4:
-                assert (draws.word() >> 11) * 2.0**-53 == rng.random()
-            else:
-                span = _REPLAY_SPANS[int(plan.integers(len(_REPLAY_SPANS)))]
-                low = int(plan.integers(-3, 4))
-                assert draws.integers(low, low + span) == int(rng.integers(low, low + span))
-
-
-def test_walk_threshold_is_random_below_seven_tenths():
-    edge = sums_mod._SEVEN_TENTHS
-    for word in (0, edge - 2049, edge - 1, edge, edge + 2047, edge + 2048, 2**64 - 1):
-        assert (word < edge) == ((word >> 11) * 2.0**-53 < 0.7)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_walk_move_rule_at_its_edges(n):
+    # A two-cell walk is its start and one move: just below 0.7 steps forward
+    # along axis j, 0.7 takes the first side step (-e_0) and the largest
+    # uniform the last (+e_{n-1}).
+    eye = np.eye(n, dtype=np.int64)
+    for j in range(n):
+        start = np.array(sums_mod._walk(StubGenerator(2, [0.0]), n, j, (2, 3))[0])[:, 0]
+        for u, move in ((np.nextafter(0.7, 0), eye[j]), (0.7, -eye[0]), (1 - 2**-53, eye[n - 1])):
+            coords, lows, extents = sums_mod._walk(StubGenerator(2, [u]), n, j, (2, 3))
+            cells = np.array(coords).T
+            assert cells.tolist() == sorted([start.tolist(), (start + move).tolist()])
+            assert lows == cells.min(axis=0).tolist()
+            assert extents == (np.ptp(cells, axis=0) + 1).tolist()
 
 
 def test_batch_instances_match_former_numpy_walk_spec_by_spec():
     specs = [(2, 0), (3, 0), (1, 4), (2, 0), (3, 7), (2, 11), (1, 0), (2, 3)]
     for (n, seed), got in zip(specs, random_separator_instances(specs)):
-        assert_same_instance(got, former_random_separator_instance(n, seed))
+        assert_same_instance(got, reference_random_separator_instance(n, seed))
     assert random_separator_instances([]) == []
 
 
@@ -801,9 +813,9 @@ def test_rejected_candidate_is_redrawn_from_its_own_stream(monkeypatch):
     specs = [(2, 4), (2, 5), (3, 6)]
     got = random_separator_instances(specs)
     assert batches == [3, 1]
-    assert_same_instance(got[0], former_random_separator_instance(2, 4))
-    assert_same_instance(got[2], former_random_separator_instance(3, 6))
-    # The former walk, had it rejected its first candidate, goes on drawing.
+    assert_same_instance(got[0], reference_random_separator_instance(2, 4))
+    assert_same_instance(got[2], reference_random_separator_instance(3, 6))
+    # The reference, had it rejected its first candidate, goes on drawing.
     rejected = []
     former_validate = former_validate_separators
 
@@ -814,7 +826,7 @@ def test_rejected_candidate_is_redrawn_from_its_own_stream(monkeypatch):
         return former_validate(instance)
 
     monkeypatch.setitem(globals(), "former_validate_separators", reject_first)
-    assert_same_instance(got[1], former_random_separator_instance(2, 5))
+    assert_same_instance(got[1], reference_random_separator_instance(2, 5))
     assert len(rejected) == 2
 
 
