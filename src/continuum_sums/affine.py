@@ -1,8 +1,9 @@
 """Affine rank certificates for sampled sets.
 
-Everything here runs through one greedy row-elimination routine so that rank
+Everything here runs through one greedy row-elimination routine, with one
+pivot rule and one tolerance rule (:func:`default_rank_tol`), so that rank
 decisions, independent-direction bases and the determinant of a full-rank
-certificate can never disagree with each other at a given tolerance.
+certificate can never disagree with each other.
 """
 
 from __future__ import annotations
@@ -47,19 +48,14 @@ class EliminationResult:
     basis: NDArray[np.float64]
 
 
-def greedy_row_elimination(
-    vectors: NDArray[np.float64], tol: float, order: str = "input"
-) -> EliminationResult:
+def greedy_row_elimination(vectors: NDArray[np.float64], tol: float) -> EliminationResult:
     """Select independent rows by Gaussian elimination with sup-norm tests.
 
-    ``order="input"`` scans rows once in the given order, accepting a row when
-    its residual against the rows accepted so far exceeds ``tol`` in sup norm
-    (pivot column: largest residual entry, first on ties).  ``order="pivot"``
-    instead repeatedly accepts the row with the globally largest residual.
-    Both return the accepted rows as originally given.
+    Repeatedly accepts the row with the globally largest residual against
+    the rows accepted so far (pivot column: its largest residual entry,
+    first on ties), until no residual exceeds ``tol`` in sup norm.  Returns
+    the accepted rows as originally given.
     """
-    if order not in ("input", "pivot"):
-        raise ValueError(f"unknown order {order!r}")
     original = np.asarray(vectors, dtype=np.float64)
     if original.ndim != 2:
         raise ValueError("vectors must be a (k, n) array")
@@ -73,38 +69,24 @@ def greedy_row_elimination(
     scratch = np.empty(k)
     accepted: list[int] = []
     pivot_vals: list[float] = []
-    # Rows before ``start`` are spent: in input order every row at or before
-    # an accepted one was tested once; pivot order keeps all rows live.
-    start = 0
-    while len(accepted) < min(n, k) and start < k:
-        live = work[:, start:]
-        live_mags = mags[start:]
-        np.abs(live[0], out=live_mags)
+    while len(accepted) < min(n, k):
+        np.abs(work[0], out=mags)
         for j in range(1, n):
-            np.maximum(live_mags, np.abs(live[j], out=scratch[start:]), out=live_mags)
-        if order == "pivot":
-            live_mags[accepted] = -1.0
-            cand = int(np.argmax(live_mags))
-            if live_mags[cand] <= tol:
-                break
-        else:
-            above = live_mags > tol
-            if not above.any():
-                break
-            cand = start + int(np.argmax(above))
-            start = cand + 1
+            np.maximum(mags, np.abs(work[j], out=scratch), out=mags)
+        mags[accepted] = -1.0
+        cand = int(np.argmax(mags))
+        if mags[cand] <= tol:
+            break
         row = work[:, cand].copy()
         col = int(np.argmax(np.abs(row)))
         accepted.append(cand)
         pivot_vals.append(float(row[col]))
-        live = work[:, start:]
-        factors = live[col] / row[col]
-        update = scratch[start:]
+        factors = work[col] / row[col]
         for j in range(n):
             if j != col:
-                np.multiply(factors, row[j], out=update)
-                live[j] -= update
-        live[col] = 0.0
+                np.multiply(factors, row[j], out=scratch)
+                work[j] -= scratch
+        work[col] = 0.0
         work[:, cand] = 0.0
     return EliminationResult(
         rank=len(accepted),
@@ -137,24 +119,18 @@ class FlatnessReport:
         return self.affine_dim < self.dim
 
 
-def nonflat_certificate(
-    samples: SampledSet | NDArray[np.float64],
-    tol: float | None = None,
-    order: str = "input",
-) -> FlatnessReport:
+def nonflat_certificate(samples: SampledSet | NDArray[np.float64]) -> FlatnessReport:
     """Greedy maximal independent difference vectors from the first sample.
 
-    The default scan order follows the input (reproducible, matches the
-    documented greedy); ``order="pivot"`` picks globally largest residuals,
-    which favors long chords and is what the verification pipelines use for
-    well-conditioned bases.
+    The elimination picks globally largest residuals, which favors long
+    chords and so well-conditioned bases, at the tolerance
+    :func:`default_rank_tol` of the samples.
     """
     pts = as_points(samples)
     n = pts.shape[1]
-    if tol is None:
-        tol = default_rank_tol(pts)
+    tol = default_rank_tol(pts)
     diffs = pts[1:] - pts[0]
-    result = greedy_row_elimination(diffs, tol, order=order)
+    result = greedy_row_elimination(diffs, tol)
     det_abs: float | None = None
     if result.rank == n:
         det_abs = 1.0
@@ -191,23 +167,22 @@ class ProjectionFlatnessReport:
 
 def flatness_by_projection(
     samples: SampledSet | NDArray[np.float64],
-    tol: float | None = None,
-    seed: int = 0,
     n_random: int = 100,
     extra_directions: NDArray[np.float64] | None = None,
 ) -> ProjectionFlatnessReport:
     """Search unit directions for one along which the samples are thin.
 
     A set is flat exactly when some direction sees a projection width of
-    essentially zero.  Random directions almost never hit an exact normal, so
-    callers cross-checking a rank certificate should pass its ``complement``
-    rows via ``extra_directions``.
+    essentially zero, at the tolerance :func:`default_rank_tol` of the
+    samples.  The ``n_random`` directions come from
+    ``np.random.default_rng(0)``.  Random directions almost never hit an
+    exact normal, so callers cross-checking a rank certificate should pass
+    its ``complement`` rows via ``extra_directions``.
     """
     pts = as_points(samples)
     n = pts.shape[1]
-    if tol is None:
-        tol = default_rank_tol(pts)
-    rng = np.random.default_rng(seed)
+    tol = default_rank_tol(pts)
+    rng = np.random.default_rng(0)
     dirs = rng.standard_normal((n_random, n))
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 1e-12] / norms[norms > 1e-12, None]
@@ -253,24 +228,23 @@ class NowhereFlatReport:
     tol: float
 
 
-def is_nowhere_flat(
-    samples: SampledSet | NDArray[np.float64], rho: float, tol: float | None = None
-) -> NowhereFlatReport:
+def is_nowhere_flat(samples: SampledSet | NDArray[np.float64], rho: float) -> NowhereFlatReport:
     """Check that no rho-patch of the samples is affinely rank-deficient.
 
-    Flat patches are reported by the index of their center sample (first one
-    first).  A patch too sparse to span full rank counts as flat; the radius
-    must exceed twice the sample density so patches hold genuine geometry.
+    Ranks are taken at the tolerance :func:`default_rank_tol` of the whole
+    sample.  Flat patches are reported by the index of their center sample
+    (first one first).  A patch too sparse to span full rank counts as
+    flat; the radius must exceed twice the sample density so patches hold
+    genuine geometry.
     """
     _check_patch_radius(rho, samples)
     pts = as_points(samples)
     n = pts.shape[1]
-    if tol is None:
-        tol = default_rank_tol(pts)
+    tol = default_rank_tol(pts)
     flat_centers = []
     for center in range(pts.shape[0]):
         rows = _patch_rows(pts, center, rho)
-        if greedy_row_elimination(rows, tol, order="pivot").rank < n:
+        if greedy_row_elimination(rows, tol).rank < n:
             flat_centers.append(center)
     return NowhereFlatReport(
         nowhere_flat=not flat_centers,

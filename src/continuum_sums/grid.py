@@ -272,8 +272,9 @@ class PackedMask:
     Bits past the last cell stay zero.  ``bits`` may hold only a box of the
     mask's ``shape``: its first cell is the mask's cell ``offset`` (a whole
     byte on the last axis), and every cell outside the box is empty.  An
-    erosion is kept on such a box; every method reads the mask in the
-    coordinates of ``shape``.  :meth:`dilate` and :meth:`erode` use the
+    erosion is kept on such a box, which every method but :meth:`dilate`
+    and :meth:`padded` (they raise ``ValueError``) reads in the coordinates
+    of ``shape``.  :meth:`dilate` and :meth:`erode` use the
     (2r+1)^n sup-norm box, keep the shape and count cells outside the array
     as empty: a dilated cell is within ``r`` of a set cell, an eroded cell
     has every cell within ``r`` inside the array and set.  A cell's
@@ -345,7 +346,9 @@ class PackedMask:
         """
         if pad < 0:
             raise ValueError(f"pad must be >= 0, got {pad}")
-        src = self._whole()
+        if self.bits.shape != (-(-self.shape[-1] // 8),) + self.shape[:-1]:
+            raise ValueError("a mask kept on a box cannot be dilated or padded")
+        src = self.bits
         shape = tuple(m + 2 * pad for m in self.shape)
         bits = np.zeros((-(-shape[-1] // 8),) + shape[:-1], dtype=np.uint8)
         lead = tuple(slice(pad, pad + m) for m in self.shape[:-1])
@@ -363,7 +366,7 @@ class PackedMask:
 
     def dilate(self, r: int) -> "PackedMask":
         """Box dilation by radius ``r`` cells (log-step shifted ORs), in a copy."""
-        return PackedMask(np.array(self._whole()), self.shape)._dilate_spent(r)
+        return PackedMask(np.array(self.bits), self.shape)._dilate_spent(r)
 
     def _dilate_spent(self, r: int) -> "PackedMask":
         """:meth:`dilate`, built in this mask's own array, which the mask gives up.
@@ -378,7 +381,9 @@ class PackedMask:
         """
         if r < 0:
             raise ValueError(f"box radius must be >= 0, got {r}")
-        bits = np.ascontiguousarray(self._whole())
+        if self.bits.shape != (-(-self.shape[-1] // 8),) + self.shape[:-1]:
+            raise ValueError("a mask kept on a box cannot be dilated or padded")
+        bits = np.ascontiguousarray(self.bits)
         del self.bits
         tail = self.shape[-1] % 8
         if bits.nbytes <= _CARRY_BYTES:
@@ -481,17 +486,6 @@ class PackedMask:
         stop = min(self.offset[-1] + 8 * box[0].stop, self.shape[-1])
         extents = tuple(s.stop - s.start for s in box[1:]) + (max(stop - start, 0),)
         return lead + (start,), extents
-
-    def _whole(self) -> NDArray[np.uint8]:
-        """``bits`` over the whole shape: the box written into an empty array when it is smaller."""
-        whole = (-(-self.shape[-1] // 8),) + self.shape[:-1]
-        if self.bits.shape == whole:
-            return self.bits
-        out = np.zeros(whole, np.uint8)
-        at = (slice(self.offset[-1] // 8, self.offset[-1] // 8 + self.bits.shape[0]),)
-        at += tuple(slice(o, o + m) for o, m in zip(self.offset, self.bits.shape[1:]))
-        out[at] = self.bits
-        return out
 
 
 def _live_box(bits: NDArray[np.uint8]) -> tuple[slice, ...] | None:
@@ -722,7 +716,7 @@ def dilate_naive(a: GridSet, b: GridSet) -> GridSet:
 
     Shift-ORs the larger occupancy once per occupied cell of the smaller one,
     which is the direct reading of {i + j}: the exact reference for the FFT
-    route, and its fallback past the FFT's exact range.
+    route.
     """
     geom = _sum_geometry(a.geometry, b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
@@ -742,8 +736,8 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     criterion 01 holds to :func:`dilate_naive` cell for cell.  Convolution
     counts are integers bounded by the occupied-count product, so they are
     exact in float64 below 2**52; beyond that the call refuses with
-    :class:`DilationPrecisionError` and the caller must fall back to the naive
-    route.  The box product bounds the occupied product, so occupied cells
+    :class:`DilationPrecisionError` (a ``ValueError``, so the CLI exits 2).
+    The box product bounds the occupied product, so occupied cells
     are counted only when the box product reaches the limit.  A count is
     occupied when it exceeds 0.5, which is exactly the rounding test
     ``rint(count) >= 1`` (``rint(0.5) == 0``).
@@ -755,7 +749,8 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
         and a.occupied_count * b.occupied_count >= _FFT_EXACT_LIMIT
     ):
         raise DilationPrecisionError(
-            "occupied-cell product exceeds the exact float64 range; use dilate_naive"
+            "occupied-cell product exceeds the exact float64 range of an FFT sum; "
+            "coarsen h or sum fewer cells"
         )
     fast = [_fft.next_fast_len(m) for m in geom.extents]
     prod = _fft.rfftn(a.occupancy.astype(np.float64), fast)
@@ -1019,13 +1014,7 @@ def _summed(
     runs = _each_object(rasters, lambda r: _runs(r.occupancy, weights, axis))
     if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
         return _run_sum([runs[id(r)] for r in rasters], geom.extents, weights, axis)
-    acc = rasters[0]
-    for r in rasters[1:]:
-        try:
-            acc = dilate_fft(acc, r)
-        except DilationPrecisionError:
-            acc = dilate_naive(acc, r)
-    return acc.occupancy
+    return functools.reduce(dilate_fft, rasters).occupancy
 
 
 def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
@@ -1058,8 +1047,8 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
        with the next operand.  Beyond the output a fold holds that array
        and two chunks of pair runs, not an array the size of the box.
     3. Otherwise :func:`dilate_fft` is folded over the inputs; a fold whose
-       occupied-count product leaves the FFT's exact range falls back to
-       the shift-OR of :func:`dilate_naive`.
+       occupied-count product leaves the FFT's exact range raises its
+       :class:`DilationPrecisionError`.
 
     Both sparse routes form their pairs in chunks of at most
     ``_SPARSE_CHUNK`` sums, and extract keys or runs once per distinct

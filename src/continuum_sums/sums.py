@@ -845,19 +845,23 @@ def build_sum_separators(
 _Walk = tuple[list[list[int]], list[int], list[int]]
 
 
-def _walk(rng: np.random.Generator, n: int, j: int, size_range: tuple[int, int]) -> _Walk:
+#: Each walk visits ``rng.integers(*_WALK_SIZES)`` cells.
+_WALK_SIZES = (10, 26)
+
+
+def _walk(rng: np.random.Generator, n: int, j: int) -> _Walk:
     """One random-walk factor stretched along axis j, drawn from ``rng``.
 
-    ``steps = rng.integers(*size_range)``, then one ``rng.random(3 * steps)``
+    ``steps = rng.integers(*_WALK_SIZES)``, then one ``rng.random(3 * steps)``
     array: a draw below 0.7 steps forward along axis j, and [0.7, 1) is
     split evenly among the 2n unit steps -e_0, +e_0, ..., -e_{n-1},
     +e_{n-1}.  The walk stops once ``steps`` cells are visited.  A position
-    is one int holding its coordinates (each within ``3 * high`` of 0) as
-    digits, so the sorted keys are the lexicographic (C scan) order of the
-    cells.
+    is one int holding its coordinates (each within ``3 * _WALK_SIZES[1]``
+    of 0) as digits, so the sorted keys are the lexicographic (C scan)
+    order of the cells.
     """
-    steps = int(rng.integers(*size_range))
-    reach = 3 * max(int(size_range[1]), 0)
+    steps = int(rng.integers(*_WALK_SIZES))
+    reach = 3 * _WALK_SIZES[1]
     base = 2 * reach + 1
     strides = [base ** (n - 1 - a) for a in range(n)]
     key = reach * sum(strides)
@@ -878,21 +882,19 @@ def _walk(rng: np.random.Generator, n: int, j: int, size_range: tuple[int, int])
     return coords, lows, extents
 
 
-def _gapped_walks(
-    rng: np.random.Generator, n: int, size_range: tuple[int, int], attempts: int
-) -> tuple[list[_Walk], list[int], int] | None:
-    """The next n walks whose face gaps all exceed 4, their band centers and the attempt count.
+def _gapped_walks(rng: np.random.Generator, n: int) -> tuple[list[_Walk], list[int]] | None:
+    """The first n walks from ``rng`` whose face gaps all exceed 4, and their band centers.
 
     A candidate's walks are drawn from ``rng`` by :func:`_walk`, factor j
     along axis j in order, and the next candidate goes on in the same
     stream.  With coordinate potentials shifted to start at 0, axis k's
     faces sit at ``below``, the other factors' axis-k extents less one
     each, summed, and ``above``, factor k's own axis-k extent less one; so
-    the gap test needs only the walks' extents.  Each failed candidate
-    counts as an attempt; None once 64 have failed.
+    the gap test needs only the walks' extents.  None once 64 candidates
+    have failed.
     """
-    while attempts < 64:
-        walks = [_walk(rng, n, j, size_range) for j in range(n)]
+    for _ in range(64):
+        walks = [_walk(rng, n, j) for j in range(n)]
         centers = []
         for k in range(n):
             below = sum(walks[j][2][k] - 1 for j in range(n) if j != k)
@@ -901,8 +903,7 @@ def _gapped_walks(
                 break
             centers.append(round((below + above) / 2))
         else:
-            return walks, centers, attempts
-        attempts += 1
+            return walks, centers
     return None
 
 
@@ -971,40 +972,7 @@ def _built_instances(
     return instances
 
 
-def _candidates(
-    specs: Sequence[tuple[int, int]],
-    rngs: list[np.random.Generator],
-    attempts: list[int],
-    pending: list[int],
-    size_range: tuple[int, int],
-) -> tuple[list[int], list[SeparatorInstance]]:
-    """The next gap-tested candidate of each pending spec, built by dimension.
-
-    Returns the specs' indices in the order of the candidates, and the
-    candidates; ``attempts`` counts each spec's failed gap tests.
-    """
-    by_dim: dict[int, list[int]] = {}
-    drawn = {}
-    for i in pending:
-        n, seed = specs[i]
-        found = _gapped_walks(rngs[i], n, size_range, attempts[i])
-        if found is None:
-            raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
-        walks, centers, attempts[i] = found
-        by_dim.setdefault(n, []).append(i)
-        drawn[i] = (walks, centers)
-    order = [i for members in by_dim.values() for i in members]
-    candidates = [
-        instance
-        for n, members in by_dim.items()
-        for instance in _built_instances(n, [drawn[i] for i in members])
-    ]
-    return order, candidates
-
-
-def random_separator_instances(
-    specs: Sequence[tuple[int, int]], size_range: tuple[int, int] = (10, 26)
-) -> list[SeparatorInstance]:
+def random_separator_instances(specs: Sequence[tuple[int, int]]) -> list[SeparatorInstance]:
     """One random valid band-separator instance per ``(n, seed)`` spec, in order.
 
     Factor j is a random-walk grid continuum stretched along axis j; the
@@ -1018,39 +986,48 @@ def random_separator_instances(
     forward along the factor's axis with probability 0.7, else a unit step
     along a uniform axis and sign), so an instance depends on its spec
     alone.  A candidate whose face gap is too narrow is redrawn at once,
-    on plain ints.  The others are built as arrays and validated together
-    (:func:`validate_separators`, grouped over the batch), and one that
-    fails is redrawn from its own stream.  So every returned instance has
-    passed validation, and callers can go straight to
-    :func:`bands_share_cell`.  A spec with no valid candidate in 64 attempts
-    raises RuntimeError.  The instances of one call share array buffers.
+    on plain ints, and a spec with none wide enough in 64 candidates raises
+    RuntimeError.  A candidate that passes the gap test is valid by
+    construction: unit-step walks are face-connected, a product step moves
+    the summed potential by at most n <= 3 = 2 * 1 + 1, and a gap of at
+    least 5 puts the rounded band center 2 or more from each face.  The
+    candidates are still validated together (:func:`validate_separators`,
+    grouped over the batch), and a failure raises RuntimeError naming its
+    spec, chained from the validation error.  So callers can go straight to
+    :func:`bands_share_cell`.  The instances of one call share array
+    buffers.
     """
     for n, _ in specs:
         if not 1 <= n <= _MAX_SEPARATOR_DIM:
             raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
-    rngs = [np.random.default_rng(seed) for _, seed in specs]
-    attempts = [0] * len(specs)
+    by_dim: dict[int, list[int]] = {}
+    drawn = []
+    for i, (n, seed) in enumerate(specs):
+        found = _gapped_walks(np.random.default_rng(seed), n)
+        if found is None:
+            raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
+        drawn.append(found)
+        by_dim.setdefault(n, []).append(i)
+    order = [i for members in by_dim.values() for i in members]
+    candidates = [
+        instance
+        for n, members in by_dim.items()
+        for instance in _built_instances(n, [drawn[i] for i in members])
+    ]
     instances: list[SeparatorInstance | None] = [None] * len(specs)
-    pending = list(range(len(specs)))
-    while pending:
-        order, candidates = _candidates(specs, rngs, attempts, pending, size_range)
-        pending = []
-        for i, candidate, outcome in zip(order, candidates, _validations(candidates)):
-            if isinstance(outcome, SeparatorValidation):
-                instances[i] = candidate
-            elif isinstance(outcome, ValueError):
-                attempts[i] += 1
-                pending.append(i)
-            else:
-                raise outcome
+    for i, candidate, outcome in zip(order, candidates, _validations(candidates)):
+        if not isinstance(outcome, SeparatorValidation):
+            n, seed = specs[i]
+            raise RuntimeError(
+                f"random separator instance ({n}, {seed}) failed validation"
+            ) from outcome
+        instances[i] = candidate
     return instances  # type: ignore[return-value]
 
 
-def random_separator_instance(
-    n: int, seed: int, size_range: tuple[int, int] = (10, 26)
-) -> SeparatorInstance:
+def random_separator_instance(n: int, seed: int) -> SeparatorInstance:
     """The random valid band-separator instance of ``(n, seed)``.
 
     The one-spec call of :func:`random_separator_instances`.
     """
-    return random_separator_instances([(n, seed)], size_range)[0]
+    return random_separator_instances([(n, seed)])[0]

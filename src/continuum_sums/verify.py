@@ -296,7 +296,7 @@ def verify_theorem_main(
     # it is moved, rasterized and checked once.
     translated = _each_once(sets, lambda k: k.translated(tuple(-float(c) for c in k.points[0])))
     union = np.concatenate([k.points for k in translated], axis=0)
-    cert = nonflat_certificate(union, order="pivot")
+    cert = nonflat_certificate(union)
     rotation = _certificate_rotation(cert)
     # x -> rotation.T @ x; density picks up the sup-norm operator factor.
     normalized = _each_once(translated, lambda k: k.linear_image(rotation.T))
@@ -424,11 +424,9 @@ def verify_corollary_c1(
     if m_directions < 1:
         raise ValueError(f"need at least one direction, got {m_directions}")
     n = k.dim
-    cert = nonflat_certificate(k.points, order="pivot")
+    cert = nonflat_certificate(k.points)
     extra = cert.complement if cert.complement.size else None
-    proj = flatness_by_projection(
-        k, seed=0, n_random=m_directions, extra_directions=extra
-    )
+    proj = flatness_by_projection(k, n_random=m_directions, extra_directions=extra)
     evidence = verify_theorem_main([k] * n, resolutions)
     cert_pos = not cert.flat
     proj_pos = not proj.flat
@@ -489,7 +487,7 @@ def verify_example_cantor(
     ladder = ladder_steps(level)
     on_lines, line_count = dyadic_lines_check(sampled_sum(ladder, ladder), level)
     line_bound = (2**level + 1) ** 2
-    cert = nonflat_certificate(graph.points, order="pivot")
+    cert = nonflat_certificate(graph.points)
     profile = is_nowhere_flat(cantor_graph(depth, budget=64), rho=_PLATEAU_RHO)
     if profile.flat_centers:
         patch_detail = f"flat patches at sample indices {list(profile.flat_centers[:3])}"

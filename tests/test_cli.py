@@ -12,6 +12,7 @@ from continuum_sums.cli import (
     render_pbm,
 )
 import continuum_sums.cli as cli_mod
+import continuum_sums.grid as grid_mod
 import continuum_sums.sums as sums_mod
 import continuum_sums.verify as verify_mod
 from continuum_sums.gallery import cantor_graph
@@ -641,3 +642,16 @@ class TestTopLevel:
         code, _, err = _run(capsys, "verify", "main", doc, "--h", "0.5")
         assert code == 2
         assert err.startswith("error: out of memory") and "1.82 TiB" in err
+
+    def test_fft_precision_refusal_exits_two(self, tmp_path, capsys, monkeypatch):
+        # The moment-curve pair sums on the FFT route at h = 0.02; with an
+        # exact range of one pair its first fold refuses.
+        code, out, _ = _run(capsys, "gallery", "moment-curve", "--budget", "201")
+        assert code == 0
+        doc = _write_doc(tmp_path, "moment.json", json.loads(out))
+        monkeypatch.setattr(grid_mod, "_FFT_EXACT_LIMIT", 1)
+        report = tmp_path / "report.json"
+        code, _, err = _run(capsys, "verify", "main", doc, "--h", "0.02", "--out", str(report))
+        assert code == 2
+        assert err.startswith("error: ") and "exact float64 range" in err
+        assert not report.exists()

@@ -234,7 +234,7 @@ def test_cantor_graph_flatness_profile():
     out = cantor_graph(6)
     cert = nonflat_certificate(out)
     assert not cert.flat
-    patches = is_nowhere_flat(out, rho=0.05, tol=1e-9)
+    patches = is_nowhere_flat(out, rho=0.05)
     assert not patches.nowhere_flat  # plateaus are straight
 
 

@@ -479,17 +479,14 @@ class TestSparseSumRoute:
         out = minkowski_sum([_FULL_8X2] * 3)
         assert calls == {"dilate_fft": 2, "dilate_naive": 0} and out.occupancy.all()
 
-    def test_dense_fold_falls_back_past_the_exact_range(self, monkeypatch):
-        # With an exact range of one pair, every FFT fold refuses and the
-        # shift-OR fold gives the same grid set.
-        ref = dilate_naive(dilate_naive(_FULL_8X2, _FULL_8X2), _FULL_8X2)
+    def test_dense_fold_refuses_past_the_exact_range(self, monkeypatch):
+        # With an exact range of one pair, the first FFT fold refuses and
+        # the refusal reaches the caller: no shift-OR fold stands in.
         monkeypatch.setattr(grid_mod, "_FFT_EXACT_LIMIT", 1)
         calls = self._count_dense_folds(monkeypatch)
-        out = minkowski_sum([_FULL_8X2] * 3)
-        assert calls == {"dilate_fft": 2, "dilate_naive": 2}
-        assert out.geometry == ref.geometry
-        assert np.array_equal(out.occupancy, ref.occupancy)
-        assert out.semantics is ref.semantics and out.slack == ref.slack
+        with pytest.raises(DilationPrecisionError, match="exact float64 range"):
+            minkowski_sum([_FULL_8X2] * 3)
+        assert calls == {"dilate_fft": 1, "dilate_naive": 0}
 
     def test_filled_rows_take_the_run_route(self, monkeypatch):
         # Full 4x4 grids: 16^3 key pairs outnumber the 10^2 output cells, but
@@ -1210,10 +1207,17 @@ def test_packed_morphology_across_slabs_matches_oracles(case, again, carry):
         for k, extent in enumerate(eroded.bits.shape[1:]):
             live = np.flatnonzero(mask.any(axis=tuple(j for j in range(mask.ndim) if j != k)))
             assert extent <= max(0, live[-1] - live[0] + 1 - 2 * r) if live.size else extent == 0
-        # Erosion and dilation of a result kept on its box.
+        # A result kept on a box erodes further, and refuses dilation and
+        # padding; one that holds the whole shape allows them.
         assert_mask_equals(eroded.erode(again), oracle_box_erode(want, again))
-        assert_mask_equals(eroded.dilate(again), oracle_box_dilate(want, again))
-        assert_mask_equals(eroded.padded(again), np.pad(want, again))
+        if eroded.bits.shape == PackedMask.pack(want).bits.shape:
+            assert_mask_equals(eroded.dilate(again), oracle_box_dilate(want, again))
+            assert_mask_equals(eroded.padded(again), np.pad(want, again))
+        else:
+            with pytest.raises(ValueError, match="kept on a box"):
+                eroded.dilate(again)
+            with pytest.raises(ValueError, match="kept on a box"):
+                eroded.padded(again)
         assert np.array_equal(packed.bits, PackedMask.pack(mask).bits)
 
 

@@ -43,6 +43,45 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not offenders, offenders
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_defines_a_private_name_it_never_uses():
+    # Every private module-level function, class or constant, and every
+    # private method, is read somewhere in its own module: a helper whose
+    # last caller was deleted goes with it.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        methods = [
+            item.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        ]
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        offenders += [
+            f"{path.name}: {name}"
+            for name in defined + methods
+            if _is_private(name) and name not in read
+        ]
+    assert not offenders, offenders
+
+
 def test_no_module_mentions_a_distance_transform():
     # Margins are read off box dilations; the package keeps one morphology
     # primitive and no distance engine.
