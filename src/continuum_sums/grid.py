@@ -845,7 +845,8 @@ def _key_sum(
     pair key as one bit of a :class:`PackedMask`; every other last fold
     scatters into a dense box.
     """
-    keyed = _each_object(rasters, lambda r: _sorted_distinct(r.occupied_indices() @ weights))
+    # Operand indices lie below the output extents: C order gives ascending keys.
+    keyed = _each_object(rasters, lambda r: r.occupied_indices() @ weights)
     keys = keyed[id(rasters[0])]
     for r in rasters[1:-1]:
         chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]

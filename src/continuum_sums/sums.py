@@ -300,12 +300,12 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
 class SeparatorInstance:
     """Band separators on a product of grid continua.
 
-    Factor j occupies cells ``factor_cells[j]`` (lexicographic order).  For
-    axis k, the separator S_k collects the product cells whose potential sum
-    lies within ``band_radius[k]`` of ``band_center[k]``, where the summand
-    for factor j is ``potentials[k][j]`` evaluated at its cell.  Faces are
-    index lists into factor k's cell list; a product cell belongs to F_k^-
-    when its k-th factor cell is listed in ``faces_neg[k]``.
+    ``factor_cells[j]`` is factor j's occupied cells in C order, exactly
+    ``np.argwhere`` of its occupancy.  For axis k, the separator S_k collects
+    the product cells whose potential sum lies within ``band_radius[k]`` of
+    ``band_center[k]``, the summand for factor j being ``potentials[k][j]``
+    at its cell.  Faces index factor k's cell list as numpy reads them; a
+    product cell is in F_k^- when ``faces_neg[k]`` picks its k-th factor cell.
     """
 
     factors: tuple[GridSet, ...]
@@ -419,28 +419,40 @@ def _listed_cells(instance: SeparatorInstance, components: list[int]) -> list[ND
     return cells
 
 
-def _outside_factors(
+def _unmatched_factors(
     instances: Sequence[SeparatorInstance], cells: dict[int, list[NDArray[np.int64]]]
 ) -> dict[int, int]:
-    """The first factor of each instance whose listed cells leave its grid."""
-    outside: dict[int, int] = {}
+    """The first factor of each instance whose cell list is not ``np.argwhere(occupancy)``.
+
+    The lengths are checked (:func:`_listed_cells`), so a list matches when its
+    cells lie in the grid and their flat keys, into the occupancies of one
+    dimension laid end to end, are the occupied cells' positions row for row.
+    """
+    unmatched: dict[int, int] = {}
     by_dim: dict[int, list[tuple[int, int]]] = {}
     for i, lists in cells.items():
         for j, listed in enumerate(lists):
             by_dim.setdefault(listed.shape[1], []).append((i, j))
     for slots in by_dim.values():
-        lists = [cells[i][j] for i, j in slots]
-        sizes = [len(c) for c in lists]
+        factors = [instances[i].factors[j] for i, j in slots]
+        sizes = [len(cells[i][j]) for i, j in slots]
         starts = np.cumsum(sizes) - sizes
-        joined = np.concatenate(lists)
-        extents = np.array([instances[i].factors[j].geometry.extents for i, j in slots])
+        extents = np.array([f.geometry.extents for f in factors], dtype=np.int64)
+        joined = np.concatenate([cells[i][j] for i, j in slots])
         inside = (np.minimum.reduceat(joined, starts) >= 0) & (
             np.maximum.reduceat(joined, starts) < extents
         )
-        for (i, j), ok in zip(slots, inside.all(axis=1).tolist()):
+        keys = joined[:, 0]
+        for a in range(1, joined.shape[1]):
+            keys = keys * np.repeat(extents[:, a], sizes) + joined[:, a]
+        boxes = extents.prod(axis=1)
+        keys = keys + np.repeat(np.cumsum(boxes) - boxes, sizes)
+        occupied = np.flatnonzero(np.concatenate([f.occupancy.ravel() for f in factors]))
+        matched = inside.all(axis=1) & np.logical_and.reduceat(keys == occupied, starts)
+        for (i, j), ok in zip(slots, matched.tolist()):
             if not ok:
-                outside[i] = min(j, outside.get(i, j))
-    return outside
+                unmatched[i] = min(j, unmatched.get(i, j))
+    return unmatched
 
 
 def _band_report(
@@ -449,14 +461,12 @@ def _band_report(
     integral: list[list[bool]],
     highest: list[list[float]],
     lowest: list[list[float]],
-    face_values: dict[tuple[int, int], float],
 ) -> SeparatorValidation:
     """The band checks of one instance, axis by axis, from its grouped reductions.
 
     ``steps[k][j]``, ``integral[k][j]``, ``highest[k][j]`` and ``lowest[k][j]``
-    describe factor j's axis-k potentials; ``face_values[k, 0]`` is the
-    largest potential on F_k^- and ``face_values[k, 1]`` the smallest on
-    F_k^+, for the faces that were gathered.  Any other face is read here.
+    describe factor j's axis-k potentials.  The faces are read here, each
+    as numpy indexes factor k's axis-k potentials with it.
     """
     n = instance.n
     max_step: list[float] = []
@@ -482,13 +492,9 @@ def _band_report(
             )
         if len(instance.faces_neg[k]) == 0 or len(instance.faces_pos[k]) == 0:
             raise ValueError(f"axis {k}: empty face set")
-        own = instance.potentials[k][k]
-        below = face_values.get((k, 0))
-        if below is None:
-            below = float(own[instance.faces_neg[k]].max())
-        above = face_values.get((k, 1))
-        if above is None:
-            above = float(own[instance.faces_pos[k]].min())
+        own = np.asarray(instance.potentials[k][k])
+        below = float(own[instance.faces_neg[k]].max())
+        above = float(own[instance.faces_pos[k]].min())
         below += sum(highest[k][j] for j in range(n) if j != k)
         above += sum(lowest[k][j] for j in range(n) if j != k)
         face_below.append(below)
@@ -511,12 +517,12 @@ def _band_checks(
 ) -> dict[int, SeparatorValidation | Exception]:
     """The band checks of the instances whose cells passed, with every array reduction grouped.
 
-    Factors are laid end to end, grouped by dimension, and their axis-k
-    potentials form row k of one array (zeros past an instance's n).
+    Each cell list is its factor's occupied cells in C order (checked
+    before).  Factors are laid end to end, grouped by dimension, and their
+    axis-k potentials form row k of one array (zeros past an instance's n).
     Steps come from one ``maximum.at`` over the adjacent pairs of each
-    dimension, integrality and the potential extremes from ``reduceat``
-    over the factors, and the face extremes from one gather of every face
-    held as a non-empty integer array of in-range indices.
+    dimension, and integrality and the potential extremes from ``reduceat``
+    over the factors; :func:`_band_report` reads each instance's faces.
     """
     slots = sorted((c.shape[1], i, j) for i, lists in cells.items() for j, c in enumerate(lists))
     if not slots:
@@ -550,7 +556,6 @@ def _band_checks(
     highest = np.maximum.reduceat(pots, starts, axis=1).tolist()
     lowest = np.minimum.reduceat(pots, starts, axis=1).tolist()
     integral = np.logical_and.reduceat(_integral_entries(pots), starts, axis=1).tolist()
-    face_values = _face_extremes(instances, cells, factor_of, pots, starts, sizes)
     steps_by_factor = steps.tolist()
     outcomes: dict[int, SeparatorValidation | Exception] = {}
     for i in cells:
@@ -563,61 +568,10 @@ def _band_checks(
                 [[row[f] for f in fs] for row in integral],
                 [[row[f] for f in fs] for row in highest],
                 [[row[f] for f in fs] for row in lowest],
-                face_values.get(i, {}),
             )
         except Exception as exc:  # this instance's outcome, raised by its caller
             outcomes[i] = exc
     return outcomes
-
-
-def _face_extremes(
-    instances: Sequence[SeparatorInstance],
-    cells: dict[int, list[NDArray[np.int64]]],
-    factor_of: dict[tuple[int, int], int],
-    pots: NDArray[np.float64],
-    starts: NDArray[np.intp],
-    sizes: NDArray[np.intp],
-) -> dict[int, dict[tuple[int, int], float]]:
-    """``{i: {(k, 0): max over F_k^-, (k, 1): min over F_k^+}}`` of axis-k potentials, gathered at once.
-
-    Only faces held as non-empty 1-D signed-integer arrays whose indices are
-    all in range (negative ones counted from the end) are gathered; any
-    other face is left to :func:`_band_report`, which reads it as numpy
-    indexing does.
-    """
-    picks = []
-    for i in cells:
-        instance = instances[i]
-        for k in range(min(instance.n, len(instance.faces_neg), len(instance.faces_pos))):
-            for side, faces in enumerate((instance.faces_neg[k], instance.faces_pos[k])):
-                if (
-                    isinstance(faces, np.ndarray)
-                    and faces.ndim == 1
-                    and faces.size
-                    and faces.dtype.kind == "i"
-                ):
-                    picks.append((i, k, side, faces))
-    if not picks:
-        return {}
-    counts = [len(p[3]) for p in picks]
-    rows = [factor_of[i, k] for i, k, _, _ in picks]
-    index = np.concatenate([p[3] for p in picks]).astype(np.int64, copy=False)
-    bounds = np.repeat(sizes[rows], counts)
-    index = np.where(index < 0, index + bounds, index)
-    inside = (index >= 0) & (index < bounds)
-    axis = np.repeat([k for _, k, _, _ in picks], counts)
-    values = pots[axis, np.repeat(starts[rows], counts) + np.where(inside, index, 0)]
-    cuts = np.cumsum(counts) - counts
-    found: dict[int, dict[tuple[int, int], float]] = {}
-    for (i, k, side, _), ok, top, bottom in zip(
-        picks,
-        np.logical_and.reduceat(inside, cuts).tolist(),
-        np.maximum.reduceat(values, cuts).tolist(),
-        np.minimum.reduceat(values, cuts).tolist(),
-    ):
-        if ok:
-            found.setdefault(i, {})[k, side] = bottom if side else top
-    return found
 
 
 def _validations(
@@ -628,8 +582,9 @@ def _validations(
     The checks run in the order of a single validation, and an instance's
     outcome never depends on the others: every factor's face components are
     counted in one :func:`~continuum_sums.grid.component_counts` call, then
-    each instance's factor structure is checked, then its listed cells must
-    lie in their grids, then :func:`_band_checks` groups the band checks.
+    each instance's factor structure is checked, then each cell list must be
+    its factor's occupied cells in C order, then :func:`_band_checks`
+    groups the band checks.
     """
     outcomes: list[SeparatorValidation | Exception | None] = [None] * len(instances)
     live = []
@@ -648,7 +603,7 @@ def _validations(
             cells[i] = _listed_cells(instances[i], counts)
         except Exception as exc:  # this instance's outcome, raised by its caller
             outcomes[i] = exc
-    for i, j in _outside_factors(instances, cells).items():
+    for i, j in _unmatched_factors(instances, cells).items():
         outcomes[i] = ValueError(f"factor {j} cell list does not match its occupancy")
         del cells[i]
     for i, outcome in _band_checks(instances, cells).items():
@@ -661,12 +616,13 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
 
     In order: 1..3 factors; factor by factor, one face component, one
     listed cell per occupied cell and one potential per cell on every
-    axis; every listed cell inside its factor's grid; then axis by axis, a
-    product step (every factor one chessboard step, the largest potential
-    change over adjacent listed cells) cannot leap the band, both faces are
-    non-empty, and the faces straddle the band.  The one-instance call of
-    the grouped validation that :func:`random_separator_instances` runs
-    over a whole batch.
+    axis; each cell list exactly its factor's occupied cells in C order,
+    the first factor that fails named; then axis by axis, a product step
+    (every factor one chessboard step, the largest potential change over
+    adjacent listed cells) cannot leap the band, both faces are non-empty,
+    and the faces, read as numpy indexing reads them, straddle the band.
+    The one-instance call of the grouped validation that
+    :func:`random_separator_instances` runs over a whole batch.
     """
     (outcome,) = _validations([instance])
     if isinstance(outcome, Exception):
@@ -762,7 +718,7 @@ def _cells_of_points(grid: GridSet, points: NDArray[np.float64]) -> NDArray[np.i
 def _face_indices(
     cells: NDArray[np.int64], face_cells: NDArray[np.int64]
 ) -> NDArray[np.int64]:
-    """Positions of face cells inside the lexicographically ordered cell list."""
+    """Ascending positions of face cells in the C-ordered cell list (its keys ascend)."""
     n = cells.shape[1]
     weights = np.ones(n, dtype=np.int64)
     span = cells.max(axis=0) + 1
@@ -770,13 +726,9 @@ def _face_indices(
         weights[i] = weights[i + 1] * span[i + 1]
     keys = cells @ weights
     face_keys = np.unique(face_cells @ weights)
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], face_keys)
+    pos = np.searchsorted(keys, face_keys)
     hits = pos < len(keys)
-    pos = pos[hits]
-    face_keys = face_keys[hits]
-    matched = keys[order][pos] == face_keys
-    return np.sort(order[pos[matched]])
+    return pos[hits][keys[pos[hits]] == face_keys[hits]]
 
 
 def build_sum_separators(

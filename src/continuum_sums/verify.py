@@ -76,19 +76,24 @@ _SUITE_BLOCK = 100
 class ResolutionEvidence:
     """One resolution step of an interior-evidence sweep.
 
-    The cube, margin and measure all live in the rotated coordinates, which
-    differ from the input ones by a rigid motion only.  ``density_margin`` is
-    the worst sup-norm distance from a cell of the found cube to an occupied
-    cell of the sum raster: the smallest radius whose box dilation of the sum
-    covers the cube, times h (infinite when no cube was admitted).
-
-    ``interior_cube_side`` reports the certified side: the largest cube of
-    threshold-dense cells, shrunk by the threshold on both faces of every
-    axis.  That cube is read off the largest non-empty box erosion of the
-    threshold-dense cells (grid border counted as not dense), centred on the
-    erosion's first cell in C order.  The raw found side grows with the
-    fattening allowance and so shrinks again as h refines; subtracting the
-    allowance leaves the part whose size is comparable across resolutions.
+    Everything lives in the rotated coordinates (a rigid motion of the
+    input ones); distances are sup-norm.  Each sum of samples, one per set,
+    lies within n cells above the corner of an occupied sum cell.
+    ``threshold`` = n * (eps + h) allows one sampling and one rasterization
+    slack per summand; cells within limit = floor(threshold / h) cells of
+    the sum are threshold-dense.  ``density_margin`` (infinite when no cube
+    was admitted) is the largest distance from a cell of the found cube to
+    a sum cell, at most the threshold: every cube point lies within
+    density_margin + n * h of a sum of samples.  ``interior_cube_side`` is
+    an estimate: the side of the largest cube of threshold-dense cells
+    (centred on the first cell in C order of the largest non-empty box
+    erosion) less the threshold on both faces.  Those cells form an OUTER
+    raster, bounding the sum from above only, so the cube can leave it: the
+    l-shape pair's at h = 0.01 passes x = 1 by 0.01, the tripod triple's at
+    h = 0.005 each upper face by 0.005.  ``outer_measure`` counts the cells
+    within ceil(eps_sum / h) cells of the sum (eps_sum the summed
+    densities), a bound in neither direction; the measure floor ``ratio`` =
+    outer_measure / ``vol_parallelotope`` >= 1 is a consistency check.
 
     ``sum_cells`` holds the unpadded sum raster the step inspected, packed;
     it is left out of the repr and of comparisons.
@@ -184,9 +189,9 @@ def _largest_cube(
     exactly when that cell survives the box erosion of ``good`` by r - 1, the
     array border counting as bad.  Erosions shrink as r grows, so the radius
     R is the largest r whose erosion is non-empty, and the centre is that
-    erosion's first cell in C order.  ``hint_side`` (the certified side
-    found at a coarser resolution, which stays nearly constant as h refines)
-    only picks where the search for R starts; the search gallops from there
+    erosion's first cell in C order.  ``hint_side`` (the cube side reported
+    at a coarser resolution, which stays nearly constant as h refines) only
+    picks where the search for R starts; the search gallops from there
     and bisects once R is bracketed, so the answer never depends on it.
     Starting low is cheap, as each larger radius erodes the last non-empty
     erosion further rather than starting over, and each erosion runs only on
@@ -257,7 +262,7 @@ def verify_theorem_main(
     and the sweep only documents the degenerate measures.
 
     Memory of one step at spacing h.  Let m_1..m_n be the sum's extents and
-    E_i = m_i + 2 * pad the padded ones, pad = max(grow, limit) + 1.  The
+    E_i = m_i + 2 * pad the padded ones, pad = limit + 1.  The
     packed sum takes U = ceil(m_n / 8) * m_1 * ... * m_{n-1} bytes and stays
     in the evidence; a padded packed mask takes P = ceil(E_n / 8) * E_1 *
     ... * E_{n-1} bytes.  Morphology works one slab at a time, a slab
@@ -301,6 +306,9 @@ def verify_theorem_main(
     # x -> rotation.T @ x; density picks up the sup-norm operator factor.
     normalized = _each_once(translated, lambda k: k.linear_image(rotation.T))
     finest = steps[-1]
+    eps = max(k.density for k in normalized)
+    if not math.isfinite(n * (eps + steps[0])):  # the coarsest h has the largest threshold
+        raise ValueError(f"resolution h={steps[0]} is too large: threshold n*(eps+h) overflows")
 
     def check_connected(k: SampledSet) -> None:
         semantics = Semantics.OUTER if k.exact else Semantics.SAMPLE_COVER
@@ -309,7 +317,6 @@ def verify_theorem_main(
             raise ValueError(f"set {first} is not grid-connected at h={finest}")
 
     _each_once(normalized, check_connected)
-    eps = max(k.density for k in normalized)
     eps_sum = float(sum(k.density for k in normalized))
     vol_p = float(cert.det_abs) if cert.det_abs is not None else 0.0
     entries = []
@@ -321,10 +328,10 @@ def verify_theorem_main(
         threshold = n * (eps + h)
         limit = math.floor(threshold / h + 1e-9)
         grow = int(math.ceil(eps_sum / h - 1e-12)) if eps_sum > 0 else 0
-        # The padded grid holds every cell within grow (outer measure) or
-        # limit (cube search) of the sum, plus one ring so threshold-dense
-        # cells beyond the sample bounding box stay in play.
-        pad = max(grow, limit) + 1
+        # limit >= grow, as n * (eps + h) >= eps_sum + n * h, so the padded grid
+        # holds every cell the outer measure or the cube search reads, plus one
+        # ring so threshold-dense cells beyond the sample bounding box stay in play.
+        pad = limit + 1
         geometry = GridGeometry(
             origin=tuple(o - pad * h for o in sum_geometry.origin),
             spacing=h,
@@ -387,7 +394,7 @@ def verify_theorem_main(
             problems.append("density margins are not non-increasing")
         found = [e for e in entries if e.interior_cube_side is not None]
         for prev, nxt in zip(found, found[1:]):
-            # Certified sides carry a quantization residual of order h, so
+            # Reported sides carry a quantization residual of order h, so
             # monotonicity is demanded only beyond one cell per boundary.
             if nxt.interior_cube_side < prev.interior_cube_side - 2.0 * (prev.h + nxt.h):
                 problems.append("interior cube sides are not non-decreasing")

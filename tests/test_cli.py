@@ -387,6 +387,33 @@ class TestVerifyCommands:
         code, _, err = _run(capsys, "verify", "main", doc, "--h", "-0.1")
         assert code == 2 and err == "error: resolutions must be positive, got -0.1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "main", "pair.json", "--h", "1e308"],
+            ["verify", "main", "listed.json"],
+            ["verify", "c1", "one.json", "--h", "1e308"],
+            ["verify", "cantor", "--h", "1e308"],
+        ],
+    )
+    def test_overflowing_threshold_exits_two_before_rasterizing(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # n * (eps + h) is infinite, so no cube radius can be counted from it.
+        pair = {"dim": 2, "sets": [{"kind": "l_shape"}] * 2}
+        _write_doc(tmp_path, "pair.json", pair)
+        _write_doc(tmp_path, "listed.json", {**pair, "resolutions": [1e308]})
+        _write_doc(tmp_path, "one.json", {"dim": 2, "sets": [{"kind": "circle"}]})
+
+        def no_raster(*args, **kwargs):
+            raise AssertionError("rasterized")
+
+        monkeypatch.setattr(verify_mod, "rasterize", no_raster)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: resolution h=1e+308 is too large: threshold n*(eps+h) overflows\n"
+
     def test_c1_requires_single_set(self, tmp_path, capsys):
         doc = _write_doc(
             tmp_path, "two.json", {"dim": 2, "sets": [{"kind": "circle"}] * 2}

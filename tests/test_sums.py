@@ -998,18 +998,87 @@ def test_batch_validation_reads_unusual_faces_as_numpy_indexes_them():
     )
 
 
+def misordered_bar_instance() -> SeparatorInstance:
+    """A 6x1 bar whose list repeats cells, times a 1x6 bar: only its length matches.
+
+    With coordinate potentials, bands at 3 +- 1 and end-cell faces it
+    passes every check but the exact cell match, and no listed cell of the
+    first bar lies in its band, so its bands share no product cell.
+    """
+    bar = grid_from_cells([[i, 0] for i in range(6)])
+    post = grid_from_cells([[0, i] for i in range(6)])
+    bar_cells = np.array([[0, 0], [0, 0], [0, 0], [1, 0], [5, 0], [5, 0]], dtype=np.int64)
+    post_cells = np.argwhere(post.occupancy).astype(np.int64)
+    return SeparatorInstance(
+        factors=(bar, post),
+        factor_cells=(bar_cells, post_cells),
+        potentials=tuple(
+            (bar_cells[:, k].astype(np.float64), post_cells[:, k].astype(np.float64))
+            for k in range(2)
+        ),
+        band_center=np.array([3.0, 3.0]),
+        band_radius=np.ones(2),
+        faces_neg=(np.array([0, 1, 2]), np.array([0])),
+        faces_pos=(np.array([4, 5]), np.array([5])),
+    )
+
+
 def test_cells_outside_their_grid_are_refused():
     # The former validation only compared the list's length with the
-    # occupied count; cells outside the grid now fail the match as well.
+    # occupied count; cells outside the grid fail the match, and so do
+    # in-grid lists that repeat a cell (the bar's bands would otherwise
+    # read as a counterexample).
     instance = random_separator_instance(2, seed=5)
     moved = instance.factor_cells[1] + np.array([0, 1000])
-    bad = dataclasses.replace(instance, factor_cells=(instance.factor_cells[0], moved))
-    batch = [bad, instance]
-    outcomes = sums_mod._validations(batch)
-    assert str(outcomes[0]) == "factor 1 cell list does not match its occupancy"
-    assert isinstance(outcomes[1], SeparatorValidation)
-    with pytest.raises(ValueError, match="factor 1 cell list does not match its occupancy"):
-        validate_separators(bad)
+    repeated = instance.factor_cells[1].copy()
+    repeated[3] = repeated[2]
+    bad = [
+        (1, dataclasses.replace(instance, factor_cells=(instance.factor_cells[0], moved))),
+        (1, dataclasses.replace(instance, factor_cells=(instance.factor_cells[0], repeated))),
+        (0, misordered_bar_instance()),
+    ]
+    for j, broken in bad:
+        message = f"factor {j} cell list does not match its occupancy"
+        outcomes = sums_mod._validations([broken, instance])
+        assert str(outcomes[0]) == message
+        assert isinstance(outcomes[1], SeparatorValidation)
+        for check in (validate_separators, hl_discrete_check):
+            with pytest.raises(ValueError, match=message):
+                check(broken)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cell_check_is_argwhere_of_each_factor(data):
+    # One in-grid edit of one list per instance, validated as one batch:
+    # an instance is refused, naming the edited factor, exactly when the
+    # list is no longer np.argwhere of that factor's occupancy.
+    batch, edited = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        instance = random_separator_instance(
+            data.draw(st.integers(1, 3)), data.draw(st.integers(0, 9))
+        )
+        j = data.draw(st.integers(0, instance.n - 1))
+        occupancy = instance.factors[j].occupancy
+        listed = instance.factor_cells[j].copy()
+        a, b = (data.draw(st.integers(0, len(listed) - 1)) for _ in range(2))
+        edit = data.draw(st.sampled_from(["duplicate", "unoccupied", "swap"]))
+        if edit == "duplicate":
+            listed[a] = listed[b]
+        elif edit == "swap":
+            listed[[a, b]] = listed[[b, a]]
+        else:
+            empty = np.argwhere(~occupancy)
+            if len(empty):
+                listed[a] = empty[data.draw(st.integers(0, len(empty) - 1))]
+        cells = instance.factor_cells[:j] + (listed,) + instance.factor_cells[j + 1 :]
+        batch.append(dataclasses.replace(instance, factor_cells=cells))
+        edited.append((j, np.array_equal(listed, np.argwhere(occupancy))))
+    for outcome, (j, exact) in zip(sums_mod._validations(batch), edited):
+        if exact:
+            assert isinstance(outcome, SeparatorValidation)
+        else:
+            assert str(outcome) == f"factor {j} cell list does not match its occupancy"
 
 
 def test_potentials_of_the_wrong_length_are_rejected():
