@@ -7,8 +7,9 @@ as an ASCII PBM image.  Exit codes: 0 all checks passed, 1 a check failed
 (the report is still written), 2 usage, input or resource error (a grid too
 large to allocate included).
 
-Reports are plain JSON with a fixed key order and a schema version; the only
-field that varies between identical runs is ``elapsed_seconds``.  Non-finite
+Reports are the scenarios' ``VerificationReport.payload()`` written as plain
+JSON, with a fixed key order and a schema version; the only field that
+varies between identical runs is ``elapsed_seconds``.  Non-finite
 numbers (an infinite density margin) serialize as null.
 """
 
@@ -20,26 +21,22 @@ import math
 import os
 import sys
 import tempfile
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gallery import ALLOWED_PARAMS, KINDS, Generated, GeneratorSpec, generate
+from .gallery import ALLOWED_PARAMS, KINDS, GeneratorSpec, generate
 from .grid import PackedMask, SampledSet, auto_geometry, packed_minkowski_sum, rasterize
-from .sums import claim_measure_chain, shift_construction, verify_claim
 from .verify import (
     DEFAULT_RESOLUTIONS,
-    SumEvidence,
-    VerificationReport,
+    SCHEMA_VERSION,
     verify_corollary_c1,
     verify_example_cantor,
     verify_hl_suite,
-    verify_theorem_main,
+    verify_lattice_claim,
+    verify_theorem_report,
 )
-
-SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"version", "dim", "sets", "construction", "resolutions", "seed"}
 _GEN_BASE_KEYS = {"kind", "budget", "seed"}
@@ -97,15 +94,13 @@ def _parse_generator_set(entry: dict, path: str) -> SampledSet:
         raise InputError(f"{path}.kind: unknown generator kind {kind_raw!r}")
     _reject_unknown(entry, _GEN_BASE_KEYS | ALLOWED_PARAMS[kind], path)
     budget = _expect_int(entry.get("budget", 64), f"{path}.budget", minimum=2)
-    seed = _expect_int(entry.get("seed", 0), f"{path}.seed", minimum=0)
+    # The seed is validated and echoed with the document; no generator reads it.
+    _expect_int(entry.get("seed", 0), f"{path}.seed", minimum=0)
     params = {k: v for k, v in entry.items() if k not in _GEN_BASE_KEYS}
     try:
-        out = generate(
-            GeneratorSpec(kind=kind, parameters=params, sample_budget=budget, seed=seed)
-        )
+        return generate(GeneratorSpec(kind=kind, parameters=params, sample_budget=budget))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return out.samples
 
 
 def _parse_raw_set(entry: dict, path: str, dim: int) -> SampledSet:
@@ -309,67 +304,11 @@ def _finite_h(h: float) -> float:
     return h
 
 
-def _effective_resolutions(args: argparse.Namespace, doc: Document | None) -> list[float]:
+def _effective_resolutions(args: argparse.Namespace, doc: Document | None) -> list[float] | None:
+    """The ``--h`` flags, else the document's list, else None: the scenario's default."""
     if getattr(args, "h", None):
         return [_finite_h(h) for h in args.h]
-    if doc is not None and doc.resolutions:
-        return list(doc.resolutions)
-    return list(DEFAULT_RESOLUTIONS)
-
-
-def _evidence_payload(ev: SumEvidence) -> dict:
-    cert = ev.certificate
-    return {
-        "n_copies": ev.n_copies,
-        "verdict": ev.verdict,
-        "reason": ev.reason,
-        "certificate": {
-            "flat": cert.flat,
-            "affine_dim": cert.affine_dim,
-            "dim": cert.dim,
-            "det_abs": cert.det_abs,
-            "tol": cert.tol,
-            "base_point": cert.base_point,
-            "basis": cert.basis,
-            "complement": cert.complement,
-        },
-        "rotation": ev.rotation,
-        "resolutions": [
-            {
-                "h": e.h,
-                "interior_cube_center": e.interior_cube_center,
-                "interior_cube_side": e.interior_cube_side,
-                "density_margin": e.density_margin,
-                "threshold": e.threshold,
-                "outer_measure": e.outer_measure,
-                "vol_parallelotope": e.vol_parallelotope,
-                "ratio": e.ratio,
-            }
-            for e in ev.resolutions
-        ],
-    }
-
-
-def _report_skeleton(scenario: str, inputs: dict) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "scenario": scenario,
-        "inputs": inputs,
-        "checks": [],
-        "evidence": {},
-        "passed": False,
-        "elapsed_seconds": 0.0,
-    }
-
-
-def _from_verification_report(rep: VerificationReport) -> dict:
-    out = _report_skeleton(rep.scenario, dict(rep.inputs))
-    out["checks"] = [
-        {"name": c.name, "passed": c.passed, "detail": c.detail} for c in rep.checks
-    ]
-    out["passed"] = rep.passed
-    out["elapsed_seconds"] = rep.elapsed_seconds
-    return out
+    return doc.resolutions if doc is not None else None
 
 
 def _main_sets(doc: Document) -> list[SampledSet]:
@@ -379,134 +318,30 @@ def _main_sets(doc: Document) -> list[SampledSet]:
     return list(doc.sets)
 
 
-def _cmd_verify_main(args: argparse.Namespace) -> int:
-    doc = load_document(args.input)
-    if args.bitmap:
-        _check_bitmap_dim(doc.dim)
-    resolutions = _effective_resolutions(args, doc)
-    sets = _main_sets(doc)
-    start = time.perf_counter()
-    ev = verify_theorem_main(sets, resolutions)
-    report = _report_skeleton(
-        "theorem-main", {"document": doc.raw, "resolutions": resolutions}
-    )
-    report["checks"] = [
-        {
-            "name": "sum-interior",
-            "passed": ev.verdict == "supported",
-            "detail": f"{ev.verdict}: {ev.reason}",
-        }
-    ]
-    report["evidence"] = _evidence_payload(ev)
-    report["passed"] = ev.verdict == "supported"
-    report["elapsed_seconds"] = time.perf_counter() - start
-    if args.bitmap:
-        _write_bitmaps(args.bitmap, ((e.h, e.sum_cells) for e in ev.resolutions))
-    _emit_report(report, args.out)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_verify_c1(args: argparse.Namespace) -> int:
-    doc = load_document(args.input)
+def _one_set(doc: Document) -> SampledSet:
     if len(doc.sets) != 1:
         raise InputError("the c1 scenario takes exactly one set")
-    if args.bitmap:
+    return doc.sets[0]
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """Runs the subcommand's scenario, then writes its bitmaps and its report.
+    A document's echo goes first in the report's inputs when
+    ``args.echo_first`` is set, else last."""
+    doc = load_document(args.input) if "input" in args else None
+    bitmap = getattr(args, "bitmap", None)
+    if bitmap and doc is not None:
         _check_bitmap_dim(doc.dim)
-    resolutions = _effective_resolutions(args, doc)
-    rep = verify_corollary_c1(doc.sets[0], args.directions, resolutions)
-    report = _from_verification_report(rep)
-    report["inputs"]["document"] = doc.raw
-    if args.bitmap:
-        _write_bitmaps(args.bitmap, ((e.h, e.sum_cells) for e in rep.evidence.resolutions))
-    _emit_report(report, args.out)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_verify_cantor(args: argparse.Namespace) -> int:
-    resolutions = _effective_resolutions(args, None)
-    rep = verify_example_cantor(args.depth, resolutions)
-    report = _from_verification_report(rep)
-    if args.bitmap:
-        _write_bitmaps(args.bitmap, ((e.h, e.sum_cells) for e in rep.evidence.resolutions))
-    _emit_report(report, args.out)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_verify_hl(args: argparse.Namespace) -> int:
-    rep = verify_hl_suite(args.trials, args.seed)
-    _emit_report(_from_verification_report(rep), args.out)
+    rep = args.run(args, doc, _effective_resolutions(args, doc))
+    if doc is not None:
+        echo = {"document": doc.raw}
+        rep = replace(
+            rep, inputs={**echo, **rep.inputs} if args.echo_first else {**rep.inputs, **echo}
+        )
+    if bitmap:
+        _write_bitmaps(bitmap, rep.sums)
+    _emit_report(rep.payload(), args.out)
     return 0 if rep.passed else 1
-
-
-def _cmd_verify_claim(args: argparse.Namespace) -> int:
-    doc = load_document(args.input)
-    if args.bitmap:
-        _check_bitmap_dim(doc.dim)
-    resolutions = sorted(set(_effective_resolutions(args, doc)), reverse=True)
-    s = args.s if args.s is not None else (doc.construction_s or 1)
-    start = time.perf_counter()
-    construction = shift_construction(doc.sets, s=s)
-    checks = []
-    per_h = []
-    claims = []
-    for h in resolutions:
-        claim = verify_claim(construction, doc.sets, h)
-        claims.append(claim)
-        chain = claim_measure_chain(construction, doc.sets, h)
-        checks.append(
-            {
-                "name": f"cube-evidence[h={h:g}]",
-                "passed": claim.passed,
-                "detail": (
-                    f"covered={claim.covered} margin={claim.margin:g} "
-                    f"threshold={claim.threshold:g}"
-                ),
-            }
-        )
-        chain_ok = chain.lower_ok and chain.upper_ok
-        checks.append(
-            {
-                "name": f"measure-chain[h={h:g}]",
-                "passed": chain_ok,
-                "detail": (
-                    f"{chain.cube_volume:g} <= {chain.sum_measure:g} <= "
-                    f"{chain.factor_measure:g} * {chain.lattice_count}"
-                ),
-            }
-        )
-        per_h.append(
-            {
-                "h": h,
-                "covered": claim.covered,
-                "margin": claim.margin,
-                "threshold": claim.threshold,
-                "cube_volume": chain.cube_volume,
-                "sum_measure": chain.sum_measure,
-                "factor_measure": chain.factor_measure,
-                "lattice_count": chain.lattice_count,
-                "implied_lower_bound": chain.implied_lower_bound,
-            }
-        )
-    report = _report_skeleton(
-        "lattice-shift-claim", {"document": doc.raw, "resolutions": resolutions, "s": s}
-    )
-    report["checks"] = checks
-    report["evidence"] = {
-        "construction": {
-            "n": construction.n,
-            "delta": construction.delta,
-            "s": construction.s,
-            "l": construction.l,
-            "eps": construction.eps,
-        },
-        "per_resolution": per_h,
-    }
-    report["passed"] = all(c["passed"] for c in checks)
-    report["elapsed_seconds"] = time.perf_counter() - start
-    if args.bitmap:
-        _write_bitmaps(args.bitmap, ((c.h, c.sum_cells) for c in claims))
-    _emit_report(report, args.out)
-    return 0 if report["passed"] else 1
 
 
 def _parse_point(text: str, flag: str, length: int | None = None) -> list[float]:
@@ -552,14 +387,12 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
             f"{args.kind} does not take --{sorted(extra)[0].replace('_', '-')}"
         )
     try:
-        out: Generated = generate(
-            GeneratorSpec(kind=kind, parameters=params, sample_budget=args.budget, seed=args.seed)
-        )
+        samples = generate(GeneratorSpec(kind=kind, parameters=params, sample_budget=args.budget))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     doc = {
         "version": SCHEMA_VERSION,
-        "dim": out.samples.dim,
+        "dim": samples.dim,
         "sets": [{"kind": kind, "budget": args.budget, "seed": args.seed, **params}],
         "seed": args.seed,
     }
@@ -587,13 +420,12 @@ def _cmd_bitmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_report_flags(parser: argparse.ArgumentParser, bitmap: bool = True) -> None:
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h", action="append", type=float, metavar="H",
                         help="grid resolution; repeat for a sweep (finest last)")
     parser.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    if bitmap:
-        parser.add_argument("--bitmap", metavar="PREFIX",
-                            help="write PBM images of the sum, one per resolution")
+    parser.add_argument("--bitmap", metavar="PREFIX",
+                        help="write PBM images of the sum, one per resolution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,36 +450,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_gallery.set_defaults(func=_cmd_gallery)
 
     p_verify = sub.add_parser("verify", help="run an evidence pipeline")
+    # Each scenario is run(args, doc, resolutions) -> VerificationReport.
+    p_verify.set_defaults(func=_cmd_verify, echo_first=False)
     vsub = p_verify.add_subparsers(dest="scenario", required=True)
 
     p_main = vsub.add_parser("main", help="interior evidence for a sum of n sets")
     p_main.add_argument("input", help="set-description JSON file")
     _add_report_flags(p_main)
-    p_main.set_defaults(func=_cmd_verify_main)
+    p_main.set_defaults(
+        run=lambda a, doc, hs: verify_theorem_report(_main_sets(doc), hs), echo_first=True
+    )
 
     p_c1 = vsub.add_parser("c1", help="consistency of the one-set interior criteria")
     p_c1.add_argument("input", help="set-description JSON file with one set")
     p_c1.add_argument("--directions", type=int, default=100,
                       help="random projection directions")
     _add_report_flags(p_c1)
-    p_c1.set_defaults(func=_cmd_verify_c1)
+    p_c1.set_defaults(run=lambda a, doc, hs: verify_corollary_c1(_one_set(doc), a.directions, hs))
 
     p_cantor = vsub.add_parser("cantor", help="staircase-graph example scenario")
     p_cantor.add_argument("--depth", type=int, default=6)
     _add_report_flags(p_cantor)
-    p_cantor.set_defaults(func=_cmd_verify_cantor)
+    p_cantor.set_defaults(run=lambda a, doc, hs: verify_example_cantor(a.depth, hs))
 
     p_hl = vsub.add_parser("hl", help="separator-intersection suite")
     p_hl.add_argument("--trials", type=int, default=100)
     p_hl.add_argument("--seed", type=int, default=0)
     p_hl.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    p_hl.set_defaults(func=_cmd_verify_hl)
+    p_hl.set_defaults(run=lambda a, doc, hs: verify_hl_suite(a.trials, a.seed))
 
     p_claim = vsub.add_parser("claim", help="lattice-shift cube coverage and measures")
     p_claim.add_argument("input", help="set-description JSON file")
     p_claim.add_argument("--s", type=int, help="target cube half-side (overrides the document)")
     _add_report_flags(p_claim)
-    p_claim.set_defaults(func=_cmd_verify_claim)
+    p_claim.set_defaults(
+        run=lambda a, doc, hs: verify_lattice_claim(
+            doc.sets, a.s if a.s is not None else (doc.construction_s or 1), hs
+        ),
+        echo_first=True,
+    )
 
     p_bitmap = sub.add_parser("bitmap", help="render a sum raster as ASCII PBM")
     p_bitmap.add_argument("input", help="set-description JSON file")

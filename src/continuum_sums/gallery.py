@@ -306,22 +306,16 @@ def dyadic_lines_check(
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative recipe for one generated set (CLI-constructible)."""
+    """Declarative recipe for one generated set (CLI-constructible).
+
+    Every generator is deterministic, so a recipe takes no seed."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
     sample_budget: int = 64
-    seed: int = 0
 
 
-@dataclass(frozen=True)
-class Generated:
-    samples: SampledSet
-    kind: str
-    detail: dict
-
-
-#: Parameters each generator kind accepts besides budget and seed.
+#: Parameters each generator kind accepts besides the budget.
 ALLOWED_PARAMS = {
     "segment": {"start", "end"},
     "l_shape": {"dim"},
@@ -348,8 +342,13 @@ def _check_finite(value: object, path: str) -> None:
     raise ValueError(f"parameter {path} has unsupported type {type(value).__name__}")
 
 
-def generate(spec: GeneratorSpec) -> Generated:
-    """Build the sampled set a GeneratorSpec describes."""
+def generate(spec: GeneratorSpec) -> SampledSet:
+    """Build the sampled set a GeneratorSpec describes.
+
+    The kind and parameters are the spec's own; the sample count and
+    density are the set's, and a ``cantor_graph``'s effective level is
+    ``round(-log2(density))``.
+    """
     if spec.kind not in KINDS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if spec.sample_budget < 2:
@@ -363,7 +362,6 @@ def generate(spec: GeneratorSpec) -> Generated:
     for key, value in spec.parameters.items():
         _check_finite(value, key)
     p = spec.parameters
-    detail: dict = {}
     if spec.kind == "segment":
         if "start" not in p or "end" not in p:
             raise ValueError("segment needs start and end")
@@ -391,11 +389,8 @@ def generate(spec: GeneratorSpec) -> Generated:
         if "depth" not in p:
             raise ValueError("cantor_graph needs depth")
         out = cantor_graph(int(p["depth"]), spec.sample_budget)
-        detail["effective_level"] = round(-math.log2(out.density))
     else:
         if "depth" not in p:
             raise ValueError("ladder_steps needs depth")
         out = ladder_steps(int(p["depth"]), spec.sample_budget)
-    detail["count"] = out.count
-    detail["density"] = out.density
-    return Generated(samples=out, kind=spec.kind, detail=detail)
+    return out

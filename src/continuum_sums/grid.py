@@ -117,15 +117,24 @@ class GridGeometry:
 
 
 def auto_geometry(points: NDArray[np.float64], h: float, pad_cells: int = 0) -> GridGeometry:
-    """Smallest grid at spacing ``h`` whose box covers ``points``, plus padding."""
+    """Smallest grid at spacing ``h`` whose box covers ``points``, plus padding;
+    an axis whose cell count is infinite or past int64 is refused."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (m, n) array")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     origin = tuple(float(x - pad_cells * h) for x in lo)
-    extents = tuple(int(np.floor((b - a) / h)) + 1 + 2 * pad_cells for a, b in zip(lo, hi))
-    return GridGeometry(origin=origin, spacing=float(h), extents=extents)
+    extents = []
+    for axis, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        span = (b - a) / h
+        cells = math.floor(span) + 1 + 2 * pad_cells if math.isfinite(span) else math.inf
+        if cells > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"grid axis {axis} needs {cells:.3g} cells at h={h:g}, more than int64 holds"
+            )
+        extents.append(cells)
+    return GridGeometry(origin=origin, spacing=float(h), extents=tuple(extents))
 
 
 @dataclass(frozen=True)

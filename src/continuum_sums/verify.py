@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -48,13 +48,19 @@ from .sums import (
     SeparatorInstance,
     bands_share_cell,
     build_sum_separators,
+    claim_measure_chain,
     hl_discrete_check,
     random_separator_instances,
     separation_by_search,
     shift_construction,
+    verify_claim,
 )
 
 DEFAULT_RESOLUTIONS = (0.02, 0.01, 0.005)
+
+#: Version of the report schema, and of the set-description documents that
+#: the command line reads.
+SCHEMA_VERSION = 1
 
 _T = TypeVar("_T")
 _U = TypeVar("_U")
@@ -143,12 +149,15 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one named scenario: per-check results plus an input echo.
+    """Outcome of one named scenario: everything its report shows.
 
     ``inputs`` carries enough parameters to re-run the scenario; wall-clock
     time is reported separately so reports stay comparable across runs.
-    ``evidence`` is the sum sweep a scenario ran, if any, with the sum raster
-    of each resolution; it is left out of the repr and of comparisons.
+    ``evidence`` is the report's evidence section (empty when the scenario
+    shows none), and ``sums`` holds one ``(h, packed sum raster)`` pair per
+    resolution of the sum the scenario checked, for rendering; both are left
+    out of the repr and of comparisons.  :meth:`payload` is the report as
+    written, in its fixed key order.
     """
 
     scenario: str
@@ -156,7 +165,19 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
     elapsed_seconds: float
     passed: bool
-    evidence: SumEvidence | None = field(default=None, repr=False, compare=False)
+    evidence: dict[str, object] = field(repr=False, compare=False)
+    sums: tuple[tuple[float, PackedMask], ...] = field(repr=False, compare=False)
+
+    def payload(self) -> dict[str, object]:
+        return {
+            "version": SCHEMA_VERSION,
+            "scenario": self.scenario,
+            "inputs": self.inputs,
+            "checks": [asdict(c) for c in self.checks],
+            "evidence": self.evidence,
+            "passed": self.passed,
+            "elapsed_seconds": self.elapsed_seconds,
+        }
 
 
 def _resolution_list(resolutions: Sequence[float] | None) -> list[float]:
@@ -414,6 +435,62 @@ def verify_theorem_main(
     )
 
 
+def _evidence_payload(ev: SumEvidence) -> dict[str, object]:
+    cert = ev.certificate
+    return {
+        "n_copies": ev.n_copies,
+        "verdict": ev.verdict,
+        "reason": ev.reason,
+        "certificate": {
+            "flat": cert.flat,
+            "affine_dim": cert.affine_dim,
+            "dim": cert.dim,
+            "det_abs": cert.det_abs,
+            "tol": cert.tol,
+            "base_point": cert.base_point,
+            "basis": cert.basis,
+            "complement": cert.complement,
+        },
+        "rotation": ev.rotation,
+        "resolutions": [
+            {
+                "h": e.h,
+                "interior_cube_center": e.interior_cube_center,
+                "interior_cube_side": e.interior_cube_side,
+                "density_margin": e.density_margin,
+                "threshold": e.threshold,
+                "outer_measure": e.outer_measure,
+                "vol_parallelotope": e.vol_parallelotope,
+                "ratio": e.ratio,
+            }
+            for e in ev.resolutions
+        ],
+    }
+
+
+def verify_theorem_report(
+    sets: Sequence[SampledSet], resolutions: Sequence[float] | None
+) -> VerificationReport:
+    """:func:`verify_theorem_main` as a report with one ``sum-interior`` check.
+
+    The evidence section is the sweep (certificate, rotation and one entry
+    per resolution), and ``inputs.resolutions`` lists the resolutions the
+    sweep ran: distinct, coarse to fine.
+    """
+    start = time.perf_counter()
+    ev = verify_theorem_main(sets, resolutions)
+    supported = ev.verdict == "supported"
+    return VerificationReport(
+        scenario="theorem-main",
+        inputs={"resolutions": [e.h for e in ev.resolutions]},
+        checks=(CheckResult("sum-interior", supported, f"{ev.verdict}: {ev.reason}"),),
+        elapsed_seconds=time.perf_counter() - start,
+        passed=supported,
+        evidence=_evidence_payload(ev),
+        sums=tuple((e.h, e.sum_cells) for e in ev.resolutions),
+    )
+
+
 def verify_corollary_c1(
     k: SampledSet,
     m_directions: int = 100,
@@ -471,7 +548,8 @@ def verify_corollary_c1(
         checks=checks,
         elapsed_seconds=time.perf_counter() - start,
         passed=consistent,
-        evidence=evidence,
+        evidence={},
+        sums=tuple((e.h, e.sum_cells) for e in evidence.resolutions),
     )
 
 
@@ -525,7 +603,8 @@ def verify_example_cantor(
         checks=checks,
         elapsed_seconds=time.perf_counter() - start,
         passed=all(c.passed for c in checks),
-        evidence=evidence,
+        evidence={},
+        sums=tuple((e.h, e.sum_cells) for e in evidence.resolutions),
     )
 
 
@@ -649,4 +728,72 @@ def verify_hl_suite(trials: int, seed: int = 0) -> VerificationReport:
         checks=checks,
         elapsed_seconds=time.perf_counter() - start,
         passed=all(c.passed for c in checks),
+        evidence={},
+        sums=(),
+    )
+
+
+def verify_lattice_claim(
+    sets: Sequence[SampledSet], s: int, resolutions: Sequence[float] | None
+) -> VerificationReport:
+    """The lattice-shift claim: the shifted sum covers [-s, s]^n at every h.
+
+    Each resolution, coarse to fine, adds a ``cube-evidence`` check
+    (:func:`verify_claim`) and a ``measure-chain`` check
+    (:func:`claim_measure_chain`) and one entry of the evidence's
+    ``per_resolution`` list; ``sums`` holds the shifted sum rasters.
+    """
+    start = time.perf_counter()
+    steps = _resolution_list(resolutions)
+    construction = shift_construction(sets, s=s)
+    checks = []
+    per_h = []
+    claims = []
+    for h in steps:
+        claim = verify_claim(construction, sets, h)
+        claims.append(claim)
+        chain = claim_measure_chain(construction, sets, h)
+        checks += [
+            CheckResult(
+                f"cube-evidence[h={h:g}]",
+                claim.passed,
+                f"covered={claim.covered} margin={claim.margin:g} threshold={claim.threshold:g}",
+            ),
+            CheckResult(
+                f"measure-chain[h={h:g}]",
+                chain.lower_ok and chain.upper_ok,
+                f"{chain.cube_volume:g} <= {chain.sum_measure:g} <= "
+                f"{chain.factor_measure:g} * {chain.lattice_count}",
+            ),
+        ]
+        per_h.append(
+            {
+                "h": h,
+                "covered": claim.covered,
+                "margin": claim.margin,
+                "threshold": claim.threshold,
+                "cube_volume": chain.cube_volume,
+                "sum_measure": chain.sum_measure,
+                "factor_measure": chain.factor_measure,
+                "lattice_count": chain.lattice_count,
+                "implied_lower_bound": chain.implied_lower_bound,
+            }
+        )
+    return VerificationReport(
+        scenario="lattice-shift-claim",
+        inputs={"resolutions": steps, "s": s},
+        checks=tuple(checks),
+        elapsed_seconds=time.perf_counter() - start,
+        passed=all(c.passed for c in checks),
+        evidence={
+            "construction": {
+                "n": construction.n,
+                "delta": construction.delta,
+                "s": construction.s,
+                "l": construction.l,
+                "eps": construction.eps,
+            },
+            "per_resolution": per_h,
+        },
+        sums=tuple((c.h, c.sum_cells) for c in claims),
     )

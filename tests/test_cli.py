@@ -361,6 +361,18 @@ class TestVerifyCommands:
         ]
         assert [e["h"] for e in report["evidence"]["per_resolution"]] == [0.1, 0.05]
 
+    def test_main_runs_each_resolution_once(self, tmp_path, capsys):
+        doc = _write_doc(
+            tmp_path, "pair.json", {"dim": 2, "sets": [{"kind": "l_shape", "budget": 42}] * 2}
+        )
+        code, out, _ = _run(
+            capsys, "verify", "main", doc, "--h", "0.05", "--h", "0.1", "--h", "0.05"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"]["resolutions"] == [0.1, 0.05]
+        assert [e["h"] for e in report["evidence"]["resolutions"]] == [0.1, 0.05]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "argv",
@@ -413,6 +425,17 @@ class TestVerifyCommands:
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: resolution h=1e+308 is too large: threshold n*(eps+h) overflows\n"
+
+    @pytest.mark.parametrize("radius, h", [(1e200, "0.02"), (1e307, "0.005")])
+    @pytest.mark.parametrize("command", [["verify", "main"], ["bitmap"]], ids=["main", "bitmap"])
+    def test_extent_past_int64_exits_two(self, tmp_path, capsys, command, radius, h):
+        doc = _write_doc(
+            tmp_path, "huge.json", {"dim": 2, "sets": [{"kind": "circle", "radius": radius}]}
+        )
+        code, out, err = _run(capsys, *command, doc, "--h", h)
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid axis ") and "more than int64 holds" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_c1_requires_single_set(self, tmp_path, capsys):
         doc = _write_doc(
@@ -478,9 +501,10 @@ class TestVerifyBitmaps:
     def test_unsupported_dimension_refused_before_pipeline(
         self, tmp_path, capsys, monkeypatch, dim, scenario, pipeline
     ):
-        import continuum_sums.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, pipeline, self._refuse)
+        # The CLI calls c1's scenario; main's and claim's pipelines run
+        # inside their verify scenarios.
+        module = cli_mod if pipeline == "verify_corollary_c1" else verify_mod
+        monkeypatch.setattr(module, pipeline, self._refuse)
         points = [[0.0] * dim, [1.0] + [0.0] * (dim - 1)]
         doc = _write_doc(
             tmp_path, "seg.json", {"dim": dim, "sets": [{"points": points, "density": 0.0}]}
@@ -606,6 +630,60 @@ class TestVerifyBitmaps:
         self._assert_pbms(prefix, [cantor_graph(3)] * 2, (0.05, 0.025))
 
 
+class TestReportPath:
+    """Every verify subcommand writes its scenario's VerificationReport."""
+
+    KEYS = ["version", "scenario", "inputs", "checks", "evidence", "passed", "elapsed_seconds"]
+    PAIR = {"dim": 2, "sets": [{"kind": "l_shape", "budget": 82}] * 2, "construction": {"s": 1}}
+    CIRCLE = {"dim": 2, "sets": [{"kind": "circle", "budget": 90}]}
+    ARGV = {
+        "main": ["main", "pair.json", "--h", "0.05", "--h", "0.1"],
+        "c1": ["c1", "circle.json", "--h", "0.1", "--directions", "20"],
+        "cantor": ["cantor", "--depth", "3", "--h", "0.05", "--h", "0.1", "--h", "0.05"],
+        "hl": ["hl", "--trials", "5", "--seed", "2"],
+        "claim": ["claim", "pair.json", "--h", "0.05", "--h", "0.1"],
+    }
+
+    @staticmethod
+    def _library_report(name):
+        sets = parse_document(TestReportPath.PAIR).sets
+        circle = parse_document(TestReportPath.CIRCLE).sets[0]
+        return {
+            "main": lambda: verify_mod.verify_theorem_report(sets, [0.05, 0.1]),
+            "c1": lambda: verify_mod.verify_corollary_c1(circle, 20, [0.1]),
+            "cantor": lambda: verify_mod.verify_example_cantor(3, [0.05, 0.1, 0.05]),
+            "hl": lambda: verify_mod.verify_hl_suite(5, 2),
+            "claim": lambda: verify_mod.verify_lattice_claim(sets, 1, [0.05, 0.1]),
+        }[name]()
+
+    @pytest.mark.parametrize("name", ["main", "c1", "cantor", "hl", "claim"])
+    def test_report_matches_the_library_scenario(self, tmp_path, capsys, name):
+        _write_doc(tmp_path, "pair.json", self.PAIR)
+        _write_doc(tmp_path, "circle.json", self.CIRCLE)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in self.ARGV[name]]
+        code, out, _ = _run(capsys, "verify", *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == self.KEYS
+        rep = self._library_report(name)
+        want = json.loads(json.dumps(cli_mod._jsonable(rep.payload())))
+        assert report["checks"] == want["checks"]
+        assert report["evidence"] == want["evidence"]
+        # Where a sweep ran, the echo lists the resolutions it ran.
+        swept = [h for h, _ in rep.sums]
+        if name != "hl":
+            assert report["inputs"]["resolutions"] == swept == sorted(set(swept), reverse=True)
+        if name == "main":
+            assert swept == [e["h"] for e in report["evidence"]["resolutions"]]
+        if name == "claim":
+            assert swept == [e["h"] for e in report["evidence"]["per_resolution"]]
+        if name in ("c1", "cantor", "hl"):
+            assert report["evidence"] == {}
+        # The document, when there is one, is echoed with the other inputs.
+        echoed = {k: v for k, v in report["inputs"].items() if k != "document"}
+        assert echoed == want["inputs"]
+
+
 class TestDeterminism:
     @staticmethod
     def _strip_clock(text):
@@ -659,12 +737,10 @@ class TestTopLevel:
         assert "usage" in err.lower()
 
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
-        import continuum_sums.cli as cli_mod
-
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.82 TiB")
 
-        monkeypatch.setattr(cli_mod, "verify_theorem_main", exhausted)
+        monkeypatch.setattr(verify_mod, "verify_theorem_main", exhausted)
         doc = _write_doc(tmp_path, "square.json", FULL_SQUARE)
         code, _, err = _run(capsys, "verify", "main", doc, "--h", "0.5")
         assert code == 2

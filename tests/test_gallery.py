@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from continuum_sums.affine import is_nowhere_flat, nonflat_certificate
+from continuum_sums.grid import SampledSet
 from continuum_sums.gallery import (
-    Generated,
     GeneratorSpec,
     cantor_graph,
     cantor_set,
@@ -287,8 +287,6 @@ def test_graph_self_sum_heights_are_not_dyadic():
 
 
 def test_dyadic_lines_check_empty_passes_vacuously():
-    from continuum_sums.grid import SampledSet
-
     empty = SampledSet(points=np.empty((0, 2)), density=0.0)
     assert dyadic_lines_check(empty, 6) == (True, 0)
 
@@ -321,9 +319,9 @@ def test_generate_dispatch_and_determinism():
     spec = GeneratorSpec(kind="circle", parameters={"radius": 2.0}, sample_budget=90)
     first = generate(spec)
     second = generate(spec)
-    assert isinstance(first, Generated)
-    assert np.array_equal(first.samples.points, second.samples.points)
-    assert first.detail["count"] == 90
+    assert isinstance(first, SampledSet)
+    assert np.array_equal(first.points, second.points)
+    assert first.count == 90
 
 
 def test_generate_rejects_bad_specs():
@@ -345,4 +343,4 @@ def test_generate_cantor_graph_reports_level():
     out = generate(
         GeneratorSpec(kind="cantor_graph", parameters={"depth": 3}, sample_budget=640)
     )
-    assert out.detail["effective_level"] == 7
+    assert round(-math.log2(out.density)) == 7

@@ -1477,6 +1477,16 @@ def test_auto_geometry_covers_points_with_padding():
     assert np.allclose(geom.origin, (0.05 - 0.2, -0.3 - 0.2))
 
 
+@pytest.mark.parametrize("far", [1e200, 1e307])
+def test_auto_geometry_refuses_an_extent_past_int64(far):
+    pts = np.array([[0.0, 0.0], [1.0, far]])
+    with pytest.raises(ValueError, match="grid axis 1 needs .* cells at h=0.001"):
+        auto_geometry(pts, h=0.001)
+    # An extent that fits an int64 is still accepted.
+    span = float(2**62)
+    assert auto_geometry(np.array([[0.0], [span]]), h=1.0).extents == (2**62 + 1,)
+
+
 def test_sampled_set_linear_image_scales_density():
     s = SampledSet(np.array([[1.0, 0.0]]), density=0.1)
     mat = np.array([[2.0, 1.0], [0.0, 1.0]])
