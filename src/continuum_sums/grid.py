@@ -1106,28 +1106,28 @@ def _face_structure(dim: int) -> NDArray[np.bool_]:
     return structure
 
 
-def component_counts(grids: Sequence[GridSet]) -> list[int]:
-    """Number of face-connected components of the occupied cells of each grid.
+def component_counts(occupancies: Sequence[NDArray[np.bool_]]) -> list[int]:
+    """Number of face-connected components of the occupied cells of each occupancy array.
 
-    A grid alone in its dimension is labeled as it is.  The grids of one
+    An array alone in its dimension is labeled as it is.  The arrays of one
     dimension are labeled together on one canvas that stacks them along
-    axis 0, each followed by an empty row, so no face joins two grids; each
-    component is counted for the grid that holds its first row.  A grid
+    axis 0, each followed by an empty row, so no face joins two arrays; each
+    component is counted for the array that holds its first row.  An array
     goes onto the canvas with its axes ordered longest first (a transpose
     keeps its components), which keeps the canvas narrow.
     """
-    counts = [0] * len(grids)
+    counts = [0] * len(occupancies)
     by_dim: dict[int, list[int]] = {}
-    for i, g in enumerate(grids):
-        by_dim.setdefault(g.dim, []).append(i)
+    for i, o in enumerate(occupancies):
+        by_dim.setdefault(o.ndim, []).append(i)
     for dim, members in by_dim.items():
         structure = _face_structure(dim)
         if len(members) == 1:
-            counts[members[0]] = int(_ndimage.label(grids[members[0]].occupancy, structure)[1])
+            counts[members[0]] = int(_ndimage.label(occupancies[members[0]], structure)[1])
             continue
         tiles = [
-            grids[i].occupancy.transpose(
-                sorted(range(dim), key=grids[i].geometry.extents.__getitem__, reverse=True)
+            occupancies[i].transpose(
+                sorted(range(dim), key=occupancies[i].shape.__getitem__, reverse=True)
             )
             for i in members
         ]
@@ -1145,7 +1145,7 @@ def component_counts(grids: Sequence[GridSet]) -> list[int]:
 
 def component_count(a: GridSet) -> int:
     """Number of face-connected components of the occupied cells."""
-    return component_counts([a])[0]
+    return component_counts([a.occupancy])[0]
 
 
 def is_grid_continuum(a: GridSet) -> bool:

@@ -18,7 +18,6 @@ from numpy.typing import NDArray
 
 from .grid import (
     CubeOutsideGridError,
-    GridGeometry,
     GridSet,
     PackedMask,
     SampledSet,
@@ -300,26 +299,30 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
 class SeparatorInstance:
     """Band separators on a product of grid continua.
 
-    ``factor_cells[j]`` is factor j's occupied cells in C order, exactly
-    ``np.argwhere`` of its occupancy.  For axis k, the separator S_k collects
-    the product cells whose potential sum lies within ``band_radius[k]`` of
-    ``band_center[k]``, the summand for factor j being ``potentials[k][j]``
-    at its cell.  Faces index factor k's cell list as numpy reads them; a
-    product cell is in F_k^- when ``faces_neg[k]`` picks its k-th factor cell.
+    ``factors[j]`` is factor j's boolean occupancy array, and
+    :attr:`factor_cells` derives its occupied cells in C order.  For axis k,
+    the separator S_k collects the product cells whose potential sum lies
+    within ``band_radius[k]`` of ``band_center[k]``, the summand for factor
+    j being ``potentials[k][j]`` at its cell.  Faces index factor k's cells
+    as numpy reads them; a product cell is in F_k^- when ``faces_neg[k]``
+    picks its k-th factor cell.
     """
 
-    factors: tuple[GridSet, ...]
-    factor_cells: tuple[NDArray[np.int64], ...]
+    factors: tuple[NDArray[np.bool_], ...]
     potentials: tuple[tuple[NDArray[np.float64], ...], ...]
     band_center: NDArray[np.float64]
     band_radius: NDArray[np.float64]
     faces_neg: tuple[NDArray[np.int64], ...]
     faces_pos: tuple[NDArray[np.int64], ...]
-    target: NDArray[np.float64] | None = None
 
     @property
     def n(self) -> int:
         return len(self.factors)
+
+    @property
+    def factor_cells(self) -> tuple[NDArray[np.int64], ...]:
+        """Each factor's occupied cells in C order: ``np.argwhere`` of its occupancy."""
+        return tuple(np.argwhere(f) for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -393,66 +396,20 @@ def _integral_entries(values: NDArray[np.float64]) -> NDArray[np.bool_]:
     return close | (values == rounded)
 
 
-def _listed_cells(instance: SeparatorInstance, components: list[int]) -> list[NDArray[np.int64]]:
-    """The factor cell lists as int64 arrays, after the checks of each factor's structure.
+def _checked_cells(instance: SeparatorInstance, components: list[int]) -> list[NDArray[np.int64]]:
+    """Each factor's occupied cells in C order, after the checks of each factor's structure.
 
-    In factor order: one face component, a cell list of one row per
-    occupied cell (an integer array of the factor's dimension), and one
-    potential per cell on every axis.
+    In factor order: one face component, and one potential per occupied
+    cell on every axis.
     """
-    cells = []
-    for j, factor in enumerate(instance.factors):
+    cells = list(instance.factor_cells)
+    for j, c in enumerate(cells):
         if components[j] != 1:
             raise ValueError(f"factor {j} is not a connected grid continuum")
-        listed = np.asarray(instance.factor_cells[j])
-        if (
-            len(instance.factor_cells[j]) != factor.occupied_count
-            or listed.ndim != 2
-            or listed.shape[1] != factor.dim
-            or listed.dtype.kind not in "iu"
-        ):
-            raise ValueError(f"factor {j} cell list does not match its occupancy")
         for k in range(instance.n):
-            if len(instance.potentials[k][j]) != len(instance.factor_cells[j]):
+            if len(instance.potentials[k][j]) != len(c):
                 raise ValueError(f"axis {k}: factor {j} potentials do not match its cell list")
-        cells.append(listed.astype(np.int64, copy=False))
     return cells
-
-
-def _unmatched_factors(
-    instances: Sequence[SeparatorInstance], cells: dict[int, list[NDArray[np.int64]]]
-) -> dict[int, int]:
-    """The first factor of each instance whose cell list is not ``np.argwhere(occupancy)``.
-
-    The lengths are checked (:func:`_listed_cells`), so a list matches when its
-    cells lie in the grid and their flat keys, into the occupancies of one
-    dimension laid end to end, are the occupied cells' positions row for row.
-    """
-    unmatched: dict[int, int] = {}
-    by_dim: dict[int, list[tuple[int, int]]] = {}
-    for i, lists in cells.items():
-        for j, listed in enumerate(lists):
-            by_dim.setdefault(listed.shape[1], []).append((i, j))
-    for slots in by_dim.values():
-        factors = [instances[i].factors[j] for i, j in slots]
-        sizes = [len(cells[i][j]) for i, j in slots]
-        starts = np.cumsum(sizes) - sizes
-        extents = np.array([f.geometry.extents for f in factors], dtype=np.int64)
-        joined = np.concatenate([cells[i][j] for i, j in slots])
-        inside = (np.minimum.reduceat(joined, starts) >= 0) & (
-            np.maximum.reduceat(joined, starts) < extents
-        )
-        keys = joined[:, 0]
-        for a in range(1, joined.shape[1]):
-            keys = keys * np.repeat(extents[:, a], sizes) + joined[:, a]
-        boxes = extents.prod(axis=1)
-        keys = keys + np.repeat(np.cumsum(boxes) - boxes, sizes)
-        occupied = np.flatnonzero(np.concatenate([f.occupancy.ravel() for f in factors]))
-        matched = inside.all(axis=1) & np.logical_and.reduceat(keys == occupied, starts)
-        for (i, j), ok in zip(slots, matched.tolist()):
-            if not ok:
-                unmatched[i] = min(j, unmatched.get(i, j))
-    return unmatched
 
 
 def _band_report(
@@ -515,10 +472,10 @@ def _band_report(
 def _band_checks(
     instances: Sequence[SeparatorInstance], cells: dict[int, list[NDArray[np.int64]]]
 ) -> dict[int, SeparatorValidation | Exception]:
-    """The band checks of the instances whose cells passed, with every array reduction grouped.
+    """The band checks of the instances whose factors passed, with every array reduction grouped.
 
-    Each cell list is its factor's occupied cells in C order (checked
-    before).  Factors are laid end to end, grouped by dimension, and their
+    ``cells[i]`` holds instance i's factor cells, ``np.argwhere`` of each
+    occupancy.  Factors are laid end to end, grouped by dimension, and their
     axis-k potentials form row k of one array (zeros past an instance's n).
     Steps come from one ``maximum.at`` over the adjacent pairs of each
     dimension, and integrality and the potential extremes from ``reduceat``
@@ -582,8 +539,7 @@ def _validations(
     The checks run in the order of a single validation, and an instance's
     outcome never depends on the others: every factor's face components are
     counted in one :func:`~continuum_sums.grid.component_counts` call, then
-    each instance's factor structure is checked, then each cell list must be
-    its factor's occupied cells in C order, then :func:`_band_checks`
+    each instance's factor structure is checked, then :func:`_band_checks`
     groups the band checks.
     """
     outcomes: list[SeparatorValidation | Exception | None] = [None] * len(instances)
@@ -600,12 +556,9 @@ def _validations(
     for i in live:
         counts = [next(components) for _ in instances[i].factors]
         try:
-            cells[i] = _listed_cells(instances[i], counts)
+            cells[i] = _checked_cells(instances[i], counts)
         except Exception as exc:  # this instance's outcome, raised by its caller
             outcomes[i] = exc
-    for i, j in _unmatched_factors(instances, cells).items():
-        outcomes[i] = ValueError(f"factor {j} cell list does not match its occupancy")
-        del cells[i]
     for i, outcome in _band_checks(instances, cells).items():
         outcomes[i] = outcome
     return outcomes  # type: ignore[return-value]
@@ -614,13 +567,12 @@ def _validations(
 def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
     """Check the band-jump preconditions; raise on an invalid instance.
 
-    In order: 1..3 factors; factor by factor, one face component, one
-    listed cell per occupied cell and one potential per cell on every
-    axis; each cell list exactly its factor's occupied cells in C order,
-    the first factor that fails named; then axis by axis, a product step
-    (every factor one chessboard step, the largest potential change over
-    adjacent listed cells) cannot leap the band, both faces are non-empty,
-    and the faces, read as numpy indexing reads them, straddle the band.
+    In order: 1..3 factors; factor by factor, one face component and one
+    potential per occupied cell on every axis; then axis by axis, a
+    product step (every factor one chessboard step, the largest potential
+    change over adjacent occupied cells) cannot leap the band, both faces
+    are non-empty, and the faces, read as numpy indexing reads them,
+    straddle the band.
     The one-instance call of the grouped validation that
     :func:`random_separator_instances` runs over a whole batch.
     """
@@ -633,13 +585,10 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
 def _band_masks(instance: SeparatorInstance, k: int) -> NDArray[np.bool_]:
     """Boolean product-array of S_k over factor cell indices."""
     n = instance.n
-    counts = [len(c) for c in instance.factor_cells]
-    total = instance.potentials[k][0].reshape(
-        counts[0], *([1] * (n - 1))
-    ).astype(np.float64)
+    total = instance.potentials[k][0].reshape(-1, *([1] * (n - 1))).astype(np.float64)
     for j in range(1, n):
         shape = [1] * n
-        shape[j] = counts[j]
+        shape[j] = -1
         total = total + instance.potentials[k][j].reshape(shape)
     return np.abs(total - instance.band_center[k]) <= instance.band_radius[k] + 1e-12
 
@@ -652,12 +601,13 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     never entering separator cells.
     """
     n = instance.n
-    counts = [len(c) for c in instance.factor_cells]
+    factor_cells = instance.factor_cells
+    counts = [len(c) for c in factor_cells]
     adjacency = []
-    for count, cells in zip(counts, instance.factor_cells):
+    for count, cells in zip(counts, factor_cells):
         matrix = np.eye(count, dtype=np.float32)
         if count:
-            first, second = _adjacent_pairs(np.asarray(cells, dtype=np.int64), np.zeros(1, np.intp))
+            first, second = _adjacent_pairs(cells, np.zeros(1, np.intp))
             matrix[first, second] = matrix[second, first] = 1.0
         adjacency.append(matrix)
     blocked = _band_masks(instance, axis)
@@ -739,8 +689,8 @@ def build_sum_separators(
 ) -> SeparatorInstance:
     """Separator bands for a target the rasterized sum fails to reach.
 
-    Factor j is the raster of K_j + Z_j; the axis-k potential of a factor
-    cell is its center's k-th coordinate, so the band around y_k collects
+    Factor j is the occupancy of the OUTER raster of K_j + Z_j; the axis-k
+    potential of a factor cell is its center's k-th coordinate, so the band around y_k collects
     the product cells whose summed image straddles the hyperplane pr_k = y_k
     (half-width n*h/2: a sum of n cells spans a cube of side n*h).  Faces
     come from the extreme lattice copies K_j -l*e_j and K_j +l*e_j.
@@ -758,7 +708,6 @@ def build_sum_separators(
     ):
         raise ValueError(f"target {tuple(float(v) for v in y)} lies inside the rasterized sum")
     factors = []
-    factor_cells = []
     faces_neg = []
     faces_pos = []
     centers = []
@@ -769,8 +718,7 @@ def build_sum_separators(
             factor_samples, auto_geometry(factor_samples.points, h), Semantics.OUTER
         )
         cells = raster.occupied_indices()
-        factors.append(raster)
-        factor_cells.append(cells)
+        factors.append(raster.occupancy)
         lo_copy = k.points + construction.lattice_axis[j][0]
         hi_copy = k.points + construction.lattice_axis[j][-1]
         faces_neg.append(_face_indices(cells, _cells_of_points(raster, lo_copy)))
@@ -782,13 +730,11 @@ def build_sum_separators(
     )
     return SeparatorInstance(
         factors=tuple(factors),
-        factor_cells=tuple(factor_cells),
         potentials=potentials,
         band_center=y.copy(),
         band_radius=np.full(n, n * h / 2),
         faces_neg=tuple(faces_neg),
         faces_pos=tuple(faces_pos),
-        target=y.copy(),
     )
 
 
@@ -864,9 +810,9 @@ def _built_instances(
 ) -> list[SeparatorInstance]:
     """The candidates of one dimension as instances, their arrays made together.
 
-    Every factor's cells, potentials and face lists are slices of arrays
-    made for the whole batch, and its occupancy is a view of its own
-    stretch of one flat buffer.
+    Every factor's potentials and face lists are slices of arrays made for
+    the whole batch, and its occupancy is a view of its own stretch of one
+    flat buffer.
     """
     walks = [w for ws, _ in candidates for w in ws]
     sizes = np.array([len(w[0][0]) for w in walks])
@@ -875,7 +821,7 @@ def _built_instances(
     factor_rows = np.repeat(np.arange(len(walks)), sizes)
     coords = np.array([[v for w in walks for v in w[0][a]] for a in range(n)], dtype=np.int64)
     coords -= np.array([w[1] for w in walks], dtype=np.int64).T[:, factor_rows]
-    cells = coords.T.copy()
+    cells = coords.T
     potentials = coords.astype(np.float64)
     extents = np.array([w[2] for w in walks], dtype=np.int64)
     strides = np.ones_like(extents)
@@ -899,19 +845,9 @@ def _built_instances(
     instances = []
     for c, (_, centers) in enumerate(candidates):
         fs = range(c * n, (c + 1) * n)
-        factors = tuple(
-            GridSet(
-                geometry=GridGeometry(origin=(0.0,) * n, spacing=1.0, extents=tuple(walks[f][2])),
-                occupancy=buffer[slice(*box_spans[f])].reshape(walks[f][2]),
-                semantics=Semantics.SAMPLE_COVER,
-                slack=0.5,
-            )
-            for f in fs
-        )
         instances.append(
             SeparatorInstance(
-                factors=factors,
-                factor_cells=tuple(cells[slice(*spans[f])] for f in fs),
+                factors=tuple(buffer[slice(*box_spans[f])].reshape(walks[f][2]) for f in fs),
                 potentials=tuple(
                     tuple(potentials[k, slice(*spans[f])] for f in fs) for k in range(n)
                 ),
@@ -927,8 +863,9 @@ def _built_instances(
 def random_separator_instances(specs: Sequence[tuple[int, int]]) -> list[SeparatorInstance]:
     """One random valid band-separator instance per ``(n, seed)`` spec, in order.
 
-    Factor j is a random-walk grid continuum stretched along axis j; the
-    axis-k potentials are plain cell coordinates (integral and 1-Lipschitz
+    Factor j is a random-walk grid continuum stretched along axis j, held
+    as the occupancy of its bounding box; the axis-k potentials are plain
+    cell coordinates (integral and 1-Lipschitz
     under chessboard steps), the band sits at an integer level inside the
     verified face gap with half-width 1, and faces are the coordinate
     extremes of the stretched factor.
@@ -947,7 +884,7 @@ def random_separator_instances(specs: Sequence[tuple[int, int]]) -> list[Separat
     grouped over the batch), and a failure raises RuntimeError naming its
     spec, chained from the validation error.  So callers can go straight to
     :func:`bands_share_cell`.  The instances of one call share array
-    buffers.
+    buffers (see :func:`_built_instances`).
     """
     for n, _ in specs:
         if not 1 <= n <= _MAX_SEPARATOR_DIM:

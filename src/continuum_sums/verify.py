@@ -10,6 +10,7 @@ evidence that sharpens as the grid refines.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -33,7 +34,6 @@ from .gallery import (
 )
 from .grid import (
     GridGeometry,
-    GridSet,
     PackedMask,
     SampledSet,
     Semantics,
@@ -609,13 +609,14 @@ def verify_example_cantor(
 
 
 def _instance_label(n: int, seed: int, instance: SeparatorInstance) -> str:
-    counts = "x".join(str(len(c)) for c in instance.factor_cells)
+    counts = "x".join(str(np.count_nonzero(f)) for f in instance.factors)
     return (
         f"n={n} seed={seed} cells {counts} center {instance.band_center.tolist()} "
         f"radius {instance.band_radius.tolist()}"
     )
 
 
+@functools.cache
 def _axis_band_cube_check() -> tuple[bool, str]:
     """Bands on coordinate potentials over a full 7x7 square product.
 
@@ -623,17 +624,12 @@ def _axis_band_cube_check() -> tuple[bool, str]:
     of two coordinate slabs, a central block.  Checked: the bands share a
     product cell (:func:`hl_discrete_check`), and each band separates its
     faces (:func:`separation_by_search` on both axes).  The block's cell
-    count is computed only to name it in the detail.
+    count is computed only to name it in the detail.  The check reads no
+    input, so it runs once per process.
     """
     extent = 7
     occupancy = np.ones((extent, extent), dtype=bool)
-    grid = GridSet(
-        geometry=GridGeometry(origin=(0.0, 0.0), spacing=1.0, extents=(extent, extent)),
-        occupancy=occupancy,
-        semantics=Semantics.SAMPLE_COVER,
-        slack=0.5,
-    )
-    cells = np.argwhere(occupancy).astype(np.int64)
+    cells = np.argwhere(occupancy)
     mid = (extent - 1) / 2.0
     potentials = tuple(
         tuple(
@@ -643,17 +639,12 @@ def _axis_band_cube_check() -> tuple[bool, str]:
         for k in range(2)
     )
     instance = SeparatorInstance(
-        factors=(grid, grid),
-        factor_cells=(cells, cells),
+        factors=(occupancy, occupancy),
         potentials=potentials,
         band_center=np.array([mid, mid]),
         band_radius=np.ones(2),
-        faces_neg=tuple(
-            np.flatnonzero(cells[:, k] == 0).astype(np.int64) for k in range(2)
-        ),
-        faces_pos=tuple(
-            np.flatnonzero(cells[:, k] == extent - 1).astype(np.int64) for k in range(2)
-        ),
+        faces_neg=tuple(np.flatnonzero(cells[:, k] == 0) for k in range(2)),
+        faces_pos=tuple(np.flatnonzero(cells[:, k] == extent - 1) for k in range(2)),
     )
     ok = hl_discrete_check(instance)
     ok = ok and all(separation_by_search(instance, axis) for axis in range(2))
@@ -667,7 +658,9 @@ def _axis_band_cube_check() -> tuple[bool, str]:
     return ok, detail
 
 
+@functools.cache
 def _claim_instance_check() -> tuple[bool, str]:
+    """The cube's checks on the bands :func:`build_sum_separators` makes; run once per process."""
     sets = [segment((0.0, 0.0), (1.0, 0.0), 3), segment((0.0, 0.0), (0.0, 1.0), 3)]
     construction = shift_construction(sets, s=1)
     instance = build_sum_separators(construction, sets, target=(0.375, 0.375), h=0.25)
@@ -690,7 +683,8 @@ def verify_hl_suite(trials: int, seed: int = 0) -> VerificationReport:
     as a fatal inconsistency.  The random instances are drawn as one batch
     by :func:`random_separator_instances`, which validates them together,
     and are then only scanned with :func:`bands_share_cell`; each
-    constructed one is validated by :func:`hl_discrete_check`.  So each
+    constructed one is validated by :func:`hl_discrete_check`, and their
+    two checks read no input, so they run once per process.  So each
     instance is validated once before its verdict.  The trials are drawn
     in blocks of ``_SUITE_BLOCK``, so the suite holds one block of random
     instances at a time.

@@ -1,5 +1,7 @@
 """Pipeline tests: interior sweeps, equivalence checks, example scenarios."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -593,7 +595,10 @@ class TestSeparatorSuite:
 
     def test_each_instance_is_validated_once(self, monkeypatch):
         # Every validation, batched or single, runs through the grouped
-        # validator; record each instance it sees.
+        # validator; record each instance it sees.  The constructed checks
+        # run once per process, so their cached verdicts are dropped first.
+        verify_mod._axis_band_cube_check.cache_clear()
+        verify_mod._claim_instance_check.cache_clear()
         validated = []
         real_validations = sums_mod._validations
 
@@ -626,3 +631,38 @@ class TestSeparatorSuite:
         for instance in generated + checked:
             assert sum(v is instance for v in validated) == 1
         assert len(validated) == 22
+        # A second suite in the same process reuses both constructed verdicts.
+        assert verify_hl_suite(trials=1, seed=4).passed
+        assert len(checked) == 2
+
+    def test_pinned_reports_and_derived_factor_cells(self, monkeypatch):
+        # SHA-256 of each payload less ``elapsed_seconds``, dumped with sorted
+        # keys, as taken while factors still carried a separate cell list.
+        pinned = {
+            0: "b9b662a2c600fa83fc4ea15effabdf09939c615ed9143e627e09d7f1498c69ff",
+            5000: "8baf445f45e748fff2cd434dd91d53cad5eb9c76014166cd23b80f0f44fb00a4",
+        }
+        for seed, digest in pinned.items():
+            payload = verify_hl_suite(1000, seed).payload()
+            del payload["elapsed_seconds"]
+            text = json.dumps(payload, sort_keys=True).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, seed
+        # The two constructed instances, as the suite hands them to hl_discrete_check.
+        constructed = []
+        real_check = verify_mod.hl_discrete_check
+
+        def check(instance):
+            constructed.append(instance)
+            return real_check(instance)
+
+        verify_mod._axis_band_cube_check.cache_clear()
+        verify_mod._claim_instance_check.cache_clear()
+        monkeypatch.setattr(verify_mod, "hl_discrete_check", check)
+        verify_hl_suite(trials=1)
+        assert len(constructed) == 2
+        specs = [(n, seed) for n in (1, 2, 3) for seed in range(20)]
+        for instance in sums_mod.random_separator_instances(specs) + constructed:
+            for factor, cells in zip(instance.factors, instance.factor_cells, strict=True):
+                assert factor.dtype == bool
+                assert cells.dtype == np.int64
+                assert np.array_equal(cells, np.argwhere(factor))
