@@ -16,6 +16,7 @@ numbers (an infinite density margin) serialize as null.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -408,9 +409,7 @@ def _cmd_bitmap(args: argparse.Namespace) -> int:
         raise InputError(f"--h must be positive, got {h}")
     slice_spec = tuple(args.slice) if args.slice is not None else None
     geometries = [auto_geometry(k.points, h) for k in doc.sets]
-    # Each axis of a sum of n grids spans the extents' total less n - 1 cells.
-    shape = tuple(sum(e) - (len(geometries) - 1) for e in zip(*(g.extents for g in geometries)))
-    _check_plane(shape, slice_spec)
+    _check_plane(functools.reduce(lambda a, b: a.summed(b), geometries).extents, slice_spec)
     _, cells = packed_minkowski_sum([rasterize(k, g) for k, g in zip(doc.sets, geometries)])
     text = render_pbm(_bitmap_plane(cells, slice_spec))
     if args.out:

@@ -22,6 +22,7 @@ from scipy import ndimage as _ndimage
 
 Point = tuple[float, ...]
 _T = TypeVar("_T")
+_U = TypeVar("_U")
 
 # Product of occupied-cell counts must stay below 2**52 so every convolution
 # coefficient is an exact float64 integer with slack for FFT roundoff.
@@ -115,6 +116,36 @@ class GridGeometry:
     def contains_point(self, p: Sequence[float]) -> bool:
         return all(o <= x <= u for o, x, u in zip(self.origin, p, self.upper))
 
+    def cells_of(self, points: NDArray[np.float64]) -> NDArray[np.int64]:
+        """Index of the cell holding each point of the box: the floor of its
+        offset in cells, and a point on the upper face in the last (closed) cell."""
+        idx = np.floor((points - np.asarray(self.origin)) / self.spacing).astype(np.int64)
+        np.minimum(idx, np.asarray(self.extents) - 1, out=idx)
+        return idx
+
+    def padded(self, cells: int) -> "GridGeometry":
+        """This grid inside ``cells`` more cells on every side."""
+        return GridGeometry(
+            origin=tuple(o - cells * self.spacing for o in self.origin),
+            spacing=self.spacing,
+            extents=tuple(m + 2 * cells for m in self.extents),
+        )
+
+    def summed(self, other: "GridGeometry") -> "GridGeometry":
+        """The grid of a sum of grids over ``self`` and ``other``: index sums
+        add origins, and each axis spans both extents less one cell."""
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch {self.dim} != {other.dim}")
+        if self.spacing != other.spacing:
+            raise ValueError(
+                f"grids must share spacing exactly, got {self.spacing} and {other.spacing}"
+            )
+        return GridGeometry(
+            origin=tuple(x + y for x, y in zip(self.origin, other.origin)),
+            spacing=self.spacing,
+            extents=tuple(p + q - 1 for p, q in zip(self.extents, other.extents)),
+        )
+
 
 def auto_geometry(points: NDArray[np.float64], h: float, pad_cells: int = 0) -> GridGeometry:
     """Smallest grid at spacing ``h`` whose box covers ``points``, plus padding;
@@ -124,17 +155,17 @@ def auto_geometry(points: NDArray[np.float64], h: float, pad_cells: int = 0) -> 
         raise ValueError("points must be a non-empty (m, n) array")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    origin = tuple(float(x - pad_cells * h) for x in lo)
     extents = []
     for axis, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
         span = (b - a) / h
-        cells = math.floor(span) + 1 + 2 * pad_cells if math.isfinite(span) else math.inf
-        if cells > np.iinfo(np.int64).max:
+        cells = math.floor(span) + 1 if math.isfinite(span) else math.inf
+        if cells + 2 * pad_cells > np.iinfo(np.int64).max:
             raise ValueError(
-                f"grid axis {axis} needs {cells:.3g} cells at h={h:g}, more than int64 holds"
+                f"grid axis {axis} needs {cells + 2 * pad_cells:.3g} cells at h={h:g}, "
+                "more than int64 holds"
             )
         extents.append(cells)
-    return GridGeometry(origin=origin, spacing=float(h), extents=tuple(extents))
+    return GridGeometry(tuple(lo.tolist()), float(h), tuple(extents)).padded(pad_cells)
 
 
 @dataclass(frozen=True)
@@ -251,25 +282,15 @@ def rasterize(
         bad = tuple(float(x) for x in pts[np.argmin(inside)])
         raise ValueError(f"sample {bad} lies outside the grid box {geometry.origin}..{geometry.upper}")
 
-    h = geometry.spacing
-    idx = np.floor((pts - origin) / h).astype(np.int64)
-    # A sample exactly on the upper face belongs to the last (closed) cell.
-    np.minimum(idx, np.asarray(geometry.extents) - 1, out=idx)
-
     occ = np.zeros(geometry.extents, dtype=bool)
-    occ[tuple(idx.T)] = True
+    occ[tuple(geometry.cells_of(pts).T)] = True
 
     if semantics is Semantics.SAMPLE_COVER:
         return GridSet(geometry, occ, Semantics.SAMPLE_COVER, slack=samples.density)
 
-    grow = int(math.ceil(samples.density / h))
-    fat = PackedMask.pack(occ).padded(grow)._dilate_spent(grow).unpack()
-    out_geom = GridGeometry(
-        origin=tuple(o - grow * h for o in geometry.origin),
-        spacing=h,
-        extents=tuple(m + 2 * grow for m in geometry.extents),
-    )
-    return GridSet(out_geom, fat, Semantics.OUTER, slack=samples.density)
+    grow = int(math.ceil(samples.density / geometry.spacing))
+    fat = PackedMask.pack(occ).padded(grow).dilate_in_place(grow).unpack()
+    return GridSet(geometry.padded(grow), fat, Semantics.OUTER, slack=samples.density)
 
 
 class PackedMask:
@@ -375,9 +396,9 @@ class PackedMask:
 
     def dilate(self, r: int) -> "PackedMask":
         """Box dilation by radius ``r`` cells (log-step shifted ORs), in a copy."""
-        return PackedMask(np.array(self.bits), self.shape)._dilate_spent(r)
+        return PackedMask(np.array(self.bits), self.shape).dilate_in_place(r)
 
-    def _dilate_spent(self, r: int) -> "PackedMask":
+    def dilate_in_place(self, r: int) -> "PackedMask":
         """:meth:`dilate`, built in this mask's own array, which the mask gives up.
 
         An array of at most one slab is folded along every axis in one
@@ -708,18 +729,6 @@ def _combined_semantics(semantics: Semantics, slack: float, b: GridSet) -> tuple
     return semantics, slack + b.slack + b.spacing
 
 
-def _sum_geometry(a: GridGeometry, b: GridGeometry) -> GridGeometry:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
-    if a.spacing != b.spacing:
-        raise ValueError(f"grids must share spacing exactly, got {a.spacing} and {b.spacing}")
-    return GridGeometry(
-        origin=tuple(x + y for x, y in zip(a.origin, b.origin)),
-        spacing=a.spacing,
-        extents=tuple(p + q - 1 for p, q in zip(a.extents, b.extents)),
-    )
-
-
 def dilate_naive(a: GridSet, b: GridSet) -> GridSet:
     """Grid Minkowski sum by definition: occupied index sums, origins added.
 
@@ -727,7 +736,7 @@ def dilate_naive(a: GridSet, b: GridSet) -> GridSet:
     which is the direct reading of {i + j}: the exact reference for the FFT
     route.
     """
-    geom = _sum_geometry(a.geometry, b.geometry)
+    geom = a.geometry.summed(b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
     shifts, body = (a, b) if a.occupied_count <= b.occupied_count else (b, a)
     out = np.zeros(geom.extents, dtype=bool)
@@ -751,7 +760,7 @@ def dilate_fft(a: GridSet, b: GridSet) -> GridSet:
     occupied when it exceeds 0.5, which is exactly the rounding test
     ``rint(count) >= 1`` (``rint(0.5) == 0``).
     """
-    geom = _sum_geometry(a.geometry, b.geometry)
+    geom = a.geometry.summed(b.geometry)
     semantics, slack = _combined_semantics(a.semantics, a.slack, b)
     if (
         a.occupancy.size * b.occupancy.size >= _FFT_EXACT_LIMIT
@@ -835,13 +844,17 @@ def _run_pair_sums(runs: _Runs, other: _Runs) -> Iterator[_Runs]:
         yield starts, ends
 
 
-def _each_object(rasters: list[GridSet], make: Callable[[GridSet], _T]) -> dict[int, _T]:
-    """``make`` of each distinct raster object, keyed by its ``id``."""
-    made: dict[int, _T] = {}
-    for r in rasters:
-        if id(r) not in made:
-            made[id(r)] = make(r)
-    return made
+def each_once(items: Sequence[_T], make: Callable[[_T], _U]) -> list[_U]:
+    """``make`` of every item, called once per distinct object, in item order.
+
+    Repeated items get the one made object, so a fold can tell a sum of an
+    object with itself by identity.
+    """
+    made: dict[int, _U] = {}
+    for item in items:
+        if id(item) not in made:
+            made[id(item)] = make(item)
+    return [made[id(item)] for item in items]
 
 
 def _key_sum(
@@ -855,13 +868,13 @@ def _key_sum(
     scatters into a dense box.
     """
     # Operand indices lie below the output extents: C order gives ascending keys.
-    keyed = _each_object(rasters, lambda r: r.occupied_indices() @ weights)
-    keys = keyed[id(rasters[0])]
-    for r in rasters[1:-1]:
-        chunks = [_sorted_distinct(c) for c in _pair_sums(keys, keyed[id(r)])]
+    keyed = each_once(rasters, lambda r: r.occupied_indices() @ weights)
+    keys = keyed[0]
+    for other in keyed[1:-1]:
+        chunks = [_sorted_distinct(c) for c in _pair_sums(keys, other)]
         # No chunk means an empty operand, hence an empty sum.
         keys = _sorted_distinct(np.concatenate(chunks)) if chunks else keys[:0]
-    last = keyed[id(rasters[-1])]
+    last = keyed[-1]
     out_cells = math.prod(extents)
     if packed and out_cells > _PACKED_SINK_CELLS_PER_PAIR * len(keys) * len(last):
         # Key lead * width + col is cell col of C-order row lead, which is bit
@@ -998,7 +1011,7 @@ def _folded_frame(rasters: list[GridSet]) -> tuple[GridGeometry, Semantics, floa
     geom = rasters[0].geometry
     semantics, slack = rasters[0].semantics, rasters[0].slack
     for r in rasters[1:]:
-        geom = _sum_geometry(geom, r.geometry)
+        geom = geom.summed(r.geometry)
         semantics, slack = _combined_semantics(semantics, slack, r)
     return geom, semantics, slack
 
@@ -1017,13 +1030,12 @@ def _summed(
     weights = np.ones(geom.dim, dtype=np.int64)
     for i in range(geom.dim - 2, -1, -1):
         weights[i] = weights[i + 1] * geom.extents[i + 1]
-    counts = _each_object(rasters, lambda r: r.occupied_count)
-    if math.prod(counts[id(r)] for r in rasters) < out_cells:
+    if math.prod(each_once(rasters, lambda r: r.occupied_count)) < out_cells:
         return _key_sum(rasters, geom.extents, weights, packed)
     axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
-    runs = _each_object(rasters, lambda r: _runs(r.occupancy, weights, axis))
-    if math.prod(len(runs[id(r)][0]) for r in rasters) < out_cells:
-        return _run_sum([runs[id(r)] for r in rasters], geom.extents, weights, axis)
+    runs = each_once(rasters, lambda r: _runs(r.occupancy, weights, axis))
+    if math.prod(len(starts) for starts, _ in runs) < out_cells:
+        return _run_sum(runs, geom.extents, weights, axis)
     return functools.reduce(dilate_fft, rasters).occupancy
 
 

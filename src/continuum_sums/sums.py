@@ -295,7 +295,7 @@ def midpoint_iterate(t: GridSet, k: int) -> MidpointChain:
     return MidpointChain(steps=tuple(steps), interior_found_at=found)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparatorInstance:
     """Band separators on a product of grid continua.
 
@@ -305,7 +305,8 @@ class SeparatorInstance:
     within ``band_radius[k]`` of ``band_center[k]``, the summand for factor
     j being ``potentials[k][j]`` at its cell.  Faces index factor k's cells
     as numpy reads them; a product cell is in F_k^- when ``faces_neg[k]``
-    picks its k-th factor cell.
+    picks its k-th factor cell.  Instances hold arrays, so they compare and
+    hash by identity.
     """
 
     factors: tuple[NDArray[np.bool_], ...]
@@ -658,27 +659,13 @@ def hl_discrete_check(instance: SeparatorInstance) -> bool:
     return bands_share_cell(instance)
 
 
-def _cells_of_points(grid: GridSet, points: NDArray[np.float64]) -> NDArray[np.int64]:
-    geo = grid.geometry
-    idx = np.floor((points - np.asarray(geo.origin)) / geo.spacing).astype(np.int64)
-    idx = np.minimum(idx, np.asarray(geo.extents) - 1)
-    return idx
+def _face_indices(occupancy: NDArray[np.bool_], face_cells: NDArray[np.int64]) -> NDArray[np.int64]:
+    """Ascending positions of ``face_cells``, occupied cells each, in the C-ordered cell list.
 
-
-def _face_indices(
-    cells: NDArray[np.int64], face_cells: NDArray[np.int64]
-) -> NDArray[np.int64]:
-    """Ascending positions of face cells in the C-ordered cell list (its keys ascend)."""
-    n = cells.shape[1]
-    weights = np.ones(n, dtype=np.int64)
-    span = cells.max(axis=0) + 1
-    for i in range(n - 2, -1, -1):
-        weights[i] = weights[i + 1] * span[i + 1]
-    keys = cells @ weights
-    face_keys = np.unique(face_cells @ weights)
-    pos = np.searchsorted(keys, face_keys)
-    hits = pos < len(keys)
-    return pos[hits][keys[pos[hits]] == face_keys[hits]]
+    A cell's position is the running count of occupied cells up to it, less one.
+    """
+    flat = np.unique(np.ravel_multi_index(tuple(face_cells.T), occupancy.shape))
+    return np.cumsum(occupancy.ravel())[flat] - 1
 
 
 def build_sum_separators(
@@ -704,7 +691,7 @@ def build_sum_separators(
     total = shifted_sum_raster(construction, sets, h)
     if (
         total.geometry.contains_point(y)
-        and total.occupancy[tuple(_cells_of_points(total, y[None, :])[0])]
+        and total.occupancy[tuple(total.geometry.cells_of(y[None, :])[0])]
     ):
         raise ValueError(f"target {tuple(float(v) for v in y)} lies inside the rasterized sum")
     factors = []
@@ -721,8 +708,8 @@ def build_sum_separators(
         factors.append(raster.occupancy)
         lo_copy = k.points + construction.lattice_axis[j][0]
         hi_copy = k.points + construction.lattice_axis[j][-1]
-        faces_neg.append(_face_indices(cells, _cells_of_points(raster, lo_copy)))
-        faces_pos.append(_face_indices(cells, _cells_of_points(raster, hi_copy)))
+        faces_neg.append(_face_indices(raster.occupancy, raster.geometry.cells_of(lo_copy)))
+        faces_pos.append(_face_indices(raster.occupancy, raster.geometry.cells_of(hi_copy)))
         origin = np.asarray(raster.geometry.origin)
         centers.append(origin + (cells + 0.5) * h)
     potentials = tuple(

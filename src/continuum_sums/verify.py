@@ -14,7 +14,7 @@ import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,6 +40,7 @@ from .grid import (
     auto_geometry,
     cells_measure,
     covering_radius,
+    each_once,
     is_grid_continuum,
     packed_minkowski_sum,
     rasterize,
@@ -61,9 +62,6 @@ DEFAULT_RESOLUTIONS = (0.02, 0.01, 0.005)
 #: Version of the report schema, and of the set-description documents that
 #: the command line reads.
 SCHEMA_VERSION = 1
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 #: Patch radius for the staircase flatness probe: small enough to fit inside
 #: the central removed third, large enough for patches to hold real geometry
@@ -262,15 +260,6 @@ def _largest_cube(
     return tuple(float(c) for c in center), float(side), window
 
 
-def _each_once(items: Sequence[_T], make: Callable[[_T], _U]) -> list[_U]:
-    """``make`` of every item, called once per distinct object, in item order."""
-    made: dict[int, _U] = {}
-    for item in items:
-        if id(item) not in made:
-            made[id(item)] = make(item)
-    return [made[id(item)] for item in items]
-
-
 def verify_theorem_main(
     sets: Sequence[SampledSet], resolutions: Sequence[float] | None = None
 ) -> SumEvidence:
@@ -320,12 +309,12 @@ def verify_theorem_main(
         raise ValueError(f"need exactly {n} sets in dimension {n}, got {len(sets)}")
     # A set passed more than once stays one object through every stage, so
     # it is moved, rasterized and checked once.
-    translated = _each_once(sets, lambda k: k.translated(tuple(-float(c) for c in k.points[0])))
+    translated = each_once(sets, lambda k: k.translated(tuple(-float(c) for c in k.points[0])))
     union = np.concatenate([k.points for k in translated], axis=0)
     cert = nonflat_certificate(union)
     rotation = _certificate_rotation(cert)
     # x -> rotation.T @ x; density picks up the sup-norm operator factor.
-    normalized = _each_once(translated, lambda k: k.linear_image(rotation.T))
+    normalized = each_once(translated, lambda k: k.linear_image(rotation.T))
     finest = steps[-1]
     eps = max(k.density for k in normalized)
     if not math.isfinite(n * (eps + steps[0])):  # the coarsest h has the largest threshold
@@ -337,14 +326,14 @@ def verify_theorem_main(
             first = next(i for i, other in enumerate(normalized) if other is k)
             raise ValueError(f"set {first} is not grid-connected at h={finest}")
 
-    _each_once(normalized, check_connected)
+    each_once(normalized, check_connected)
     eps_sum = float(sum(k.density for k in normalized))
     vol_p = float(cert.det_abs) if cert.det_abs is not None else 0.0
     entries = []
     hint_side = None
     for h in steps:
         sum_geometry, cells = packed_minkowski_sum(
-            _each_once(normalized, lambda k: rasterize(k, auto_geometry(k.points, h)))
+            each_once(normalized, lambda k: rasterize(k, auto_geometry(k.points, h)))
         )
         threshold = n * (eps + h)
         limit = math.floor(threshold / h + 1e-9)
@@ -353,15 +342,11 @@ def verify_theorem_main(
         # holds every cell the outer measure or the cube search reads, plus one
         # ring so threshold-dense cells beyond the sample bounding box stay in play.
         pad = limit + 1
-        geometry = GridGeometry(
-            origin=tuple(o - pad * h for o in sum_geometry.origin),
-            spacing=h,
-            extents=tuple(m + 2 * pad for m in sum_geometry.extents),
-        )
+        geometry = sum_geometry.padded(pad)
         # The box dilations by grow and by limit are the cells within those
         # chessboard distances of the sum.  Each is built in the array of the
         # mask it grows, which gives the array up.
-        outer = cells.padded(pad)._dilate_spent(grow)
+        outer = cells.padded(pad).dilate_in_place(grow)
         measure = cells_measure(outer.count(), h, n)
         cube_center = None
         cube_side = None
@@ -371,7 +356,7 @@ def verify_theorem_main(
             # set grown by limit - grow, which is >= 0 because threshold =
             # n * (eps + h) >= eps_sum + n * h.  They reach the cube search
             # under no other name, so it frees them once it erodes past them.
-            found = _largest_cube(outer._dilate_spent(limit - grow), geometry, threshold, hint_side)
+            found = _largest_cube(outer.dilate_in_place(limit - grow), geometry, threshold, hint_side)
             hint_side = None
             if found is not None:
                 cube_center, found_side, window = found

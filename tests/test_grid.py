@@ -917,6 +917,102 @@ def test_rasterize_rejects_inner():
         rasterize(s, geom, Semantics.INNER)
 
 
+# --- the point-to-cell rule -------------------------------------------------------
+
+
+def oracle_cell(geometry: GridGeometry, point: list[float]) -> tuple[int, ...]:
+    """One point's cell, coordinate by coordinate: the floor of its offset in
+    cells, and the upper face in the last cell."""
+    return tuple(
+        min(math.floor((x - o) / geometry.spacing), m - 1)
+        for x, o, m in zip(point, geometry.origin, geometry.extents)
+    )
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_cells_of_matches_the_cells_rasterize_marks(seed):
+    # Random samples, samples on every cell face (interior and outer, exact
+    # for the dyadic spacings), the two corners, and negative origins.
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 3
+    h = (0.25, 0.1, 0.03)[seed // 3]
+    origin = np.round(rng.uniform(-3.0, 1.0, dim), 2)
+    extents = rng.integers(1, 9, dim)
+    geometry = GridGeometry(tuple(origin.tolist()), h, tuple(extents.tolist()))
+    upper = np.asarray(geometry.upper)
+    inside = origin + rng.uniform(0.0, 1.0, (40, dim)) * (upper - origin)
+    faces = origin + rng.integers(0, extents + 1, (40, dim)) * h
+    points = np.clip(np.concatenate([inside, faces, [origin, upper]]), origin, upper)
+    cells = geometry.cells_of(points)
+    assert cells.dtype == np.int64
+    assert [tuple(c) for c in cells.tolist()] == [oracle_cell(geometry, p) for p in points.tolist()]
+    assert cells[-1].tolist() == (extents - 1).tolist()
+    marked = rasterize(SampledSet(points, 0.0), geometry).occupancy
+    assert {tuple(c) for c in np.argwhere(marked).tolist()} == {tuple(c) for c in cells.tolist()}
+
+
+def test_cells_of_pinned_faces():
+    geometry = GridGeometry(origin=(-1.0,), spacing=0.25, extents=(4,))
+    points = np.array([[-1.0], [-0.75], [-0.6], [-0.5], [-0.25], [0.0]])
+    assert geometry.cells_of(points).ravel().tolist() == [0, 1, 1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("pad", [0, 1, 3, 17])
+@pytest.mark.parametrize("h", [0.3, 0.1, 0.02, 1.0])
+def test_padded_equals_auto_geometry_with_padding(pad, h):
+    points = np.random.default_rng(7).uniform(-2.3, 1.7, (30, 2))
+    got = auto_geometry(points, h).padded(pad)
+    assert got == auto_geometry(points, h, pad_cells=pad)
+    # The origin is the low corner less pad cells, float for float.
+    assert got.origin == tuple(float(x - pad * h) for x in points.min(axis=0))
+    spans = (points.max(axis=0) - points.min(axis=0)) / h
+    assert got.extents == tuple(math.floor(s) + 1 + 2 * pad for s in spans.tolist())
+
+
+def test_auto_geometry_counts_the_padding_against_int64():
+    # 2**63 - 4095 cells fit int64; 6,000 padding cells push the axis past it.
+    points = np.array([[0.0], [2.0**63 - 4096]])
+    assert auto_geometry(points, 1.0).extents == (2**63 - 4095,)
+    message = r"grid axis 0 needs 9\.22e\+18 cells at h=1, more than int64"
+    with pytest.raises(ValueError, match=message):
+        auto_geometry(points, 1.0, pad_cells=3000)
+
+
+@given(grid_pair())
+def test_summed_is_the_geometry_of_the_sum(pair):
+    # Full grids sum to a full box, so the sum's geometry holds no spare
+    # cell; its first lattice point is the sum of the first ones.
+    a, b = pair
+    full = [
+        GridSet(g.geometry, np.ones(g.geometry.extents, bool), Semantics.SAMPLE_COVER) for g in pair
+    ]
+    geometry = a.geometry.summed(b.geometry)
+    for total in (minkowski_sum([a, b]), minkowski_sum(full), dilate_naive(a, b)):
+        assert total.geometry == geometry
+    assert minkowski_sum(full).occupancy.all()
+    assert geometry.origin == tuple(x + y for x, y in zip(a.geometry.origin, b.geometry.origin))
+    # Each axis of a sum of n grids spans the extents' total less n - 1 cells.
+    three = minkowski_sum([a, b, a]).geometry
+    assert three == geometry.summed(a.geometry)
+    assert three.extents == tuple(
+        sum(e) - 2 for e in zip(a.geometry.extents, b.geometry.extents, a.geometry.extents)
+    )
+
+
+def test_each_once_makes_each_distinct_object_once_in_item_order():
+    a, b = SampledSet(np.zeros((1, 1)), 0.0), SampledSet(np.zeros((1, 1)), 0.0)
+    calls = []
+
+    def make(item):
+        calls.append(item)
+        return [len(calls)]
+
+    made = grid_mod.each_once([a, b, a, a], make)
+    assert made == [[1], [2], [1], [1]]
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    assert made[0] is made[2] is made[3] and made[0] is not made[1]
+
+
 # --- connectivity ----------------------------------------------------------------
 
 
@@ -1197,7 +1293,7 @@ def test_packed_morphology_across_slabs_matches_oracles(case, again, carry):
         mp.setattr(grid_mod, "_CARRY_BYTES", carry)
         packed = PackedMask.pack(mask)
         assert_mask_equals(packed, mask)
-        assert_mask_equals(PackedMask.pack(mask)._dilate_spent(r), oracle_box_dilate(mask, r))
+        assert_mask_equals(PackedMask.pack(mask).dilate_in_place(r), oracle_box_dilate(mask, r))
         assert_mask_equals(packed.dilate(r), oracle_box_dilate(mask, r))
         eroded = packed.erode(r)
         want = oracle_box_erode(mask, r)

@@ -82,6 +82,33 @@ def test_no_module_defines_a_private_name_it_never_uses():
     assert not offenders, offenders
 
 
+def test_no_module_reads_a_private_attribute_it_does_not_define():
+    # A private function, class, constant, method or instance attribute is
+    # read as an attribute only in the module that defines it: another
+    # module's private name, methods included, is never reached through a
+    # class, an instance or a module object.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                defined.add(node.attr)
+        offenders += [
+            f"{path.name}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _is_private(node.attr)
+            and node.attr not in defined
+        ]
+    assert not offenders, offenders
+
+
 def test_no_module_mentions_a_distance_transform():
     # Margins are read off box dilations; the package keeps one morphology
     # primitive and no distance engine.

@@ -513,6 +513,69 @@ def test_build_separators_one_dimensional_cut():
     assert separation_by_search(instance, 0)
 
 
+def former_face_indices(raster: GridSet, points: np.ndarray) -> np.ndarray:
+    """The former face reader, kept as the oracle: each point's cell by floor
+    and clamp, its key among the C-ordered occupied-cell keys (weights from
+    their bounding box) found by ``searchsorted``, and a miss dropped."""
+    geo = raster.geometry
+    face_cells = np.floor((points - np.asarray(geo.origin)) / geo.spacing).astype(np.int64)
+    face_cells = np.minimum(face_cells, np.asarray(geo.extents) - 1)
+    cells = raster.occupied_indices()
+    span = cells.max(axis=0) + 1
+    weights = np.ones(cells.shape[1], dtype=np.int64)
+    for i in range(cells.shape[1] - 2, -1, -1):
+        weights[i] = weights[i + 1] * span[i + 1]
+    keys = cells @ weights
+    face_keys = np.unique(face_cells @ weights)
+    pos = np.searchsorted(keys, face_keys)
+    hits = pos < len(keys)
+    return pos[hits][keys[pos[hits]] == face_keys[hits]]
+
+
+@pytest.mark.parametrize(
+    "n, budget, s, target, h",
+    [
+        (2, 3, 1, (0.375, 0.375), 0.25),
+        (1, 3, 2, (0.375,), 0.25),
+        (2, 3, 2, (0.25, 0.75), 0.1),
+        (2, 5, 1, (0.35, 0.35), 0.1),
+        (3, 3, 1, (0.375, 0.375, 0.375), 0.25),
+    ],
+)
+def test_sum_separator_faces_match_the_former_search(n, budget, s, target, h):
+    sets = axis_segments(n, budget)
+    c = shift_construction(sets, s=s)
+    instance = build_sum_separators(c, sets, target=target, h=h)
+    for j, k in enumerate(sets):
+        shifts = c.lattice_axis[j]
+        samples = SampledSet((k.points[None] + shifts[:, None]).reshape(-1, n), k.density)
+        raster = rasterize(samples, auto_geometry(samples.points, h), Semantics.OUTER)
+        assert np.array_equal(instance.factors[j], raster.occupancy)
+        sides = ((shifts[0], instance.faces_neg[j]), (shifts[-1], instance.faces_pos[j]))
+        for copy, faces in sides:
+            face_cells = raster.geometry.cells_of(k.points + copy)
+            # Every face cell lies in its factor, so the former search
+            # dropped none and ``ravel_multi_index`` never raises.
+            assert ((face_cells >= 0) & (face_cells < raster.geometry.extents)).all()
+            assert raster.occupancy[tuple(face_cells.T)].all()
+            assert faces.dtype == np.int64 and len(faces) > 0
+            assert np.array_equal(faces, former_face_indices(raster, k.points + copy))
+
+
+def test_separator_instances_compare_and_hash_by_identity():
+    a, same_spec, other_shape = random_separator_instances([(2, 0), (2, 0), (2, 1)])
+    assert a.factors[0].shape != other_shape.factors[0].shape
+    assert (a == a) is True
+    assert (a == same_spec) is False
+    assert (a == other_shape) is False
+    assert (a != same_spec) is True
+    assert isinstance(hash(a), int) and hash(a) == hash(a)
+    assert len({a, same_spec, other_shape, a}) == 3
+    batch = [a, same_spec, other_shape]
+    assert [batch.index(x) for x in batch] == [0, 1, 2]
+    assert random_separator_instance(2, 0) != random_separator_instance(2, 0)
+
+
 def test_random_instances_validate_and_intersect():
     for seed in range(12):
         instance = random_separator_instance(2, seed)

@@ -523,14 +523,14 @@ class TestStepMemory:
         for name in ("dilate", "erode", "padded"):
             record(name)
         spent = []
-        real_spent = PackedMask._dilate_spent
+        real_in_place = PackedMask.dilate_in_place
 
-        def dilate_spent(mask, r):
-            out = real_spent(mask, r)
+        def dilate_in_place(mask, r):
+            out = real_in_place(mask, r)
             spent.append(mask)
             return out
 
-        monkeypatch.setattr(PackedMask, "_dilate_spent", dilate_spent)
+        monkeypatch.setattr(PackedMask, "dilate_in_place", dilate_in_place)
         evidence = verify_theorem_main([l_shape(3, 63)] * 3, (0.04, 0.02))
         assert evidence.verdict == "supported"
         assert {name for name, _, _ in pairs} == {"dilate", "erode", "padded"}
