@@ -148,8 +148,12 @@ class GridGeometry:
 
 
 def auto_geometry(points: NDArray[np.float64], h: float, pad_cells: int = 0) -> GridGeometry:
-    """Smallest grid at spacing ``h`` whose box covers ``points``, plus padding;
-    an axis whose cell count is infinite or past int64 is refused."""
+    """Smallest grid at spacing ``h`` whose box covers ``points``, plus padding.
+
+    Refused before any array is made: an axis whose cell count is infinite
+    or past int64, and a grid whose cell count (the exact product of its
+    padded extents) is past what one array can index.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (m, n) array")
@@ -165,6 +169,12 @@ def auto_geometry(points: NDArray[np.float64], h: float, pad_cells: int = 0) -> 
                 "more than int64 holds"
             )
         extents.append(cells)
+    padded = tuple(e + 2 * pad_cells for e in extents)
+    if math.prod(padded) > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"grid of extents {padded} at h={h:g} has {math.prod(padded)} cells, "
+            "more than one array can index"
+        )
     return GridGeometry(tuple(lo.tolist()), float(h), tuple(extents)).padded(pad_cells)
 
 
@@ -1118,46 +1128,9 @@ def _face_structure(dim: int) -> NDArray[np.bool_]:
     return structure
 
 
-def component_counts(occupancies: Sequence[NDArray[np.bool_]]) -> list[int]:
-    """Number of face-connected components of the occupied cells of each occupancy array.
-
-    An array alone in its dimension is labeled as it is.  The arrays of one
-    dimension are labeled together on one canvas that stacks them along
-    axis 0, each followed by an empty row, so no face joins two arrays; each
-    component is counted for the array that holds its first row.  An array
-    goes onto the canvas with its axes ordered longest first (a transpose
-    keeps its components), which keeps the canvas narrow.
-    """
-    counts = [0] * len(occupancies)
-    by_dim: dict[int, list[int]] = {}
-    for i, o in enumerate(occupancies):
-        by_dim.setdefault(o.ndim, []).append(i)
-    for dim, members in by_dim.items():
-        structure = _face_structure(dim)
-        if len(members) == 1:
-            counts[members[0]] = int(_ndimage.label(occupancies[members[0]], structure)[1])
-            continue
-        tiles = [
-            occupancies[i].transpose(
-                sorted(range(dim), key=occupancies[i].shape.__getitem__, reverse=True)
-            )
-            for i in members
-        ]
-        rows = np.cumsum([0] + [t.shape[0] + 1 for t in tiles])
-        canvas = np.zeros((int(rows[-1]), *np.max([t.shape for t in tiles], axis=0)[1:]), dtype=bool)
-        for tile, row in zip(tiles, rows.tolist()):
-            canvas[(slice(row, row + tile.shape[0]), *map(slice, tile.shape[1:]))] = tile
-        labels, _ = _ndimage.label(canvas, structure)
-        first_rows = [box[0].start for box in _ndimage.find_objects(labels)]
-        owners = np.searchsorted(rows, first_rows, side="right") - 1
-        for i, count in zip(members, np.bincount(owners, minlength=len(members)).tolist()):
-            counts[i] = count
-    return counts
-
-
 def component_count(a: GridSet) -> int:
     """Number of face-connected components of the occupied cells."""
-    return component_counts([a.occupancy])[0]
+    return int(_ndimage.label(a.occupancy, _face_structure(a.dim))[1])
 
 
 def is_grid_continuum(a: GridSet) -> bool:

@@ -23,7 +23,6 @@ from .grid import (
     SampledSet,
     Semantics,
     auto_geometry,
-    component_counts,
     eps_density_margin,
     measure_estimate,
     minkowski_sum,
@@ -397,172 +396,298 @@ def _integral_entries(values: NDArray[np.float64]) -> NDArray[np.bool_]:
     return close | (values == rounded)
 
 
-def _checked_cells(instance: SeparatorInstance, components: list[int]) -> list[NDArray[np.int64]]:
-    """Each factor's occupied cells in C order, after the checks of each factor's structure.
+#: A validation's checks in the order one runs them, each at one position:
+#: 0 the factor count; then factor by factor (j) its component count at
+#: ``1 + 4 * j`` and its axis-k potential count at ``2 + 4 * j + k``; then
+#: axis by axis the seven stages from ``_AXIS_CHECKS + 7 * k``: reading the
+#: band, rounding it, the jump, the empty faces, reading F^-, reading F^+
+#: and the straddle.
+_AXIS_CHECKS = 1 + 4 * _MAX_SEPARATOR_DIM
 
-    In factor order: one face component, and one potential per occupied
-    cell on every axis.
+
+@dataclass(frozen=True)
+class _Batch:
+    """Separator instances laid out flat, for the grouped validation and scan.
+
+    Instance i has ``dims[i]`` factors (0 when it has an unsupported
+    count), the factors after those of the instances before it.  Factor
+    f's ``sizes[f]`` cells follow those of the factors before it as rows
+    of ``cells`` (C order, ``ndims[f]`` columns and then zeros) and as
+    columns of ``potentials``, whose row k holds the axis-k potentials (0
+    past the instance's n, and for a list whose count ``lengths[k, f]``
+    is not ``sizes[f]``).  ``centers[i, k]`` and ``radii[i, k]`` hold band
+    k.  ``faces[0]`` lists the potential columns each F^- face reads (face
+    (i, k) after face (i, k - 1), ``face_sizes[0, i, k]`` of them, -1 for a
+    placeholder row), and ``faces[1]`` and ``face_sizes[1]`` those of F^+.
+    ``raised[i]`` is the earliest error met reading instance i, with the
+    position of its check.
     """
-    cells = list(instance.factor_cells)
-    for j, c in enumerate(cells):
-        if components[j] != 1:
-            raise ValueError(f"factor {j} is not a connected grid continuum")
-        for k in range(instance.n):
-            if len(instance.potentials[k][j]) != len(c):
-                raise ValueError(f"axis {k}: factor {j} potentials do not match its cell list")
-    return cells
+
+    dims: NDArray[np.intp]
+    sizes: NDArray[np.intp]
+    ndims: NDArray[np.intp]
+    cells: NDArray[np.int64]
+    potentials: NDArray[np.float64]
+    lengths: NDArray[np.intp]
+    centers: NDArray[np.float64]
+    radii: NDArray[np.float64]
+    faces: tuple[NDArray[np.intp], NDArray[np.intp]]
+    face_sizes: NDArray[np.intp]
+    raised: dict[int, tuple[int, Exception]]
 
 
-def _band_report(
-    instance: SeparatorInstance,
-    steps: list[list[float]],
-    integral: list[list[bool]],
-    highest: list[list[float]],
-    lowest: list[list[float]],
-) -> SeparatorValidation:
-    """The band checks of one instance, axis by axis, from its grouped reductions.
+def _packed(instances: Sequence[SeparatorInstance]) -> _Batch:
+    """Instances laid out as a :class:`_Batch`, reading what validation reads.
 
-    ``steps[k][j]``, ``integral[k][j]``, ``highest[k][j]`` and ``lowest[k][j]``
-    describe factor j's axis-k potentials.  The faces are read here, each
-    as numpy indexes factor k's axis-k potentials with it.
+    Each read runs as its check would run it: a factor's potentials by
+    ``len``, the bands by ``float``, each face by ``len`` and then as numpy
+    indexes factor k's cells with it.  A read that fails is noted at its
+    check and leaves a placeholder (zeros, NaN, a face of one row at -1),
+    so that no instance's error stops another's.
     """
-    n = instance.n
-    max_step: list[float] = []
-    integral_axes: list[bool] = []
-    face_below: list[float] = []
-    face_above: list[float] = []
-    for k in range(n):
-        level = float(max(steps[k]))
-        max_step.append(level)
-        center = float(instance.band_center[k])
-        radius = float(instance.band_radius[k])
-        is_integral = all(integral[k]) and abs(center - round(center)) < 1e-9 and abs(
-            radius - round(radius)
-        ) < 1e-9
-        integral_axes.append(is_integral)
-        # One product step moves every factor at most one cell.
-        jump = n * level
-        allowed = 2 * radius + (1.0 if is_integral else 0.0)
-        if jump > allowed + 1e-12:
-            raise ValueError(
-                f"axis {k}: a product step can move the potential sum by {jump}, "
-                f"wide enough to leap the band of half-width {radius}"
-            )
-        if len(instance.faces_neg[k]) == 0 or len(instance.faces_pos[k]) == 0:
-            raise ValueError(f"axis {k}: empty face set")
-        own = np.asarray(instance.potentials[k][k])
-        below = float(own[instance.faces_neg[k]].max())
-        above = float(own[instance.faces_pos[k]].min())
-        below += sum(highest[k][j] for j in range(n) if j != k)
-        above += sum(lowest[k][j] for j in range(n) if j != k)
-        face_below.append(below)
-        face_above.append(above)
-        if not (below < center - radius and above > center + radius):
-            raise ValueError(
-                f"axis {k}: faces do not straddle the band "
-                f"({below} .. {above} around {center} +- {radius})"
-            )
-    return SeparatorValidation(
-        max_step=np.array(max_step, dtype=np.float64),
-        integral=np.array(integral_axes, dtype=bool),
-        face_below=np.array(face_below, dtype=np.float64),
-        face_above=np.array(face_above, dtype=np.float64),
+    raised: dict[int, tuple[int, Exception]] = {}
+
+    def note(i: int, check: int, exc: Exception) -> None:
+        if check < raised.get(i, (check + 1,))[0]:
+            raised[i] = (check, exc)
+
+    count = len(instances)
+    dims = np.zeros(count, dtype=np.intp)
+    bands = np.full((2, count, _MAX_SEPARATOR_DIM), np.nan)
+    face_sizes = np.zeros((2, count, _MAX_SEPARATOR_DIM), dtype=np.intp)
+    cells: list[NDArray[np.int64]] = []
+    potentials: list[NDArray[np.float64]] = [np.zeros((_MAX_SEPARATOR_DIM, 0))]
+    lengths: list[list[int]] = []
+    faces: tuple[list[NDArray[np.intp]], list[NDArray[np.intp]]] = ([], [])
+    row = 0
+    for i, instance in enumerate(instances):
+        n = instance.n
+        if not 1 <= n <= _MAX_SEPARATOR_DIM:
+            note(i, 0, ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors"))
+            continue
+        dims[i] = n
+        factor_cells = instance.factor_cells
+        starts = []
+        for j, own in enumerate(factor_cells):
+            starts.append(row)
+            row += len(own)
+            cells.append(own)
+            values = np.zeros((_MAX_SEPARATOR_DIM, len(own)))
+            counts = [len(own)] * _MAX_SEPARATOR_DIM
+            for k in range(n):
+                try:
+                    counts[k] = len(instance.potentials[k][j])
+                except Exception as exc:  # noted at its check
+                    note(i, 2 + 4 * j + k, exc)
+                    continue
+                if counts[k] == len(own):
+                    values[k] = instance.potentials[k][j]
+            potentials.append(values)
+            lengths.append(counts)
+        for k in range(n):
+            check = _AXIS_CHECKS + 7 * k
+            try:
+                bands[:, i, k] = float(instance.band_center[k]), float(instance.band_radius[k])
+            except Exception as exc:  # noted at its check
+                note(i, check, exc)
+            read = [np.zeros(0, dtype=np.intp)] * 2
+            stage = 3
+            try:
+                if len(instance.faces_neg[k]) and len(instance.faces_pos[k]):
+                    sides = ((4, instance.faces_neg[k], np.max), (5, instance.faces_pos[k], np.min))
+                    for stage, face, extreme in sides:
+                        picked = np.arange(len(factor_cells[k]))[face]
+                        extreme(picked)  # numpy's error for a face that reads no cell
+                        read[stage - 4] = starts[k] + picked.ravel()
+            except Exception as exc:  # noted at its check
+                note(i, check + stage, exc)
+                read = [np.full(1, -1, dtype=np.intp)] * 2
+            for side in range(2):
+                faces[side].append(read[side])
+                face_sizes[side, i, k] = len(read[side])
+    ndims = np.array([c.shape[1] for c in cells], dtype=np.intp)
+    width = int(ndims.max(initial=1))
+    return _Batch(
+        dims=dims,
+        sizes=np.array([len(c) for c in cells], dtype=np.intp),
+        ndims=ndims,
+        cells=np.concatenate(
+            [np.zeros((0, width), dtype=np.int64)]
+            + [np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in cells]
+        ),
+        potentials=np.concatenate(potentials, axis=1),
+        lengths=np.array(lengths, dtype=np.intp).reshape(-1, _MAX_SEPARATOR_DIM).T,
+        centers=bands[0],
+        radii=bands[1],
+        faces=tuple(np.concatenate([np.zeros(0, dtype=np.intp), *side]) for side in faces),
+        face_sizes=face_sizes,
+        raised=raised,
     )
 
 
-def _band_checks(
-    instances: Sequence[SeparatorInstance], cells: dict[int, list[NDArray[np.int64]]]
-) -> dict[int, SeparatorValidation | Exception]:
-    """The band checks of the instances whose factors passed, with every array reduction grouped.
+def _components(
+    rows: int,
+    first: NDArray[np.intp],
+    second: NDArray[np.intp],
+    owner: NDArray[np.intp],
+    owners: int,
+) -> NDArray[np.intp]:
+    """Components of the graph on ``rows`` rows with edges (first, second), counted per owner.
 
-    ``cells[i]`` holds instance i's factor cells, ``np.argwhere`` of each
-    occupancy.  Factors are laid end to end, grouped by dimension, and their
-    axis-k potentials form row k of one array (zeros past an instance's n).
-    Steps come from one ``maximum.at`` over the adjacent pairs of each
-    dimension, and integrality and the potential extremes from ``reduceat``
-    over the factors; :func:`_band_report` reads each instance's faces.
+    Rows of one component share an owner.  Each pass hooks the larger root
+    of every edge that joins two trees under the smaller one, then jumps
+    every row to its root.
     """
-    slots = sorted((c.shape[1], i, j) for i, lists in cells.items() for j, c in enumerate(lists))
-    if not slots:
-        return {}
-    factor_of = {(i, j): f for f, (_, i, j) in enumerate(slots)}
-    lists = [cells[i][j] for _, i, j in slots]
-    sizes = np.array([len(c) for c in lists])
-    starts = np.cumsum(sizes) - sizes
-    axes = max(instances[i].n for i in cells)
-    zeros = np.zeros(int(sizes.max()))
-    pots = np.stack(
-        [
-            np.concatenate(
-                [
-                    instances[i].potentials[k][j] if k < instances[i].n else zeros[: len(c)]
-                    for (_, i, j), c in zip(slots, lists)
-                ]
-            )
-            for k in range(axes)
-        ]
-    ).astype(np.float64, copy=False)
-    factor_rows = np.repeat(np.arange(len(slots)), sizes)
-    steps = np.zeros((axes, len(slots)))
-    dims = [d for d, _, _ in slots]
-    for d in sorted(set(dims)):
-        lo, hi = dims.index(d), len(dims) - dims[::-1].index(d)
-        first, second = _adjacent_pairs(np.concatenate(lists[lo:hi]), starts[lo:hi] - starts[lo])
-        first += starts[lo]
-        second += starts[lo]
+    parent = np.arange(rows)
+    while True:
+        a, b = parent[first], parent[second]
+        if (a == b).all():
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    return np.bincount(owner[parent == np.arange(rows)], minlength=owners)
+
+
+def _band_error(
+    k: int, stage: int, jump: float, below: float, above: float, center: float, radius: float
+) -> Exception:
+    """The error of band k's first failing check, ``stage`` as numbered at :data:`_AXIS_CHECKS`."""
+    jump, below, above, center, radius = map(float, (jump, below, above, center, radius))
+    if stage == 1:
+        try:  # round() of the band, as the integrality test calls it, on infinity or NaN
+            round(center if not math.isfinite(center) else radius)
+        except (OverflowError, ValueError) as exc:
+            return exc
+    if stage == 2:
+        return ValueError(
+            f"axis {k}: a product step can move the potential sum by {jump}, "
+            f"wide enough to leap the band of half-width {radius}"
+        )
+    if stage == 3:
+        return ValueError(f"axis {k}: empty face set")
+    return ValueError(
+        f"axis {k}: faces do not straddle the band "
+        f"({below} .. {above} around {center} +- {radius})"
+    )
+
+
+def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, Exception]]:
+    """What :func:`validate_separators` finds for each instance of a batch, found together.
+
+    Returns the validation's fields as (instance, axis) arrays, of which
+    instance i owns its first n columns, and the error of each instance
+    that fails.  Every check runs once over the whole batch: adjacent cell
+    pairs come from one :func:`_adjacent_pairs` call per factor
+    dimension, and give every step bound by one ``maximum.at`` and every
+    factor's components by :func:`_components` on the face-adjacent pairs;
+    potential extremes and integrality are ``reduceat`` over the factors,
+    face extremes ``reduceat`` over the faces, and the band checks compare
+    (axis, instance) arrays, with float operations in the order of a single
+    validation.  An instance's error is that of its first failing check in
+    the order of a single validation, built from the same arrays or noted
+    while the batch was laid out.
+    """
+    count, factors = len(batch.dims), len(batch.sizes)
+    owner = np.repeat(np.arange(count), batch.dims)
+    slot = np.arange(factors) - np.repeat(np.cumsum(batch.dims) - batch.dims, batch.dims)
+    starts = np.cumsum(batch.sizes) - batch.sizes
+    factor_rows = np.repeat(np.arange(factors), batch.sizes)
+    pots = batch.potentials
+    steps = np.zeros((_MAX_SEPARATOR_DIM, factors))
+    edges = [np.zeros(0, dtype=np.intp)] * 2
+    for d in np.unique(batch.ndims).tolist():
+        rows = np.flatnonzero(batch.ndims[factor_rows] == d)
+        sizes = batch.sizes[(batch.ndims == d) & (batch.sizes > 0)]
+        if not len(rows):
+            continue
+        pairs = _adjacent_pairs(batch.cells[rows, :d], np.cumsum(sizes) - sizes)
+        first, second = rows[pairs[0]], rows[pairs[1]]
         np.maximum.at(steps.T, factor_rows[first], np.abs(pots[:, first] - pots[:, second]).T)
-    highest = np.maximum.reduceat(pots, starts, axis=1).tolist()
-    lowest = np.minimum.reduceat(pots, starts, axis=1).tolist()
-    integral = np.logical_and.reduceat(_integral_entries(pots), starts, axis=1).tolist()
-    steps_by_factor = steps.tolist()
-    outcomes: dict[int, SeparatorValidation | Exception] = {}
-    for i in cells:
-        instance = instances[i]
-        fs = [factor_of[i, j] for j in range(instance.n)]
-        try:
-            outcomes[i] = _band_report(
-                instance,
-                [[row[f] for f in fs] for row in steps_by_factor],
-                [[row[f] for f in fs] for row in integral],
-                [[row[f] for f in fs] for row in highest],
-                [[row[f] for f in fs] for row in lowest],
+        face = np.abs(batch.cells[first] - batch.cells[second]).sum(axis=1) == 1
+        edges = [np.concatenate([edges[0], first[face]]), np.concatenate([edges[1], second[face]])]
+    components = _components(len(factor_rows), *edges, factor_rows, factors)
+    filled = batch.sizes > 0
+    heads = starts[filled]
+    extremes = np.full((2, _MAX_SEPARATOR_DIM, factors), np.nan)
+    extremes[0][:, filled] = np.maximum.reduceat(pots, heads, axis=1)
+    extremes[1][:, filled] = np.minimum.reduceat(pots, heads, axis=1)
+    integral = np.ones((_MAX_SEPARATOR_DIM, factors), dtype=bool)
+    integral[:, filled] = np.logical_and.reduceat(_integral_entries(pots), heads, axis=1)
+
+    def by_slot(values: NDArray, fill: object) -> NDArray:
+        """Per-factor ``values`` (last axis) as (..., instance, slot) with ``fill`` past n."""
+        out = np.full(values.shape[:-1] + (count, _MAX_SEPARATOR_DIM), fill, dtype=values.dtype)
+        out[..., owner, slot] = values
+        return out
+
+    # Python's max over the factors, in their order: a NaN step wins only first.
+    step = by_slot(steps, -np.inf)
+    level = step[..., 0]
+    for j in range(1, _MAX_SEPARATOR_DIM):
+        level = np.where(step[..., j] > level, step[..., j], level)
+    # Python's sum over the other factors: (0.0 + h_a) + h_b, each axis skipping its own.
+    highest, lowest = by_slot(extremes, 0.0)
+    others = np.zeros((2, _MAX_SEPARATOR_DIM, count))
+    for j in range(_MAX_SEPARATOR_DIM):
+        own = (np.arange(_MAX_SEPARATOR_DIM) == j)[:, None]
+        others = others + np.where(own, 0.0, np.stack([highest[..., j], lowest[..., j]]))
+    face_extremes = np.full((2, count * _MAX_SEPARATOR_DIM), np.nan)
+    padded = np.concatenate([pots, np.full((_MAX_SEPARATOR_DIM, 1), np.nan)], axis=1)
+    for side, extreme in enumerate((np.maximum, np.minimum)):
+        sizes = batch.face_sizes[side].ravel()
+        axis = np.repeat(np.tile(np.arange(_MAX_SEPARATOR_DIM), count), sizes)
+        values = padded[axis, batch.faces[side]]
+        read = sizes > 0
+        face_extremes[side, read] = extreme.reduceat(values, (np.cumsum(sizes) - sizes)[read])
+    below, above = face_extremes.reshape(2, count, _MAX_SEPARATOR_DIM).transpose(0, 2, 1) + others
+    center, radius = batch.centers.T, batch.radii.T
+    with np.errstate(invalid="ignore"):
+        integral_sums = by_slot(integral, True).all(axis=-1)
+        whole_center = np.abs(center - np.rint(center)) < 1e-9
+        is_integral = integral_sums & whole_center & (np.abs(radius - np.rint(radius)) < 1e-9)
+        stages = np.zeros((_MAX_SEPARATOR_DIM, 7, count), dtype=bool)
+        # Python's round() of a band it reaches raises on infinity or NaN.
+        unroundable = ~np.isfinite(center) | (whole_center & ~np.isfinite(radius))
+        stages[:, 1] = integral_sums & unroundable
+        stages[:, 2] = batch.dims * level > 2 * radius + np.where(is_integral, 1.0, 0.0) + 1e-12
+        stages[:, 3] = ((batch.face_sizes[0] == 0) | (batch.face_sizes[1] == 0)).T
+        stages[:, 6] = ~((below < center - radius) & (above > center + radius))
+    stages &= (np.arange(_MAX_SEPARATOR_DIM)[:, None] < batch.dims)[:, None]
+    structure = np.zeros((_MAX_SEPARATOR_DIM, 1 + _MAX_SEPARATOR_DIM, count), dtype=bool)
+    structure[:, 0] = by_slot(components, 1).T != 1
+    structure[:, 1:] = (by_slot(batch.lengths, 0) != by_slot(batch.sizes, 0)).transpose(2, 0, 1)
+    fails = np.concatenate(
+        [
+            np.zeros((1, count), dtype=bool),
+            structure.reshape(_AXIS_CHECKS - 1, count),
+            stages.reshape(7 * _MAX_SEPARATOR_DIM, count),
+        ]
+    ).T
+    for i, (check, _) in batch.raised.items():
+        fails[i, check] = True
+    failed: dict[int, Exception] = {}
+    for i in np.flatnonzero(fails.any(axis=1)).tolist():
+        check = int(fails[i].argmax())
+        if batch.raised.get(i, (None,))[0] == check:
+            failed[i] = batch.raised[i][1]
+        elif check < _AXIS_CHECKS:
+            j, what = divmod(check - 1, 1 + _MAX_SEPARATOR_DIM)
+            failed[i] = ValueError(
+                f"factor {j} is not a connected grid continuum"
+                if what == 0
+                else f"axis {what - 1}: factor {j} potentials do not match its cell list"
             )
-        except Exception as exc:  # this instance's outcome, raised by its caller
-            outcomes[i] = exc
-    return outcomes
-
-
-def _validations(
-    instances: Sequence[SeparatorInstance],
-) -> list[SeparatorValidation | Exception]:
-    """What :func:`validate_separators` returns or raises for each instance, found together.
-
-    The checks run in the order of a single validation, and an instance's
-    outcome never depends on the others: every factor's face components are
-    counted in one :func:`~continuum_sums.grid.component_counts` call, then
-    each instance's factor structure is checked, then :func:`_band_checks`
-    groups the band checks.
-    """
-    outcomes: list[SeparatorValidation | Exception | None] = [None] * len(instances)
-    live = []
-    for i, instance in enumerate(instances):
-        if 1 <= instance.n <= _MAX_SEPARATOR_DIM:
-            live.append(i)
         else:
-            outcomes[i] = ValueError(
-                f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors"
+            k, stage = divmod(check - _AXIS_CHECKS, 7)
+            jump = batch.dims[i] * level[k, i]
+            failed[i] = _band_error(
+                k, stage, jump, below[k, i], above[k, i], center[k, i], radius[k, i]
             )
-    components = iter(component_counts([f for i in live for f in instances[i].factors]))
-    cells: dict[int, list[NDArray[np.int64]]] = {}
-    for i in live:
-        counts = [next(components) for _ in instances[i].factors]
-        try:
-            cells[i] = _checked_cells(instances[i], counts)
-        except Exception as exc:  # this instance's outcome, raised by its caller
-            outcomes[i] = exc
-    for i, outcome in _band_checks(instances, cells).items():
-        outcomes[i] = outcome
-    return outcomes  # type: ignore[return-value]
+    report = SeparatorValidation(
+        max_step=level.T, integral=is_integral.T, face_below=below.T, face_above=above.T
+    )
+    return report, failed
 
 
 def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
@@ -574,24 +699,99 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
     change over adjacent occupied cells) cannot leap the band, both faces
     are non-empty, and the faces, read as numpy indexing reads them,
     straddle the band.
-    The one-instance call of the grouped validation that
-    :func:`random_separator_instances` runs over a whole batch.
+    The one-instance call of the batched validation (:func:`_validations`),
+    which :func:`random_separator_instances` runs once per batch: every
+    check is an array operation over all of the batch's instances.
     """
-    (outcome,) = _validations([instance])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _band_masks(instance: SeparatorInstance, k: int) -> NDArray[np.bool_]:
-    """Boolean product-array of S_k over factor cell indices."""
+    report, failed = _validations(_packed([instance]))
+    if failed:
+        raise failed[0]
     n = instance.n
-    total = instance.potentials[k][0].reshape(-1, *([1] * (n - 1))).astype(np.float64)
-    for j in range(1, n):
-        shape = [1] * n
-        shape[j] = -1
-        total = total + instance.potentials[k][j].reshape(shape)
-    return np.abs(total - instance.band_center[k]) <= instance.band_radius[k] + 1e-12
+    return SeparatorValidation(
+        max_step=report.max_step[0, :n].copy(),
+        integral=report.integral[0, :n].copy(),
+        face_below=report.face_below[0, :n].copy(),
+        face_above=report.face_above[0, :n].copy(),
+    )
+
+
+def _in_band(
+    potentials: Sequence[NDArray[np.float64]],
+    center: NDArray[np.float64],
+    radius: NDArray[np.float64],
+) -> NDArray[np.bool_]:
+    """The scan's membership rule: ``abs(((p_0 + p_1) + p_2) - c) <= r + 1e-12``.
+
+    ``potentials`` holds each factor's axis-k potentials of the product
+    cells, and ``center`` and ``radius`` band k's.  A NaN potential is
+    never in the band.
+    """
+    total = potentials[0]
+    for p in potentials[1:]:
+        total = total + p
+    return np.abs(total - center) <= radius + 1e-12
+
+
+def _extended(
+    batch: _Batch, member: NDArray[np.intp], columns: list[NDArray[np.intp]]
+) -> tuple[NDArray[np.intp], list[NDArray[np.intp]]]:
+    """Partial product cells, each extended by every cell of its next factor, in C order.
+
+    A partial product cell of instance ``member[c]`` holds cell
+    ``columns[j][c]`` (a column of the batch's potentials) of each of its
+    first j factors; each is followed by its extensions, one per cell of
+    factor ``len(columns)`` in order.
+    """
+    factor = (np.cumsum(batch.dims) - batch.dims)[member] + len(columns)
+    sizes = batch.sizes[factor]
+    parent = np.repeat(np.arange(len(member)), sizes)
+    within = np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    first = (np.cumsum(batch.sizes) - batch.sizes)[factor]
+    return member[parent], [c[parent] for c in columns] + [first[parent] + within]
+
+
+def _shared_cells(batch: _Batch) -> NDArray[np.bool_]:
+    """Whether each instance of a batch has a product cell in every band (:func:`_in_band`).
+
+    Per factor count, over all of the batch's instances with that count at
+    once: the products of all factors but the last are listed, those that
+    no cell of the last factor can bring into every band are dropped, and
+    the rest are extended by the last factor and checked band by band.  The
+    drop is exact: the rule's sums are monotone in the last factor's
+    potential, so a partial product misses band k for every such cell when
+    it misses it at the largest and the smallest of them (NaN cells aside,
+    which no band holds).
+    """
+    shared = np.zeros(len(batch.dims), dtype=bool)
+    starts = np.cumsum(batch.sizes) - batch.sizes
+    filled = batch.sizes > 0
+    lowest = np.full((_MAX_SEPARATOR_DIM, len(batch.sizes)), np.nan)
+    highest = lowest.copy()
+    lowest[:, filled] = np.fmin.reduceat(batch.potentials, starts[filled], axis=1)
+    highest[:, filled] = np.fmax.reduceat(batch.potentials, starts[filled], axis=1)
+    for n in np.unique(batch.dims[batch.dims > 0]).tolist():
+        member, columns = np.flatnonzero(batch.dims == n), []
+        for _ in range(n - 1):
+            member, columns = _extended(batch, member, columns)
+        if columns:
+            last = (np.cumsum(batch.dims) - batch.dims)[member] + n - 1
+            reachable = np.ones(len(member), dtype=bool)
+            for k in range(n):
+                partial = batch.potentials[k, columns[0]]
+                for c in columns[1:]:
+                    partial = partial + batch.potentials[k, c]
+                center, radius = batch.centers[member, k], batch.radii[member, k] + 1e-12
+                reachable &= ((partial + highest[k, last]) - center >= -radius) & (
+                    (partial + lowest[k, last]) - center <= radius
+                )
+            member, columns = member[reachable], [c[reachable] for c in columns]
+        member, columns = _extended(batch, member, columns)
+        inside = np.ones(len(member), dtype=bool)
+        for k in range(n):
+            pots = [batch.potentials[k, c] for c in columns]
+            inside &= _in_band(pots, batch.centers[member, k], batch.radii[member, k])
+        shared[member[inside]] = True
+    return shared
 
 
 def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
@@ -599,7 +799,9 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
 
     Independent of the band-jump route: expands reachability through the
     strong product of the factor adjacency graphs, one factor at a time,
-    never entering separator cells.
+    never entering separator cells.  The separator is band ``axis`` by the
+    rule the batched scan applies once per batch (:func:`_in_band`), here
+    over this one instance's whole product.
     """
     n = instance.n
     factor_cells = instance.factor_cells
@@ -611,7 +813,13 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
             first, second = _adjacent_pairs(cells, np.zeros(1, np.intp))
             matrix[first, second] = matrix[second, first] = 1.0
         adjacency.append(matrix)
-    blocked = _band_masks(instance, axis)
+    batch, columns = _packed([instance]), []
+    member = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        member, columns = _extended(batch, member, columns)
+    blocked = _in_band(
+        [batch.potentials[axis, c] for c in columns], batch.centers[0, axis], batch.radii[0, axis]
+    ).reshape(counts)
     reached = np.zeros(counts, dtype=bool)
     neg = np.zeros(counts, dtype=bool)
     idx = [slice(None)] * n
@@ -640,12 +848,11 @@ def bands_share_cell(instance: SeparatorInstance) -> bool:
     """Scan the product for a cell in every band; no validation.
 
     Only meaningful for an instance :func:`validate_separators` accepted
-    (:func:`random_separator_instances` returns only such instances).
+    (:func:`random_separator_instances` returns only such instances).  The
+    one-instance call of the batched scan that
+    :func:`random_bands_share_cell` runs once per batch.
     """
-    mask = _band_masks(instance, 0)
-    for k in range(1, instance.n):
-        mask &= _band_masks(instance, k)
-    return bool(mask.any())
+    return bool(_shared_cells(_packed([instance]))[0])
 
 
 def hl_discrete_check(instance: SeparatorInstance) -> bool:
@@ -725,123 +932,203 @@ def build_sum_separators(
     )
 
 
-#: One walk: the cell coordinates along each axis (cells in lexicographic
-#: order), their lowest values and the factor's extents.
-_Walk = tuple[list[list[int]], list[int], list[int]]
-
-
 #: Each walk visits ``rng.integers(*_WALK_SIZES)`` cells.
 _WALK_SIZES = (10, 26)
 
 
-def _walk(rng: np.random.Generator, n: int, j: int) -> _Walk:
-    """One random-walk factor stretched along axis j, drawn from ``rng``.
+def _walk_cells(
+    n: NDArray[np.intp], axis: NDArray[np.intp], steps: NDArray[np.intp], draws: NDArray[np.float64]
+) -> tuple[NDArray[np.int64], NDArray[np.intp], NDArray[np.int64]]:
+    """The walks of one round, stepped together.
 
-    ``steps = rng.integers(*_WALK_SIZES)``, then one ``rng.random(3 * steps)``
-    array: a draw below 0.7 steps forward along axis j, and [0.7, 1) is
-    split evenly among the 2n unit steps -e_0, +e_0, ..., -e_{n-1},
-    +e_{n-1}.  The walk stops once ``steps`` cells are visited.  A position
-    is one int holding its coordinates (each within ``3 * _WALK_SIZES[1]``
-    of 0) as digits, so the sorted keys are the lexicographic (C scan)
-    order of the cells.
+    Walk w runs in ``n[w]`` dimensions along ``axis[w]`` and reads the next
+    ``3 * steps[w]`` of ``draws``: a draw below 0.7 steps forward along its
+    axis, and [0.7, 1) is split evenly among the 2n unit steps -e_0, +e_0,
+    ..., -e_{n-1}, +e_{n-1}.  The walk stops once ``steps[w]`` cells are
+    visited, that is at the first position that brings its count of
+    distinct positions to ``steps[w]``, or at its last.  A position is one
+    int holding its coordinates (each within ``3 * _WALK_SIZES[1]`` of 0)
+    as digits, so one sort of walk-and-position keys marks each position's
+    first visit and lists every walk's cells in C order.  Returns the
+    walks' cells one walk after another, lowest corner at 0 (three
+    columns, 0 past n), each walk's cell count and its extents (1 past n).
     """
-    steps = int(rng.integers(*_WALK_SIZES))
     reach = 3 * _WALK_SIZES[1]
     base = 2 * reach + 1
-    strides = [base ** (n - 1 - a) for a in range(n)]
-    key = reach * sum(strides)
-    visited = {key}
-    forward = strides[j]
-    sides = [sign * stride for stride in strides for sign in (-1, 1)]
-    # For n <= 3 even the largest draw, 1 - 2**-53, maps below 2n.
-    scale = 2 * n / 0.3
-    for draw in rng.random(3 * steps).tolist():
-        if len(visited) >= steps:
+    strides = base ** np.arange(_MAX_SEPARATOR_DIM - 1, -1, -1)
+    walk = np.repeat(np.arange(len(steps)), 3 * steps)
+    forward = draws < 0.7
+    side = ((draws - 0.7) * (2 * n[walk] / 0.3)).astype(np.int64)
+    moved = strides[np.where(forward, axis[walk], side // 2)]
+    # Each walk's positions: its start, then one per draw.
+    lengths = 3 * steps + 1
+    offsets = np.cumsum(lengths) - lengths
+    moves = np.zeros(int(lengths.sum()), dtype=np.int64)
+    moves[np.arange(len(draws)) + walk + 1] = np.where(forward | (side % 2 == 1), moved, -moved)
+    owner = np.repeat(np.arange(len(steps)), lengths)
+    travelled = np.cumsum(moves)
+    keys = owner * base**_MAX_SEPARATOR_DIM + reach * strides.sum()
+    keys += travelled - np.repeat(travelled[offsets], lengths)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[order] = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    seen = np.cumsum(new)
+    seen -= np.repeat(seen[offsets] - 1, lengths)
+    t = np.arange(len(keys)) - np.repeat(offsets, lengths)
+    cut = lengths - 1
+    full = np.flatnonzero(new & (seen == np.repeat(steps, lengths)))
+    cut[owner[full]] = t[full]
+    kept = order[(new & (t <= cut[owner]))[order]]
+    coords = keys[kept, None] // strides % base
+    counts = np.bincount(owner[kept], minlength=len(steps))
+    begins = np.cumsum(counts) - counts
+    low = np.minimum.reduceat(coords, begins)
+    extents = np.maximum.reduceat(coords, begins) - low + 1
+    return coords - np.repeat(low, counts, axis=0), counts, extents
+
+
+def _drawn(specs: Sequence[tuple[int, int]]) -> _Batch:
+    """The validated batch of one random instance per ``(n, seed)`` spec, in spec order.
+
+    Each spec draws from its own ``np.random.default_rng(seed)``: per
+    candidate, factor j = 0..n-1 takes ``integers(*_WALK_SIZES)`` and then
+    ``random(3 * steps)``.  A round draws one candidate for every spec
+    still open, steps all their walks by :func:`_walk_cells` and runs the
+    gap test on all their extents; a spec whose candidate fails is redrawn
+    from its stream in the next round, for at most 64 rounds.  The batch
+    then has every factor's cells, coordinate potentials and faces at
+    once, and one :func:`_validations` call checks it.
+    """
+    for n, _ in specs:
+        if not 1 <= n <= _MAX_SEPARATOR_DIM:
+            raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
+    rngs = [np.random.default_rng(seed) for _, seed in specs]
+    dims = np.array([n for n, _ in specs], dtype=np.intp)
+    count = len(specs)
+    centers = np.zeros((count, _MAX_SEPARATOR_DIM))
+    # Each round's passing walks: their spec, cells and cell counts (first an
+    # empty round, so that no specs make an empty batch).
+    rounds = [
+        (
+            np.zeros(0, dtype=np.intp),
+            np.zeros((0, _MAX_SEPARATOR_DIM), dtype=np.int64),
+            np.zeros(0, dtype=np.intp),
+        )
+    ]
+    open_specs = np.arange(count)
+    for _attempt in range(64):
+        if not len(open_specs):
             break
-        key += forward if draw < 0.7 else sides[int((draw - 0.7) * scale)]
-        visited.add(key)
-    keys = sorted(visited)
-    coords = [[k // stride % base for k in keys] for stride in strides]
-    lows = [min(c) for c in coords]
-    extents = [max(c) - low + 1 for c, low in zip(coords, lows)]
-    return coords, lows, extents
+        steps: list[int] = []
+        draws = []
+        for s in open_specs.tolist():
+            for _ in range(specs[s][0]):
+                steps.append(int(rngs[s].integers(*_WALK_SIZES)))
+                draws.append(rngs[s].random(3 * steps[-1]))
+        owner = np.repeat(np.arange(len(open_specs)), dims[open_specs])
+        axis = np.arange(len(owner)) - np.repeat(
+            np.cumsum(dims[open_specs]) - dims[open_specs], dims[open_specs]
+        )
+        cells, sizes, extents = _walk_cells(
+            dims[open_specs][owner], axis, np.array(steps), np.concatenate(draws)
+        )
+        # Coordinate potentials from 0 put axis k's faces at ``below``, the
+        # other factors' axis-k extents less one each, summed, and ``above``,
+        # factor k's own axis-k extent less one.
+        spans = np.zeros((len(open_specs), _MAX_SEPARATOR_DIM, _MAX_SEPARATOR_DIM), dtype=np.int64)
+        spans[owner, axis] = extents - 1
+        above = np.diagonal(spans, axis1=1, axis2=2)
+        below = spans.sum(axis=1) - above
+        axes_past_n = np.arange(_MAX_SEPARATOR_DIM) >= dims[open_specs][:, None]
+        passed = ((above - below > 4) | axes_past_n).all(axis=1)
+        centers[open_specs[passed]] = np.rint((below + above)[passed] / 2)
+        kept = passed[owner]
+        rounds.append((open_specs[owner[kept]], cells[np.repeat(kept, sizes)], sizes[kept]))
+        open_specs = open_specs[~passed]
+    if len(open_specs):
+        raise RuntimeError(
+            f"no valid random instance after 64 attempts (seed {specs[open_specs[0]][1]})"
+        )
+    spec_of, cells, sizes = (np.concatenate(parts) for parts in zip(*rounds))
+    # Factors in spec order: each spec's factors passed in one round, in order.
+    order = np.argsort(spec_of, kind="stable")
+    begins = np.cumsum(sizes) - sizes
+    sizes = sizes[order]
+    moved = np.repeat(begins[order] - (np.cumsum(sizes) - sizes), sizes)
+    cells = cells[moved + np.arange(sizes.sum())]
+    factors = len(sizes)
+    factor_rows = np.repeat(np.arange(factors), sizes)
+    owner = np.repeat(np.arange(count), dims)
+    slot = np.arange(factors) - np.repeat(np.cumsum(dims) - dims, dims)
+    # Factor j's faces are its cells at either end of its own axis j.
+    own = cells[np.arange(len(cells)), slot[factor_rows]]
+    ends = np.maximum.reduceat(own, np.cumsum(sizes) - sizes)
+    face_sizes = np.zeros((2, count, _MAX_SEPARATOR_DIM), dtype=np.intp)
+    faces = []
+    for side, face in enumerate((own == 0, own == ends[factor_rows])):
+        faces.append(np.flatnonzero(face))
+        face_sizes[side, owner, slot] = np.bincount(factor_rows[face], minlength=factors)
+    batch = _Batch(
+        dims=dims,
+        sizes=sizes,
+        ndims=dims[owner],
+        cells=cells,
+        potentials=np.ascontiguousarray(cells.T, dtype=np.float64),
+        lengths=np.broadcast_to(sizes, (_MAX_SEPARATOR_DIM, factors)),
+        centers=centers,
+        radii=np.ones((count, _MAX_SEPARATOR_DIM)),
+        faces=(faces[0], faces[1]),
+        face_sizes=face_sizes,
+        raised={},
+    )
+    _, failed = _validations(batch)
+    if failed:
+        i = min(failed)
+        raise RuntimeError(
+            f"random separator instance ({specs[i][0]}, {specs[i][1]}) failed validation"
+        ) from failed[i]
+    return batch
 
 
-def _gapped_walks(rng: np.random.Generator, n: int) -> tuple[list[_Walk], list[int]] | None:
-    """The first n walks from ``rng`` whose face gaps all exceed 4, and their band centers.
+def _built_instances(batch: _Batch) -> list[SeparatorInstance]:
+    """A random batch's instances, their arrays views of the batch's.
 
-    A candidate's walks are drawn from ``rng`` by :func:`_walk`, factor j
-    along axis j in order, and the next candidate goes on in the same
-    stream.  With coordinate potentials shifted to start at 0, axis k's
-    faces sit at ``below``, the other factors' axis-k extents less one
-    each, summed, and ``above``, factor k's own axis-k extent less one; so
-    the gap test needs only the walks' extents.  None once 64 candidates
-    have failed.
+    Every factor's potentials and face lists are slices of the batch's
+    arrays, and its occupancy is a view of its own stretch of one flat
+    buffer.
     """
-    for _ in range(64):
-        walks = [_walk(rng, n, j) for j in range(n)]
-        centers = []
-        for k in range(n):
-            below = sum(walks[j][2][k] - 1 for j in range(n) if j != k)
-            above = walks[k][2][k] - 1
-            if above - below <= 4:
-                break
-            centers.append(round((below + above) / 2))
-        else:
-            return walks, centers
-    return None
-
-
-def _built_instances(
-    n: int, candidates: list[tuple[list[_Walk], list[int]]]
-) -> list[SeparatorInstance]:
-    """The candidates of one dimension as instances, their arrays made together.
-
-    Every factor's potentials and face lists are slices of arrays made for
-    the whole batch, and its occupancy is a view of its own stretch of one
-    flat buffer.
-    """
-    walks = [w for ws, _ in candidates for w in ws]
-    sizes = np.array([len(w[0][0]) for w in walks])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    factor_rows = np.repeat(np.arange(len(walks)), sizes)
-    coords = np.array([[v for w in walks for v in w[0][a]] for a in range(n)], dtype=np.int64)
-    coords -= np.array([w[1] for w in walks], dtype=np.int64).T[:, factor_rows]
-    cells = coords.T
-    potentials = coords.astype(np.float64)
-    extents = np.array([w[2] for w in walks], dtype=np.int64)
+    starts = np.cumsum(batch.sizes) - batch.sizes
+    factor_rows = np.repeat(np.arange(len(batch.sizes)), batch.sizes)
+    extents = np.maximum.reduceat(batch.cells, starts) + 1
     strides = np.ones_like(extents)
-    for a in range(n - 2, -1, -1):
+    for a in range(_MAX_SEPARATOR_DIM - 2, -1, -1):
         strides[:, a] = strides[:, a + 1] * extents[:, a + 1]
     boxes = strides[:, 0] * extents[:, 0]
-    box_ends = np.cumsum(boxes)
-    buffer = np.zeros(int(box_ends[-1]), dtype=bool)
-    buffer[(box_ends - boxes)[factor_rows] + (cells * strides[factor_rows]).sum(axis=1)] = True
-    # Factor j's faces are its cells at either end of its own axis j.
-    own_axis = np.arange(len(walks)) % n
-    own = cells[np.arange(len(cells)), own_axis[factor_rows]]
-    local = np.arange(len(cells), dtype=np.int64) - starts[factor_rows]
-    faces = []
-    for side in (own == 0, own == (extents[np.arange(len(walks)), own_axis] - 1)[factor_rows]):
-        found = local[side]
-        bounds = np.cumsum(np.bincount(factor_rows[side], minlength=len(walks))).tolist()
-        faces.append([found[lo:hi] for lo, hi in zip([0, *bounds], bounds)])
-    spans = list(zip(starts.tolist(), ends.tolist()))
-    box_spans = list(zip((box_ends - boxes).tolist(), box_ends.tolist()))
+    buffer = np.zeros(int(boxes.sum()), dtype=bool)
+    box_starts = np.cumsum(boxes) - boxes
+    buffer[box_starts[factor_rows] + (batch.cells * strides[factor_rows]).sum(axis=1)] = True
+    occupancies = np.split(buffer, box_starts[1:])
+    potentials = np.split(batch.potentials, starts[1:], axis=1)
+    faces = [
+        np.split(rows - starts[factor_rows[rows]], np.cumsum(sizes.ravel())[:-1])
+        for rows, sizes in zip(batch.faces, batch.face_sizes)
+    ]
+    shapes = extents.tolist()
     instances = []
-    for c, (_, centers) in enumerate(candidates):
-        fs = range(c * n, (c + 1) * n)
+    f = 0
+    for i, n in enumerate(batch.dims.tolist()):
+        fs = range(f, f + n)
+        f += n
+        k0 = _MAX_SEPARATOR_DIM * i
         instances.append(
             SeparatorInstance(
-                factors=tuple(buffer[slice(*box_spans[f])].reshape(walks[f][2]) for f in fs),
-                potentials=tuple(
-                    tuple(potentials[k, slice(*spans[f])] for f in fs) for k in range(n)
-                ),
-                band_center=np.array(centers, dtype=np.float64),
+                factors=tuple(occupancies[g].reshape(shapes[g][:n]) for g in fs),
+                potentials=tuple(tuple(potentials[g][k] for g in fs) for k in range(n)),
+                band_center=batch.centers[i, :n].copy(),
                 band_radius=np.ones(n),
-                faces_neg=tuple(faces[0][f] for f in fs),
-                faces_pos=tuple(faces[1][f] for f in fs),
+                faces_neg=tuple(faces[0][k0 : k0 + n]),
+                faces_pos=tuple(faces[1][k0 : k0 + n]),
             )
         )
     return instances
@@ -858,47 +1145,34 @@ def random_separator_instances(specs: Sequence[tuple[int, int]]) -> list[Separat
     extremes of the stretched factor.
 
     Each spec draws its walks from its own ``np.random.default_rng(seed)``
-    (:func:`_walk`: a size, then one array of uniform draws, each a step
-    forward along the factor's axis with probability 0.7, else a unit step
-    along a uniform axis and sign), so an instance depends on its spec
-    alone.  A candidate whose face gap is too narrow is redrawn at once,
-    on plain ints, and a spec with none wide enough in 64 candidates raises
-    RuntimeError.  A candidate that passes the gap test is valid by
-    construction: unit-step walks are face-connected, a product step moves
-    the summed potential by at most n <= 3 = 2 * 1 + 1, and a gap of at
-    least 5 puts the rounded band center 2 or more from each face.  The
-    candidates are still validated together (:func:`validate_separators`,
-    grouped over the batch), and a failure raises RuntimeError naming its
-    spec, chained from the validation error.  So callers can go straight to
-    :func:`bands_share_cell`.  The instances of one call share array
-    buffers (see :func:`_built_instances`).
+    (a size, then one array of uniform draws, each a step forward along
+    the factor's axis with probability 0.7, else a unit step along a
+    uniform axis and sign), so an instance depends on its spec alone.  Per
+    round, every open spec draws one candidate, and all of them are
+    stepped and gap-tested as arrays; a candidate whose face gap is too
+    narrow is redrawn in the next round, and a spec with none wide enough
+    in 64 candidates raises RuntimeError.  A candidate that passes the gap
+    test is valid by construction: unit-step walks are face-connected, a
+    product step moves the summed potential by at most n <= 3 = 2 * 1 + 1,
+    and a gap of at least 5 puts the rounded band center 2 or more from
+    each face.  Per batch, the passing candidates are laid out together
+    and still validated together (:func:`validate_separators`'s checks, as
+    array operations over the batch), and a failure raises RuntimeError
+    naming its spec, chained from the validation error.  So callers can go
+    straight to :func:`bands_share_cell`.  The instances of one call share
+    array buffers (see :func:`_built_instances`).
     """
-    for n, _ in specs:
-        if not 1 <= n <= _MAX_SEPARATOR_DIM:
-            raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
-    by_dim: dict[int, list[int]] = {}
-    drawn = []
-    for i, (n, seed) in enumerate(specs):
-        found = _gapped_walks(np.random.default_rng(seed), n)
-        if found is None:
-            raise RuntimeError(f"no valid random instance after 64 attempts (seed {seed})")
-        drawn.append(found)
-        by_dim.setdefault(n, []).append(i)
-    order = [i for members in by_dim.values() for i in members]
-    candidates = [
-        instance
-        for n, members in by_dim.items()
-        for instance in _built_instances(n, [drawn[i] for i in members])
-    ]
-    instances: list[SeparatorInstance | None] = [None] * len(specs)
-    for i, candidate, outcome in zip(order, candidates, _validations(candidates)):
-        if not isinstance(outcome, SeparatorValidation):
-            n, seed = specs[i]
-            raise RuntimeError(
-                f"random separator instance ({n}, {seed}) failed validation"
-            ) from outcome
-        instances[i] = candidate
-    return instances  # type: ignore[return-value]
+    return _built_instances(_drawn(specs))
+
+
+def random_bands_share_cell(specs: Sequence[tuple[int, int]]) -> list[bool]:
+    """:func:`bands_share_cell` of each spec's :func:`random_separator_instances` instance.
+
+    Drawn and validated as :func:`random_separator_instances` does, then
+    scanned as one batch: one array scan per factor count, over the batch's
+    potentials, with no instance built.
+    """
+    return _shared_cells(_drawn(specs)).tolist()
 
 
 def random_separator_instance(n: int, seed: int) -> SeparatorInstance:

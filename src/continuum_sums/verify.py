@@ -47,11 +47,11 @@ from .grid import (
 )
 from .sums import (
     SeparatorInstance,
-    bands_share_cell,
     build_sum_separators,
     claim_measure_chain,
     hl_discrete_check,
-    random_separator_instances,
+    random_bands_share_cell,
+    random_separator_instance,
     separation_by_search,
     shift_construction,
     verify_claim,
@@ -68,7 +68,7 @@ SCHEMA_VERSION = 1
 #: at truncation levels >= 4.
 _PLATEAU_RHO = 0.15
 
-#: Trials of the separator suite drawn, built and validated as one batch.
+#: Trials of the separator suite drawn, validated and scanned as one batch.
 #: Blocks of this size bound the suite's memory whatever ``--trials`` is
 #: (2,000 trials: 0.64 s at 61 MB peak RSS in blocks of 100, 0.68 s at
 #: 93 MB as one batch; 10,000 trials in blocks: 62 MB).  An instance
@@ -665,14 +665,15 @@ def verify_hl_suite(trials: int, seed: int = 0) -> VerificationReport:
     Trial t draws instance ``(n, seed + t)``, three-dimensional for every
     tenth trial.  A failing instance is named by those generator
     coordinates (dimension and seed reproduce it exactly), which is treated
-    as a fatal inconsistency.  The random instances are drawn as one batch
-    by :func:`random_separator_instances`, which validates them together,
-    and are then only scanned with :func:`bands_share_cell`; each
-    constructed one is validated by :func:`hl_discrete_check`, and their
-    two checks read no input, so they run once per process.  So each
-    instance is validated once before its verdict.  The trials are drawn
-    in blocks of ``_SUITE_BLOCK``, so the suite holds one block of random
-    instances at a time.
+    as a fatal inconsistency.  The trials run in blocks of
+    ``_SUITE_BLOCK``, each one :func:`random_bands_share_cell` batch: per
+    round, the block's open specs draw their candidates and all their walks
+    are stepped and gap-tested as arrays; per block, the passing instances
+    are validated and scanned as arrays, with no instance built.  So the
+    suite holds one block at a time, and each instance is validated once
+    before its verdict; only a failing one is rebuilt, to be named.  Each
+    constructed instance is validated by :func:`hl_discrete_check`, and
+    their two checks read no input, so they run once per process.
     """
     start = time.perf_counter()
     if trials < 1:
@@ -682,9 +683,9 @@ def verify_hl_suite(trials: int, seed: int = 0) -> VerificationReport:
     for lo in range(0, trials, _SUITE_BLOCK):
         block = specs[lo : lo + _SUITE_BLOCK]
         failures += [
-            _instance_label(n, instance_seed, instance)
-            for (n, instance_seed), instance in zip(block, random_separator_instances(block))
-            if not bands_share_cell(instance)
+            _instance_label(n, instance_seed, random_separator_instance(n, instance_seed))
+            for (n, instance_seed), shared in zip(block, random_bands_share_cell(block))
+            if not shared
         ]
     counts = {d: sum(n == d for n, _ in specs) for d in (2, 3)}
     if failures:

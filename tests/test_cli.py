@@ -437,6 +437,29 @@ class TestVerifyCommands:
         assert err.startswith("error: grid axis ") and "more than int64 holds" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "entry, h, count",
+        [
+            ({"kind": "l_shape"}, "1e-17", (10**17 + 1) ** 2),
+            ({"kind": "circle", "radius": 1e9}, "0.02", (10**11 + 1) ** 2),
+        ],
+        ids=["l-shape", "circle"],
+    )
+    @pytest.mark.parametrize("command", [["verify", "main"], ["bitmap"]], ids=["main", "bitmap"])
+    def test_grid_past_one_array_exits_two(self, tmp_path, capsys, command, entry, h, count):
+        # Every axis fits int64 but their product does not fit one array:
+        # refused by name before numpy is asked for the array.  ``verify
+        # main`` reads h from the document's resolutions.
+        doc = {"dim": 2, "sets": [entry]}
+        flags = ["--h", h]
+        if command == ["verify", "main"]:
+            doc["resolutions"] = [float(h)]
+            flags = []
+        code, out, err = _run(capsys, *command, _write_doc(tmp_path, "big.json", doc), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid of extents ") and f" has {count} cells" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_c1_requires_single_set(self, tmp_path, capsys):
         doc = _write_doc(
             tmp_path, "two.json", {"dim": 2, "sets": [{"kind": "circle"}] * 2}

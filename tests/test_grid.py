@@ -24,7 +24,6 @@ from continuum_sums.grid import (
     Semantics,
     auto_geometry,
     component_count,
-    component_counts,
     covering_radius,
     dilate_fft,
     dilate_naive,
@@ -1019,23 +1018,6 @@ def test_each_once_makes_each_distinct_object_once_in_item_order():
 @given(single_grid())
 def test_components_match_bfs(a):
     assert component_count(a) == len(oracle_components(a.occupancy))
-
-
-@given(st.lists(single_grid(), max_size=6))
-@example([])
-@settings(deadline=None)
-def test_component_counts_on_one_canvas_match_bfs(grids):
-    # Grids of mixed dimensions: those of one dimension share a canvas, and
-    # a component reaching a grid's last row or column must not join the next.
-    counts = component_counts([g.occupancy for g in grids])
-    assert counts == [len(oracle_components(g.occupancy)) for g in grids]
-    assert counts == [component_count(g) for g in grids]
-
-
-def test_component_counts_of_full_grids_stacked_one_row_apart():
-    full = [np.ones(shape, bool) for shape in [(2, 3), (1, 5), (3, 1), (2, 2)]]
-    assert component_counts(full) == [1, 1, 1, 1]
-    assert component_counts(full[:1]) == [1]
 
 
 def test_diagonal_pair_adjacency():

@@ -30,10 +30,12 @@ from continuum_sums.sums import (
     MidpointChain,
     SeparatorInstance,
     SeparatorValidation,
+    bands_share_cell,
     build_sum_separators,
     claim_measure_chain,
     hl_discrete_check,
     midpoint_iterate,
+    random_bands_share_cell,
     random_separator_instance,
     random_separator_instances,
     separation_by_search,
@@ -601,6 +603,7 @@ def test_gallery_instance_search_agrees_with_oracle():
     instance = build_sum_separators(c, sets, target=(0.375, 0.375), h=0.25)
     for axis in range(2):
         assert oracle_separates(instance, axis)
+        assert separation_by_search(instance, axis)
 
 
 def test_invalid_band_is_rejected_not_reported():
@@ -807,34 +810,25 @@ def test_random_instance_matches_former_numpy_walk(n, seeds, size_range, monkeyp
         assert_same_instance(got, want)
 
 
-class StubGenerator:
-    """Hands a walk a fixed size and repeats fixed uniforms."""
-
-    def __init__(self, size: int, uniforms: list[float]) -> None:
-        self.size, self.uniforms = size, uniforms
-
-    def integers(self, low, high):
-        return self.size
-
-    def random(self, count):
-        assert count == 3 * self.size
-        return np.resize(self.uniforms, count)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_walk_move_rule_at_its_edges(n):
     # A two-cell walk is its start and one move: just below 0.7 steps forward
     # along axis j, 0.7 takes the first side step (-e_0) and the largest
-    # uniform the last (+e_{n-1}).
-    eye = np.eye(n, dtype=np.int64)
-    for j in range(n):
-        start = np.array(sums_mod._walk(StubGenerator(2, [0.0]), n, j)[0])[:, 0]
-        for u, move in ((np.nextafter(0.7, 0), eye[j]), (0.7, -eye[0]), (1 - 2**-53, eye[n - 1])):
-            coords, lows, extents = sums_mod._walk(StubGenerator(2, [u]), n, j)
-            cells = np.array(coords).T
-            assert cells.tolist() == sorted([start.tolist(), (start + move).tolist()])
-            assert lows == cells.min(axis=0).tolist()
-            assert extents == (np.ptp(cells, axis=0) + 1).tolist()
+    # uniform the last (+e_{n-1}).  Every axis's three walks run as one round.
+    eye = np.eye(3, dtype=np.int64)
+    edges = [(np.nextafter(0.7, 0), None), (0.7, -eye[0]), (1 - 2**-53, eye[n - 1])]
+    axes = np.repeat(np.arange(n), len(edges))
+    uniforms = np.array([u for _ in range(n) for u, _ in edges])
+    cells, counts, extents = sums_mod._walk_cells(
+        np.full(len(axes), n), axes, np.full(len(axes), 2), np.repeat(uniforms, 6)
+    )
+    assert counts.tolist() == [2] * len(axes)
+    for w, (j, (_, move)) in enumerate(zip(axes.tolist(), edges * n)):
+        step = eye[j] if move is None else move
+        want = np.array(sorted([[0, 0, 0], step.tolist()]))
+        want -= want.min(axis=0)
+        assert cells[2 * w : 2 * w + 2].tolist() == want.tolist()
+        assert extents[w].tolist() == (np.ptp(want, axis=0) + 1).tolist()
 
 
 def test_batch_instances_match_former_numpy_walk_spec_by_spec():
@@ -844,13 +838,29 @@ def test_batch_instances_match_former_numpy_walk_spec_by_spec():
     assert random_separator_instances([]) == []
 
 
+def test_mixed_batch_with_redraws_matches_former_walk_spec_by_spec(monkeypatch):
+    # (3, 27) takes 5 candidates, (3, 63) 4 and (2, 14) 2, the rest 1: the
+    # specs close in different rounds, (2, 14) before the earlier (3, 27).
+    rounds = []
+    real = sums_mod._walk_cells
+
+    def recording(n, axis, steps, draws):
+        rounds.append(len(steps))
+        return real(n, axis, steps, draws)
+
+    monkeypatch.setattr(sums_mod, "_walk_cells", recording)
+    specs = [(3, 27), (1, 3), (2, 14), (3, 63), (2, 0), (1, 8), (3, 2)]
+    for (n, seed), got in zip(specs, random_separator_instances(specs)):
+        assert_same_instance(got, reference_random_separator_instance(n, seed))
+    assert rounds == [15, 3 + 2 + 3, 3 + 3, 3 + 3, 3]
+
+
 def test_rejected_candidate_raises_naming_its_spec(monkeypatch):
     real = sums_mod._validations
 
-    def reject_second(instances):
-        outcomes = real(instances)
-        outcomes[1] = ValueError("rejected")
-        return outcomes
+    def reject_second(batch):
+        report, failed = real(batch)
+        return report, {**failed, 1: ValueError("rejected")}
 
     monkeypatch.setattr(sums_mod, "_validations", reject_second)
     with pytest.raises(RuntimeError, match=r"\(2, 5\)") as raised:
@@ -868,23 +878,44 @@ def test_every_gap_tested_candidate_passes_validation(monkeypatch):
     real = sums_mod._validations
     outcomes = []
 
-    def recording(instances):
-        found = real(instances)
-        outcomes.extend(found)
+    def recording(batch):
+        found = real(batch)
+        outcomes.append((batch.dims, *found))
         return found
 
     monkeypatch.setattr(sums_mod, "_validations", recording)
     specs = [(n, seed) for n in (1, 2, 3) for seed in range(1000)]
-    assert len(random_separator_instances(specs)) == len(outcomes) == len(specs)
-    for outcome in outcomes:
-        assert isinstance(outcome, SeparatorValidation)
-        assert (outcome.max_step <= 1).all() and outcome.integral.all()
+    assert len(random_separator_instances(specs)) == len(specs)
+    ((dims, report, failed),) = outcomes
+    assert len(dims) == len(specs) and failed == {}
+    for i, n in enumerate(dims.tolist()):
+        assert (report.max_step[i, :n] <= 1).all() and report.integral[i, :n].all()
 
 
-def test_generator_refuses_unsupported_dimensions():
+def test_generator_refuses_unsupported_dimensions(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     for n in (0, 4):
-        with pytest.raises(ValueError, match="support 1..3"):
-            random_separator_instances([(2, 1), (n, 2)])
+        for generate in (random_separator_instances, random_bands_share_cell):
+            with pytest.raises(ValueError, match="support 1..3"):
+                generate([(2, 1), (n, 2)])
+
+
+def test_spec_without_a_wide_gap_raises_naming_the_first_in_spec_order(monkeypatch):
+    # Walks of 5..8 cells never give three factors a face gap wider than 4
+    # in 64 candidates for seeds 1 and 0, while the other specs close.
+    monkeypatch.setattr(sums_mod, "_WALK_SIZES", (5, 9))
+    specs = [(2, 0), (3, 1), (1, 1), (3, 0)]
+    for n, seed in specs:
+        if n == 3:
+            with pytest.raises(RuntimeError, match=rf"\(seed {seed}\)$"):
+                reference_random_separator_instance(n, seed, size_range=(5, 9))
+    message = r"^no valid random instance after 64 attempts \(seed 1\)$"
+    for generate in (random_separator_instances, random_bands_share_cell):
+        with pytest.raises(RuntimeError, match=message):
+            generate(specs)
 
 
 def validation_outcome(validate, instance):
@@ -975,11 +1006,17 @@ def test_validation_matches_former_on_invalid_instances():
     assert [o[0] for o in outcomes] == ["error"] * len(invalid)
 
 
-def batch_outcome(outcome):
-    """:func:`validation_outcome`'s form of one outcome of a grouped validation."""
-    if isinstance(outcome, Exception):
-        return ("error", type(outcome), str(outcome))
-    return validation_outcome(lambda _: outcome, None)
+def batch_outcomes(instances):
+    """:func:`validation_outcome`'s form of each outcome of one grouped validation."""
+    report, failed = sums_mod._validations(sums_mod._packed(instances))
+    outcomes = []
+    for i, instance in enumerate(instances):
+        if i in failed:
+            outcomes.append(("error", type(failed[i]), str(failed[i])))
+        else:
+            fields = dataclasses.astuple(report)
+            outcomes.append(("ok", *(field[i, : instance.n].tobytes() for field in fields)))
+    return outcomes
 
 
 def test_batch_validation_matches_former_instance_by_instance():
@@ -994,7 +1031,7 @@ def test_batch_validation_matches_former_instance_by_instance():
         batch += [instance, *invalid_variants(instance), instance]
     batch += [single_cell_instance(), valid[0]]
     with np.errstate(all="ignore"):
-        got = [batch_outcome(o) for o in sums_mod._validations(batch)]
+        got = batch_outcomes(batch)
         want = [validation_outcome(former_validate_separators, x) for x in batch]
         alone = [validation_outcome(validate_separators, x) for x in batch]
     assert got == want == alone
@@ -1024,7 +1061,7 @@ def test_batch_validation_reads_unusual_faces_as_numpy_indexes_them():
         dataclasses.replace(instance, band_center=instance.band_center[:1]),
     ]
     batch = [instance, *odd, instance]
-    got = [batch_outcome(o) for o in sums_mod._validations(batch)]
+    got = batch_outcomes(batch)
     assert got == [validation_outcome(former_validate_separators, x) for x in batch]
     assert got == [validation_outcome(validate_separators, x) for x in batch]
     assert [o[1] if o[0] == "error" else "ok" for o in got] == (
@@ -1061,9 +1098,9 @@ def test_faces_are_read_against_argwhere_order():
     # alone and in a batch, without touching its batch neighbour.
     misordered = misordered_bar_instance()
     message = "axis 0: faces do not straddle the band"
-    outcomes = sums_mod._validations([misordered, random_separator_instance(2, seed=5)])
-    assert str(outcomes[0]).startswith(message)
-    assert isinstance(outcomes[1], SeparatorValidation)
+    outcomes = batch_outcomes([misordered, random_separator_instance(2, seed=5)])
+    assert outcomes[0][:2] == ("error", ValueError) and outcomes[0][2].startswith(message)
+    assert outcomes[1][0] == "ok"
     for check in (validate_separators, hl_discrete_check):
         with pytest.raises(ValueError, match=message):
             check(misordered)
@@ -1175,3 +1212,183 @@ def test_validation_matches_former_on_drawn_potentials(data):
         band_radius=scale * instance.band_radius,
     )
     assert_same_validation(drawn)
+
+
+# --- the batched validation and scan against their former formulations ----------------
+
+
+def axis_band_cube() -> SeparatorInstance:
+    """The 7x7 axis-band cube of ``verify hl``: coordinate bands on a full square product."""
+    occupancy = np.ones((7, 7), dtype=bool)
+    cells = np.argwhere(occupancy)
+    return SeparatorInstance(
+        factors=(occupancy, occupancy),
+        potentials=tuple(
+            tuple(
+                cells[:, k].astype(np.float64) if j == k else np.zeros(len(cells))
+                for j in range(2)
+            )
+            for k in range(2)
+        ),
+        band_center=np.array([3.0, 3.0]),
+        band_radius=np.ones(2),
+        faces_neg=tuple(np.flatnonzero(cells[:, k] == 0) for k in range(2)),
+        faces_pos=tuple(np.flatnonzero(cells[:, k] == 6) for k in range(2)),
+    )
+
+
+def constructed_instances() -> list[SeparatorInstance]:
+    """:func:`build_sum_separators` instances in one, two and three dimensions, and the cube."""
+    out = [axis_band_cube()]
+    for n, target in ((1, (0.375,)), (2, (0.375, 0.375)), (3, (0.375,) * 3)):
+        sets = axis_segments(n, 3)
+        out.append(build_sum_separators(shift_construction(sets, s=1), sets, target=target, h=0.25))
+    return out
+
+
+def invalid_fixtures() -> list[SeparatorInstance]:
+    """The instances the tests above build to be refused (or read oddly), and non-finite ones.
+
+    Potentials of the wrong length are left out: the former validation
+    failed on them with an IndexError of its own.
+    """
+    base = random_separator_instance(2, seed=5)
+    fixtures = [single_cell_instance(), misordered_bar_instance()]
+    for n, seed in ((1, 2), (2, 5), (3, 1), (2, 7)):
+        fixtures += invalid_variants(random_separator_instance(n, seed))
+    fixtures += invalid_variants(constructed_instances()[2])
+    m = len(base.factor_cells[0])
+    neg = base.faces_neg[0]
+    mask = np.isin(np.arange(m), neg)
+    for faces in (neg - m, neg.tolist(), mask, np.array([m + 5]), np.zeros(m, bool)):
+        fixtures.append(dataclasses.replace(base, faces_neg=(faces,) + base.faces_neg[1:]))
+    fixtures.append(dataclasses.replace(base, band_center=base.band_center[:1]))
+    # round() of an infinite or NaN band raises inside the integrality test.
+    bands = [
+        ([math.inf, 3.0], [1.0, 1.0]),
+        ([3.0, math.nan], [1.0, 1.0]),
+        (base.band_center, [1.0, math.inf]),
+    ]
+    for center, radius in bands:
+        fixtures.append(
+            dataclasses.replace(base, band_center=np.array(center), band_radius=np.array(radius))
+        )
+    nudged = [tuple(p.copy() for p in row) for row in base.potentials]
+    nudged[0][0][3] = math.nan
+    nudged[1][1][0] = math.inf
+    fixtures.append(dataclasses.replace(base, potentials=tuple(nudged)))
+    return fixtures
+
+
+def test_batch_validation_matches_former_on_every_fixture_both_ways():
+    generated = random_separator_instances([(n, seed) for n in (1, 2, 3) for seed in range(6)])
+    batch = generated + constructed_instances() + invalid_fixtures()
+    with np.errstate(all="ignore"):
+        want = [validation_outcome(former_validate_separators, x) for x in batch]
+        assert batch_outcomes(batch) == want
+        assert batch_outcomes(batch[::-1]) == want[::-1]
+        assert [validation_outcome(validate_separators, x) for x in batch] == want
+    assert [o[0] for o in want[: len(generated) + 4]] == ["ok"] * (len(generated) + 4)
+    errors = {o[1] for o in want if o[0] == "error"}
+    assert errors == {ValueError, IndexError, OverflowError}
+
+
+def former_band_masks(instance: SeparatorInstance, k: int) -> np.ndarray:
+    """The former scan's band S_k: a boolean product array over factor cell indices."""
+    n = instance.n
+    total = instance.potentials[k][0].reshape(-1, *([1] * (n - 1))).astype(np.float64)
+    for j in range(1, n):
+        shape = [1] * n
+        shape[j] = -1
+        total = total + instance.potentials[k][j].reshape(shape)
+    return np.abs(total - instance.band_center[k]) <= instance.band_radius[k] + 1e-12
+
+
+def former_bands_share_cell(instance: SeparatorInstance) -> bool:
+    """The former product scan: every band's mask, ``&``-ed, then ``any``."""
+    mask = former_band_masks(instance, 0)
+    for k in range(1, instance.n):
+        mask &= former_band_masks(instance, k)
+    return bool(mask.any())
+
+
+def scan_fixtures() -> list[SeparatorInstance]:
+    """Valid instances of every dimension, a one-cell factor, and bands moved off each other."""
+    valid = random_separator_instances([(n, seed) for n in (1, 2, 3) for seed in range(5)])
+    # The 3-D constructed product (351 cells a factor) is left to the validation tests.
+    valid += constructed_instances()[:3] + [single_cell_instance()]
+    moved = [
+        dataclasses.replace(x, band_center=x.band_center + shift)
+        for x in valid[::3]
+        for shift in (0.5, 2.0, 1e3)
+    ]
+    # The one cell of band 0 sits on the rule's edge, abs(0 - c) == r + 1e-12,
+    # below the band and above it.
+    edge = np.array([-(1.0 + 1e-12), 0.0])
+    bar = single_cell_instance()
+    below = ((-bar.potentials[0][0], bar.potentials[0][1]), bar.potentials[1])
+    moved += [
+        dataclasses.replace(valid[0], band_center=edge[:1]),
+        dataclasses.replace(bar, band_center=edge),
+        dataclasses.replace(bar, potentials=below, band_center=-edge),
+    ]
+    return valid + moved
+
+
+def test_batched_scan_matches_the_former_product_scan():
+    instances = scan_fixtures()
+    want = [former_bands_share_cell(x) for x in instances]
+    assert True in want and False in want
+    assert sums_mod._shared_cells(sums_mod._packed(instances)).tolist() == want
+    assert sums_mod._shared_cells(sums_mod._packed(instances[::-1])).tolist() == want[::-1]
+    assert [bands_share_cell(x) for x in instances] == want
+    specs = [(3 if t % 10 == 9 else 2, 3000 + t) for t in range(100)] + [(1, 4), (3, 27)]
+    got = random_bands_share_cell(specs)
+    assert got == [former_bands_share_cell(x) for x in random_separator_instances(specs)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_scan_matches_the_former_on_drawn_bands(data):
+    # Moved centers, scaled radii and non-finite potentials put cells in and
+    # out of the bands, at the edges of the scan's drop of partial products.
+    n = data.draw(st.integers(1, 3))
+    instance = random_separator_instance(n, seed=data.draw(st.integers(0, 5)))
+    offsets = st.sampled_from([0.0, 0.5, -1.0, 1.0 + 1e-12, 2.0, -3.5])
+    nudges = st.sampled_from([0.0] * 30 + [1e-12, 0.5, math.nan, math.inf, -math.inf])
+    drawn = dataclasses.replace(
+        instance,
+        potentials=tuple(
+            tuple(
+                p + np.array(data.draw(st.lists(nudges, min_size=len(p), max_size=len(p))))
+                for p in row
+            )
+            for row in instance.potentials
+        ),
+        band_center=instance.band_center
+        + np.array(data.draw(st.lists(offsets, min_size=n, max_size=n))),
+        band_radius=instance.band_radius * data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    )
+    batch = [drawn, instance, drawn]
+    with np.errstate(all="ignore"):
+        want = [former_bands_share_cell(x) for x in batch]
+        assert sums_mod._shared_cells(sums_mod._packed(batch)).tolist() == want
+
+
+def test_search_blocks_the_former_band(monkeypatch):
+    masks = []
+    real = sums_mod._in_band
+
+    def recording(*args):
+        masks.append(real(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(sums_mod, "_in_band", recording)
+    instances = [random_separator_instance(3, 2), single_cell_instance()]
+    instances += constructed_instances()[:3]
+    for instance in instances:
+        for axis in range(instance.n):
+            masks.clear()
+            separation_by_search(instance, axis)
+            want = former_band_masks(instance, axis)
+            assert len(masks) == 1 and np.array_equal(masks[0].reshape(want.shape), want)

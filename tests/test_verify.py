@@ -576,14 +576,14 @@ class TestSeparatorSuite:
         # batches (7, 7, 7, 4), and every instance depends on its spec alone.
         whole = verify_hl_suite(trials=25, seed=6)
         batches = []
-        real_generate = verify_mod.random_separator_instances
+        real_generate = verify_mod.random_bands_share_cell
 
         def generate(specs):
             batches.append(len(specs))
             return real_generate(specs)
 
         monkeypatch.setattr(verify_mod, "_SUITE_BLOCK", 7)
-        monkeypatch.setattr(verify_mod, "random_separator_instances", generate)
+        monkeypatch.setattr(verify_mod, "random_bands_share_cell", generate)
         blocked = verify_hl_suite(trials=25, seed=6)
         assert batches == [7, 7, 7, 4]
         assert (blocked.scenario, blocked.inputs, blocked.checks, blocked.passed) == (
@@ -595,45 +595,58 @@ class TestSeparatorSuite:
 
     def test_each_instance_is_validated_once(self, monkeypatch):
         # Every validation, batched or single, runs through the grouped
-        # validator; record each instance it sees.  The constructed checks
-        # run once per process, so their cached verdicts are dropped first.
+        # validator; record the factor counts of each batch it sees.  The
+        # constructed checks run once per process, so their cached verdicts
+        # are dropped first.
         verify_mod._axis_band_cube_check.cache_clear()
         verify_mod._claim_instance_check.cache_clear()
-        validated = []
+        batches = []
         real_validations = sums_mod._validations
 
-        def validations(instances):
-            validated.extend(instances)
-            return real_validations(instances)
+        def validations(batch):
+            batches.append(batch.dims.tolist())
+            return real_validations(batch)
 
-        generated, checked = [], []
-        real_generate = verify_mod.random_separator_instances
+        def no_instances(batch):
+            raise AssertionError("a passing block built its instances")
+
+        checked = []
         real_check = verify_mod.hl_discrete_check
 
-        def generate(*args, **kwargs):
-            instances = real_generate(*args, **kwargs)
-            generated.extend(instances)
-            return instances
-
         def check(instance):
-            checked.append(instance)
+            checked.append(instance.n)
             return real_check(instance)
 
         monkeypatch.setattr(sums_mod, "_validations", validations)
-        monkeypatch.setattr(verify_mod, "random_separator_instances", generate)
+        monkeypatch.setattr(sums_mod, "_built_instances", no_instances)
         monkeypatch.setattr(verify_mod, "hl_discrete_check", check)
         rep = verify_hl_suite(trials=20, seed=4)
         assert rep.passed
-        assert len(generated) == 20
-        # The random instances are validated by their generator only; the
-        # two constructed ones by hl_discrete_check.
-        assert len(checked) == 2
-        for instance in generated + checked:
-            assert sum(v is instance for v in validated) == 1
-        assert len(validated) == 22
+        # The random instances are validated by their generator only, as one
+        # batch; the two constructed ones by hl_discrete_check, one each.
+        assert batches == [([2] * 9 + [3]) * 2, [2], [2]]
+        assert checked == [2, 2]
         # A second suite in the same process reuses both constructed verdicts.
         assert verify_hl_suite(trials=1, seed=4).passed
-        assert len(checked) == 2
+        assert checked == [2, 2] and batches[3:] == [[2]]
+
+    def test_a_disjoint_instance_is_rebuilt_to_be_named(self, monkeypatch):
+        real_generate = verify_mod.random_bands_share_cell
+
+        def second_disjoint(specs):
+            shared = real_generate(specs)
+            shared[1] = False
+            return shared
+
+        monkeypatch.setattr(verify_mod, "random_bands_share_cell", second_disjoint)
+        rep = verify_hl_suite(trials=3, seed=8)
+        instance = sums_mod.random_separator_instance(2, 9)
+        counts = "x".join(str(np.count_nonzero(f)) for f in instance.factors)
+        assert not rep.passed and not rep.checks[0].passed
+        assert rep.checks[0].detail == (
+            f"FATAL: bands disjoint for n=2 seed=9 cells {counts} "
+            f"center {instance.band_center.tolist()} radius [1.0, 1.0]"
+        )
 
     def test_pinned_reports_and_derived_factor_cells(self, monkeypatch):
         # SHA-256 of each payload less ``elapsed_seconds``, dumped with sorted
