@@ -302,10 +302,18 @@ class SeparatorInstance:
     :attr:`factor_cells` derives its occupied cells in C order.  For axis k,
     the separator S_k collects the product cells whose potential sum lies
     within ``band_radius[k]`` of ``band_center[k]``, the summand for factor
-    j being ``potentials[k][j]`` at its cell.  Faces index factor k's cells
-    as numpy reads them; a product cell is in F_k^- when ``faces_neg[k]``
-    picks its k-th factor cell.  Instances hold arrays, so they compare and
-    hash by identity.
+    j being ``potentials[k][j]`` at its cell.  Faces are indices into the
+    C-ordered cells of factor k: a product cell is in F_k^- when its k-th
+    factor cell is one ``faces_neg[k]`` names.  Instances hold arrays, so
+    they compare and hash by identity.
+
+    Construction refuses, with a ``ValueError`` naming the field, anything
+    but this contract: 1..3 factors, each a boolean ndarray with n axes and
+    an occupied cell; ``potentials[k][j]`` a 1-D float64 array holding one
+    finite value per occupied cell of factor j; ``band_center`` and
+    ``band_radius`` finite float64 arrays of shape (n,); ``faces_neg[k]``
+    and ``faces_pos[k]`` non-empty 1-D integer arrays with entries in
+    [0, cells of factor k).
     """
 
     factors: tuple[NDArray[np.bool_], ...]
@@ -315,6 +323,45 @@ class SeparatorInstance:
     faces_neg: tuple[NDArray[np.int64], ...]
     faces_pos: tuple[NDArray[np.int64], ...]
 
+    def __post_init__(self) -> None:
+        n = len(self.factors)
+        if not 1 <= n <= _MAX_SEPARATOR_DIM:
+            raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
+        counts = []
+        for j, factor in enumerate(self.factors):
+            if not (isinstance(factor, np.ndarray) and factor.dtype == bool and factor.ndim == n):
+                raise ValueError(f"factors[{j}] must be a boolean array with {n} axes")
+            counts.append(int(np.count_nonzero(factor)))
+            if not counts[j]:
+                raise ValueError(f"factors[{j}] has no occupied cell")
+        if len(self.potentials) != n or any(len(row) != n for row in self.potentials):
+            raise ValueError(f"potentials must hold {n} rows of {n} arrays")
+        for k, row in enumerate(self.potentials):
+            for j, values in enumerate(row):
+                if not _finite_floats(values, counts[j]):
+                    raise ValueError(
+                        f"potentials[{k}][{j}] must hold one finite float64 per occupied cell"
+                        f" of factor {j} ({counts[j]})"
+                    )
+        for name in ("band_center", "band_radius"):
+            if not _finite_floats(getattr(self, name), n):
+                raise ValueError(f"{name} must be {n} finite float64 values")
+        for name in ("faces_neg", "faces_pos"):
+            faces = getattr(self, name)
+            if len(faces) != n:
+                raise ValueError(f"{name} must hold {n} faces")
+            for k, face in enumerate(faces):
+                if not (
+                    isinstance(face, np.ndarray)
+                    and face.ndim == 1
+                    and np.issubdtype(face.dtype, np.integer)
+                ):
+                    raise ValueError(f"{name}[{k}] must be a 1-D integer array")
+                if not len(face):
+                    raise ValueError(f"axis {k}: empty face set")
+                if face.min() < 0 or face.max() >= counts[k]:
+                    raise ValueError(f"{name}[{k}] must index the {counts[k]} cells of factor {k}")
+
     @property
     def n(self) -> int:
         return len(self.factors)
@@ -323,6 +370,16 @@ class SeparatorInstance:
     def factor_cells(self) -> tuple[NDArray[np.int64], ...]:
         """Each factor's occupied cells in C order: ``np.argwhere`` of its occupancy."""
         return tuple(np.argwhere(f) for f in self.factors)
+
+
+def _finite_floats(values: object, length: int) -> bool:
+    """Whether ``values`` is a 1-D float64 array of ``length`` finite values."""
+    return (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.shape == (length,)
+        and bool(np.isfinite(values).all())
+    )
 
 
 @dataclass(frozen=True)
@@ -347,14 +404,14 @@ def _adjacent_pairs(
 ) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
     """Chessboard-adjacent pairs of cells within each of several cell lists.
 
-    ``cells`` holds non-empty lists of one dimension one after another, list
-    i from row ``starts[i]`` on.  Returns row pairs ``(first, second)``,
-    each unordered pair of adjacent rows once.  A list's cells are keyed in
-    its bounding box grown by one cell on every side, the boxes laid end to
-    end, so the key of a neighbour lies in its own list's box and names a
-    cell only if the list holds it.  Each cell's neighbours are found by
-    searching the sorted keys for its key plus half the neighbour offsets
-    (the other half give the same pairs reversed).
+    ``cells`` holds non-empty lists of distinct cells of one dimension one
+    after another, list i from row ``starts[i]`` on.  Returns row pairs
+    ``(first, second)``, each unordered pair of adjacent rows once.  A
+    list's cells are keyed in its bounding box grown by one cell on every
+    side, the boxes laid end to end, so the key of a neighbour lies in its
+    own list's box and names a cell only if the list holds it.  Each cell's
+    neighbours are found by searching the sorted keys for its key plus half
+    the neighbour offsets (the other half give the same pairs reversed).
     """
     rows, dim = cells.shape
     lo = np.minimum.reduceat(cells, starts) - 1
@@ -377,151 +434,66 @@ def _adjacent_pairs(
         dtype=np.int64,
     ).reshape(-1, dim)
     queries = (keys[:, None] + cell_weights @ offsets.T).ravel()
-    left = np.searchsorted(ordered, queries, "left")
-    hits = np.searchsorted(ordered, queries, "right") - left
-    # A listed cell twice over is two hits, consecutive in the sorted keys.
-    first = np.repeat(np.arange(rows), hits.reshape(rows, -1).sum(axis=1))
-    within = np.arange(first.size) - np.repeat(np.cumsum(hits) - hits, hits)
-    return first, order[np.repeat(left, hits) + within]
+    found = np.minimum(np.searchsorted(ordered, queries), rows - 1)
+    hits = np.flatnonzero(ordered[found] == queries)
+    return hits // len(offsets), order[found[hits]]
 
 
 def _integral_entries(values: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """Which entries ``np.allclose(values, np.round(values), atol=1e-9)`` finds close.
-
-    Infinities equal their own rounding; NaN is never integral.
-    """
+    """Which finite entries ``np.allclose(values, np.round(values), atol=1e-9)`` finds close."""
     rounded = np.round(values)
-    with np.errstate(invalid="ignore"):
-        close = np.abs(values - rounded) <= 1e-9 + 1e-5 * np.abs(rounded)
-    return close | (values == rounded)
-
-
-#: A validation's checks in the order one runs them, each at one position:
-#: 0 the factor count; then factor by factor (j) its component count at
-#: ``1 + 4 * j`` and its axis-k potential count at ``2 + 4 * j + k``; then
-#: axis by axis the seven stages from ``_AXIS_CHECKS + 7 * k``: reading the
-#: band, rounding it, the jump, the empty faces, reading F^-, reading F^+
-#: and the straddle.
-_AXIS_CHECKS = 1 + 4 * _MAX_SEPARATOR_DIM
+    return np.abs(values - rounded) <= 1e-9 + 1e-5 * np.abs(rounded)
 
 
 @dataclass(frozen=True)
 class _Batch:
     """Separator instances laid out flat, for the grouped validation and scan.
 
-    Instance i has ``dims[i]`` factors (0 when it has an unsupported
-    count), the factors after those of the instances before it.  Factor
-    f's ``sizes[f]`` cells follow those of the factors before it as rows
-    of ``cells`` (C order, ``ndims[f]`` columns and then zeros) and as
-    columns of ``potentials``, whose row k holds the axis-k potentials (0
-    past the instance's n, and for a list whose count ``lengths[k, f]``
-    is not ``sizes[f]``).  ``centers[i, k]`` and ``radii[i, k]`` hold band
-    k.  ``faces[0]`` lists the potential columns each F^- face reads (face
-    (i, k) after face (i, k - 1), ``face_sizes[0, i, k]`` of them, -1 for a
-    placeholder row), and ``faces[1]`` and ``face_sizes[1]`` those of F^+.
-    ``raised[i]`` is the earliest error met reading instance i, with the
-    position of its check.
+    Instance i has ``dims[i]`` factors, the factors after those of the
+    instances before it.  Factor f's ``sizes[f]`` cells follow those of the
+    factors before it as rows of ``cells`` (C order, n columns and then
+    zeros) and as columns of ``potentials``, whose row k holds the axis-k
+    potentials (0 past the instance's n).  ``centers[i, k]`` and
+    ``radii[i, k]`` hold band k.  ``faces[0]`` lists the potential columns
+    that the F^- face of each factor reads (factor f's after factor f - 1's,
+    ``face_sizes[0, f]`` of them), and ``faces[1]`` and ``face_sizes[1]``
+    those of F^+.
     """
 
     dims: NDArray[np.intp]
     sizes: NDArray[np.intp]
-    ndims: NDArray[np.intp]
     cells: NDArray[np.int64]
     potentials: NDArray[np.float64]
-    lengths: NDArray[np.intp]
     centers: NDArray[np.float64]
     radii: NDArray[np.float64]
     faces: tuple[NDArray[np.intp], NDArray[np.intp]]
     face_sizes: NDArray[np.intp]
-    raised: dict[int, tuple[int, Exception]]
 
 
 def _packed(instances: Sequence[SeparatorInstance]) -> _Batch:
-    """Instances laid out as a :class:`_Batch`, reading what validation reads.
-
-    Each read runs as its check would run it: a factor's potentials by
-    ``len``, the bands by ``float``, each face by ``len`` and then as numpy
-    indexes factor k's cells with it.  A read that fails is noted at its
-    check and leaves a placeholder (zeros, NaN, a face of one row at -1),
-    so that no instance's error stops another's.
-    """
-    raised: dict[int, tuple[int, Exception]] = {}
-
-    def note(i: int, check: int, exc: Exception) -> None:
-        if check < raised.get(i, (check + 1,))[0]:
-            raised[i] = (check, exc)
-
-    count = len(instances)
-    dims = np.zeros(count, dtype=np.intp)
-    bands = np.full((2, count, _MAX_SEPARATOR_DIM), np.nan)
-    face_sizes = np.zeros((2, count, _MAX_SEPARATOR_DIM), dtype=np.intp)
-    cells: list[NDArray[np.int64]] = []
-    potentials: list[NDArray[np.float64]] = [np.zeros((_MAX_SEPARATOR_DIM, 0))]
-    lengths: list[list[int]] = []
-    faces: tuple[list[NDArray[np.intp]], list[NDArray[np.intp]]] = ([], [])
+    """One or more instances laid out as a :class:`_Batch`."""
+    bands = np.zeros((2, len(instances), _MAX_SEPARATOR_DIM))
+    cells, potentials, faces = [], [], ([], [])
     row = 0
     for i, instance in enumerate(instances):
         n = instance.n
-        if not 1 <= n <= _MAX_SEPARATOR_DIM:
-            note(i, 0, ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors"))
-            continue
-        dims[i] = n
-        factor_cells = instance.factor_cells
-        starts = []
-        for j, own in enumerate(factor_cells):
-            starts.append(row)
+        bands[:, i, :n] = instance.band_center, instance.band_radius
+        for j, own in enumerate(instance.factor_cells):
+            cells.append(np.pad(own, ((0, 0), (0, _MAX_SEPARATOR_DIM - n))))
+            potentials.append(np.zeros((_MAX_SEPARATOR_DIM, len(own))))
+            potentials[-1][:n] = [values[j] for values in instance.potentials]
+            for side, face in enumerate((instance.faces_neg[j], instance.faces_pos[j])):
+                faces[side].append(row + face.astype(np.intp))
             row += len(own)
-            cells.append(own)
-            values = np.zeros((_MAX_SEPARATOR_DIM, len(own)))
-            counts = [len(own)] * _MAX_SEPARATOR_DIM
-            for k in range(n):
-                try:
-                    counts[k] = len(instance.potentials[k][j])
-                except Exception as exc:  # noted at its check
-                    note(i, 2 + 4 * j + k, exc)
-                    continue
-                if counts[k] == len(own):
-                    values[k] = instance.potentials[k][j]
-            potentials.append(values)
-            lengths.append(counts)
-        for k in range(n):
-            check = _AXIS_CHECKS + 7 * k
-            try:
-                bands[:, i, k] = float(instance.band_center[k]), float(instance.band_radius[k])
-            except Exception as exc:  # noted at its check
-                note(i, check, exc)
-            read = [np.zeros(0, dtype=np.intp)] * 2
-            stage = 3
-            try:
-                if len(instance.faces_neg[k]) and len(instance.faces_pos[k]):
-                    sides = ((4, instance.faces_neg[k], np.max), (5, instance.faces_pos[k], np.min))
-                    for stage, face, extreme in sides:
-                        picked = np.arange(len(factor_cells[k]))[face]
-                        extreme(picked)  # numpy's error for a face that reads no cell
-                        read[stage - 4] = starts[k] + picked.ravel()
-            except Exception as exc:  # noted at its check
-                note(i, check + stage, exc)
-                read = [np.full(1, -1, dtype=np.intp)] * 2
-            for side in range(2):
-                faces[side].append(read[side])
-                face_sizes[side, i, k] = len(read[side])
-    ndims = np.array([c.shape[1] for c in cells], dtype=np.intp)
-    width = int(ndims.max(initial=1))
     return _Batch(
-        dims=dims,
+        dims=np.array([instance.n for instance in instances], dtype=np.intp),
         sizes=np.array([len(c) for c in cells], dtype=np.intp),
-        ndims=ndims,
-        cells=np.concatenate(
-            [np.zeros((0, width), dtype=np.int64)]
-            + [np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in cells]
-        ),
+        cells=np.concatenate(cells),
         potentials=np.concatenate(potentials, axis=1),
-        lengths=np.array(lengths, dtype=np.intp).reshape(-1, _MAX_SEPARATOR_DIM).T,
         centers=bands[0],
         radii=bands[1],
-        faces=tuple(np.concatenate([np.zeros(0, dtype=np.intp), *side]) for side in faces),
-        face_sizes=face_sizes,
-        raised=raised,
+        faces=(np.concatenate(faces[0]), np.concatenate(faces[1])),
+        face_sizes=np.array([[len(f) for f in side] for side in faces], dtype=np.intp),
     )
 
 
@@ -549,30 +521,7 @@ def _components(
     return np.bincount(owner[parent == np.arange(rows)], minlength=owners)
 
 
-def _band_error(
-    k: int, stage: int, jump: float, below: float, above: float, center: float, radius: float
-) -> Exception:
-    """The error of band k's first failing check, ``stage`` as numbered at :data:`_AXIS_CHECKS`."""
-    jump, below, above, center, radius = map(float, (jump, below, above, center, radius))
-    if stage == 1:
-        try:  # round() of the band, as the integrality test calls it, on infinity or NaN
-            round(center if not math.isfinite(center) else radius)
-        except (OverflowError, ValueError) as exc:
-            return exc
-    if stage == 2:
-        return ValueError(
-            f"axis {k}: a product step can move the potential sum by {jump}, "
-            f"wide enough to leap the band of half-width {radius}"
-        )
-    if stage == 3:
-        return ValueError(f"axis {k}: empty face set")
-    return ValueError(
-        f"axis {k}: faces do not straddle the band "
-        f"({below} .. {above} around {center} +- {radius})"
-    )
-
-
-def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, Exception]]:
+def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, ValueError]]:
     """What :func:`validate_separators` finds for each instance of a batch, found together.
 
     Returns the validation's fields as (instance, axis) arrays, of which
@@ -584,36 +533,28 @@ def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, Exceptio
     potential extremes and integrality are ``reduceat`` over the factors,
     face extremes ``reduceat`` over the faces, and the band checks compare
     (axis, instance) arrays, with float operations in the order of a single
-    validation.  An instance's error is that of its first failing check in
-    the order of a single validation, built from the same arrays or noted
-    while the batch was laid out.
+    validation.  An instance's error is that of its first failing check, in
+    :func:`validate_separators`'s order.
     """
     count, factors = len(batch.dims), len(batch.sizes)
     owner = np.repeat(np.arange(count), batch.dims)
     slot = np.arange(factors) - np.repeat(np.cumsum(batch.dims) - batch.dims, batch.dims)
     starts = np.cumsum(batch.sizes) - batch.sizes
     factor_rows = np.repeat(np.arange(factors), batch.sizes)
+    ndims = batch.dims[owner]
     pots = batch.potentials
     steps = np.zeros((_MAX_SEPARATOR_DIM, factors))
     edges = [np.zeros(0, dtype=np.intp)] * 2
-    for d in np.unique(batch.ndims).tolist():
-        rows = np.flatnonzero(batch.ndims[factor_rows] == d)
-        sizes = batch.sizes[(batch.ndims == d) & (batch.sizes > 0)]
-        if not len(rows):
-            continue
+    for d in np.unique(ndims).tolist():
+        rows = np.flatnonzero(ndims[factor_rows] == d)
+        sizes = batch.sizes[ndims == d]
         pairs = _adjacent_pairs(batch.cells[rows, :d], np.cumsum(sizes) - sizes)
         first, second = rows[pairs[0]], rows[pairs[1]]
         np.maximum.at(steps.T, factor_rows[first], np.abs(pots[:, first] - pots[:, second]).T)
         face = np.abs(batch.cells[first] - batch.cells[second]).sum(axis=1) == 1
         edges = [np.concatenate([edges[0], first[face]]), np.concatenate([edges[1], second[face]])]
     components = _components(len(factor_rows), *edges, factor_rows, factors)
-    filled = batch.sizes > 0
-    heads = starts[filled]
-    extremes = np.full((2, _MAX_SEPARATOR_DIM, factors), np.nan)
-    extremes[0][:, filled] = np.maximum.reduceat(pots, heads, axis=1)
-    extremes[1][:, filled] = np.minimum.reduceat(pots, heads, axis=1)
-    integral = np.ones((_MAX_SEPARATOR_DIM, factors), dtype=bool)
-    integral[:, filled] = np.logical_and.reduceat(_integral_entries(pots), heads, axis=1)
+    integral = np.logical_and.reduceat(_integral_entries(pots), starts, axis=1)
 
     def by_slot(values: NDArray, fill: object) -> NDArray:
         """Per-factor ``values`` (last axis) as (..., instance, slot) with ``fill`` past n."""
@@ -621,69 +562,49 @@ def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, Exceptio
         out[..., owner, slot] = values
         return out
 
-    # Python's max over the factors, in their order: a NaN step wins only first.
-    step = by_slot(steps, -np.inf)
-    level = step[..., 0]
-    for j in range(1, _MAX_SEPARATOR_DIM):
-        level = np.where(step[..., j] > level, step[..., j], level)
-    # Python's sum over the other factors: (0.0 + h_a) + h_b, each axis skipping its own.
-    highest, lowest = by_slot(extremes, 0.0)
+    # Python's max and sum over the factors, in their order; a sum skips the
+    # axis's own factor: (0.0 + h_a) + h_b.
+    level = by_slot(steps, 0.0).max(axis=-1)
+    highest = np.maximum.reduceat(pots, starts, axis=1)
+    extremes = by_slot(np.stack([highest, np.minimum.reduceat(pots, starts, axis=1)]), 0.0)
     others = np.zeros((2, _MAX_SEPARATOR_DIM, count))
     for j in range(_MAX_SEPARATOR_DIM):
         own = (np.arange(_MAX_SEPARATOR_DIM) == j)[:, None]
-        others = others + np.where(own, 0.0, np.stack([highest[..., j], lowest[..., j]]))
-    face_extremes = np.full((2, count * _MAX_SEPARATOR_DIM), np.nan)
-    padded = np.concatenate([pots, np.full((_MAX_SEPARATOR_DIM, 1), np.nan)], axis=1)
+        others = others + np.where(own, 0.0, extremes[..., j])
+    face_extremes = []
     for side, extreme in enumerate((np.maximum, np.minimum)):
-        sizes = batch.face_sizes[side].ravel()
-        axis = np.repeat(np.tile(np.arange(_MAX_SEPARATOR_DIM), count), sizes)
-        values = padded[axis, batch.faces[side]]
-        read = sizes > 0
-        face_extremes[side, read] = extreme.reduceat(values, (np.cumsum(sizes) - sizes)[read])
-    below, above = face_extremes.reshape(2, count, _MAX_SEPARATOR_DIM).transpose(0, 2, 1) + others
+        sizes = batch.face_sizes[side]
+        values = pots[np.repeat(slot, sizes), batch.faces[side]]
+        face_extremes.append(extreme.reduceat(values, np.cumsum(sizes) - sizes))
+    below, above = by_slot(np.array(face_extremes), 0.0).transpose(0, 2, 1) + others
     center, radius = batch.centers.T, batch.radii.T
-    with np.errstate(invalid="ignore"):
-        integral_sums = by_slot(integral, True).all(axis=-1)
-        whole_center = np.abs(center - np.rint(center)) < 1e-9
-        is_integral = integral_sums & whole_center & (np.abs(radius - np.rint(radius)) < 1e-9)
-        stages = np.zeros((_MAX_SEPARATOR_DIM, 7, count), dtype=bool)
-        # Python's round() of a band it reaches raises on infinity or NaN.
-        unroundable = ~np.isfinite(center) | (whole_center & ~np.isfinite(radius))
-        stages[:, 1] = integral_sums & unroundable
-        stages[:, 2] = batch.dims * level > 2 * radius + np.where(is_integral, 1.0, 0.0) + 1e-12
-        stages[:, 3] = ((batch.face_sizes[0] == 0) | (batch.face_sizes[1] == 0)).T
-        stages[:, 6] = ~((below < center - radius) & (above > center + radius))
-    stages &= (np.arange(_MAX_SEPARATOR_DIM)[:, None] < batch.dims)[:, None]
-    structure = np.zeros((_MAX_SEPARATOR_DIM, 1 + _MAX_SEPARATOR_DIM, count), dtype=bool)
-    structure[:, 0] = by_slot(components, 1).T != 1
-    structure[:, 1:] = (by_slot(batch.lengths, 0) != by_slot(batch.sizes, 0)).transpose(2, 0, 1)
-    fails = np.concatenate(
-        [
-            np.zeros((1, count), dtype=bool),
-            structure.reshape(_AXIS_CHECKS - 1, count),
-            stages.reshape(7 * _MAX_SEPARATOR_DIM, count),
-        ]
-    ).T
-    for i, (check, _) in batch.raised.items():
-        fails[i, check] = True
-    failed: dict[int, Exception] = {}
+    is_integral = (
+        by_slot(integral, True).all(axis=-1)
+        & (np.abs(center - np.rint(center)) < 1e-9)
+        & (np.abs(radius - np.rint(radius)) < 1e-9)
+    )
+    jump = batch.dims * level
+    leaps = jump > 2 * radius + np.where(is_integral, 1.0, 0.0) + 1e-12
+    apart = ~((below < center - radius) & (above > center + radius))
+    axes = np.arange(_MAX_SEPARATOR_DIM)[:, None] < batch.dims
+    # Per instance: each factor's component check, then axis by axis the jump and the straddle.
+    bands = (np.stack([leaps, apart], axis=1) & axes[:, None]).reshape(2 * _MAX_SEPARATOR_DIM, -1)
+    fails = np.concatenate([by_slot(components, 1) != 1, bands.T], axis=1)
+    failed = {}
     for i in np.flatnonzero(fails.any(axis=1)).tolist():
         check = int(fails[i].argmax())
-        if batch.raised.get(i, (None,))[0] == check:
-            failed[i] = batch.raised[i][1]
-        elif check < _AXIS_CHECKS:
-            j, what = divmod(check - 1, 1 + _MAX_SEPARATOR_DIM)
-            failed[i] = ValueError(
-                f"factor {j} is not a connected grid continuum"
-                if what == 0
-                else f"axis {what - 1}: factor {j} potentials do not match its cell list"
-            )
-        else:
-            k, stage = divmod(check - _AXIS_CHECKS, 7)
-            jump = batch.dims[i] * level[k, i]
-            failed[i] = _band_error(
-                k, stage, jump, below[k, i], above[k, i], center[k, i], radius[k, i]
-            )
+        if check < _MAX_SEPARATOR_DIM:
+            failed[i] = ValueError(f"factor {check} is not a connected grid continuum")
+            continue
+        k, straddle = divmod(check - _MAX_SEPARATOR_DIM, 2)
+        c, r = float(center[k, i]), float(radius[k, i])
+        failed[i] = ValueError(
+            f"axis {k}: faces do not straddle the band "
+            f"({float(below[k, i])} .. {float(above[k, i])} around {c} +- {r})"
+            if straddle
+            else f"axis {k}: a product step can move the potential sum by {float(jump[k, i])}, "
+            f"wide enough to leap the band of half-width {r}"
+        )
     report = SeparatorValidation(
         max_step=level.T, integral=is_integral.T, face_below=below.T, face_above=above.T
     )
@@ -691,28 +612,22 @@ def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, Exceptio
 
 
 def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
-    """Check the band-jump preconditions; raise on an invalid instance.
+    """Check that every band separates its faces; raise ``ValueError`` on the first that fails.
 
-    In order: 1..3 factors; factor by factor, one face component and one
-    potential per occupied cell on every axis; then axis by axis, a
-    product step (every factor one chessboard step, the largest potential
-    change over adjacent occupied cells) cannot leap the band, both faces
-    are non-empty, and the faces, read as numpy indexing reads them,
-    straddle the band.
-    The one-instance call of the batched validation (:func:`_validations`),
+    Three checks, in order: each factor is one face-connected component;
+    then axis by axis, a product step (every factor one chessboard step,
+    the largest potential change over adjacent occupied cells) cannot leap
+    the band, and the faces straddle the band.  The instance's shape was
+    checked when it was built (:class:`SeparatorInstance`).  The
+    one-instance call of the batched validation (:func:`_validations`),
     which :func:`random_separator_instances` runs once per batch: every
     check is an array operation over all of the batch's instances.
     """
     report, failed = _validations(_packed([instance]))
     if failed:
         raise failed[0]
-    n = instance.n
-    return SeparatorValidation(
-        max_step=report.max_step[0, :n].copy(),
-        integral=report.integral[0, :n].copy(),
-        face_below=report.face_below[0, :n].copy(),
-        face_above=report.face_above[0, :n].copy(),
-    )
+    fields = (report.max_step, report.integral, report.face_below, report.face_above)
+    return SeparatorValidation(*(field[0, : instance.n].copy() for field in fields))
 
 
 def _in_band(
@@ -723,8 +638,7 @@ def _in_band(
     """The scan's membership rule: ``abs(((p_0 + p_1) + p_2) - c) <= r + 1e-12``.
 
     ``potentials`` holds each factor's axis-k potentials of the product
-    cells, and ``center`` and ``radius`` band k's.  A NaN potential is
-    never in the band.
+    cells, and ``center`` and ``radius`` band k's.
     """
     total = potentials[0]
     for p in potentials[1:]:
@@ -759,17 +673,13 @@ def _shared_cells(batch: _Batch) -> NDArray[np.bool_]:
     the rest are extended by the last factor and checked band by band.  The
     drop is exact: the rule's sums are monotone in the last factor's
     potential, so a partial product misses band k for every such cell when
-    it misses it at the largest and the smallest of them (NaN cells aside,
-    which no band holds).
+    it misses it at the largest and the smallest of them.
     """
     shared = np.zeros(len(batch.dims), dtype=bool)
     starts = np.cumsum(batch.sizes) - batch.sizes
-    filled = batch.sizes > 0
-    lowest = np.full((_MAX_SEPARATOR_DIM, len(batch.sizes)), np.nan)
-    highest = lowest.copy()
-    lowest[:, filled] = np.fmin.reduceat(batch.potentials, starts[filled], axis=1)
-    highest[:, filled] = np.fmax.reduceat(batch.potentials, starts[filled], axis=1)
-    for n in np.unique(batch.dims[batch.dims > 0]).tolist():
+    lowest = np.minimum.reduceat(batch.potentials, starts, axis=1)
+    highest = np.maximum.reduceat(batch.potentials, starts, axis=1)
+    for n in np.unique(batch.dims).tolist():
         member, columns = np.flatnonzero(batch.dims == n), []
         for _ in range(n - 1):
             member, columns = _extended(batch, member, columns)
@@ -808,10 +718,9 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     counts = [len(c) for c in factor_cells]
     adjacency = []
     for count, cells in zip(counts, factor_cells):
+        first, second = _adjacent_pairs(cells, np.zeros(1, np.intp))
         matrix = np.eye(count, dtype=np.float32)
-        if count:
-            first, second = _adjacent_pairs(cells, np.zeros(1, np.intp))
-            matrix[first, second] = matrix[second, first] = 1.0
+        matrix[first, second] = matrix[second, first] = 1.0
         adjacency.append(matrix)
     batch, columns = _packed([instance]), []
     member = np.zeros(1, dtype=np.intp)
@@ -844,26 +753,19 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     return not bool((reached & pos).any())
 
 
-def bands_share_cell(instance: SeparatorInstance) -> bool:
-    """Scan the product for a cell in every band; no validation.
-
-    Only meaningful for an instance :func:`validate_separators` accepted
-    (:func:`random_separator_instances` returns only such instances).  The
-    one-instance call of the batched scan that
-    :func:`random_bands_share_cell` runs once per batch.
-    """
-    return bool(_shared_cells(_packed([instance]))[0])
-
-
 def hl_discrete_check(instance: SeparatorInstance) -> bool:
     """Do the n separator bands share a product cell?
 
-    Validates the instance first with :func:`validate_separators` (an invalid
-    instance raises instead of reporting a proposition failure), then runs
-    :func:`bands_share_cell`.
+    Lays the instance out once, validates it as :func:`validate_separators`
+    does (an invalid instance raises instead of reporting a proposition
+    failure), then scans its product for a cell in every band
+    (:func:`_shared_cells`).
     """
-    validate_separators(instance)
-    return bands_share_cell(instance)
+    batch = _packed([instance])
+    _, failed = _validations(batch)
+    if failed:
+        raise failed[0]
+    return bool(_shared_cells(batch)[0])
 
 
 def _face_indices(occupancy: NDArray[np.bool_], face_cells: NDArray[np.int64]) -> NDArray[np.int64]:
@@ -998,11 +900,14 @@ def _drawn(specs: Sequence[tuple[int, int]]) -> _Batch:
     gap test on all their extents; a spec whose candidate fails is redrawn
     from its stream in the next round, for at most 64 rounds.  The batch
     then has every factor's cells, coordinate potentials and faces at
-    once, and one :func:`_validations` call checks it.
+    once, and one :func:`_validations` call checks it.  A spec with an
+    unsupported n or a negative seed is refused before any draw.
     """
-    for n, _ in specs:
+    for n, seed in specs:
         if not 1 <= n <= _MAX_SEPARATOR_DIM:
             raise ValueError(f"separator instances support 1..{_MAX_SEPARATOR_DIM} factors")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     rngs = [np.random.default_rng(seed) for _, seed in specs]
     dims = np.array([n for n, _ in specs], dtype=np.intp)
     count = len(specs)
@@ -1059,28 +964,20 @@ def _drawn(specs: Sequence[tuple[int, int]]) -> _Batch:
     cells = cells[moved + np.arange(sizes.sum())]
     factors = len(sizes)
     factor_rows = np.repeat(np.arange(factors), sizes)
-    owner = np.repeat(np.arange(count), dims)
     slot = np.arange(factors) - np.repeat(np.cumsum(dims) - dims, dims)
     # Factor j's faces are its cells at either end of its own axis j.
     own = cells[np.arange(len(cells)), slot[factor_rows]]
     ends = np.maximum.reduceat(own, np.cumsum(sizes) - sizes)
-    face_sizes = np.zeros((2, count, _MAX_SEPARATOR_DIM), dtype=np.intp)
-    faces = []
-    for side, face in enumerate((own == 0, own == ends[factor_rows])):
-        faces.append(np.flatnonzero(face))
-        face_sizes[side, owner, slot] = np.bincount(factor_rows[face], minlength=factors)
+    faces = [np.flatnonzero(face) for face in (own == 0, own == ends[factor_rows])]
     batch = _Batch(
         dims=dims,
         sizes=sizes,
-        ndims=dims[owner],
         cells=cells,
         potentials=np.ascontiguousarray(cells.T, dtype=np.float64),
-        lengths=np.broadcast_to(sizes, (_MAX_SEPARATOR_DIM, factors)),
         centers=centers,
         radii=np.ones((count, _MAX_SEPARATOR_DIM)),
         faces=(faces[0], faces[1]),
-        face_sizes=face_sizes,
-        raised={},
+        face_sizes=np.array([np.bincount(factor_rows[f], minlength=factors) for f in faces]),
     )
     _, failed = _validations(batch)
     if failed:
@@ -1111,7 +1008,7 @@ def _built_instances(batch: _Batch) -> list[SeparatorInstance]:
     occupancies = np.split(buffer, box_starts[1:])
     potentials = np.split(batch.potentials, starts[1:], axis=1)
     faces = [
-        np.split(rows - starts[factor_rows[rows]], np.cumsum(sizes.ravel())[:-1])
+        np.split(rows - starts[factor_rows[rows]], np.cumsum(sizes)[:-1])
         for rows, sizes in zip(batch.faces, batch.face_sizes)
     ]
     shapes = extents.tolist()
@@ -1120,15 +1017,14 @@ def _built_instances(batch: _Batch) -> list[SeparatorInstance]:
     for i, n in enumerate(batch.dims.tolist()):
         fs = range(f, f + n)
         f += n
-        k0 = _MAX_SEPARATOR_DIM * i
         instances.append(
             SeparatorInstance(
                 factors=tuple(occupancies[g].reshape(shapes[g][:n]) for g in fs),
                 potentials=tuple(tuple(potentials[g][k] for g in fs) for k in range(n)),
                 band_center=batch.centers[i, :n].copy(),
                 band_radius=np.ones(n),
-                faces_neg=tuple(faces[0][k0 : k0 + n]),
-                faces_pos=tuple(faces[1][k0 : k0 + n]),
+                faces_neg=tuple(faces[0][g] for g in fs),
+                faces_pos=tuple(faces[1][g] for g in fs),
             )
         )
     return instances
@@ -1158,15 +1054,14 @@ def random_separator_instances(specs: Sequence[tuple[int, int]]) -> list[Separat
     each face.  Per batch, the passing candidates are laid out together
     and still validated together (:func:`validate_separators`'s checks, as
     array operations over the batch), and a failure raises RuntimeError
-    naming its spec, chained from the validation error.  So callers can go
-    straight to :func:`bands_share_cell`.  The instances of one call share
-    array buffers (see :func:`_built_instances`).
+    naming its spec, chained from the validation error.  The instances of
+    one call share array buffers (see :func:`_built_instances`).
     """
     return _built_instances(_drawn(specs))
 
 
 def random_bands_share_cell(specs: Sequence[tuple[int, int]]) -> list[bool]:
-    """:func:`bands_share_cell` of each spec's :func:`random_separator_instances` instance.
+    """Whether the bands of each spec's :func:`random_separator_instances` instance share a cell.
 
     Drawn and validated as :func:`random_separator_instances` does, then
     scanned as one batch: one array scan per factor count, over the batch's

@@ -493,6 +493,11 @@ class TestVerifyCommands:
         code, _, err = _run(capsys, "verify", "hl", "--trials", "0")
         assert code == 2 and "trials" in err
 
+    def test_hl_negative_seed_exits_two_naming_the_seed(self, capsys):
+        code, out, err = _run(capsys, "verify", "hl", "--trials", "5", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+
     def test_out_file_written_atomically(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out, _ = _run(
