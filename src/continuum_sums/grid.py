@@ -18,7 +18,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 from scipy import fft as _fft
-from scipy import ndimage as _ndimage
 
 Point = tuple[float, ...]
 _T = TypeVar("_T")
@@ -48,11 +47,26 @@ _SPARSE_CHUNK = 2**18
 #: (2,694) 137 against 47 ms.
 _PACKED_SINK_CELLS_PER_PAIR = 40
 
+#: Bands of output rows (each about ``2 * _SPARSE_CHUNK`` cells) in the
+#: difference-array window of a run fold, which moves up once per this many
+#: bands less one.
+_RUN_WINDOW_BANDS = 4
+
 #: Most bytes of one slab of box morphology: dilations, erosions and counts
 #: of a :class:`PackedMask` go one slab at a time, and a packed-axis bit
 #: shift carries its bits through one scratch slab (a slab is one row or
 #: plane of the array when that is larger).
 _CARRY_BYTES = 2**20
+
+#: A packed-axis fold of a mask larger than one slab gathers its live
+#: columns (the lead-axis positions holding a set bit) when at most one
+#: column in this many is live (see :func:`_box_packed_axis`).  A gathered
+#: column costs more than a column folded in place, so a dense mask folds
+#: faster whole.  Packed-axis box of a 41 x 323 x 323 mask (4.3 MB, random
+#: live columns, best of 5, two cores), gathered against whole, r = 2: 1%
+#: live 1.0 against 5.5 ms, 20% 4.7 against 5.9, 30% 7.1 against 6.0, 40%
+#: 9.0 against 5.9; r = 8: 20% 5.2 against 8.0 ms.
+_LIVE_COLUMN_SHARE = 5
 
 
 class DilationPrecisionError(ValueError):
@@ -264,7 +278,19 @@ class GridSet:
         return int(np.count_nonzero(self.occupancy))
 
     def occupied_indices(self) -> NDArray[np.int64]:
-        return np.argwhere(self.occupancy)
+        """The occupied cells' indices, (k, n) in C order: :func:`occupied_cells`."""
+        return occupied_cells(self.occupancy)
+
+
+def occupied_cells(occupancy: NDArray[np.bool_]) -> NDArray[np.int64]:
+    """Indices of the set cells of ``occupancy`` as (k, n) int64 rows in C order.
+
+    The values, dtype and order of ``np.argwhere``, read from the flat
+    indices: on numpy 2.x, ``flatnonzero`` then ``unravel_index`` costs
+    about a tenth of N-d ``argwhere`` (0.9 against 4.6 ms on a 107^3
+    raster holding 15k cells).
+    """
+    return np.stack(np.unravel_index(np.flatnonzero(occupancy), occupancy.shape), axis=1)
 
 
 def rasterize(
@@ -321,7 +347,9 @@ class PackedMask:
     chessboard distance to the set is the smallest ``r`` whose dilation
     holds it.  Morphology and :meth:`count` work one slab of at most
     ``_CARRY_BYTES`` at a time (or one row or plane of the array, when that
-    is larger).
+    is larger), and their cost follows what they read: a fold along the
+    packed axis of a sparse mask reads its live columns only, the lead-axis
+    positions holding a set bit, and an erosion reads the set bytes' box.
     """
 
     def __init__(
@@ -413,11 +441,15 @@ class PackedMask:
 
         An array of at most one slab is folded along every axis in one
         chain through one more array of its size.  A larger one has its
-        lead axes folded one slab of byte rows at a time, then its packed
-        axis one slab of the first lead axis at a time; each slab passes
+        packed axis folded first, by :func:`_box_packed_axis`: a dilation
+        keeps the set of live columns, so when few are live only they are
+        gathered, folded and scattered back, and otherwise the array is
+        folded one slab of the first lead axis at a time.  Its lead axes are
+        then folded one slab of byte rows at a time.  Each slab passes
         through two slab-sized buffers and is written back, so the dilation
-        holds the array and two slabs.  The mask keeps no bits, so using it
-        afterwards raises ``AttributeError``.
+        holds the array and two slabs (and the list of live columns when it
+        gathers them).  The mask keeps no bits, so using it afterwards
+        raises ``AttributeError``.
         """
         if r < 0:
             raise ValueError(f"box radius must be >= 0, got {r}")
@@ -430,8 +462,8 @@ class PackedMask:
             # One slab: every fold in one chain through one spare array.
             bits = _box(bits, (np.empty_like(bits), bits), tail, r, np.bitwise_or, range(bits.ndim))
         else:
+            _box_packed_axis(bits, tail, r, np.bitwise_or)
             _box_in_place(bits, tail, r, np.bitwise_or, range(1, bits.ndim), 0)
-            _box_in_place(bits, tail, r, np.bitwise_or, (0,), 1)
         return PackedMask(bits, self.shape)
 
     def erode(self, r: int) -> "PackedMask":
@@ -443,10 +475,13 @@ class PackedMask:
         axis erodes to nothing at once.  A box of at most one slab is folded
         along every axis in one chain through two arrays of its size, and
         the result holds that box.  A larger box has its lead axes folded
-        first, one slab of byte rows at a time, and each slab keeps only the
-        bounding box of what survives.  The packed axis, whose folds cost
-        four numpy passes where a lead-axis fold costs one, is then folded
-        in place on the union of those boxes, which the result holds.
+        first, one slab of byte rows at a time; each slab is cropped to the
+        bounding box of its own set bytes before it is folded, and keeps only
+        the bounding box of what survives.  The packed axis, whose folds
+        cost four numpy passes where a lead-axis fold costs one, is then
+        folded in place on the union of those boxes, which the result holds,
+        by :func:`_box_packed_axis` (an erosion along it never makes an
+        empty column live, so it too may read the live columns only).
         Either way the result is kept on its box, with its offset: no array
         of the whole shape is made.
         """
@@ -474,14 +509,20 @@ class PackedMask:
         buffers = np.empty((2, size), np.uint8)
         kept = []
         for cut in cuts:
-            part = crop[cut]
+            # Each slab is cropped to its own live box, which is exact: the
+            # cells outside it are empty either way.
+            held = _live_box(crop[cut])
+            if held is None:
+                continue
+            part = crop[cut][held]
             a, b = (buf[: part.size].reshape(part.shape) for buf in buffers)
             b[...] = part
             done = _box(b, (a, b), tail, r, np.bitwise_and, range(1, crop.ndim))
             live = _live_box(done)
             if live is not None:
-                corner = (cut[0].start + live[0].start,) + tuple(s.start for s in live[1:])
-                kept.append((corner, done[live].copy()))
+                corner = [h.start + s.start for h, s in zip(held, live)]
+                corner[0] += cut[0].start
+                kept.append((tuple(corner), done[live].copy()))
         del buffers
         if not kept:
             return PackedMask(np.zeros((0,) * len(self.shape), np.uint8), self.shape)
@@ -494,16 +535,52 @@ class PackedMask:
             bits[at] = part
         union = tuple(slice(s.start + lo, s.start + hi) for s, lo, hi in zip(box, low, high))
         offset, extents = self._sub(union)
-        _box_in_place(bits, extents[-1] % 8, r, np.bitwise_and, (0,), 1)
+        _box_packed_axis(bits, extents[-1] % 8, r, np.bitwise_and)
         return PackedMask(bits, self.shape, offset)
 
     def count(self) -> int:
-        """Number of set cells."""
+        """Number of set cells, counted one slab at a time.
+
+        A contiguous slab is counted as 64-bit words plus its last few
+        bytes, several times faster than byte by byte (0.48 against 2.2 ms
+        on a 4.28 MB mask); a slab of a mask kept on a non-contiguous view
+        is copied first.
+        """
         cuts, _ = _slabs(self.bits.shape, 0)
-        return sum(int(np.bitwise_count(self.bits[cut]).sum(dtype=np.int64)) for cut in cuts)
+        total = 0
+        for cut in cuts:
+            flat = np.ravel(self.bits[cut])
+            words = flat.size // 8 * 8
+            total += int(np.bitwise_count(flat[:words].view(np.uint64)).sum(dtype=np.int64))
+            total += int(np.bitwise_count(flat[words:]).sum(dtype=np.int64))
+        return total
 
     def any(self) -> bool:
         return bool(self.bits.any())
+
+    def all_set(self, window: Sequence[slice]) -> bool:
+        """Whether every cell of a box of unit-step slices is set, read from the packed bytes.
+
+        Equals ``unpack(window).all()`` without unpacking: the window's byte
+        rows must hold every bit, less the cells before its first cell in
+        the first byte and after its last cell in the last.
+        """
+        ranges = [s.indices(m) for s, m in zip(window, self.shape)]
+        if any(step != 1 for _, _, step in ranges):
+            raise ValueError("windows must have unit step")
+        if any(lo >= hi for lo, hi, _ in ranges):
+            return True
+        # In the box's cells: a window leaving the box holds an empty cell.
+        cut = [(lo - o, hi - o) for (lo, hi, _), o in zip(ranges, self.offset)]
+        extents = self.bits.shape[1:] + (8 * self.bits.shape[0],)
+        if any(lo < 0 or hi > e for (lo, hi), e in zip(cut, extents)):
+            return False
+        lo, hi = cut[-1]
+        rows = self.bits[(slice(lo // 8, -(-hi // 8)),) + tuple(slice(a, b) for a, b in cut[:-1])]
+        need = np.full((len(rows),) + (1,) * (rows.ndim - 1), 0xFF, dtype=np.uint8)
+        need[0] &= np.uint8(0xFF << lo % 8 & 0xFF)
+        need[-1] &= np.uint8(0xFF >> -hi % 8)
+        return bool(((rows & need) == need).all())
 
     def first(self) -> tuple[int, ...] | None:
         """Index of the first set cell in C order, or None when empty."""
@@ -577,6 +654,35 @@ def _box_in_place(
         view = bits[cut]
         spare = tuple(buf[: view.size].reshape(view.shape) for buf in buffers)
         _box(view, spare, tail, r, op, axes, out=view)
+
+
+def _box_packed_axis(bits: NDArray[np.uint8], tail: int, r: int, op: np.ufunc) -> None:
+    """Fold the C-contiguous ``bits`` by :func:`_box` along the byte axis, in place.
+
+    A column (one lead-axis position) with no set bit stays empty under
+    either fold, so when at most one column in ``_LIVE_COLUMN_SHARE`` is
+    live, the live columns are gathered into slabs of at most
+    ``_CARRY_BYTES``, folded and scattered back.  Otherwise the whole
+    array is folded one slab of its first lead axis at a time.
+    """
+    if not r:
+        return
+    columns = bits.reshape(bits.shape[0], -1)
+    held = columns.any(axis=0)
+    if _LIVE_COLUMN_SHARE * np.count_nonzero(held) > held.size:
+        del held
+        _box_in_place(bits, tail, r, op, (0,), 1)
+        return
+    live = np.flatnonzero(held)
+    del held
+    rows = bits.shape[0]
+    step = max(1, _CARRY_BYTES // rows)
+    buffers = np.empty((2, rows * min(step, len(live))), np.uint8)
+    for i in range(0, len(live), step):
+        cut = live[i : i + step]
+        part, spare = (buf[: rows * len(cut)].reshape(rows, len(cut)) for buf in buffers)
+        np.take(columns, cut, axis=1, out=part)
+        columns[:, cut] = _box(part, (spare, part), tail, r, op, (0,))
 
 
 def _box(
@@ -834,7 +940,9 @@ def _runs(occupancy: NDArray[np.bool_], weights: NDArray[np.int64], axis: int) -
     consecutive.
     """
     rows = occupancy.reshape(-1, occupancy.shape[axis])
-    row, col = np.nonzero(np.diff(rows, axis=1, prepend=False, append=False))
+    # The edges of the runs, read from flat indices (see :func:`occupied_cells`).
+    edges = np.diff(rows, axis=1, prepend=False, append=False)
+    row, col = np.divmod(np.flatnonzero(edges), edges.shape[1])
     row_keys = np.zeros(1, dtype=np.int64)
     for m, w in zip(occupancy.shape[:axis], weights[:axis]):
         row_keys = (row_keys[:, None] + np.arange(m, dtype=np.int64) * w).ravel()
@@ -957,17 +1065,20 @@ def _run_fold(runs: _Runs, other: _Runs, extents: tuple[int, ...], width: int) -
 
     ``width`` is the output's extent along the run axis, the row width of
     the run keys.  Run starts and ends are counted in a difference array
-    over a window of two bands of output rows (see
-    :func:`_banded_run_pairs`).  Once no pair lands in the first band, its
-    cumulative sum marks its output cells, and the second band moves up
-    with the count it carries.
+    over a window of ``_RUN_WINDOW_BANDS`` bands of output rows (see
+    :func:`_banded_run_pairs`).  The pairs of band d land in bands d and
+    d + 1, so once band d + 1 leaves the window, no later pair lands before
+    band d: the cumulative sum of the window's rows before it marks their
+    output cells, and the rest of the window moves up with the count it
+    carries.  The window thus moves once per several bands, not once a band.
     """
     out_cells = math.prod(extents)
     rows = out_cells // width
     band = max(1, 2 * _SPARSE_CHUNK // width)
+    window = min(_RUN_WINDOW_BANDS * band, rows)
     # A cell is covered by at most as many pair runs as the fold forms.
     wide = len(runs[0]) * len(other[0]) >= 2**31
-    counts = np.zeros(min(2 * band, rows) * width + 1, dtype=np.int64 if wide else np.int32)
+    counts = np.zeros(window * width + 1, dtype=np.int64 if wide else np.int32)
     # A step of the array's own type keeps ``ufunc.at`` on its fast path.
     one = counts.dtype.type(1)
     occupancy = np.empty(out_cells, dtype=bool)
@@ -988,12 +1099,13 @@ def _run_fold(runs: _Runs, other: _Runs, extents: tuple[int, ...], width: int) -
             counts[0] += carry
 
     for d, starts, ends in _banded_run_pairs(runs, other, band * width):
-        while done < d * band:
-            write(band)
-        np.add.at(counts, starts, one)
-        np.subtract.at(counts, ends, one)
+        while min((d + 2) * band, rows) - done > window:
+            write(min(d * band - done, window))
+        at = counts[(d * band - done) * width :]
+        np.add.at(at, starts, one)
+        np.subtract.at(at, ends, one)
     while done < rows:
-        write(min(2 * band, rows - done))
+        write(min(window, rows - done))
     return occupancy.reshape(extents)
 
 
@@ -1117,20 +1229,60 @@ def nfold_sum(a: GridSet, n: int) -> GridSet:
     return minkowski_sum([a] * n)
 
 
-@functools.cache
-def _face_structure(dim: int) -> NDArray[np.bool_]:
-    """The face-adjacency labeling structure, built once per dimension.
+def component_roots(
+    nodes: int, first: NDArray[np.intp], second: NDArray[np.intp]
+) -> NDArray[np.intp]:
+    """The root of each node of a graph: the smallest node of its component.
 
-    The array is shared between calls, so it is read-only.
+    The graph has ``nodes`` nodes and the edges ``(first[e], second[e])``.
+    Union-find by hook-and-jump (Y. Shiloach and U. Vishkin, "An O(log n)
+    parallel connectivity algorithm", J. Algorithms 1982), each pass an
+    array operation: every edge that joins two trees hooks the larger root
+    under the smaller one, then every node jumps to its root.  An edge
+    inside one tree stays inside it, so each pass keeps only the edges that
+    joined two trees.  A node's parent never exceeds it, so the root of a
+    component is its smallest node.
     """
-    structure = _ndimage.generate_binary_structure(dim, 1)
-    structure.flags.writeable = False
-    return structure
+    parent = np.arange(nodes)
+    while True:
+        a, b = parent[first], parent[second]
+        apart = a != b
+        if not apart.any():
+            return parent
+        first, second, a, b = first[apart], second[apart], a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
 
 
 def component_count(a: GridSet) -> int:
-    """Number of face-connected components of the occupied cells."""
-    return int(_ndimage.label(a.occupancy, _face_structure(a.dim))[1])
+    """Number of face-connected components of the occupied cells.
+
+    Reads the runs of occupied cells along the last axis (:func:`_runs`),
+    each one node.  Two runs in rows that differ by one along another axis
+    share a face exactly when their cells overlap, that is when one holds
+    the cell beside the other's first cell; so each run's first cell looks
+    one step up and one step down every other axis (not past the axis's
+    ends, where a key would wrap into the next row) and searches the run
+    starts for the run holding that cell.  :func:`component_roots` then
+    joins the linked runs.
+    """
+    occupancy = a.occupancy
+    strides = np.cumprod((1,) + occupancy.shape[:0:-1], dtype=np.int64)[::-1]
+    starts, ends = _runs(occupancy, strides, occupancy.ndim - 1)
+    first, second = [], []
+    for stride, extent in zip(strides[:-1].tolist(), occupancy.shape[:-1]):
+        along = starts // stride % extent
+        for step, edge in ((stride, extent - 1), (-stride, 0)):
+            beside = starts + step
+            run = np.searchsorted(starts, beside, side="right") - 1
+            linked = (along != edge) & (ends[run] > beside) & (run >= 0)
+            first.append(np.flatnonzero(linked))
+            second.append(run[linked])
+    if not first:
+        return len(starts)
+    roots = component_roots(len(starts), np.concatenate(first), np.concatenate(second))
+    return int(np.count_nonzero(roots == np.arange(len(starts))))
 
 
 def is_grid_continuum(a: GridSet) -> bool:
@@ -1188,18 +1340,28 @@ def covering_radius(
     """
     if limit is not None:
         # Cut to the box of the window and the mask: no set cell lies beyond.
+        # On the packed axis the cut is widened to whole bytes of the mask,
+        # so it is a copy of byte rows; the cells this adds are the mask's.
         crop = [
             (max(s.start - limit, min(s.start, 0)), min(s.stop + limit, max(s.stop, m)))
             for s, m in zip(window, occupied.shape)
         ]
-        inside = tuple(slice(max(lo, 0), min(hi, m)) for (lo, hi), m in zip(crop, occupied.shape))
-        dense = np.zeros([hi - lo for lo, hi in crop], dtype=bool)
-        if all(s.start < s.stop for s in inside):
-            at = tuple(slice(s.start - lo, s.stop - lo) for s, (lo, _) in zip(inside, crop))
-            dense[at] = occupied.unpack(inside)
+        crop[-1] = (crop[-1][0] // 8 * 8, -(-crop[-1][1] // 8) * 8)
+        # The cut and the mask's bits, byte axis first, in bytes of the mask.
+        cut = [(lo // 8, hi // 8) for lo, hi in crop[-1:]] + crop[:-1]
+        held = (occupied.offset[-1] // 8,) + occupied.offset[:-1]
+        bits = np.zeros([hi - lo for lo, hi in cut], dtype=np.uint8)
+        meet = [
+            (max(lo, o), min(hi, o + e))
+            for (lo, hi), o, e in zip(cut, held, occupied.bits.shape)
+        ]
+        if all(a < b for a, b in meet):
+            bits[tuple(slice(a - lo, b - lo) for (a, b), (lo, _) in zip(meet, cut))] = (
+                occupied.bits[tuple(slice(a - o, b - o) for (a, b), o in zip(meet, held))]
+            )
         window = tuple(slice(s.start - lo, s.stop - lo) for s, (lo, _) in zip(window, crop))
-        occupied = PackedMask.pack(dense)
-    if occupied.unpack(window).all():
+        occupied = PackedMask(bits, tuple(hi - lo for lo, hi in crop))
+    if occupied.all_set(window):
         return 0
     if not occupied.any():
         return math.inf
@@ -1207,7 +1369,7 @@ def covering_radius(
     while hi is None or hi - lo > 1:
         r = lo + step if hi is None else (lo + hi) // 2
         trial = kept.dilate(r - lo)
-        if trial.unpack(window).all():
+        if trial.all_set(window):
             hi = r
         else:
             lo, kept, step = r, trial, 2 * step

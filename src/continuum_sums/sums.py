@@ -23,9 +23,11 @@ from .grid import (
     SampledSet,
     Semantics,
     auto_geometry,
+    component_roots,
     eps_density_margin,
     measure_estimate,
     minkowski_sum,
+    occupied_cells,
     rasterize,
 )
 
@@ -369,7 +371,7 @@ class SeparatorInstance:
     @property
     def factor_cells(self) -> tuple[NDArray[np.int64], ...]:
         """Each factor's occupied cells in C order: ``np.argwhere`` of its occupancy."""
-        return tuple(np.argwhere(f) for f in self.factors)
+        return tuple(occupied_cells(f) for f in self.factors)
 
 
 def _finite_floats(values: object, length: int) -> bool:
@@ -497,30 +499,6 @@ def _packed(instances: Sequence[SeparatorInstance]) -> _Batch:
     )
 
 
-def _components(
-    rows: int,
-    first: NDArray[np.intp],
-    second: NDArray[np.intp],
-    owner: NDArray[np.intp],
-    owners: int,
-) -> NDArray[np.intp]:
-    """Components of the graph on ``rows`` rows with edges (first, second), counted per owner.
-
-    Rows of one component share an owner.  Each pass hooks the larger root
-    of every edge that joins two trees under the smaller one, then jumps
-    every row to its root.
-    """
-    parent = np.arange(rows)
-    while True:
-        a, b = parent[first], parent[second]
-        if (a == b).all():
-            break
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(jumped := parent[parent], parent):
-            parent = jumped
-    return np.bincount(owner[parent == np.arange(rows)], minlength=owners)
-
-
 def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, ValueError]]:
     """What :func:`validate_separators` finds for each instance of a batch, found together.
 
@@ -528,8 +506,8 @@ def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, ValueErr
     instance i owns its first n columns, and the error of each instance
     that fails.  Every check runs once over the whole batch: adjacent cell
     pairs come from one :func:`_adjacent_pairs` call per factor
-    dimension, and give every step bound by one ``maximum.at`` and every
-    factor's components by :func:`_components` on the face-adjacent pairs;
+    dimension, and give every step bound by one ``maximum.reduceat`` and
+    every factor's components by :func:`component_roots` on the face-adjacent pairs;
     potential extremes and integrality are ``reduceat`` over the factors,
     face extremes ``reduceat`` over the faces, and the band checks compare
     (axis, instance) arrays, with float operations in the order of a single
@@ -550,10 +528,17 @@ def _validations(batch: _Batch) -> tuple[SeparatorValidation, dict[int, ValueErr
         sizes = batch.sizes[ndims == d]
         pairs = _adjacent_pairs(batch.cells[rows, :d], np.cumsum(sizes) - sizes)
         first, second = rows[pairs[0]], rows[pairs[1]]
-        np.maximum.at(steps.T, factor_rows[first], np.abs(pots[:, first] - pots[:, second]).T)
+        if len(first):
+            # Pairs come in ascending first rows, hence grouped by factor; a
+            # factor with no pair (one cell) keeps the bound 0.
+            owners = factor_rows[first]
+            cut = np.flatnonzero(np.diff(owners, prepend=-1))
+            jumps = np.abs(pots[:, first] - pots[:, second])
+            steps[:, owners[cut]] = np.maximum.reduceat(jumps, cut, axis=1)
         face = np.abs(batch.cells[first] - batch.cells[second]).sum(axis=1) == 1
         edges = [np.concatenate([edges[0], first[face]]), np.concatenate([edges[1], second[face]])]
-    components = _components(len(factor_rows), *edges, factor_rows, factors)
+    roots = component_roots(len(factor_rows), *edges) == np.arange(len(factor_rows))
+    components = np.bincount(factor_rows[roots], minlength=factors)
     integral = np.logical_and.reduceat(_integral_entries(pots), starts, axis=1)
 
     def by_slot(values: NDArray, fill: object) -> NDArray:

@@ -42,6 +42,7 @@ from .grid import (
     covering_radius,
     each_once,
     is_grid_continuum,
+    occupied_cells,
     packed_minkowski_sum,
     rasterize,
 )
@@ -278,12 +279,17 @@ def verify_theorem_main(
     ... * E_{n-1} bytes.  Morphology works one slab at a time, a slab
     holding S = max(2**20, E_1 * ... * E_{n-1}, ceil(E_n / 8) * E_2 * ...
     * E_{n-1}) bytes at most (P in one dimension).  Once the sum is made,
-    the step holds at most U + P + 2 B + 3 S bytes.  The padded sum is one
-    P; its dilation by grow, which the outer measure counts slab by slab,
-    and then its dilation by limit are built in that array, each with two
-    slab buffers and one carry slab.  The cube search erodes the dilation
-    by limit: an erosion holds its input, the surviving box of each slab
-    and their union, both at most B bytes, where B <= P is the box of the
+    the step holds at most U + P + 2 B + 3 S + 8 C / 5 bytes, where C =
+    E_1 * ... * E_{n-1} counts the columns (lead-axis positions).  The
+    padded sum is one P; its dilation by grow, which the outer measure
+    counts slab by slab, and then its dilation by limit are built in that
+    array, each with two slab buffers and one carry slab.  A packed-axis
+    fold (of a dilation, or of an erosion's union) larger than one slab
+    marks its live columns, those holding a set bit; when at most one in
+    five is live it gathers them into its two slab buffers, and their list
+    takes 8 bytes a live column, at most 8 C / 5.  The cube search erodes
+    the dilation by limit: an erosion holds its input, the surviving box of
+    each slab and their union, both at most B bytes, where B <= P is the box of the
     search's first erosion (the input's set bytes less r cells per side on
     every lead axis), or two arrays of at most S bytes when its input's
     set bytes fit one slab; every erosion is kept on its box.  The search
@@ -614,7 +620,7 @@ def _axis_band_cube_check() -> tuple[bool, str]:
     """
     extent = 7
     occupancy = np.ones((extent, extent), dtype=bool)
-    cells = np.argwhere(occupancy)
+    cells = occupied_cells(occupancy)
     mid = (extent - 1) / 2.0
     potentials = tuple(
         tuple(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 import continuum_sums.grid as grid_mod
 from continuum_sums.gallery import l_shape, segment
@@ -1028,16 +1029,86 @@ def test_diagonal_pair_adjacency():
     assert not is_grid_continuum(a)
 
 
-def test_adjacency_structures_are_cached_read_only():
-    from scipy import ndimage
+def drawn_mask(shapes: st.SearchStrategy[tuple[int, ...]]) -> st.SearchStrategy[np.ndarray]:
+    """A mask of a drawn shape, its cells set with a drawn probability (sparse or dense)."""
+    return st.tuples(shapes, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)).map(
+        lambda case: np.random.default_rng(case[2]).random(case[0]) < case[1] ** 2
+    )
 
-    for dim in (1, 2, 3):
-        face = grid_mod._face_structure(dim)
-        assert face is grid_mod._face_structure(dim)
-        assert not face.flags.writeable
-        assert np.array_equal(face, ndimage.generate_binary_structure(dim, 1))
-        with pytest.raises(ValueError, match="read-only"):
-            face[(1,) * dim] = False
+
+def sparse_or_dense_mask(max_dim: int = 4, max_extent: int = 6) -> st.SearchStrategy[np.ndarray]:
+    """A 1-D to ``max_dim``-D :func:`drawn_mask`."""
+    return drawn_mask(
+        st.integers(1, max_dim).flatmap(
+            lambda dim: st.tuples(*(st.integers(1, max_extent) for _ in range(dim)))
+        )
+    )
+
+
+def as_grid(mask: np.ndarray) -> GridSet:
+    geom = GridGeometry(origin=(0.0,) * mask.ndim, spacing=1.0, extents=mask.shape)
+    return GridSet(geom, mask, Semantics.SAMPLE_COVER, 0.0)
+
+
+def wrapping_pair() -> np.ndarray:
+    # Cell (0, 2, 3) sits on the last index of the middle axis: its key plus
+    # that axis's stride is the key of (1, 0, 3), which is not its neighbour.
+    mask = np.zeros((2, 3, 4), bool)
+    mask[0, 2, 3] = mask[1, 0, 3] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_mask())
+@example(np.zeros((3, 4), bool))
+@example(np.ones((1,), bool))
+@example(np.pad(np.ones((1, 1, 1), bool), 1))
+@example(wrapping_pair())
+@example(np.eye(5, 7, 2, bool))
+@example(np.array([[0, 0, 1], [1, 0, 0]], bool))
+def test_component_count_matches_label_oracle(mask):
+    expected = ndimage.label(mask, ndimage.generate_binary_structure(mask.ndim, 1))[1]
+    assert component_count(as_grid(mask)) == expected
+    assert is_grid_continuum(as_grid(mask)) == (expected == 1)
+
+
+def test_component_roots_are_the_smallest_node_of_each_component():
+    # Edges in both directions, repeated, and within one tree.
+    first = np.array([5, 1, 2, 7, 2, 4, 4], dtype=np.intp)
+    second = np.array([1, 5, 5, 8, 1, 4, 6], dtype=np.intp)
+    roots = grid_mod.component_roots(9, first, second)
+    assert roots.tolist() == [0, 1, 1, 3, 4, 1, 4, 7, 7]
+    assert grid_mod.component_roots(3, first[:0], second[:0]).tolist() == [0, 1, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_or_dense_mask())
+@example(np.zeros((2, 3), bool))
+@example(np.ones((2, 1, 3), bool))
+def test_occupied_cells_equal_argwhere(mask):
+    got = as_grid(mask).occupied_indices()
+    expected = np.argwhere(mask)
+    assert got.dtype == expected.dtype == np.int64
+    assert got.shape == expected.shape == (int(mask.sum()), mask.ndim)
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_or_dense_mask(max_dim=3), st.data())
+def test_runs_equal_the_former_nonzero_reading(mask, data):
+    # The runs along one axis, as the 2-D nonzero of the run edges read them.
+    axis = data.draw(st.integers(0, mask.ndim - 1))
+    mask = mask[(slice(None),) * (axis + 1) + (slice(0, 1),) * (mask.ndim - axis - 1)]
+    weights = np.cumprod((1,) + mask.shape[:0:-1], dtype=np.int64)[::-1]
+    rows = mask.reshape(-1, mask.shape[axis])
+    row, col = np.nonzero(np.diff(rows, axis=1, prepend=False, append=False))
+    row_keys = np.zeros(1, dtype=np.int64)
+    for m, w in zip(mask.shape[:axis], weights[:axis]):
+        row_keys = (row_keys[:, None] + np.arange(m, dtype=np.int64) * w).ravel()
+    keys = row_keys[row] + col
+    starts, ends = grid_mod._runs(mask, weights, axis)
+    assert np.array_equal(starts, keys[::2]) and np.array_equal(ends, keys[1::2])
+    assert starts.dtype == ends.dtype == np.int64
 
 
 def test_empty_grid_is_not_a_continuum():
@@ -1299,6 +1370,63 @@ def test_packed_morphology_across_slabs_matches_oracles(case, again, carry):
         assert np.array_equal(packed.bits, PackedMask.pack(mask).bits)
 
 
+def two_blocks_in_two_byte_rows() -> np.ndarray:
+    # Byte rows whose set bytes span different lead boxes, so an erosion
+    # slab cropped to its own box starts inside the mask's box.
+    mask = np.zeros((12, 12, 16), bool)
+    mask[0:5, 0:5, 0:8] = True
+    mask[6:12, 6:12, 8:16] = True
+    return mask
+
+
+def packed_mask_and_radius() -> st.SearchStrategy[tuple[np.ndarray, int]]:
+    """A :func:`drawn_mask` of a packed shape, and a radius."""
+    return drawn_mask(_PACKED_SHAPES).flatmap(
+        lambda mask: st.tuples(st.just(mask), st.integers(0, max(mask.shape) // 2 + 2))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_mask_and_radius(), st.sampled_from([1, 3, 24]), st.sampled_from([1, 8, 2**40]))
+@example((np.eye(9, 17, 3, bool), 2), 1, 1)
+@example((np.ones((3, 4, 19), bool), 1), 24, 2**40)
+@example((np.pad(np.ones((1, 2, 3), bool), ((2, 1), (0, 3), (9, 4))), 2), 3, 8)
+@example((two_blocks_in_two_byte_rows(), 1), 1, 8)
+def test_live_column_folds_match_oracles(case, carry, share):
+    # Slabs of a few bytes send every array past one slab, so dilations take
+    # the slab path; a share of 1 gathers the live columns of any mask, one
+    # of 2**40 folds every mask densely, and 8 picks by the mask.
+    mask, r = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_mod, "_CARRY_BYTES", carry)
+        mp.setattr(grid_mod, "_LIVE_COLUMN_SHARE", share)
+        dilated = oracle_box_dilate(mask, r)
+        assert_mask_equals(PackedMask.pack(mask).dilate_in_place(r), dilated)
+        assert_mask_equals(PackedMask.pack(mask).dilate(r), dilated)
+        eroded = PackedMask.pack(mask).erode(r)
+        assert_mask_equals(eroded, oracle_box_erode(mask, r))
+        assert_mask_equals(eroded.erode(1), oracle_box_erode(oracle_box_erode(mask, r), 1))
+
+
+@pytest.mark.parametrize("carry", [3, 2**20])
+@pytest.mark.parametrize("shape", [(5,), (8,), (17,), (3, 9), (2, 24), (3, 5, 40), (2, 2, 3, 33)])
+def test_packed_count_on_contiguous_cropped_and_strided_masks(shape, carry, monkeypatch):
+    # Byte counts below, at and past multiples of 8, whole and in slabs of a
+    # few bytes; then a box kept on a crop of the lead axes (no cell set
+    # outside it) and a view stepping by two along them, neither contiguous.
+    monkeypatch.setattr(grid_mod, "_CARRY_BYTES", carry)
+    mask = np.random.default_rng(len(shape) + shape[-1]).random(shape) < 0.6
+    lead = len(shape) - 1
+    if lead:
+        mask[(slice(0, 1),) * lead] = False
+    packed = PackedMask.pack(mask)
+    assert packed.count() == int(mask.sum())
+    for step in (1, 2):
+        cut = (slice(1, None, step),) * lead
+        view = PackedMask(packed.bits[(slice(None),) + cut], shape, (1,) * lead + (0,))
+        assert view.count() == int(mask[cut].sum())
+
+
 def test_packed_unpack_window_matches_slicing():
     rng = np.random.default_rng(3)
     mask = rng.random((6, 7, 29)) < 0.4
@@ -1376,6 +1504,42 @@ def assert_margin_matches_oracle(mask: np.ndarray, window: tuple[slice, ...], sl
 @given(mask_window_slack())
 def test_covering_radius_matches_window_max_of_distance(case):
     assert_margin_matches_oracle(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_window_slack(), st.integers(0, 4), st.integers(0, 2))
+def test_covering_radius_of_a_window_leaving_the_mask_or_its_box(case, pad, r):
+    # The window given in the coordinates of a copy padded by ``pad``, less
+    # the padding, so it may leave the mask; and the mask kept on the box
+    # of its erosion by ``r``, whose bits hold part of the shape only.
+    mask, window, slack = case
+    padded = np.pad(mask, pad)
+    grown = tuple(slice(s.start, s.stop + 2 * pad) for s in window)
+    shifted = tuple(slice(s.start - pad, s.stop - pad) for s in grown)
+    expected = oracle_window_margin(padded, grown)
+    if expected < math.inf:
+        assert covering_radius(PackedMask.pack(mask), shifted, int(expected) + slack) == expected
+    eroded = oracle_box_erode(mask, r)
+    expected = oracle_window_margin(eroded, window)
+    if expected < math.inf:
+        kept = PackedMask.pack(mask).erode(r)
+        assert covering_radius(kept, window, int(expected) + slack) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(boxed_mask_and_radius(), mask_and_radius()), st.data())
+@example((np.ones((2, 17), bool), 0), None)
+def test_all_set_matches_unpacked_window(case, data):
+    # Whole masks and erosions kept on a box; windows that start and stop
+    # inside one byte, across bytes, and empty ones.
+    mask, r = case
+    for packed in (PackedMask.pack(mask), PackedMask.pack(mask).erode(r)):
+        dense = packed.unpack()
+        windows = [tuple(slice(0, m) for m in mask.shape), tuple(slice(1, 1) for _ in mask.shape)]
+        if data is not None:
+            windows.append(data.draw(st.tuples(*(_window(m) for m in mask.shape))))
+        for window in windows:
+            assert packed.all_set(window) == bool(dense[window].all()), window
 
 
 def test_covering_radius_pinned_cases():

@@ -150,3 +150,39 @@ def test_one_sum_entry_point_and_no_thread_variable():
         if "CONTINUUM_SUMS_THREADS" in path.read_text(encoding="utf-8")
     ]
     assert not offenders, offenders
+
+
+def test_no_module_imports_scipy_ndimage():
+    # Connectivity is the package's own union-find and morphology its own
+    # packed folds, so no module reaches for scipy's image routines.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.startswith("scipy.ndimage")]
+    assert not offenders, offenders
+
+
+def test_one_union_find():
+    # A union-find's pointer jump reads an array at its own entries,
+    # ``parent[parent]``; the package has one, in grid.component_roots.
+    jumps = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            jumps += [
+                f"{path.name}: {func.name}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and isinstance(node.slice, ast.Name)
+                and node.value.id == node.slice.id
+            ]
+    assert jumps == ["grid.py: component_roots"], jumps

@@ -449,8 +449,11 @@ class TestBoxMorphologySweep:
         for (full, shapes), entry in zip(searches, ev.resolutions):
             cube_cells = round((entry.interior_cube_side + 2 * entry.threshold) / entry.h)
             limit = math.floor(entry.threshold / entry.h + 1e-9)
+            # The crop is widened to whole bytes of the sum on the packed
+            # (last) axis: at most 7 cells on each side.
+            bound = [cube_cells + 2 * limit] * (len(full) - 1) + [cube_cells + 2 * limit + 14]
             for shape in shapes:
-                assert all(m <= cube_cells + 2 * limit for m in shape), shape
+                assert all(m <= b for m, b in zip(shape, bound)), shape
                 assert shape != full, shape
 
 
