@@ -605,7 +605,7 @@ def validate_separators(instance: SeparatorInstance) -> SeparatorValidation:
     the band, and the faces straddle the band.  The instance's shape was
     checked when it was built (:class:`SeparatorInstance`).  The
     one-instance call of the batched validation (:func:`_validations`),
-    which :func:`random_separator_instances` runs once per batch: every
+    which :func:`_drawn` runs once per batch of random instances: every
     check is an array operation over all of the batch's instances.
     """
     report, failed = _validations(_packed([instance]))
@@ -695,8 +695,8 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
     Independent of the band-jump route: expands reachability through the
     strong product of the factor adjacency graphs, one factor at a time,
     never entering separator cells.  The separator is band ``axis`` by the
-    rule the batched scan applies once per batch (:func:`_in_band`), here
-    over this one instance's whole product.
+    rule the batched scan applies (:func:`_in_band`), broadcast here over
+    this one instance's whole product.
     """
     n = instance.n
     factor_cells = instance.factor_cells
@@ -707,13 +707,11 @@ def separation_by_search(instance: SeparatorInstance, axis: int) -> bool:
         matrix = np.eye(count, dtype=np.float32)
         matrix[first, second] = matrix[second, first] = 1.0
         adjacency.append(matrix)
-    batch, columns = _packed([instance]), []
-    member = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        member, columns = _extended(batch, member, columns)
     blocked = _in_band(
-        [batch.potentials[axis, c] for c in columns], batch.centers[0, axis], batch.radii[0, axis]
-    ).reshape(counts)
+        [p.reshape(-1, *[1] * (n - 1 - j)) for j, p in enumerate(instance.potentials[axis])],
+        instance.band_center[axis],
+        instance.band_radius[axis],
+    )
     reached = np.zeros(counts, dtype=bool)
     neg = np.zeros(counts, dtype=bool)
     idx = [slice(None)] * n
@@ -876,7 +874,7 @@ def _walk_cells(
 
 
 def _drawn(specs: Sequence[tuple[int, int]]) -> _Batch:
-    """The validated batch of one random instance per ``(n, seed)`` spec, in spec order.
+    """The validated batch of each spec's :func:`random_separator_instance`, in spec order.
 
     Each spec draws from its own ``np.random.default_rng(seed)``: per
     candidate, factor j = 0..n-1 takes ``integers(*_WALK_SIZES)`` and then
@@ -973,83 +971,11 @@ def _drawn(specs: Sequence[tuple[int, int]]) -> _Batch:
     return batch
 
 
-def _built_instances(batch: _Batch) -> list[SeparatorInstance]:
-    """A random batch's instances, their arrays views of the batch's.
-
-    Every factor's potentials and face lists are slices of the batch's
-    arrays, and its occupancy is a view of its own stretch of one flat
-    buffer.
-    """
-    starts = np.cumsum(batch.sizes) - batch.sizes
-    factor_rows = np.repeat(np.arange(len(batch.sizes)), batch.sizes)
-    extents = np.maximum.reduceat(batch.cells, starts) + 1
-    strides = np.ones_like(extents)
-    for a in range(_MAX_SEPARATOR_DIM - 2, -1, -1):
-        strides[:, a] = strides[:, a + 1] * extents[:, a + 1]
-    boxes = strides[:, 0] * extents[:, 0]
-    buffer = np.zeros(int(boxes.sum()), dtype=bool)
-    box_starts = np.cumsum(boxes) - boxes
-    buffer[box_starts[factor_rows] + (batch.cells * strides[factor_rows]).sum(axis=1)] = True
-    occupancies = np.split(buffer, box_starts[1:])
-    potentials = np.split(batch.potentials, starts[1:], axis=1)
-    faces = [
-        np.split(rows - starts[factor_rows[rows]], np.cumsum(sizes)[:-1])
-        for rows, sizes in zip(batch.faces, batch.face_sizes)
-    ]
-    shapes = extents.tolist()
-    instances = []
-    f = 0
-    for i, n in enumerate(batch.dims.tolist()):
-        fs = range(f, f + n)
-        f += n
-        instances.append(
-            SeparatorInstance(
-                factors=tuple(occupancies[g].reshape(shapes[g][:n]) for g in fs),
-                potentials=tuple(tuple(potentials[g][k] for g in fs) for k in range(n)),
-                band_center=batch.centers[i, :n].copy(),
-                band_radius=np.ones(n),
-                faces_neg=tuple(faces[0][g] for g in fs),
-                faces_pos=tuple(faces[1][g] for g in fs),
-            )
-        )
-    return instances
-
-
-def random_separator_instances(specs: Sequence[tuple[int, int]]) -> list[SeparatorInstance]:
-    """One random valid band-separator instance per ``(n, seed)`` spec, in order.
-
-    Factor j is a random-walk grid continuum stretched along axis j, held
-    as the occupancy of its bounding box; the axis-k potentials are plain
-    cell coordinates (integral and 1-Lipschitz
-    under chessboard steps), the band sits at an integer level inside the
-    verified face gap with half-width 1, and faces are the coordinate
-    extremes of the stretched factor.
-
-    Each spec draws its walks from its own ``np.random.default_rng(seed)``
-    (a size, then one array of uniform draws, each a step forward along
-    the factor's axis with probability 0.7, else a unit step along a
-    uniform axis and sign), so an instance depends on its spec alone.  Per
-    round, every open spec draws one candidate, and all of them are
-    stepped and gap-tested as arrays; a candidate whose face gap is too
-    narrow is redrawn in the next round, and a spec with none wide enough
-    in 64 candidates raises RuntimeError.  A candidate that passes the gap
-    test is valid by construction: unit-step walks are face-connected, a
-    product step moves the summed potential by at most n <= 3 = 2 * 1 + 1,
-    and a gap of at least 5 puts the rounded band center 2 or more from
-    each face.  Per batch, the passing candidates are laid out together
-    and still validated together (:func:`validate_separators`'s checks, as
-    array operations over the batch), and a failure raises RuntimeError
-    naming its spec, chained from the validation error.  The instances of
-    one call share array buffers (see :func:`_built_instances`).
-    """
-    return _built_instances(_drawn(specs))
-
-
 def random_bands_share_cell(specs: Sequence[tuple[int, int]]) -> list[bool]:
-    """Whether the bands of each spec's :func:`random_separator_instances` instance share a cell.
+    """Whether the bands of each spec's :func:`random_separator_instance` share a cell.
 
-    Drawn and validated as :func:`random_separator_instances` does, then
-    scanned as one batch: one array scan per factor count, over the batch's
+    Every spec is drawn and validated in one batch (:func:`_drawn`), then
+    the batch is scanned: one array scan per factor count, over the batch's
     potentials, with no instance built.
     """
     return _shared_cells(_drawn(specs)).tolist()
@@ -1058,6 +984,36 @@ def random_bands_share_cell(specs: Sequence[tuple[int, int]]) -> list[bool]:
 def random_separator_instance(n: int, seed: int) -> SeparatorInstance:
     """The random valid band-separator instance of ``(n, seed)``.
 
-    The one-spec call of :func:`random_separator_instances`.
+    Factor j is a random-walk grid continuum stretched along axis j, held
+    as the occupancy of its bounding box; the axis-k potentials are plain
+    cell coordinates (integral and 1-Lipschitz under chessboard steps), the
+    band sits at an integer level inside the verified face gap with
+    half-width 1, and faces are the coordinate extremes of the stretched
+    factor.  The walks are drawn from ``np.random.default_rng(seed)``, each
+    step forward along the factor's axis with probability 0.7, else a unit
+    step along a uniform axis and sign.  A candidate with a face gap under
+    5 is redrawn, up to 64 times, then RuntimeError is raised.  One that
+    passes is valid by construction: unit-step walks are face-connected, a
+    product step moves the summed potential by at most n <= 3 = 2 * 1 + 1,
+    and the rounded band center lies 2 or more from each face.  It is read
+    off the one-spec batch of :func:`_drawn`, which still validates it and
+    names the spec in a RuntimeError chained from any validation error.
     """
-    return random_separator_instances([(n, seed)])[0]
+    batch = _drawn([(n, seed)])
+    cuts = np.cumsum(batch.sizes)[:-1]
+    factors = []
+    for cells in np.split(batch.cells[:, :n], cuts):
+        factors.append(np.zeros(cells.max(axis=0) + 1, dtype=bool))
+        factors[-1][tuple(cells.T)] = True
+    neg, pos = (
+        [rows - start for rows, start in zip(np.split(side, np.cumsum(sizes)[:-1]), [0, *cuts])]
+        for side, sizes in zip(batch.faces, batch.face_sizes)
+    )
+    return SeparatorInstance(
+        factors=tuple(factors),
+        potentials=tuple(tuple(np.split(batch.potentials[k], cuts)) for k in range(n)),
+        band_center=batch.centers[0, :n].copy(),
+        band_radius=np.ones(n),
+        faces_neg=tuple(neg),
+        faces_pos=tuple(pos),
+    )

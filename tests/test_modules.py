@@ -186,3 +186,18 @@ def test_one_union_find():
                 and node.value.id == node.slice.id
             ]
     assert jumps == ["grid.py: component_roots"], jumps
+
+
+def test_separation_oracle_reads_no_batch_layout():
+    # separation_by_search is the oracle for the batched validation and
+    # scan, so it reads instances only, never the layout they share.
+    tree = ast.parse((PACKAGE_DIR / "sums.py").read_text(encoding="utf-8"))
+    (oracle,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "separation_by_search"
+    ]
+    names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    layout = names & {"_packed", "_extended", "_Batch"}
+    assert not layout, layout

@@ -36,7 +36,6 @@ from continuum_sums.sums import (
     midpoint_iterate,
     random_bands_share_cell,
     random_separator_instance,
-    random_separator_instances,
     separation_by_search,
     shift_construction,
     shifted_sum_raster,
@@ -564,7 +563,7 @@ def test_sum_separator_faces_match_the_former_search(n, budget, s, target, h):
 
 
 def test_separator_instances_compare_and_hash_by_identity():
-    a, same_spec, other_shape = random_separator_instances([(2, 0), (2, 0), (2, 1)])
+    a, same_spec, other_shape = (random_separator_instance(2, seed) for seed in (0, 0, 1))
     assert a.factors[0].shape != other_shape.factors[0].shape
     assert (a == a) is True
     assert (a == same_spec) is False
@@ -594,6 +593,20 @@ def test_random_instance_search_agrees_with_oracle():
             slow = oracle_separates(instance, axis)
             assert fast == slow
             assert fast
+
+
+def test_search_says_not_separated_across_a_leapt_or_missed_band():
+    # Centers and potentials are integers, so a band of half-width 0.25
+    # holds the cells of one sum, which a diagonal product step (both
+    # factors move, the sum by 2) leaps; a band moved by 1000 holds no cell.
+    for seed in range(6):
+        instance = random_separator_instance(2, seed)
+        thin = dataclasses.replace(instance, band_radius=np.full(2, 0.25))
+        moved = dataclasses.replace(instance, band_center=instance.band_center + 1000)
+        for x, separated in ((instance, True), (thin, False), (moved, False)):
+            for axis in range(2):
+                assert separation_by_search(x, axis) is separated
+                assert oracle_separates(x, axis) is separated
 
 
 def test_gallery_instance_search_agrees_with_oracle():
@@ -832,11 +845,30 @@ def test_walk_move_rule_at_its_edges(n):
         assert extents[w].tolist() == (np.ptp(want, axis=0) + 1).tolist()
 
 
+def assert_batch_of_single_draws(specs):
+    """A mixed batch, drawn together, holds each spec's instance as drawn alone.
+
+    The batch scan agrees with the former scan of each spec's reference
+    instance, and the batch is the layout of the specs' single-spec
+    instances laid end to end (band radii aside: the layout reads 0 past n).
+    """
+    want = [reference_random_separator_instance(n, seed) for n, seed in specs]
+    assert random_bands_share_cell(specs) == [former_bands_share_cell(x) for x in want]
+    got = sums_mod._drawn(specs)
+    laid = sums_mod._packed([random_separator_instance(n, seed) for n, seed in specs])
+    for name in ("dims", "sizes", "cells", "potentials", "centers", "face_sizes"):
+        assert_same_arrays([getattr(got, name)], [getattr(laid, name)])
+    assert_same_arrays(got.faces, laid.faces)
+
+
 def test_batch_instances_match_former_numpy_walk_spec_by_spec():
     specs = [(2, 0), (3, 0), (1, 4), (2, 0), (3, 7), (2, 11), (1, 0), (2, 3)]
-    for (n, seed), got in zip(specs, random_separator_instances(specs)):
-        assert_same_instance(got, reference_random_separator_instance(n, seed))
-    assert random_separator_instances([]) == []
+    for n, seed in specs:
+        assert_same_instance(
+            random_separator_instance(n, seed), reference_random_separator_instance(n, seed)
+        )
+    assert_batch_of_single_draws(specs)
+    assert random_bands_share_cell([]) == []
 
 
 def test_mixed_batch_with_redraws_matches_former_walk_spec_by_spec(monkeypatch):
@@ -851,9 +883,13 @@ def test_mixed_batch_with_redraws_matches_former_walk_spec_by_spec(monkeypatch):
 
     monkeypatch.setattr(sums_mod, "_walk_cells", recording)
     specs = [(3, 27), (1, 3), (2, 14), (3, 63), (2, 0), (1, 8), (3, 2)]
-    for (n, seed), got in zip(specs, random_separator_instances(specs)):
-        assert_same_instance(got, reference_random_separator_instance(n, seed))
+    random_bands_share_cell(specs)
     assert rounds == [15, 3 + 2 + 3, 3 + 3, 3 + 3, 3]
+    for n, seed in specs:
+        assert_same_instance(
+            random_separator_instance(n, seed), reference_random_separator_instance(n, seed)
+        )
+    assert_batch_of_single_draws(specs)
 
 
 def test_rejected_candidate_raises_naming_its_spec(monkeypatch):
@@ -865,7 +901,7 @@ def test_rejected_candidate_raises_naming_its_spec(monkeypatch):
 
     monkeypatch.setattr(sums_mod, "_validations", reject_second)
     with pytest.raises(RuntimeError, match=r"\(2, 5\)") as raised:
-        random_separator_instances([(2, 4), (2, 5), (3, 6)])
+        random_bands_share_cell([(2, 4), (2, 5), (3, 6)])
     assert isinstance(raised.value.__cause__, ValueError)
     assert str(raised.value.__cause__) == "rejected"
 
@@ -886,7 +922,7 @@ def test_every_gap_tested_candidate_passes_validation(monkeypatch):
 
     monkeypatch.setattr(sums_mod, "_validations", recording)
     specs = [(n, seed) for n in (1, 2, 3) for seed in range(1000)]
-    assert len(random_separator_instances(specs)) == len(specs)
+    assert len(random_bands_share_cell(specs)) == len(specs)
     ((dims, report, failed),) = outcomes
     assert len(dims) == len(specs) and failed == {}
     for i, n in enumerate(dims.tolist()):
@@ -899,9 +935,10 @@ def test_generator_refuses_unsupported_dimensions(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     for n in (0, 4):
-        for generate in (random_separator_instances, random_bands_share_cell):
-            with pytest.raises(ValueError, match="support 1..3"):
-                generate([(2, 1), (n, 2)])
+        with pytest.raises(ValueError, match="support 1..3"):
+            random_bands_share_cell([(2, 1), (n, 2)])
+        with pytest.raises(ValueError, match="support 1..3"):
+            random_separator_instance(n, 2)
 
 
 def test_generator_refuses_negative_seeds(monkeypatch):
@@ -909,9 +946,10 @@ def test_generator_refuses_negative_seeds(monkeypatch):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    for generate in (random_separator_instances, random_bands_share_cell):
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-            generate([(2, 1), (2, -1)])
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        random_bands_share_cell([(2, 1), (2, -1)])
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        random_separator_instance(2, -1)
 
 
 def test_spec_without_a_wide_gap_raises_naming_the_first_in_spec_order(monkeypatch):
@@ -924,9 +962,10 @@ def test_spec_without_a_wide_gap_raises_naming_the_first_in_spec_order(monkeypat
             with pytest.raises(RuntimeError, match=rf"\(seed {seed}\)$"):
                 reference_random_separator_instance(n, seed, size_range=(5, 9))
     message = r"^no valid random instance after 64 attempts \(seed 1\)$"
-    for generate in (random_separator_instances, random_bands_share_cell):
-        with pytest.raises(RuntimeError, match=message):
-            generate(specs)
+    with pytest.raises(RuntimeError, match=message):
+        random_bands_share_cell(specs)
+    with pytest.raises(RuntimeError, match=message):
+        random_separator_instance(3, 1)
 
 
 def validation_outcome(validate, instance):
@@ -1234,7 +1273,7 @@ def invalid_fixtures() -> list[SeparatorInstance]:
 
 
 def test_batch_validation_matches_former_on_every_fixture_both_ways():
-    generated = random_separator_instances([(n, seed) for n in (1, 2, 3) for seed in range(6)])
+    generated = [random_separator_instance(n, seed) for n in (1, 2, 3) for seed in range(6)]
     batch = generated + constructed_instances() + invalid_fixtures()
     want = [validation_outcome(former_validate_separators, x) for x in batch]
     assert batch_outcomes(batch) == want
@@ -1359,7 +1398,7 @@ def former_bands_share_cell(instance: SeparatorInstance) -> bool:
 
 def scan_fixtures() -> list[SeparatorInstance]:
     """Valid instances of every dimension, a one-cell factor, and bands moved off each other."""
-    valid = random_separator_instances([(n, seed) for n in (1, 2, 3) for seed in range(5)])
+    valid = [random_separator_instance(n, seed) for n in (1, 2, 3) for seed in range(5)]
     # The 3-D constructed product (351 cells a factor) is left to the validation tests.
     valid += constructed_instances()[:3] + [single_cell_instance()]
     moved = [
@@ -1389,7 +1428,7 @@ def test_batched_scan_matches_the_former_product_scan():
     assert [sums_mod._shared_cells(sums_mod._packed([x]))[0] for x in instances] == want
     specs = [(3 if t % 10 == 9 else 2, 3000 + t) for t in range(100)] + [(1, 4), (3, 27)]
     got = random_bands_share_cell(specs)
-    assert got == [former_bands_share_cell(x) for x in random_separator_instances(specs)]
+    assert got == [former_bands_share_cell(random_separator_instance(*spec)) for spec in specs]
 
 
 @settings(max_examples=80, deadline=None)

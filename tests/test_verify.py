@@ -596,6 +596,24 @@ class TestSeparatorSuite:
             whole.passed,
         )
 
+    def test_suite_holds_one_block_of_specs_at_a_time(self, monkeypatch):
+        # With the scan stubbed, the suite's traced peak is what it keeps
+        # besides: one block's specs, not a list of every trial's.  The two
+        # constructed checks are cached first, so they allocate nothing here.
+        verify_mod._axis_band_cube_check()
+        verify_mod._claim_instance_check()
+        monkeypatch.setattr(verify_mod, "random_bands_share_cell", lambda specs: [True] * len(specs))
+        tracemalloc.start()
+        try:
+            rep = verify_hl_suite(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak / 2**20
+        assert rep.checks[0].detail == (
+            "90000 planar + 10000 spatial instances, every band family intersects"
+        )
+
     def test_each_instance_is_validated_once(self, monkeypatch):
         # Every validation, batched or single, runs through the grouped
         # validator; record the factor counts of each batch it sees.  The
@@ -610,7 +628,7 @@ class TestSeparatorSuite:
             batches.append(batch.dims.tolist())
             return real_validations(batch)
 
-        def no_instances(batch):
+        def no_instances(n, seed):
             raise AssertionError("a passing block built its instances")
 
         checked = []
@@ -621,7 +639,7 @@ class TestSeparatorSuite:
             return real_check(instance)
 
         monkeypatch.setattr(sums_mod, "_validations", validations)
-        monkeypatch.setattr(sums_mod, "_built_instances", no_instances)
+        monkeypatch.setattr(verify_mod, "random_separator_instance", no_instances)
         monkeypatch.setattr(verify_mod, "hl_discrete_check", check)
         rep = verify_hl_suite(trials=20, seed=4)
         assert rep.passed
@@ -677,7 +695,8 @@ class TestSeparatorSuite:
         verify_hl_suite(trials=1)
         assert len(constructed) == 2
         specs = [(n, seed) for n in (1, 2, 3) for seed in range(20)]
-        for instance in sums_mod.random_separator_instances(specs) + constructed:
+        generated = [sums_mod.random_separator_instance(n, seed) for n, seed in specs]
+        for instance in generated + constructed:
             for factor, cells in zip(instance.factors, instance.factor_cells, strict=True):
                 assert factor.dtype == bool
                 assert cells.dtype == np.int64
