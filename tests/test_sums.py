@@ -846,16 +846,19 @@ def test_walk_move_rule_at_its_edges(n):
 
 
 def assert_batch_of_single_draws(specs):
-    """A mixed batch, drawn together, holds each spec's instance as drawn alone.
+    """Each spec's instance is the former walk's, and a mixed batch holds it as drawn alone.
 
     The batch scan agrees with the former scan of each spec's reference
     instance, and the batch is the layout of the specs' single-spec
     instances laid end to end (band radii aside: the layout reads 0 past n).
     """
     want = [reference_random_separator_instance(n, seed) for n, seed in specs]
+    singles = [random_separator_instance(n, seed) for n, seed in specs]
+    for got_one, want_one in zip(singles, want):
+        assert_same_instance(got_one, want_one)
     assert random_bands_share_cell(specs) == [former_bands_share_cell(x) for x in want]
     got = sums_mod._drawn(specs)
-    laid = sums_mod._packed([random_separator_instance(n, seed) for n, seed in specs])
+    laid = sums_mod._packed(singles)
     for name in ("dims", "sizes", "cells", "potentials", "centers", "face_sizes"):
         assert_same_arrays([getattr(got, name)], [getattr(laid, name)])
     assert_same_arrays(got.faces, laid.faces)
@@ -863,10 +866,6 @@ def assert_batch_of_single_draws(specs):
 
 def test_batch_instances_match_former_numpy_walk_spec_by_spec():
     specs = [(2, 0), (3, 0), (1, 4), (2, 0), (3, 7), (2, 11), (1, 0), (2, 3)]
-    for n, seed in specs:
-        assert_same_instance(
-            random_separator_instance(n, seed), reference_random_separator_instance(n, seed)
-        )
     assert_batch_of_single_draws(specs)
     assert random_bands_share_cell([]) == []
 
@@ -885,10 +884,6 @@ def test_mixed_batch_with_redraws_matches_former_walk_spec_by_spec(monkeypatch):
     specs = [(3, 27), (1, 3), (2, 14), (3, 63), (2, 0), (1, 8), (3, 2)]
     random_bands_share_cell(specs)
     assert rounds == [15, 3 + 2 + 3, 3 + 3, 3 + 3, 3]
-    for n, seed in specs:
-        assert_same_instance(
-            random_separator_instance(n, seed), reference_random_separator_instance(n, seed)
-        )
     assert_batch_of_single_draws(specs)
 
 
