@@ -1,9 +1,11 @@
 """Affine rank certificates for sampled sets.
 
-Everything here runs through one greedy row-elimination routine, with one
-pivot rule and one tolerance rule (:func:`default_rank_tol`), so that rank
-decisions, independent-direction bases and the determinant of a full-rank
-certificate can never disagree with each other.
+Everything here runs through one greedy row-elimination core over a stack
+of row sets, with one pivot rule and one tolerance rule
+(:func:`default_rank_tol`), so that rank decisions, independent-direction
+bases and the determinant of a full-rank certificate can never disagree
+with each other.  A certificate eliminates a stack of one set; the patch
+profile of :func:`is_nowhere_flat` stacks a block of patches.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ DEFAULT_RANK_RTOL = 1e-9
 #: Elimination can amplify a sup-norm residual by a small dimension-dependent
 #: factor, so the duality threshold carries slack.
 PROJECTION_SLACK = 8.0
+
+#: Centre-sample pairs per block of :func:`is_nowhere_flat`.
+_PATCH_BLOCK_PAIRS = 1 << 18
 
 
 def as_points(samples: SampledSet | NDArray[np.float64]) -> NDArray[np.float64]:
@@ -48,13 +53,66 @@ class EliminationResult:
     basis: NDArray[np.float64]
 
 
+def _eliminate(
+    work: NDArray[np.float64], lengths: NDArray[np.int64], tol: float
+) -> tuple[NDArray[np.int64], list[NDArray[np.int64]], list[NDArray[np.float64]]]:
+    """Greedy elimination of a stack of row sets, all at once and in place.
+
+    ``work[j, b, i]`` is coordinate j of row i of set b; rows at and past
+    ``lengths[b]`` pad set b to the common length and are never picked.
+    Each round, every set still running accepts the row with its largest
+    sup-norm residual (first on ties) if that residual exceeds ``tol``,
+    pivots on the row's largest entry (first on ties) and subtracts
+    ``factors * row[j]`` from every coordinate plane.  A set that stopped
+    has its row zeroed and its pivot set to one, so the shared update
+    leaves its residuals unchanged.  Returns the ranks and, per round, each
+    set's picked row and pivot: the first ``rank[b]`` are set b's accepted.
+    """
+    n, sets, length = work.shape
+    every = np.arange(sets)
+    dead = np.arange(length) >= lengths[:, None]
+    limit = np.minimum(lengths, n)
+    rank = np.zeros(sets, dtype=np.int64)
+    mags, scratch = np.empty((2, sets, length))
+    accepted: list[NDArray[np.int64]] = []
+    pivots: list[NDArray[np.float64]] = []
+    running = rank < limit
+    while running.any():
+        np.abs(work[0], out=mags)
+        for j in range(1, n):
+            np.maximum(mags, np.abs(work[j], out=scratch), out=mags)
+        mags[dead] = -1.0
+        cand = np.argmax(mags, axis=1)
+        running &= mags[every, cand] > tol
+        live = np.flatnonzero(running)
+        if not live.size:
+            break
+        rows = work[:, every, cand]
+        rows[:, ~running] = 0.0
+        col = np.argmax(np.abs(rows), axis=0)
+        pivot = np.where(running, rows[col, every], 1.0)
+        factors = work[col, every] / pivot[:, None]
+        for j in range(n):
+            np.multiply(factors, rows[j][:, None], out=scratch)
+            work[j] -= scratch
+        work[col[live], live] = 0.0
+        work[:, live, cand[live]] = 0.0
+        dead[live, cand[live]] = True
+        accepted.append(cand)
+        pivots.append(pivot)
+        rank += running
+        running &= rank < limit
+    return rank, accepted, pivots
+
+
 def greedy_row_elimination(vectors: NDArray[np.float64], tol: float) -> EliminationResult:
     """Select independent rows by Gaussian elimination with sup-norm tests.
 
     Repeatedly accepts the row with the globally largest residual against
     the rows accepted so far (pivot column: its largest residual entry,
     first on ties), until no residual exceeds ``tol`` in sup norm.  Returns
-    the accepted rows as originally given.
+    the accepted rows as originally given.  This is the stack-of-one case
+    of the core that :func:`is_nowhere_flat` runs on blocks of patches.
     """
     original = np.asarray(vectors, dtype=np.float64)
     if original.ndim != 2:
@@ -62,36 +120,14 @@ def greedy_row_elimination(vectors: NDArray[np.float64], tol: float) -> Eliminat
     if not np.isfinite(original).all():
         raise ValueError("vectors must be finite")
     k, n = original.shape
-    # One contiguous residual array per coordinate, so the sup norms and the
+    # One contiguous residual plane per coordinate, so the sup norms and the
     # updates stream over rows instead of reducing short rows one by one.
-    work = original.T.copy()
-    mags = np.empty(k)
-    scratch = np.empty(k)
-    accepted: list[int] = []
-    pivot_vals: list[float] = []
-    while len(accepted) < min(n, k):
-        np.abs(work[0], out=mags)
-        for j in range(1, n):
-            np.maximum(mags, np.abs(work[j], out=scratch), out=mags)
-        mags[accepted] = -1.0
-        cand = int(np.argmax(mags))
-        if mags[cand] <= tol:
-            break
-        row = work[:, cand].copy()
-        col = int(np.argmax(np.abs(row)))
-        accepted.append(cand)
-        pivot_vals.append(float(row[col]))
-        factors = work[col] / row[col]
-        for j in range(n):
-            if j != col:
-                np.multiply(factors, row[j], out=scratch)
-                work[j] -= scratch
-        work[col] = 0.0
-        work[:, cand] = 0.0
+    rank, rows, pivots = _eliminate(original.T.copy()[:, None, :], np.array([k]), tol)
+    accepted = [int(r[0]) for r in rows]
     return EliminationResult(
-        rank=len(accepted),
+        rank=int(rank[0]),
         accepted=tuple(accepted),
-        pivot_values=tuple(pivot_vals),
+        pivot_values=tuple(float(p[0]) for p in pivots),
         basis=original[accepted].copy() if accepted else np.empty((0, n)),
     )
 
@@ -204,13 +240,6 @@ def flatness_by_projection(
     )
 
 
-def _patch_rows(pts: NDArray[np.float64], center: int, rho: float) -> NDArray[np.float64]:
-    """Difference vectors of the samples within sup-norm rho of sample ``center``."""
-    base = pts[center]
-    near = np.abs(pts - base).max(axis=1) <= rho
-    return pts[near] - base
-
-
 def _check_patch_radius(rho: float, samples: SampledSet | NDArray[np.float64]) -> None:
     if rho <= 0:
         raise ValueError(f"patch radius must be positive, got {rho}")
@@ -218,6 +247,34 @@ def _check_patch_radius(rho: float, samples: SampledSet | NDArray[np.float64]) -
         raise ValueError(
             f"patch radius {rho} must exceed twice the sample density {samples.density}"
         )
+
+
+def _patch_block(
+    coords: NDArray[np.float64], centers: NDArray[np.int64], rho: float
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """The rho-patches of ``centers`` as a padded stack for :func:`_eliminate`.
+
+    ``coords`` is (n, m), one row per axis.  Patch b lists the differences
+    to sample ``centers[b]`` in ascending sample order, then zero padding.
+    """
+    m = coords.shape[1]
+    # One coordinate at a time into one buffer: a max over a short last
+    # axis, or a fresh array per operation, costs several times more.
+    near = np.ones((centers.size, m), dtype=bool)
+    diff = np.empty(near.shape)
+    for axis in coords:
+        np.subtract(axis, axis[centers, None], out=diff)
+        near &= np.abs(diff, out=diff) <= rho
+    flat = np.flatnonzero(near)
+    owner = flat // m
+    lengths = np.bincount(owner, minlength=centers.size)
+    width = int(lengths.max())
+    starts = np.arange(centers.size) * width - np.cumsum(lengths) + lengths
+    rows = np.repeat(centers, width)
+    rows[np.arange(flat.size) + np.repeat(starts, lengths)] = flat - owner * m
+    work = np.take(coords, rows.reshape(centers.size, width), axis=1)
+    work -= coords[:, centers, None]
+    return work, lengths
 
 
 @dataclass(frozen=True)
@@ -231,21 +288,31 @@ class NowhereFlatReport:
 def is_nowhere_flat(samples: SampledSet | NDArray[np.float64], rho: float) -> NowhereFlatReport:
     """Check that no rho-patch of the samples is affinely rank-deficient.
 
-    Ranks are taken at the tolerance :func:`default_rank_tol` of the whole
-    sample.  Flat patches are reported by the index of their center sample
-    (first one first).  A patch too sparse to span full rank counts as
-    flat; the radius must exceed twice the sample density so patches hold
-    genuine geometry.
+    A centre's patch holds the differences to every sample within sup-norm
+    rho of it, in ascending sample order, and its rank is taken at the
+    tolerance :func:`default_rank_tol` of the whole sample.  Flat patches
+    are reported by the index of their center sample (first one first).  A
+    patch too sparse to span full rank counts as flat; the radius must
+    exceed twice the sample density so patches hold genuine geometry.
+
+    Centres go in blocks of ``max(1, 2**18 // m)`` for m samples.  A block's
+    patches, padded to its largest, take one call of the elimination core
+    of :func:`greedy_row_elimination`, so each rank is the one it gives the
+    patch alone.  A block's arrays take at most about 8n + 64 bytes per
+    centre-sample pair: (8n + 64) * 2**18 bytes (21 MB for n = 2) while
+    m <= 2**18, and (8n + 64) * m bytes past that.
     """
     _check_patch_radius(rho, samples)
     pts = as_points(samples)
-    n = pts.shape[1]
+    m, n = pts.shape
     tol = default_rank_tol(pts)
-    flat_centers = []
-    for center in range(pts.shape[0]):
-        rows = _patch_rows(pts, center, rho)
-        if greedy_row_elimination(rows, tol).rank < n:
-            flat_centers.append(center)
+    coords = pts.T.copy()
+    block = max(1, _PATCH_BLOCK_PAIRS // m)
+    flat_centers: list[int] = []
+    for first in range(0, m, block):
+        centers = np.arange(first, min(first + block, m))
+        rank = _eliminate(*_patch_block(coords, centers, rho), tol)[0]
+        flat_centers += centers[rank < n].tolist()
     return NowhereFlatReport(
         nowhere_flat=not flat_centers,
         flat_centers=tuple(flat_centers),

@@ -3,7 +3,9 @@
 Every generator emits a SampledSet whose points lie exactly on the target set
 (up to one float rounding) together with an honest covering density: every set
 point is within sup-norm ``density`` of some sample.  Cantor-style sets are
-built in exact rational arithmetic and rounded once at the end.
+built from integer numerators and denominators: each coordinate is one
+division of two integers below 4 * 3^20 < 2^53 (``_MAX_DEPTH`` is 20), which
+float64 holds exactly, so the quotient is the exact value correctly rounded.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .grid import SampledSet
 
@@ -122,29 +125,27 @@ def polyline(vertices: Sequence[Sequence[float]], budget: int = 64) -> SampledSe
     return SampledSet(points=np.vstack(rows), density=density)
 
 
-def _cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
-    """The 2^depth level-``depth`` middle-thirds intervals, ascending."""
-    intervals = [(Fraction(0), Fraction(1))]
-    for _ in range(depth):
-        third = [
-            piece
-            for a, b in intervals
-            for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))
-        ]
-        intervals = third
-    return intervals
+def _cantor_lefts(level: int) -> NDArray[np.int64]:
+    """Numerators A_j of the level-``level`` left ends A_j / 3^level, ascending.
+
+    The ternary digits of A_j are twice the binary digits of j.
+    """
+    lefts = np.zeros(1, dtype=np.int64)
+    for _ in range(level):
+        lefts = np.stack([3 * lefts, 3 * lefts + 2], axis=1).ravel()
+    return lefts
 
 
 def cantor_set(depth: int) -> SampledSet:
     """Left endpoints of the level-``depth`` middle-thirds intervals.
 
     Every point of the set lies in one such interval of width 3^-depth, so
-    the left endpoints cover it at density 3^-depth.
+    the left endpoints cover it at density 3^-depth.  Endpoint j is the
+    integer A_j over 3^depth, rounded once (module docstring).
     """
     if not 0 <= depth <= _MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {_MAX_DEPTH}], got {depth}")
-    lefts = [float(a) for a, _ in _cantor_intervals(depth)]
-    return SampledSet(points=np.array(lefts)[:, None], density=3.0 ** -depth)
+    return SampledSet(points=(_cantor_lefts(depth) / 3**depth)[:, None], density=3.0 ** -depth)
 
 
 def cantor_value(x: float | Fraction) -> float:
@@ -173,29 +174,6 @@ def cantor_value(x: float | Fraction) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class _GraphPieces:
-    """Exact level-k structure of the ladder graph."""
-
-    level: int
-    corners: list[tuple[Fraction, Fraction]]
-    plateaus: list[tuple[Fraction, Fraction, Fraction]]  # (left, right, height)
-
-
-def _graph_pieces(level: int) -> _GraphPieces:
-    intervals = _cantor_intervals(level)
-    corners = []
-    for j, (a, b) in enumerate(intervals):
-        corners.append((a, Fraction(j, 2**level)))
-        corners.append((b, Fraction(j + 1, 2**level)))
-    plateaus = []
-    for j in range(len(intervals) - 1):
-        left = intervals[j][1]
-        right = intervals[j + 1][0]
-        plateaus.append((left, right, Fraction(j + 1, 2**level)))
-    return _GraphPieces(level=level, corners=corners, plateaus=plateaus)
-
-
 def cantor_graph(depth: int, budget: int = 0) -> SampledSet:
     """Samples of the full Cantor ladder graph over [0, 1].
 
@@ -206,7 +184,12 @@ def cantor_graph(depth: int, budget: int = 0) -> SampledSet:
     j/2^k + 1/(3*2^k) is NOT dyadic (the graph is not a union of dyadic
     lines).  A graph point above a level-k interval sits within 3^-k
     horizontally and 2^-k vertically of a corner, so the density is 2^-k.
-    All samples lie exactly on the graph up to one float rounding.
+    Interval j gives its left corner (A_j / 3^k, j / 2^k), the interior
+    point ((4 A_j + 1) / (4 * 3^k), (3j + 1) / (3 * 2^k)), its right corner
+    ((A_j + 1) / 3^k, (j + 1) / 2^k), each coordinate an integer ratio
+    rounded once (module docstring), then the plateau to its right: the
+    inner points of ``np.linspace`` between the rounded ends, element for
+    element.
     """
     if not 0 <= depth <= _MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {_MAX_DEPTH}], got {depth}")
@@ -214,35 +197,28 @@ def cantor_graph(depth: int, budget: int = 0) -> SampledSet:
     if budget:
         level = max(level, int(math.log2(max(budget, 4) / 3.5)))
         level = min(level, _MAX_DEPTH)
-    pieces = _graph_pieces(level)
-    spacing_cap = 2.0 ** (1 - level)
-    xs: list[float] = []
-    ys: list[float] = []
-    plateau_by_left = {p[0]: p for p in pieces.plateaus}
-    interval_width = Fraction(1, 3**level)
-    interior_dx = interval_width / 4
-    interior_dy = Fraction(1, 3 * 2**level)
-    left_corner = True
-    for cx, cy in pieces.corners:
-        xs.append(float(cx))
-        ys.append(float(cy))
-        if left_corner:
-            xs.append(float(cx + interior_dx))
-            ys.append(float(cy + interior_dy))
-            left_corner = False
-            continue
-        left_corner = True
-        plateau = plateau_by_left.get(cx)
-        if plateau is None:
-            continue
-        left, right, height = plateau
-        width = float(right - left)
-        inner = max(2, math.ceil(width / spacing_cap) + 1)
-        fill = np.linspace(float(left), float(right), inner + 1)[1:-1]
-        xs.extend(fill.tolist())
-        ys.extend([float(height)] * len(fill))
-    pts = np.stack([np.array(xs), np.array(ys)], axis=1)
-    return SampledSet(points=pts, density=2.0 ** -level)
+    lefts = _cantor_lefts(level)
+    j = np.arange(lefts.size)
+    widths = (np.diff(lefts) - 1) / 3**level
+    inner = np.maximum(2, np.ceil(widths / 2.0 ** (1 - level)).astype(np.int64) + 1)
+    fills = np.append(inner - 1, 0)
+    starts = np.cumsum(fills + 3) - fills - 3
+    xs = np.empty(int(starts[-1]) + 3)
+    ys = np.empty_like(xs)
+    for offset, x, y in (
+        (0, lefts / 3**level, j / 2**level),
+        (1, (4 * lefts + 1) / (4 * 3**level), (3 * j + 1) / (3 * 2**level)),
+        (2, (lefts + 1) / 3**level, (j + 1) / 2**level),
+    ):
+        xs[starts + offset] = x
+        ys[starts + offset] = y
+    plateau = np.repeat(j[:-1], fills[:-1])
+    index = np.arange(plateau.size) - np.repeat(np.cumsum(fills) - fills, fills) + 1
+    left = xs[starts[:-1] + 2]
+    spacing = (xs[starts[1:]] - left) / inner
+    xs[starts[plateau] + 2 + index] = index * spacing[plateau] + left[plateau]
+    ys[starts[plateau] + 2 + index] = (plateau + 1) / 2**level
+    return SampledSet(points=np.stack([xs, ys], axis=1), density=2.0 ** -level)
 
 
 def ladder_steps(depth: int, budget: int = 64) -> SampledSet:
@@ -251,26 +227,24 @@ def ladder_steps(depth: int, budget: int = 64) -> SampledSet:
     Returns 2-D samples (x, height) on the 2^depth - 1 removed-gap plateaus,
     inset by 10% of each plateau's length so no sample touches the graph of
     the restriction to the Cantor set itself.  Heights are exact dyadics
-    k/2^q with q <= depth.
+    k/2^q with q <= depth.  Plateau j runs from (A_j + 1) / 3^depth to
+    A_(j+1) / 3^depth; its ends and length are integer ratios rounded once
+    (module docstring), and its samples are ``np.linspace`` between the
+    inset ends, element for element.
     """
     if not 1 <= depth <= _MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {_MAX_DEPTH}], got {depth}")
-    plateaus = _graph_pieces(depth).plateaus
-    per_plateau = max(2, budget // len(plateaus))
-    xs: list[float] = []
-    ys: list[float] = []
-    density = 0.0
-    for left, right, height in plateaus:
-        length = float(right - left)
-        lo = float(left) + 0.1 * length
-        hi = float(right) - 0.1 * length
-        fill = np.linspace(lo, hi, per_plateau)
-        xs.extend(fill.tolist())
-        ys.extend([float(height)] * per_plateau)
-        spacing = (hi - lo) / (per_plateau - 1)
-        density = max(density, 0.1 * length, spacing / 2)
-    pts = np.stack([np.array(xs), np.array(ys)], axis=1)
-    return SampledSet(points=pts, density=density)
+    lefts = _cantor_lefts(depth)
+    per_plateau = max(2, budget // (lefts.size - 1))
+    length = (np.diff(lefts) - 1) / 3**depth
+    lo = (lefts[:-1] + 1) / 3**depth + 0.1 * length
+    hi = lefts[1:] / 3**depth - 0.1 * length
+    spacing = (hi - lo) / (per_plateau - 1)
+    xs = np.arange(per_plateau, dtype=np.float64) * spacing[:, None] + lo[:, None]
+    xs[:, -1] = hi
+    ys = np.repeat(np.arange(1, lefts.size) / 2**depth, per_plateau)
+    density = max(float((0.1 * length).max()), float((spacing / 2).max()))
+    return SampledSet(points=np.stack([xs.ravel(), ys], axis=1), density=density)
 
 
 def sampled_sum(a: SampledSet, b: SampledSet) -> SampledSet:
@@ -302,6 +276,22 @@ def dyadic_lines_check(
     scaled = heights * 2.0**max_denominator_exponent
     all_dyadic = bool(np.all(scaled == np.floor(scaled)))
     return all_dyadic, len(np.unique(heights))
+
+
+def self_sum_dyadic_lines(samples: SampledSet, max_denominator_exponent: int) -> tuple[bool, int]:
+    """:func:`dyadic_lines_check` of ``sampled_sum(samples, samples)``, same result.
+
+    The check reads heights only, and the self-sum's heights are the sums
+    h_i + h_j of the distinct sample heights with i <= j.  So it checks the
+    sums of one sample per distinct height, pairs i <= j only: d(d + 1) / 2
+    points for d heights, against the square of the sample count.
+    """
+    if samples.dim != 2 or samples.count == 0:
+        return dyadic_lines_check(samples, max_denominator_exponent)
+    reps = samples.points[np.unique(samples.points[:, 1], return_index=True)[1]]
+    pairs = np.concatenate([reps[i] + reps[i:] for i in range(len(reps))])
+    sums = SampledSet(points=pairs, density=2 * samples.density, exact=samples.exact)
+    return dyadic_lines_check(sums, max_denominator_exponent)
 
 
 @dataclass(frozen=True)

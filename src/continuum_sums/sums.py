@@ -233,9 +233,11 @@ def _has_inner_ball(grid: GridSet, radius_cells: int) -> bool:
 
     That is, is the box erosion by the radius non-empty?  Cells beyond the
     grid border count as unoccupied, so a grid thinner than the ball on some
-    axis holds none and is not packed.
+    axis, or with fewer occupied cells than the ball's (2r + 1)^n, holds
+    none and is not packed.
     """
-    if min(grid.geometry.extents) < 2 * radius_cells + 1:
+    side = 2 * radius_cells + 1
+    if min(grid.geometry.extents) < side or grid.occupied_count < side**grid.dim:
         return False
     return PackedMask.pack(grid.occupancy).erode(radius_cells).any()
 

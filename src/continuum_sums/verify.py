@@ -27,10 +27,9 @@ from .affine import (
 )
 from .gallery import (
     cantor_graph,
-    dyadic_lines_check,
     ladder_steps,
-    sampled_sum,
     segment,
+    self_sum_dyadic_lines,
 )
 from .grid import (
     GridGeometry,
@@ -564,7 +563,7 @@ def verify_example_cantor(
     graph = cantor_graph(depth)
     evidence = verify_theorem_main([graph, graph], resolutions)
     ladder = ladder_steps(level)
-    on_lines, line_count = dyadic_lines_check(sampled_sum(ladder, ladder), level)
+    on_lines, line_count = self_sum_dyadic_lines(ladder, level)
     line_bound = (2**level + 1) ** 2
     cert = nonflat_certificate(graph.points)
     profile = is_nowhere_flat(cantor_graph(depth, budget=64), rho=_PLATEAU_RHO)

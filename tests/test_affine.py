@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from continuum_sums.affine import (
+    as_points,
+    default_rank_tol,
     flatness_by_projection,
     greedy_row_elimination,
     is_nowhere_flat,
     nonflat_certificate,
 )
+from continuum_sums.gallery import cantor_graph, circle, l_shape, moment_curve
 from continuum_sums.grid import SampledSet
 
 # Small integer matrices keep the numpy.linalg oracles exact in float64.
@@ -289,3 +294,94 @@ def test_patch_radius_must_exceed_density():
         is_nowhere_flat(sampled, rho=0.1)
     report = is_nowhere_flat(sampled, rho=0.2)
     assert report.nowhere_flat
+
+
+# --- batched patches against one elimination per centre ---------------------------------
+
+
+def _patch_rows(pts: np.ndarray, center: int, rho: float) -> np.ndarray:
+    """Difference vectors of the samples within sup-norm rho of sample ``center``."""
+    base = pts[center]
+    near = np.abs(pts - base).max(axis=1) <= rho
+    return pts[near] - base
+
+
+def flat_centers_one_by_one(samples, rho: float) -> tuple[int, ...]:
+    """``is_nowhere_flat``'s flat centres as first computed: one elimination per centre."""
+    pts = as_points(samples)
+    tol = default_rank_tol(pts)
+    return tuple(
+        center
+        for center in range(pts.shape[0])
+        if greedy_row_elimination(_patch_rows(pts, center, rho), tol).rank < pts.shape[1]
+    )
+
+
+def _patch_cases():
+    cases = {f"cantor-{d}": (cantor_graph(d, budget=64), 0.15) for d in range(9)}
+    cases["circle"] = (circle(360), 0.2)
+    cases["l-shape-2"] = (l_shape(2, 42), 0.1)
+    cases["l-shape-3"] = (l_shape(3, 63), 0.1)
+    cases["moment-2"] = (moment_curve(2, 201), 0.1)
+    cases["moment-3"] = (moment_curve(3, 101), 0.2)
+    rng = np.random.default_rng(35)
+    for n in (1, 2, 3):
+        cloud = rng.random((120, n))
+        flat = cloud.copy()
+        flat[:, -1] = 0.3
+        ties = rng.integers(0, 4, (120, n)) / 4.0
+        cases[f"random-{n}"] = (cloud, 0.3)
+        cases[f"flat-{n}"] = (flat, 0.3)
+        cases[f"scaled-{n}"] = (cloud * 1e-6, 0.3e-6)
+        cases[f"ties-{n}"] = (ties, 0.25)  # patch edges fall on samples
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_patch_cases()))
+def test_batched_patches_match_one_elimination_per_centre(case):
+    samples, rho = _patch_cases()[case]
+    report = is_nowhere_flat(samples, rho)
+    assert report.flat_centers == flat_centers_one_by_one(samples, rho)
+    assert report.nowhere_flat == (report.flat_centers == ())
+
+
+def test_patch_blocks_stay_within_their_byte_bound():
+    # Full patches: every centre sees every sample, so a block holds
+    # max(1, 2**18 // m) * m centre-sample pairs; the docstring promises at
+    # most (8n + 64) bytes a pair.
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        pts = rng.random((1500, n))
+        tracemalloc.start()
+        try:
+            report = is_nowhere_flat(pts, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.nowhere_flat
+        assert peak <= (8 * n + 64) * 2**18, (n, peak)
+
+
+def test_certificates_of_the_criterion_02_families_match_the_dense_oracle():
+    # The certificate eliminates a stack of one row set: its accepted rows,
+    # pivots, basis and det_abs are the dense rescan's, bit for bit.
+    families = [
+        [l_shape(2, 42)] * 2,
+        [circle(budget=720)] * 2,
+        [moment_curve(2, 201)] * 2,
+        [cantor_graph(6)] * 2,
+        [l_shape(3, 63)] * 3,
+    ]
+    for sets in families:
+        union = np.concatenate([k.points + (-k.points[0]) for k in sets])
+        tol = default_rank_tol(union)
+        accepted, pivots, basis = _dense_elimination(union[1:] - union[0], tol, "pivot")
+        got = greedy_row_elimination(union[1:] - union[0], tol)
+        assert got.accepted == accepted and got.pivot_values == pivots
+        cert = nonflat_certificate(union)
+        assert cert.affine_dim == len(accepted) == union.shape[1]
+        assert np.array_equal(cert.basis, basis)
+        det_abs = 1.0
+        for p in pivots:
+            det_abs *= abs(p)
+        assert cert.det_abs == det_abs

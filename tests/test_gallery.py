@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from continuum_sums.gallery import (
     polyline,
     sampled_sum,
     segment,
+    self_sum_dyadic_lines,
 )
 
 
@@ -344,3 +346,160 @@ def test_generate_cantor_graph_reports_level():
         GeneratorSpec(kind="cantor_graph", parameters={"depth": 3}, sample_budget=640)
     )
     assert round(-math.log2(out.density)) == 7
+
+
+# --- integer-exact Cantor generators against their rational-arithmetic form ------------
+
+
+def _cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
+    """The 2^depth level-``depth`` middle-thirds intervals, ascending."""
+    intervals = [(Fraction(0), Fraction(1))]
+    for _ in range(depth):
+        third = [
+            piece
+            for a, b in intervals
+            for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))
+        ]
+        intervals = third
+    return intervals
+
+
+@dataclass(frozen=True)
+class _GraphPieces:
+    """Exact level-k structure of the ladder graph."""
+
+    level: int
+    corners: list[tuple[Fraction, Fraction]]
+    plateaus: list[tuple[Fraction, Fraction, Fraction]]  # (left, right, height)
+
+
+def _graph_pieces(level: int) -> _GraphPieces:
+    intervals = _cantor_intervals(level)
+    corners = []
+    for j, (a, b) in enumerate(intervals):
+        corners.append((a, Fraction(j, 2**level)))
+        corners.append((b, Fraction(j + 1, 2**level)))
+    plateaus = []
+    for j in range(len(intervals) - 1):
+        left = intervals[j][1]
+        right = intervals[j + 1][0]
+        plateaus.append((left, right, Fraction(j + 1, 2**level)))
+    return _GraphPieces(level=level, corners=corners, plateaus=plateaus)
+
+
+def fraction_cantor_set(depth: int) -> SampledSet:
+    """``cantor_set`` as first written: Fraction ends, each rounded by ``float``."""
+    lefts = [float(a) for a, _ in _cantor_intervals(depth)]
+    return SampledSet(points=np.array(lefts)[:, None], density=3.0 ** -depth)
+
+
+def fraction_cantor_graph(depth: int, budget: int = 0) -> SampledSet:
+    """``cantor_graph`` as first written, one Fraction point at a time."""
+    level = max(depth, 1)
+    if budget:
+        level = max(level, int(math.log2(max(budget, 4) / 3.5)))
+        level = min(level, 20)
+    pieces = _graph_pieces(level)
+    spacing_cap = 2.0 ** (1 - level)
+    xs: list[float] = []
+    ys: list[float] = []
+    plateau_by_left = {p[0]: p for p in pieces.plateaus}
+    interval_width = Fraction(1, 3**level)
+    interior_dx = interval_width / 4
+    interior_dy = Fraction(1, 3 * 2**level)
+    left_corner = True
+    for cx, cy in pieces.corners:
+        xs.append(float(cx))
+        ys.append(float(cy))
+        if left_corner:
+            xs.append(float(cx + interior_dx))
+            ys.append(float(cy + interior_dy))
+            left_corner = False
+            continue
+        left_corner = True
+        plateau = plateau_by_left.get(cx)
+        if plateau is None:
+            continue
+        left, right, height = plateau
+        width = float(right - left)
+        inner = max(2, math.ceil(width / spacing_cap) + 1)
+        fill = np.linspace(float(left), float(right), inner + 1)[1:-1]
+        xs.extend(fill.tolist())
+        ys.extend([float(height)] * len(fill))
+    pts = np.stack([np.array(xs), np.array(ys)], axis=1)
+    return SampledSet(points=pts, density=2.0 ** -level)
+
+
+def fraction_ladder_steps(depth: int, budget: int = 64) -> SampledSet:
+    """``ladder_steps`` as first written, one Fraction plateau at a time."""
+    plateaus = _graph_pieces(depth).plateaus
+    per_plateau = max(2, budget // len(plateaus))
+    xs: list[float] = []
+    ys: list[float] = []
+    density = 0.0
+    for left, right, height in plateaus:
+        length = float(right - left)
+        lo = float(left) + 0.1 * length
+        hi = float(right) - 0.1 * length
+        fill = np.linspace(lo, hi, per_plateau)
+        xs.extend(fill.tolist())
+        ys.extend([float(height)] * per_plateau)
+        spacing = (hi - lo) / (per_plateau - 1)
+        density = max(density, 0.1 * length, spacing / 2)
+    pts = np.stack([np.array(xs), np.array(ys)], axis=1)
+    return SampledSet(points=pts, density=density)
+
+
+def assert_same_samples(got: SampledSet, want: SampledSet) -> None:
+    assert got.points.dtype == want.points.dtype == np.float64
+    assert got.points.shape == want.points.shape
+    assert np.array_equal(got.points, want.points)
+    assert got.density == want.density and got.exact == want.exact
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_integer_cantor_generators_match_fraction_arithmetic(depth):
+    # Each coordinate is one division of exact integers, so it is the
+    # correctly rounded value that float(Fraction) gives; plateau fills
+    # reproduce np.linspace element by element.
+    assert_same_samples(cantor_set(depth), fraction_cantor_set(depth))
+    for budget in (0, 7, 64, 1000):
+        assert_same_samples(cantor_graph(depth, budget), fraction_cantor_graph(depth, budget))
+    if depth:
+        # 20 and 38 samples a plateau: linspace's last sample differs from
+        # i * step + start on some plateau at every depth from 2.
+        for budget in (2, 64, 1000, 20 * (2**depth - 1), 38 * (2**depth - 1)):
+            assert_same_samples(ladder_steps(depth, budget), fraction_ladder_steps(depth, budget))
+
+
+def test_integer_cantor_generators_reach_the_depth_cap():
+    # 4 * 3^20 < 2^53: the deepest numerators and denominators are exact.
+    points = cantor_set(20).points[:, 0]
+    assert points.size == 2**20 and np.all(np.diff(points) > 0)
+    for j in (1, 2**19, 2**20 - 1):
+        a = int(sum(2 * 3 ** (19 - i) for i in range(20) if j >> (19 - i) & 1))
+        assert points[j] == float(Fraction(a, 3**20))
+    graph = cantor_graph(20)
+    assert graph.density == 2.0**-20 and np.all(np.diff(graph.points[:, 0]) > 0)
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_self_sum_lines_match_the_pairwise_sum(depth):
+    ladder = ladder_steps(depth)
+    total = sampled_sum(ladder, ladder)
+    for exponent in (depth, depth - 1):
+        assert self_sum_dyadic_lines(ladder, exponent) == dyadic_lines_check(total, exponent)
+    graph = cantor_graph(min(depth, 3))
+    pairwise = dyadic_lines_check(sampled_sum(graph, graph), 12)
+    assert self_sum_dyadic_lines(graph, 12) == pairwise
+    assert not pairwise[0]
+
+
+def test_self_sum_lines_edge_inputs_match_the_pairwise_sum():
+    empty = SampledSet(points=np.empty((0, 2)), density=0.0)
+    assert self_sum_dyadic_lines(empty, 3) == (True, 0)
+    line = SampledSet(points=np.array([[0.0], [0.5]]), density=0.25)
+    with pytest.raises(ValueError, match="planar"):
+        self_sum_dyadic_lines(line, 3)
+    with pytest.raises(ValueError, match="planar"):
+        dyadic_lines_check(sampled_sum(line, line), 3)

@@ -378,6 +378,66 @@ def test_planar_cloud_chain_packs_nothing(monkeypatch):
         assert np.array_equal(got.occupancy, ref.occupancy)
 
 
+def _raster(occupancy: np.ndarray) -> GridSet:
+    return GridSet(
+        geometry=GridGeometry(
+            origin=(0.0,) * occupancy.ndim, spacing=1.0, extents=occupancy.shape
+        ),
+        occupancy=occupancy,
+        semantics=Semantics.OUTER,
+        slack=0.0,
+    )
+
+
+def test_inner_ball_count_shortcut_agrees_with_packed_erosion():
+    # A raster with fewer than (2r + 1)^n occupied cells holds no ball of
+    # radius r, so the probe answers False before packing; wherever it
+    # answers, it agrees with the packed erosion and with scipy's.
+    rng = np.random.default_rng(35)
+    rasters = []
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        shape = tuple(int(e) for e in rng.integers(1, 10 if n < 3 else 7, n))
+        rasters.append((rng.random(shape) < rng.uniform(0.5, 1.0), int(rng.integers(0, 3))))
+    for n, r in iter_product((1, 2, 3), (0, 1, 2)):
+        side = 2 * r + 1
+        full = np.zeros((side + 2,) * n, dtype=bool)
+        full[(slice(1, side + 1),) * n] = True
+        rasters.append((full, r))  # exactly (2r + 1)^n cells, holding the ball
+        spread = np.zeros((side + 2,) * n, dtype=bool)
+        spread.flat[:: max(1, spread.size // side**n)] = True
+        spread.flat[: side**n - np.count_nonzero(spread)] = True
+        rasters.append((spread, r))  # enough cells, no ball
+        if r:  # thinner than the ball on its first axis
+            rasters.append((np.ones((side - 1,) + (side + 3,) * (n - 1), dtype=bool), r))
+    for occupancy, r in rasters:
+        want = bool(ndimage.binary_erosion(occupancy, np.ones((3,) * occupancy.ndim), r).any())
+        if r == 0:
+            want = bool(occupancy.any())
+        if min(occupancy.shape) >= 2 * r + 1:
+            assert bool(PackedMask.pack(occupancy).erode(r).any()) == want
+        assert sums_mod._has_inner_ball(_raster(occupancy), r) is want
+
+
+def test_midpoint_diagonal_chain_packs_nothing(monkeypatch):
+    # Step j of the diagonal chain occupies 2^j * 4 + 1 cells on the
+    # diagonal, fewer than the (2r + 1)^2 of its probe's ball, so no step
+    # is packed or eroded.
+    raster = criterion_07_inputs()["diagonal segment"]
+    packed = []
+    real = PackedMask.pack
+
+    def pack(occupancy):
+        packed.append(np.shape(occupancy))
+        return real(occupancy)
+
+    monkeypatch.setattr(PackedMask, "pack", staticmethod(pack))
+    chain = midpoint_iterate(raster, 10)
+    assert packed == []
+    assert chain.interior_found_at is None
+    assert [step.occupied_count for step in chain.steps] == [2**j * 4 + 1 for j in range(11)]
+
+
 def test_midpoint_diagonal_last_step_takes_the_sparse_route(monkeypatch):
     # Step 10 of the diagonal chain sums a 2049^2 grid with itself into 4097^2
     # cells from 2049^2 pairs: minkowski_sum's sparse route, no dense fold.

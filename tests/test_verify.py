@@ -326,6 +326,20 @@ class TestCantorScenario:
         assert by_name["graph-not-flat"].passed
         assert by_name["graph-not-nowhere-flat"].passed
 
+    def test_depth_ten_ladder_check_stays_small(self):
+        # The ladder self-sum is checked from its distinct heights, not from
+        # its 2046^2 pairwise sums (67 MB of points and 136 MB peak here).
+        tracemalloc.start()
+        try:
+            rep = verify_example_cantor(10, resolutions=COARSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        by_name = {c.name: c for c in rep.checks}
+        assert by_name["ladder-sum-meager"].detail == f"2045 dyadic lines (bound {1025**2})"
+        assert peak < 48 * 2**20, peak
+
     def test_depth_bounds(self):
         with pytest.raises(ValueError, match="depth"):
             verify_example_cantor(13)
