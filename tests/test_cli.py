@@ -1,6 +1,11 @@
 """CLI contract tests: documents, reports, bitmaps, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -786,3 +791,44 @@ class TestTopLevel:
         assert code == 2
         assert err.startswith("error: ") and "exact float64 range" in err
         assert not report.exists()
+
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only.  A fresh interpreter that cannot
+        # import it runs each subcommand; the moment-curve pair takes the FFT
+        # route at both steps of its ladder.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            from pathlib import Path
+            sys.modules["scipy"] = None
+            from continuum_sums.cli import main
+
+            def gallery(name, *argv):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(["gallery", *argv]) == 0
+                Path(name).write_text(out.getvalue())
+                return name
+
+            moment = gallery("moment.json", "moment-curve", "--budget", "201")
+            circle = gallery("circle.json", "circle", "--budget", "360")
+            lshape = json.loads(Path(gallery("l.json", "l-shape", "--budget", "82")).read_text())
+            Path("pair.json").write_text(json.dumps({"dim": 2, "sets": lshape["sets"] * 2}))
+            runs = [
+                ["verify", "main", moment, "--h", "0.02", "--h", "0.01", "--out", "main.json"],
+                ["verify", "cantor", "--depth", "2", "--out", "cantor.json"],
+                ["verify", "c1", circle, "--h", "0.1", "--h", "0.05", "--out", "c1.json"],
+                ["verify", "hl", "--trials", "20", "--out", "hl.json"],
+                ["verify", "claim", "pair.json", "--s", "1", "--h", "0.1", "--h", "0.05",
+                 "--out", "claim.json"],
+                ["bitmap", moment, "--h", "0.05", "--out", "moment.pbm"],
+            ]
+            print(json.dumps([main(argv) for argv in runs]))
+            """
+        )
+        path = [str(Path(cli_mod.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * 6, done.stderr

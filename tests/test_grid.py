@@ -240,6 +240,33 @@ def assert_fft_matches_naive(a: GridSet, b: GridSet) -> GridSet:
     return out
 
 
+def test_smooth_length_is_the_least_5_smooth_number_at_least_m():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    smooth_numbers = [n for n in range(1, 4097) if smooth(n)]
+    for m in range(1, 4097):
+        assert grid_mod._smooth_length(m) == min(n for n in smooth_numbers if n >= m), m
+
+
+# Output extents that are primes above 7 (11, 13, 127, 211) or one past a
+# 5-smooth number (26, 82, 129): every axis is padded to a longer transform
+# and cropped back.
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((100,), (112,)), ((64, 100), (64, 112)), ((65, 41), (65, 42)), ((6, 7, 13), (6, 7, 14))],
+)
+def test_fft_pads_and_crops_extents_that_are_not_smooth(shape_a, shape_b):
+    rng = np.random.default_rng(sum(shape_a))
+    a = cover_grid(rng.random(shape_a) < 0.3)
+    b = cover_grid(rng.random(shape_b) < 0.3)
+    out = assert_fft_matches_naive(a, b)
+    assert all(grid_mod._smooth_length(m) > m for m in out.geometry.extents)
+
+
 _SELF_SUM_SHAPES = [(17,), (6, 9), (3, 4, 5)]
 
 

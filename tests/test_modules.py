@@ -152,9 +152,10 @@ def test_one_sum_entry_point_and_no_thread_variable():
     assert not offenders, offenders
 
 
-def test_no_module_imports_scipy_ndimage():
-    # Connectivity is the package's own union-find and morphology its own
-    # packed folds, so no module reaches for scipy's image routines.
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: connectivity is the package's own
+    # union-find, morphology its own packed folds and the FFT fold numpy's.
+    # scipy is a test dependency, for the oracles.
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -164,7 +165,9 @@ def test_no_module_imports_scipy_ndimage():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            offenders += [f"{path.name}: {n}" for n in names if n.startswith("scipy.ndimage")]
+            offenders += [
+                f"{path.name}: {n}" for n in names if n == "scipy" or n.startswith("scipy.")
+            ]
     assert not offenders, offenders
 
 
