@@ -13,26 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .grid import SampledSet
 
-KINDS = (
-    "segment",
-    "l_shape",
-    "circle",
-    "moment_curve",
-    "polyline",
-    "cantor_set",
-    "cantor_graph",
-    "ladder_steps",
-)
-
 #: Hard cap on Cantor recursion level; 2^20 corner samples is already absurd.
 _MAX_DEPTH = 20
+
+
+def _chord(
+    a: NDArray[np.float64], b: NDArray[np.float64], k: int, first: int
+) -> tuple[NDArray[np.float64], float]:
+    """Points a + (i / k)(b - a) for i = first, ..., k, and their density.
+
+    Neighbours lie |b - a|_inf / k apart in sup norm, so every point of the
+    chord is within half that of a sample.
+    """
+    t = np.arange(first, k + 1, dtype=np.float64) / k
+    return a + t[:, None] * (b - a), float(np.abs(b - a).max()) / (2 * k)
 
 
 def segment(start: Sequence[float], end: Sequence[float], budget: int = 11) -> SampledSet:
@@ -43,9 +44,7 @@ def segment(start: Sequence[float], end: Sequence[float], budget: int = 11) -> S
         raise ValueError("start and end must be equal-length coordinate vectors")
     if budget < 2:
         raise ValueError(f"sample budget must be at least 2, got {budget}")
-    t = np.arange(budget, dtype=np.float64) / (budget - 1)
-    pts = a + t[:, None] * (b - a)
-    density = float(np.abs(b - a).max()) / (2 * (budget - 1))
+    pts, density = _chord(a, b, budget - 1, 0)
     return SampledSet(points=pts, density=density)
 
 
@@ -60,13 +59,11 @@ def l_shape(dim: int = 2, budget: int = 40) -> SampledSet:
     if budget < 2 * dim:
         raise ValueError(f"budget {budget} too small for {dim} arms")
     per_arm = max(2, budget // dim)
-    t = np.arange(1, per_arm, dtype=np.float64) / (per_arm - 1)
-    rows = [np.zeros((1, dim))]
-    for axis in range(dim):
-        arm = np.zeros((per_arm - 1, dim))
-        arm[:, axis] = t
-        rows.append(arm)
-    return SampledSet(points=np.vstack(rows), density=1.0 / (2 * (per_arm - 1)))
+    origin = np.zeros(dim)
+    arms = [_chord(origin, unit, per_arm - 1, 1) for unit in np.eye(dim)]
+    return SampledSet(
+        points=np.vstack([origin[None]] + [pts for pts, _ in arms]), density=arms[0][1]
+    )
 
 
 def circle(
@@ -115,14 +112,14 @@ def polyline(vertices: Sequence[Sequence[float]], budget: int = 64) -> SampledSe
     if (lengths == 0).any():
         raise ValueError("repeated consecutive vertices")
     total = float(lengths.sum())
-    rows = [verts[:1]]
-    density = 0.0
-    for e, length in enumerate(lengths):
-        intervals = max(1, round((budget - 1) * float(length) / total))
-        t = np.arange(1, intervals + 1, dtype=np.float64) / intervals
-        rows.append(verts[e] + t[:, None] * (verts[e + 1] - verts[e]))
-        density = max(density, float(length) / (2 * intervals))
-    return SampledSet(points=np.vstack(rows), density=density)
+    edges = [
+        _chord(verts[e], verts[e + 1], max(1, round((budget - 1) * float(length) / total)), 1)
+        for e, length in enumerate(lengths)
+    ]
+    return SampledSet(
+        points=np.vstack([verts[:1]] + [pts for pts, _ in edges]),
+        density=max(density for _, density in edges),
+    )
 
 
 def _cantor_lefts(level: int) -> NDArray[np.int64]:
@@ -305,16 +302,31 @@ class GeneratorSpec:
     sample_budget: int = 64
 
 
+#: Each generator kind's builder, called with the parameters and the budget,
+#: and its required and optional parameters.
+_Builder = Callable[[dict, int], SampledSet]
+_GENERATORS: dict[str, tuple[_Builder, tuple[str, ...], tuple[str, ...]]] = {
+    "segment": (lambda p, n: segment(p["start"], p["end"], n), ("start", "end"), ()),
+    "l_shape": (lambda p, n: l_shape(int(p.get("dim", 2)), n), (), ("dim",)),
+    "circle": (
+        lambda p, n: circle(
+            n, p.get("center", (0.0, 0.0)), float(p.get("radius", 1.0)), float(p.get("phase", 0.0))
+        ),
+        (),
+        ("center", "radius", "phase"),
+    ),
+    "moment_curve": (lambda p, n: moment_curve(int(p.get("dim", 2)), n), (), ("dim",)),
+    "polyline": (lambda p, n: polyline(p["vertices"], n), ("vertices",), ()),
+    "cantor_set": (lambda p, n: cantor_set(int(p["depth"])), ("depth",), ()),
+    "cantor_graph": (lambda p, n: cantor_graph(int(p["depth"]), n), ("depth",), ()),
+    "ladder_steps": (lambda p, n: ladder_steps(int(p["depth"]), n), ("depth",), ()),
+}
+
+KINDS = tuple(_GENERATORS)
+
 #: Parameters each generator kind accepts besides the budget.
 ALLOWED_PARAMS = {
-    "segment": {"start", "end"},
-    "l_shape": {"dim"},
-    "circle": {"center", "radius", "phase"},
-    "moment_curve": {"dim"},
-    "polyline": {"vertices"},
-    "cantor_set": {"depth"},
-    "cantor_graph": {"depth"},
-    "ladder_steps": {"depth"},
+    kind: {*needed, *optional} for kind, (_, needed, optional) in _GENERATORS.items()
 }
 
 
@@ -343,44 +355,14 @@ def generate(spec: GeneratorSpec) -> SampledSet:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if spec.sample_budget < 2:
         raise ValueError(f"sample_budget must be at least 2, got {spec.sample_budget}")
-    allowed = ALLOWED_PARAMS[spec.kind]
-    unknown = set(spec.parameters) - allowed
+    unknown = set(spec.parameters) - ALLOWED_PARAMS[spec.kind]
     if unknown:
         raise ValueError(
             f"unknown parameter(s) for {spec.kind}: {', '.join(sorted(unknown))}"
         )
     for key, value in spec.parameters.items():
         _check_finite(value, key)
-    p = spec.parameters
-    if spec.kind == "segment":
-        if "start" not in p or "end" not in p:
-            raise ValueError("segment needs start and end")
-        out = segment(p["start"], p["end"], spec.sample_budget)
-    elif spec.kind == "l_shape":
-        out = l_shape(int(p.get("dim", 2)), spec.sample_budget)
-    elif spec.kind == "circle":
-        out = circle(
-            spec.sample_budget,
-            center=p.get("center", (0.0, 0.0)),
-            radius=float(p.get("radius", 1.0)),
-            phase=float(p.get("phase", 0.0)),
-        )
-    elif spec.kind == "moment_curve":
-        out = moment_curve(int(p.get("dim", 2)), spec.sample_budget)
-    elif spec.kind == "polyline":
-        if "vertices" not in p:
-            raise ValueError("polyline needs vertices")
-        out = polyline(p["vertices"], spec.sample_budget)
-    elif spec.kind == "cantor_set":
-        if "depth" not in p:
-            raise ValueError("cantor_set needs depth")
-        out = cantor_set(int(p["depth"]))
-    elif spec.kind == "cantor_graph":
-        if "depth" not in p:
-            raise ValueError("cantor_graph needs depth")
-        out = cantor_graph(int(p["depth"]), spec.sample_budget)
-    else:
-        if "depth" not in p:
-            raise ValueError("ladder_steps needs depth")
-        out = ladder_steps(int(p["depth"]), spec.sample_budget)
-    return out
+    build, required, _ = _GENERATORS[spec.kind]
+    if any(key not in spec.parameters for key in required):
+        raise ValueError(f"{spec.kind} needs {' and '.join(required)}")
+    return build(spec.parameters, spec.sample_budget)

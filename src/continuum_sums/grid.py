@@ -9,7 +9,6 @@ dilation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,8 +81,11 @@ class CubeOutsideGridError(ValueError):
 class Semantics(Enum):
     """What the occupied cells of a :class:`GridSet` promise about the set.
 
-    SAMPLE_COVER: every occupied cell contains at least one exact point of the
-    underlying set; ``slack`` records the sup-norm sample density.
+    SAMPLE_COVER: every occupied cell of a raster contains at least one
+    exact sample; ``slack`` records the sup-norm sample density.  A sum keeps
+    the tag but only the OUTER bound (see :func:`_combined_semantics`): the
+    raster of {0, 0.019} at h = 0.01 summed with itself marks [0.02, 0.03],
+    which holds none of the sum's points 0, 0.019 and 0.038.
     OUTER: the underlying set is contained in the union of occupied cells
     dilated by ``slack`` (length units).
     INNER: the union of occupied cells is contained in the underlying set.
@@ -248,8 +250,10 @@ class GridSet:
     """Occupancy bitmap over a :class:`GridGeometry` with tagged semantics.
 
     ``slack`` means: sample density (SAMPLE_COVER), covering radius (OUTER),
-    or 0.0 (INNER).  All length units, not cell counts.  No package function
-    produces an INNER grid; sums of INNER grids keep slack 0 (criterion 01).
+    or 0.0 (INNER); a SAMPLE_COVER sum's slack is a covering radius (see
+    :class:`Semantics`).  All length units, not cell counts.  No package
+    function produces an INNER grid; sums of INNER grids keep slack 0
+    (criterion 01).
     """
 
     geometry: GridGeometry
@@ -836,7 +840,14 @@ def _or_slabs(
 
 
 def _combined_semantics(semantics: Semantics, slack: float, b: GridSet) -> tuple[Semantics, float]:
-    """Semantics and slack of a sum whose left operand carries ``semantics``, ``slack``."""
+    """Semantics and slack of a sum whose left operand carries ``semantics``, ``slack``.
+
+    OUTER and SAMPLE_COVER sums keep their tag, and the slacks add plus one
+    cell: a point of each operand's set lies within its slack of an occupied
+    cell's closed box, and two points of such boxes sum into the box of the
+    index sum's cell grown by one cell.  That OUTER bound is all a
+    SAMPLE_COVER sum promises; its cells need not hold a point of the sum.
+    """
     if semantics is not b.semantics:
         raise ValueError(
             f"cannot sum grids with mixed semantics {semantics.value} + {b.semantics.value}"
@@ -1141,23 +1152,6 @@ def _run_fold(runs: _Runs, other: _Runs, extents: tuple[int, ...], width: int) -
     return occupancy.reshape(extents)
 
 
-def _run_sum(
-    operands: list[_Runs], extents: tuple[int, ...], weights: NDArray[np.int64], axis: int
-) -> NDArray[np.bool_]:
-    """Occupancy of the sum, from the runs along ``axis`` of the operands (one per summand).
-
-    Every fold is a :func:`_run_fold` over the output box: the first sums
-    the first two operands, and each later one the runs of the occupancy
-    so far with the next operand.  Keys use the output's row width, so a
-    sum of two runs in one row each is one run in one row.
-    """
-    width = extents[axis]
-    occupancy = _run_fold(operands[0], operands[1], extents, width)
-    for other in operands[2:]:
-        occupancy = _run_fold(_runs(occupancy, weights, axis), other, extents, width)
-    return occupancy
-
-
 def _folded_frame(rasters: list[GridSet]) -> tuple[GridGeometry, Semantics, float]:
     """Geometry, semantics and slack of the sum, folded and validated over all inputs."""
     if not rasters:
@@ -1186,11 +1180,13 @@ def _summed(
         weights[i] = weights[i + 1] * geom.extents[i + 1]
     if math.prod(each_once(rasters, lambda r: r.occupied_count)) < out_cells:
         return _key_sum(rasters, geom.extents, weights, packed)
+    if len(rasters) > 2:
+        return _summed([minkowski_sum(rasters[:-1]), rasters[-1]], geom, packed)
     axis = max((k for k, m in enumerate(geom.extents) if m > 1), default=0)
-    runs = each_once(rasters, lambda r: _runs(r.occupancy, weights, axis))
-    if math.prod(len(starts) for starts, _ in runs) < out_cells:
-        return _run_sum(runs, geom.extents, weights, axis)
-    return functools.reduce(dilate_fft, rasters).occupancy
+    runs, other = each_once(rasters, lambda r: _runs(r.occupancy, weights, axis))
+    if len(runs[0]) * len(other[0]) < out_cells:
+        return _run_fold(runs, other, geom.extents, geom.extents[axis])
+    return dilate_fft(*rasters).occupancy
 
 
 def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
@@ -1212,24 +1208,26 @@ def minkowski_sum(rasters: Sequence[GridSet]) -> GridSet:
        each pair key into packed bits instead, so no dense box is made; a
        bit costs far more than a box cell, so a sum with fewer cells per
        pair sum keeps the box.
-    2. Otherwise, when the product of run counts is below the output cell
-       count, maximal runs of occupied cells along the last output axis of
-       extent > 1 are summed: two runs sum to exactly one run, in one
-       output row.  Every fold counts run starts and ends in a difference
-       array over two bands of output rows, each about
-       ``2 * _SPARSE_CHUNK`` cells and at least one row, and writes each
-       finished band's cumulative sum straight into an occupancy over the
-       output box; a fold after the first sums the runs of that occupancy
-       with the next operand.  Beyond the output a fold holds that array
-       and two chunks of pair runs, not an array the size of the box.
-    3. Otherwise :func:`dilate_fft` is folded over the inputs; a fold whose
+    2. Otherwise a sum of three or more inputs is the sum of all but the
+       last, plus the last: each such fold picks its own route by these
+       rules, so the run route and the FFT only ever fold two operands.
+    3. Otherwise, when the product of the two run counts is below the
+       output cell count, maximal runs of occupied cells along the last
+       output axis of extent > 1 are summed: two runs sum to exactly one
+       run, in one output row.  The fold counts run starts and ends in a
+       difference array over a window of ``_RUN_WINDOW_BANDS`` bands of
+       output rows, each about ``2 * _SPARSE_CHUNK`` cells and at least one
+       row, and writes each finished band's cumulative sum straight into an
+       occupancy over the output box.  Beyond the output it holds that
+       window and two chunks of pair runs, not an array the size of the box.
+    4. Otherwise :func:`dilate_fft` sums the two inputs; a fold whose
        occupied-count product leaves the FFT's exact range raises its
        :class:`DilationPrecisionError`.
 
     Both sparse routes form their pairs in chunks of at most
     ``_SPARSE_CHUNK`` sums, and extract keys or runs once per distinct
-    raster object, so no dense intermediate is ever held.  A fold of one
-    raster object with itself (``[a, a]``, or the first fold of
+    raster object; the key route holds no dense intermediate.  A fold of
+    one raster object with itself (``[a, a]``, or the first fold of
     ``[a] * n``) forms each unordered pair once.  A single input is
     returned as is.
     """

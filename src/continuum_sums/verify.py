@@ -301,10 +301,12 @@ def verify_theorem_main(
     bits holds U bytes plus pair-key chunks of a few MB; every other sum
     holds a dense box of m_1 * ... * m_n bytes until it is packed, plus its
     route's working arrays: pair-key chunks for the key route, a band
-    difference array and pair-run chunks of a few MB for the run route
-    (past its first fold also the box so far and its runs), and the FFT's
-    float64 transforms for the dense route.  The margin reads
-    the cube window grown by limit from the unpadded sum.
+    difference array and pair-run chunks of a few MB for the run route,
+    and the FFT's float64 transforms for the dense route.  A sum of three
+    or more that the key route does not take folds in pairs, so it also
+    holds the box of the sum of all but its last operand (and, on the run
+    route, that box's runs) while it adds the last.  The margin reads the
+    cube window grown by limit from the unpadded sum.
     """
     steps = _resolution_list(resolutions)
     sets = list(sets)

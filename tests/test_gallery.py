@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -503,3 +504,180 @@ def test_self_sum_lines_edge_inputs_match_the_pairwise_sum():
         self_sum_dyadic_lines(line, 3)
     with pytest.raises(ValueError, match="planar"):
         dyadic_lines_check(sampled_sum(line, line), 3)
+
+
+# --- every generator pinned: sample bytes and density ---------------------------------
+
+#: A 50-tooth zigzag of unit width and height 0.1.
+_ZIGZAG = [(i / 50, 0.1 * (i % 2)) for i in range(51)]
+
+#: Each generator call with the shape of its points, the sha256 of their
+#: bytes and the repr of its density.  Float operations are pinned, not
+#: values up to rounding: a rewrite of a generator must keep them all.
+_PINNED = {
+    "segment-61": (
+        lambda: segment((-1.0, 0.25), (0.5, 1.0), 61),
+        (61, 2),
+        "c0db40cfc8e73216133a265ee5892b4d7bf1606710ba140211bad9612bd14045",
+        "0.0125",
+    ),
+    "segment-zero-length": (
+        lambda: segment((0.3, -0.7), (0.3, -0.7), 5),
+        (5, 2),
+        "19e7f1e3e7a4a7d9b253b7e1eab5eff19624c836335794d7d40f006ed269527e",
+        "0.0",
+    ),
+    "segment-negative-zero": (
+        lambda: segment((-0.0, 1.0), (1.0, -0.0), 7),
+        (7, 2),
+        "443240afc399fec5d27884d94cd44ca868b00fd063c08aaee5d83d0195400ec6",
+        "0.08333333333333333",
+    ),
+    "l_shape-1": (
+        lambda: l_shape(1, 2),
+        (2, 1),
+        "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d",
+        "0.5",
+    ),
+    "l_shape-2": (
+        lambda: l_shape(2, 42),
+        (41, 2),
+        "e59ddd638d54cdfc7a0b65a68ba0ffb23d7f6ed5fe7f6ea6a8b40713a8262c85",
+        "0.025",
+    ),
+    "l_shape-3": (
+        lambda: l_shape(3, 63),
+        (61, 3),
+        "263d66b00ae9be831498ccbcfa400ad7519cdda34bcfa8221c068247d5ab24b4",
+        "0.025",
+    ),
+    "l_shape-4": (
+        lambda: l_shape(4, 84),
+        (81, 4),
+        "9a6bf0dcdefe3a13faac68215d745de66c2d95d7772b72819831631c50ad24d4",
+        "0.025",
+    ),
+    "circle-720": (
+        lambda: circle(720),
+        (720, 2),
+        "efa2204050d92ec8fa47a6a3f1e6849d1c52a216827332a2f81b728de99231e2",
+        "0.004363323129985824",
+    ),
+    "circle-720-phase": (
+        lambda: circle(720, phase=0.3),
+        (720, 2),
+        "d05c758ee06173dd85c078c165a37d6d5a3882eb4e6c2256ecefd593ea4f7928",
+        "0.004363323129985824",
+    ),
+    "circle-90-offset": (
+        lambda: circle(90, center=(0.5, -1), radius=2),
+        (90, 2),
+        "6df6faf4488634098b682a25745623b0962847473579761f36b954c5ee209079",
+        "0.06981317007977318",
+    ),
+    "moment_curve-2": (
+        lambda: moment_curve(2, 201),
+        (201, 2),
+        "f89f28d35e44111db2eff2016a8ad31153bf98fc3b1167eb3ef67bb3671dd89f",
+        "0.005",
+    ),
+    "moment_curve-3": (
+        lambda: moment_curve(3, 201),
+        (201, 3),
+        "ac47cc6aa90d105209fd5399d3f101d756e38ea4160f9e07abcf9b7f01baee4d",
+        "0.0075",
+    ),
+    "moment_curve-4": (
+        lambda: moment_curve(4, 41),
+        (41, 4),
+        "297c0bc089ad3122355c9d1c87769e8bc67522a21abcddc63a82148068060861",
+        "0.05",
+    ),
+    "polyline-zigzag": (
+        lambda: polyline(_ZIGZAG, 401),
+        (401, 2),
+        "297aae0242de3a5612e0c66e16ef65032dcd900ca9c24beded976c2165902780",
+        "0.00625",
+    ),
+    "polyline-3d": (
+        lambda: polyline([(0, 0, 0), (1, -2, 0.5)], 33),
+        (33, 3),
+        "b8ddfebce26bb19d46ee75d75ca05f27811db076f5a42662370608f534b66719",
+        "0.03125",
+    ),
+    "generate-segment": (
+        lambda: generate(GeneratorSpec("segment", {'start': [0, -0.0], 'end': [1, 2]}, 11)),
+        (11, 2),
+        "cdaf1bd34bc9e1b2a94bdf5c152486268ed0c128e1986555705d059e90fc696f",
+        "0.1",
+    ),
+    "generate-l_shape": (
+        lambda: generate(GeneratorSpec("l_shape", {'dim': 3.0}, 30)),
+        (28, 3),
+        "a89d03ba02b84d5ed3379de98c63afac4e91b383a3fbd7d41092e2537d9e2206",
+        "0.05555555555555555",
+    ),
+    "generate-circle": (
+        lambda: generate(GeneratorSpec("circle", {'center': [1, -1], 'radius': 1, 'phase': 2}, 40)),
+        (40, 2),
+        "452ed0cf5698baa6d67bda25d4354338f83b3f6f6b7951778e07223a236d1d77",
+        "0.07853981633974483",
+    ),
+    "generate-moment_curve": (
+        lambda: generate(GeneratorSpec("moment_curve", {'dim': 3}, 21)),
+        (21, 3),
+        "8b9a84e3404bed5bdedbf94e523c7e420d00fb4210b6d866d557163c61526e24",
+        "0.075",
+    ),
+    "generate-polyline": (
+        lambda: generate(GeneratorSpec("polyline", {'vertices': [[0, 0], [1, 0], [1, 1]]}, 20)),
+        (21, 2),
+        "d6a3cc683b9671b974c336a7b7df0d85737848aa423146819c18b8cd888d13e2",
+        "0.05",
+    ),
+    "generate-cantor_set": (
+        lambda: generate(GeneratorSpec("cantor_set", {'depth': 3}, 64)),
+        (8, 1),
+        "e87117cd878b85da48067f3d309bf804c077f284ee2513d18994c674ec263121",
+        "0.037037037037037035",
+    ),
+    "generate-cantor_graph": (
+        lambda: generate(GeneratorSpec("cantor_graph", {'depth': 2.0}, 64)),
+        (65, 2),
+        "1e41222e7c2ae1e2df5b34061000f233fbf99ca9c32aac45c512af431af41422",
+        "0.0625",
+    ),
+    "generate-ladder_steps": (
+        lambda: generate(GeneratorSpec("ladder_steps", {'depth': 2}, 16)),
+        (15, 2),
+        "977454794f769e9874a6808365126e793ba438ccf09a2d8e5783718bd0c16c18",
+        "0.03333333333333333",
+    ),
+    "generate-l_shape-default": (
+        lambda: generate(GeneratorSpec("l_shape", {}, 64)),
+        (63, 2),
+        "a0342e2e4bf7d4653e9574729bf9db05f23e2c3f36abdae860397418a2d19afb",
+        "0.016129032258064516",
+    ),
+    "generate-circle-default": (
+        lambda: generate(GeneratorSpec("circle", {}, 64)),
+        (64, 2),
+        "197483b9448cf442a0412e967124f197ce7a03c56dcd1d6334f3b9a7df17035b",
+        "0.04908738521234052",
+    ),
+    "generate-moment_curve-default": (
+        lambda: generate(GeneratorSpec("moment_curve", {}, 64)),
+        (64, 2),
+        "2109d9bfbfe2155d584bafc67ec9d92bcd6658890097f469ce7a71e0e2f9fa2b",
+        "0.015873015873015872",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_generator_samples_and_density_are_pinned(name):
+    make, shape, digest, density = _PINNED[name]
+    out = make()
+    assert out.points.shape == shape
+    assert hashlib.sha256(out.points.tobytes()).hexdigest() == digest
+    assert repr(out.density) == density

@@ -180,6 +180,51 @@ def test_dilate_semantics_rules():
         dilate_naive(sc, outer)
 
 
+def test_sample_cover_sum_breaks_the_cell_promise():
+    # {0, 0.019} at h = 0.01 marks [0, 0.01] and [0.01, 0.02].  Its self-sum
+    # marks [0.02, 0.03] too, which holds none of 0, 0.019 and 0.038; each of
+    # them lies within the summed slack, one cell, of an occupied cell.
+    samples = SampledSet(np.array([[0.0], [0.019]]), density=0.0)
+    raster = rasterize(samples, auto_geometry(samples.points, 0.01))
+    total = minkowski_sum([raster, raster])
+    assert total.semantics is Semantics.SAMPLE_COVER
+    assert total.geometry == GridGeometry((0.0,), 0.01, (3,))
+    assert total.occupancy.tolist() == [True, True, True]
+    assert total.slack == 0.01
+    sums = np.array([0.0, 0.019, 0.038])
+    assert not ((sums >= 0.02) & (sums <= 0.03)).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.sampled_from([0.05, 0.1, 0.25]),
+    st.data(),
+)
+def test_sample_cover_sum_keeps_the_outer_bound(dim, n, h, data):
+    # A set within density of its samples: every point of the sum lies
+    # within the sum's slack of an occupied cell's closed box.  The distance
+    # to one box is convex, so the corners of the summed density box around
+    # each sample sum are the points to check.
+    sets = []
+    for _ in range(n):
+        count = data.draw(st.integers(1, 4))
+        points = data.draw(arrays(np.float64, (count, dim), elements=st.floats(-1, 1)))
+        sets.append(SampledSet(points, density=data.draw(st.sampled_from([0.0, 0.01, 0.07]))))
+    total = minkowski_sum([rasterize(k, auto_geometry(k.points, h)) for k in sets])
+    assert total.semantics is Semantics.SAMPLE_COVER
+    sums = sets[0].points
+    for k in sets[1:]:
+        sums = (sums[:, None] + k.points[None]).reshape(-1, dim)
+    reach = sum(k.density for k in sets)
+    corners = np.array(list(product((-reach, 0.0, reach), repeat=dim)))
+    points = (sums[:, None] + corners[None]).reshape(-1, dim)
+    lo = np.asarray(total.geometry.origin) + h * np.argwhere(total.occupancy)
+    gap = np.maximum(lo[None] - points[:, None], points[:, None] - (lo[None] + h))
+    assert gap.max(axis=2).min(axis=1).max() <= total.slack + 1e-9
+
+
 def test_dilate_spacing_mismatch_rejected():
     a = GridSet(
         GridGeometry((0.0,), 0.5, (2,)), np.ones(2, bool), Semantics.SAMPLE_COVER, 0.0
@@ -657,9 +702,9 @@ def _spy_pair_sums(monkeypatch, chunk: int) -> list[dict]:
 
 
 def _route(monkeypatch) -> list[str]:
-    """Name the sparse route each ``minkowski_sum`` call takes."""
+    """Name the sparse route of each fold that ``minkowski_sum`` calls make."""
     taken: list[str] = []
-    for name in ("_key_sum", "_run_sum"):
+    for name in ("_key_sum", "_run_fold"):
         real = getattr(grid_mod, name)
 
         def recording(*args, name=name, real=real):
@@ -671,7 +716,8 @@ def _route(monkeypatch) -> list[str]:
 
 
 # Five full rows of four: 20^2 key pairs outnumber 9 * 7 output cells, but
-# 5^2 run pairs (and 5^3 against 13 * 10 for three) do not.
+# 5^2 run pairs do not.  Three fold in pairs: the second fold's 63 * 20 key
+# pairs outnumber 13 * 10 output cells, but its 9 * 5 run pairs do not.
 _FIVE_ROWS = cover_grid(np.ones((5, 4), bool))
 # Three diagonals of twelve: 34^2 key pairs outnumber 23^2 output cells,
 # but 12^2 run pairs do not.  One run a row, and at chunk 16 the last run
@@ -680,17 +726,18 @@ _THIN_BAND = cover_grid(np.abs(np.subtract.outer(np.arange(12), np.arange(12))) 
 
 
 @pytest.mark.parametrize(
-    "rasters, route",
+    "rasters, routes",
     [
         # 6 * 5 key pairs against 10^2 cells; 6^3 against 16^2.
-        ([_diagonal(6), _diagonal(5)], "_key_sum"),
-        ([_diagonal(6)] * 3, "_key_sum"),
-        ([_FIVE_ROWS, cover_grid(np.ones((5, 4), bool))], "_run_sum"),
-        ([_FIVE_ROWS] * 3, "_run_sum"),
+        ([_diagonal(6), _diagonal(5)], ["_key_sum"]),
+        ([_diagonal(6)] * 3, ["_key_sum"]),
+        ([_FIVE_ROWS, cover_grid(np.ones((5, 4), bool))], ["_run_fold"]),
+        # Off the key route three operands fold in pairs: two run folds.
+        ([_FIVE_ROWS] * 3, ["_run_fold"] * 2),
     ],
     ids=["keys-distinct", "keys-self", "runs-distinct", "runs-self"],
 )
-def test_sparse_chunks_never_exceed_the_chunk_size(monkeypatch, rasters, route):
+def test_sparse_chunks_never_exceed_the_chunk_size(monkeypatch, rasters, routes):
     # Every operand has more keys (or runs) than the chunk holds.
     ref = rasters[0]
     for r in rasters[1:]:
@@ -698,11 +745,30 @@ def test_sparse_chunks_never_exceed_the_chunk_size(monkeypatch, rasters, route):
     taken = _route(monkeypatch)
     calls = _spy_pair_sums(monkeypatch, 4)
     out = minkowski_sum(rasters)
-    assert taken == [route]
+    assert taken == routes
     assert np.array_equal(out.occupancy, ref.occupancy)
     # The folds form more sums than a chunk holds, and no chunk exceeds it.
     chunks = [size for call in calls for size in call["chunks"]]
     assert sum(chunks) > 4 and max(chunks) <= 4
+
+
+def test_three_operands_fold_in_pairs_each_on_its_own_route(monkeypatch):
+    # A diagonal of twelve, three times: 12^3 key pairs and 12^3 run pairs
+    # both outnumber 34^2 output cells, but as pair folds 12^2 keys meet
+    # 23^2 cells and then 23 * 12 keys meet 34^2, so no fold takes the FFT.
+    rasters = [_diagonal(12)] * 3
+    ref = dilate_naive(dilate_naive(rasters[0], rasters[1]), rasters[2])
+
+    def refuse(a, b):
+        raise AssertionError("FFT fold taken")
+
+    taken = _route(monkeypatch)
+    monkeypatch.setattr(grid_mod, "dilate_fft", refuse)
+    out = minkowski_sum(rasters)
+    assert taken == ["_key_sum"] * 2
+    assert out.geometry == ref.geometry
+    assert np.array_equal(out.occupancy, ref.occupancy)
+    assert (out.semantics, out.slack) == (ref.semantics, ref.slack)
 
 
 # 12 keys against 23^2 output cells; 12 runs against 23 * 11.
@@ -712,7 +778,7 @@ _TWELVE_ROWS = cover_grid(np.ones((12, 6), bool))
 
 @pytest.mark.parametrize(
     "raster, route",
-    [(_TWELVE_DOTS, "_key_sum"), (_TWELVE_ROWS, "_run_sum"), (_THIN_BAND, "_run_sum")],
+    [(_TWELVE_DOTS, "_key_sum"), (_TWELVE_ROWS, "_run_fold"), (_THIN_BAND, "_run_fold")],
     ids=["keys", "runs", "runs-thin"],
 )
 def test_self_sum_forms_each_unordered_pair_once(monkeypatch, raster, route):
@@ -723,7 +789,7 @@ def test_self_sum_forms_each_unordered_pair_once(monkeypatch, raster, route):
     out = minkowski_sum([raster, raster])
     assert np.array_equal(out.occupancy, ref.occupancy)
     assert taken == [route]
-    if route == "_run_sum":
+    if route == "_run_fold":
         # The run route sums starts and ends in two calls of one shape, for
         # each pair of bands of output rows.
         assert calls[::2] == calls[1::2]
@@ -773,7 +839,7 @@ def test_run_sum_holds_no_whole_box_difference_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert taken == ["_run_sum"]
+    assert taken == ["_run_fold"]
     cells = out.occupancy.size
     assert cells == 2049**2
     assert peak < 1.5 * cells
